@@ -2,13 +2,7 @@
 periodic guaranteed-RB allocation, per-TTI mitigation and trace-driven
 simulation."""
 
-from .capacity import (
-    ConcatPerRbVector,
-    PacketTxRecord,
-    build_capacity_samples,
-    concat_window,
-    expand_packet,
-)
+from .capacity import ConcatPerRbVector, build_capacity_samples
 from .martingale import (
     ArrivalSampleSet,
     CapacitySampleSet,

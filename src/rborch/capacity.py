@@ -1,19 +1,16 @@
-"""Service-capacity sample construction from per-packet transmission records.
+"""Service-capacity samples by exact grouping of a window of packet runs.
 
-Each transmitted packet contributes its average bits-per-RB repeated once per
-RB it consumed; the concatenated stream is regrouped into windows of
-n + n_min consecutive RBs whose exact rational sums become the service
-samples for region n.  Values stay exact (integer-scaled or Fraction) until
-the final round to whole bits.
+A transmitted packet of `bits` bits that consumed `rbs` RBs spreads bits/rbs
+over each of its RBs; in a channel-rate window every run has rbs = 1.
+Region n regroups that per-RB stream into consecutive groups of n + n_min
+RBs, and each group's exact rational sum, rounded half-even to whole bits, is
+one service sample.  All arithmetic is exact int64: the prefix sum at RB
+boundary b is pn[b] / pd[b], where pd[b] is the length of the run holding b.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,123 +18,70 @@ from .martingale import CapacitySampleSet
 
 log = logging.getLogger(__name__)
 
-# beyond this the int64 grouping path could overflow; fall back to Fractions
-_SCALED_SUM_LIMIT = 1 << 62
-
-
-@dataclass(frozen=True)
-class PacketTxRecord:
-    """One transmitted packet: size in bits and RBs it consumed."""
-
-    service_id: int
-    tti: int
-    packet_bits: int
-    rbs_used: int
-
-    def __post_init__(self):
-        if self.tti < 0:
-            raise ValueError("tti must be non-negative")
-        if self.packet_bits < 1:
-            raise ValueError("packet_bits must be positive")
-        if self.rbs_used < 1:
-            raise ValueError("rbs_used must be positive")
+# cross products of prefix numerators and denominators stay below this; half
+# the int64 range, so checking it in float64 leaves ample margin
+_INT64_LIMIT = 1 << 62
 
 
 class ConcatPerRbVector:
-    """Concatenated per-RB capacity stream, run-length encoded.
+    """Per-RB capacity stream of one window, run-length encoded as packet runs.
 
-    Run j carries the value num[j]/den[j] repeated rep[j] times; packets map
-    to runs with den == rep == rbs_used.
+    Run j spreads bits[j] evenly over rbs[j] consecutive RBs.  The exact
+    prefix is built on first use and kept with the window, so every n_min
+    candidate of a decision shares it.
     """
 
-    __slots__ = ("num", "den", "rep")
+    __slots__ = ("bits", "rbs", "_prefix")
 
-    def __init__(self, num, den, rep):
-        self.num = np.asarray(num, dtype=np.int64)
-        self.den = np.asarray(den, dtype=np.int64)
-        self.rep = np.asarray(rep, dtype=np.int64)
-        if not (len(self.num) == len(self.den) == len(self.rep)):
+    def __init__(self, bits, rbs):
+        self.bits = np.asarray(bits, dtype=np.int64)
+        self.rbs = np.asarray(rbs, dtype=np.int64)
+        if len(self.bits) != len(self.rbs):
             raise ValueError("run arrays must have equal length")
-        if len(self.num) and (np.any(self.num <= 0) or np.any(self.den <= 0) or np.any(self.rep <= 0)):
+        if len(self.bits) and (np.any(self.bits <= 0) or np.any(self.rbs <= 0)):
             raise ValueError("per-RB values must be positive")
-
-    @classmethod
-    def from_records(cls, records: Iterable[PacketTxRecord]) -> "ConcatPerRbVector":
-        num, den, rep = [], [], []
-        for rec in records:
-            num.append(rec.packet_bits)
-            den.append(rec.rbs_used)
-            rep.append(rec.rbs_used)
-        return cls(num, den, rep)
-
-    @classmethod
-    def from_arrays(cls, bits, rbs) -> "ConcatPerRbVector":
-        """Packet-level arrays straight from the simulator's transmission log."""
-        bits = np.asarray(bits, dtype=np.int64)
-        rbs = np.asarray(rbs, dtype=np.int64)
-        return cls(bits, rbs, rbs)
-
-    @classmethod
-    def from_values(cls, values: Iterable) -> "ConcatPerRbVector":
-        """Arbitrary positive rationals, one RB each (tests, synthetic windows)."""
-        num, den = [], []
-        for v in values:
-            fr = Fraction(v)
-            num.append(fr.numerator)
-            den.append(fr.denominator)
-        return cls(num, den, np.ones(len(num), dtype=np.int64))
+        self._prefix = None
 
     def __len__(self) -> int:
-        return int(self.rep.sum())
+        return int(self.rbs.sum())
 
-    @property
-    def entries(self) -> list[Fraction]:
-        out = []
-        for n, d, r in zip(self.num, self.den, self.rep):
-            out.extend([Fraction(int(n), int(d))] * int(r))
-        return out
+    def prefix(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(pn, pd): the exact sum of the first b entries is pn[b] / pd[b], b = 0..len.
 
-    def total(self) -> Fraction:
-        """Exact sum of all entries."""
-        acc = Fraction(0)
-        for n, d, r in zip(self.num, self.den, self.rep):
-            acc += Fraction(int(n) * int(r), int(d))
-        return acc
-
-    def scaled(self):
-        """(per-RB int64 array, scale D) with entry = array/D exact, or None on overflow risk."""
-        if len(self.num) == 0:
-            return np.empty(0, dtype=np.int64), 1
-        dens = [int(d) for d in np.unique(self.den)]
-        scale = math.lcm(*dens)
-        # worst-case total of scaled entries, checked in exact int arithmetic
-        worst = sum(int(n) * (scale // int(d)) * int(r) for n, d, r in zip(self.num, self.den, self.rep))
-        if worst >= _SCALED_SUM_LIMIT:
-            return None, scale
-        per_run = self.num * (scale // self.den)
-        return np.repeat(per_run, self.rep), scale
-
-
-def expand_packet(rec: PacketTxRecord) -> list[Fraction]:
-    """Per-RB view of one packet: bits/RBs repeated once per RB, exact."""
-    value = Fraction(rec.packet_bits, rec.rbs_used)
-    return [value] * rec.rbs_used
+        pd is None when every run is a single RB: the prefix is then whole bits.
+        """
+        if self._prefix is None:
+            bits, rbs = self.bits, self.rbs
+            rb_max = int(rbs.max())
+            if float(bits.sum(dtype=np.float64)) * rb_max * rb_max >= _INT64_LIMIT:
+                raise ValueError(
+                    f"capacity window too large for exact int64 grouping: "
+                    f"sum(bits) * max(rbs)^2 must stay below 2^62 (max rbs {rb_max})"
+                )
+            if rb_max == 1:
+                pn, pd = np.concatenate(([0], np.cumsum(bits))), None
+            else:
+                # boundary b at offset k of run j: pn = B[j]*rbs[j] + k*bits[j], pd = rbs[j],
+                # with B the bits before run j; the end boundary is offset rbs[-1] of the last run
+                counts = rbs.copy()
+                counts[-1] += 1
+                pd = np.repeat(rbs, counts)
+                # pn steps by bits[j] inside run j and jumps to B[j]*rbs[j] where run j starts
+                pn = np.repeat(bits, counts)
+                first = (np.cumsum(bits) - bits) * rbs
+                last = first + (rbs - 1) * bits
+                pn[0] = 0
+                pn[np.cumsum(rbs[:-1])] = first[1:] - last[:-1]
+                np.cumsum(pn, out=pn)
+            self._prefix = (pn, pd)
+        return self._prefix
 
 
-def concat_window(records: Sequence[PacketTxRecord]) -> ConcatPerRbVector:
-    """Concatenate per-packet vectors preserving transmission order."""
-    return ConcatPerRbVector.from_records(records)
-
-
-def _round_half_even_div(q_num: np.ndarray, d: int) -> np.ndarray:
-    """Exact round-to-nearest-even of q_num / d for int64 arrays."""
-    if d == 1:
-        return q_num.copy()
-    q = q_num // d
-    r = q_num - q * d
-    two_r = 2 * r
-    up = (two_r > d) | ((two_r == d) & (q % 2 == 1))
-    return q + up
+def _round_half_even_div(num, den):
+    """Exact round-to-nearest-even of num / den (int64 arrays or Python ints)."""
+    q = num // den
+    two_r = 2 * (num - q * den)
+    return q + ((two_r > den) | ((two_r == den) & (q % 2 == 1)))
 
 
 def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int) -> CapacitySampleSet:
@@ -154,95 +98,24 @@ def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int) ->
     length = len(x_con)
     if length == 0:
         raise ValueError("capacity window is empty")
-    n_add = n_cell - n_min
+    pn, pd = x_con.prefix()
 
-    scaled, d = x_con.scaled()
-    if scaled is None:
-        return _build_from_fractions(x_con, n_min, n_add)
-
-    csum = np.concatenate(([0], np.cumsum(scaled)))
-    total_scaled = int(csum[-1])
     per_n = []
     degraded = False
-    for n in range(n_add + 1):
-        g = n_min + n
+    for g in range(n_min, n_cell + 1):
         t = length // g
         if t == 0:
-            sample = _round_scaled_fallback(total_scaled, d, g, length)
-            per_n.append(np.array([sample], dtype=np.int64))
+            sample = _round_half_even_div(int(x_con.bits.sum()) * g, length)
+            per_n.append(np.array([max(1, sample)], dtype=np.int64))
             degraded = True
         else:
-            sums = np.diff(csum[0 : t * g + 1 : g])
-            per_n.append(np.maximum(_round_half_even_div(sums, d), 1))
+            a = pn[0 : t * g + 1 : g]
+            if pd is None:
+                sums = np.diff(a)
+            else:
+                d = pd[0 : t * g + 1 : g]
+                sums = _round_half_even_div(a[1:] * d[:-1] - a[:-1] * d[1:], d[:-1] * d[1:])
+            per_n.append(np.maximum(sums, 1))
     if degraded:
         log.info("capacity window of %d entries shorter than some group sizes; scaled fallback used", length)
-    return CapacitySampleSet(per_n, n_min, n_add)
-
-
-def _round_scaled_fallback(total_scaled: int, d: int, group: int, length: int) -> int:
-    value = Fraction(total_scaled * group, d * length)
-    return max(1, _round_fraction(value))
-
-
-def _round_fraction(fr: Fraction) -> int:
-    q, r = divmod(fr.numerator, fr.denominator)
-    two_r = 2 * r
-    if two_r > fr.denominator or (two_r == fr.denominator and q % 2 == 1):
-        return q + 1
-    return q
-
-
-def _build_from_fractions(x_con: ConcatPerRbVector, n_min: int, n_add: int) -> CapacitySampleSet:
-    entries = x_con.entries
-    length = len(entries)
-    csum = [Fraction(0)]
-    for e in entries:
-        csum.append(csum[-1] + e)
-    per_n = []
-    for n in range(n_add + 1):
-        g = n_min + n
-        t = length // g
-        if t == 0:
-            val = csum[-1] * g / length
-            per_n.append(np.array([max(1, _round_fraction(val))], dtype=np.int64))
-        else:
-            sums = [csum[(i + 1) * g] - csum[i * g] for i in range(t)]
-            per_n.append(np.array([max(1, _round_fraction(s)) for s in sums], dtype=np.int64))
-    return CapacitySampleSet(per_n, n_min, n_add)
-
-
-def load_packet_tx_records(source, service_id: int) -> list[PacketTxRecord]:
-    """Parse the `tti,service_id,packet_bits,rbs_used` CSV variant."""
-    import csv as _csv
-    import io as _io
-
-    from .traces import TXLOG_HEADER, TraceParseError
-
-    close = False
-    if isinstance(source, str) and "\n" not in source and source.endswith(".csv"):
-        source = open(source, "r", newline="")
-        close = True
-    elif isinstance(source, str):
-        source = _io.StringIO(source)
-    try:
-        reader = _csv.reader(source)
-        header = tuple(h.strip() for h in next(reader, []))
-        if header != TXLOG_HEADER:
-            raise TraceParseError(1, f"unexpected header {header!r}")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise TraceParseError(lineno, f"expected 4 fields, got {len(row)}")
-            try:
-                tti, sid, bits, rbs = (int(v) for v in row)
-            except ValueError:
-                raise TraceParseError(lineno, f"non-integer field in {row!r}") from None
-            if sid != service_id:
-                continue
-            out.append(PacketTxRecord(sid, tti, bits, rbs))
-        return out
-    finally:
-        if close:
-            source.close()
+    return CapacitySampleSet(per_n, n_min, n_cell - n_min)

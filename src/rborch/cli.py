@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import logging
 import math
 import os
 import sys
@@ -17,12 +18,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .capacity import build_capacity_samples
+from .capacity import ConcatPerRbVector, build_capacity_samples
 from .config import ConfigError, _SCALAR_FIELDS, _convert, load_config
-from .martingale import delay_bound
-from .near_rt import allocate, brute_force_allocate
+from .martingale import ArrivalSampleSet, delay_bound
+from .near_rt import AllocatorConfig, allocate, brute_force_allocate
 from .sim import measure_fifo_delays, run, synthesize_window
 from .traces import ArrivalTrace, ChannelTrace, SyntheticModel, extend_cyclically, sample_many
+
+log = logging.getLogger(__name__)
 
 
 def _fmt(v) -> str:
@@ -190,8 +193,6 @@ def cmd_validate_model(args) -> int:
     t_obs_grid = _parse_grid(args.t_obs_grid, "t-obs")
     _prepare_out(args.out, ["validate.csv"], args.overwrite)
 
-    from .capacity import ConcatPerRbVector
-
     rows = []
     for n_min in n_min_grid:
         for t_obs in t_obs_grid:
@@ -199,10 +200,8 @@ def cmd_validate_model(args) -> int:
             r_arr, r_ch, r_meas = (np.random.default_rng(s) for s in ss.spawn(3))
             arr_win = _arrival_window(spec, t_obs, r_arr)
             rb_stream = _channel_window(spec, t_obs * n_min, r_ch)
-            ones = np.ones(len(rb_stream), dtype=np.int64)
-            x_s = build_capacity_samples(ConcatPerRbVector(rb_stream, ones, ones), n_min, n_min)
-            from .martingale import ArrivalSampleSet
-
+            per_rb = ConcatPerRbVector(rb_stream, np.ones(len(rb_stream), dtype=np.int64))
+            x_s = build_capacity_samples(per_rb, n_min, n_min)
             res = delay_bound(ArrivalSampleSet(arr_win), x_s, [1.0], spec.epsilon, cfg.t_slot_ms)
             # measured delays count the transmitting slot, so compare against
             # the queueing bound plus one slot
@@ -218,9 +217,10 @@ def cmd_validate_model(args) -> int:
             pooled = np.concatenate(delays) if delays else np.empty(0)
             if pooled.size:
                 w_meas = float(np.quantile(pooled, 1.0 - spec.epsilon, method="inverted_cdf"))
+                rel = abs(w_model - w_meas) / w_meas if math.isfinite(w_model) else math.inf
             else:
-                w_meas = math.nan
-            rel = abs(w_model - w_meas) / w_meas if (w_meas and math.isfinite(w_model)) else math.inf
+                log.warning("validate-model n_min=%d t_obs=%d: no packet measured, rel_err is inf", n_min, t_obs)
+                w_meas, rel = math.nan, math.inf
             rows.append((n_min, t_obs, w_model, w_meas, rel))
     _write_csv(
         os.path.join(args.out, "validate.csv"),
@@ -238,8 +238,6 @@ def cmd_table1(args) -> int:
     if min(grid) < len(cfg.services):
         raise ConfigError("n_cell grid entries must be at least the number of services")
     _prepare_out(args.out, ["table1.csv"], args.overwrite)
-
-    from .near_rt import AllocatorConfig
 
     acfg = AllocatorConfig(t_slot_ms=cfg.t_slot_ms, estimator=cfg.estimator,
                            gmm_components=cfg.gmm_components)

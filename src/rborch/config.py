@@ -26,6 +26,7 @@ import os
 from typing import Optional
 
 from .near_rt import ServiceSpec
+from .rt import ConfigError
 from .sim import AnomalyConfig, ScenarioConfig
 from .traces import (
     ArrivalTrace,
@@ -34,10 +35,6 @@ from .traces import (
     load_arrival_trace,
     load_channel_trace,
 )
-
-
-class ConfigError(ValueError):
-    """Unusable configuration file or option value."""
 
 
 def parse_source(text: str, base_dir: str = ".", channel: bool = False, service_id: int = 0):

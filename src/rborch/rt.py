@@ -17,6 +17,22 @@ STATE_A = "A"
 STATE_B = "B"
 STATE_C = "C"
 
+# a duration this close to a whole number of slots is taken as that number
+_SLOT_TOL = 1e-9
+
+
+class ConfigError(ValueError):
+    """Unusable configuration file or option value."""
+
+
+def slot_count(ms: float, t_slot_ms: float) -> int:
+    """Whole number of slots in a duration; a duration off the slot grid is rejected."""
+    ratio = ms / t_slot_ms
+    slots = round(ratio)
+    if abs(ratio - slots) > _SLOT_TOL:
+        raise ConfigError(f"{ms:g} ms is not a whole number of {t_slot_ms:g} ms slots")
+    return slots
+
 
 @dataclass(frozen=True)
 class FsmRecord:
@@ -61,7 +77,7 @@ class RtThresholds:
 
     @classmethod
     def for_budget(cls, w_th_ms: float, t_slot_ms: float, eta: float, tau: float) -> "RtThresholds":
-        return cls(int(w_th_ms / t_slot_ms), eta, tau)
+        return cls(slot_count(w_th_ms, t_slot_ms), eta, tau)
 
 
 def fsm_step(q: int, prev: FsmRecord, thr: RtThresholds) -> FsmRecord:

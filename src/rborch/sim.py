@@ -20,7 +20,7 @@ import numpy as np
 from .martingale import ArrivalSampleSet, ThetaSearchParams
 from .capacity import ConcatPerRbVector
 from .near_rt import AllocatorConfig, GuaranteedAllocation, ServiceSpec, ServiceWindow, allocate
-from .rt import FsmRecord, RtThresholds, STATE_A, fsm_step, mitigate, schedule_tti
+from .rt import FsmRecord, RtThresholds, STATE_A, fsm_step, mitigate, schedule_tti, slot_count
 from .traces import ArrivalTrace, ChannelTrace, SyntheticModel, extend_cyclically, sample_many
 
 log = logging.getLogger(__name__)
@@ -118,6 +118,7 @@ class ScenarioConfig:
                 raise ValueError(f"service {s.id} is missing a traffic or channel source")
             if s.w_th_ms < self.t_slot_ms:
                 raise ValueError(f"service {s.id}: delay budget below one slot")
+            slot_count(s.w_th_ms, self.t_slot_ms)  # the budget must be a whole number of slots
         if self.anomaly is not None and self.anomaly.service_id not in ids:
             raise ValueError("anomaly references an unknown service id")
         if self.controller == "marea":
@@ -235,9 +236,7 @@ def synthesize_window(
     if channel_model.min_value <= 0:
         raise ValueError("channel model support must be strictly positive")
     stream = sample_many(channel_model, rng_channel, t_obs * rbs_per_tti)
-    per_rb = ConcatPerRbVector(
-        stream, np.ones(len(stream), dtype=np.int64), np.ones(len(stream), dtype=np.int64)
-    )
+    per_rb = ConcatPerRbVector(stream, np.ones(len(stream), dtype=np.int64))
     usage = extra_rb_usage if extra_rb_usage is not None else np.zeros(1, dtype=np.int64)
     return ServiceWindow(arrivals, per_rb, usage)
 
@@ -304,7 +303,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
     rates_all = [s[2].tolist() for s in streams]
     arrivals_np = [np.asarray(s[0], dtype=np.int64) for s in streams]
 
-    q_t = [int(s.w_th_ms / t_slot) for s in cfg.services]
+    q_t = [slot_count(s.w_th_ms, t_slot) for s in cfg.services]
     thresholds = None
     if strat.mitigates:
         thresholds = [
@@ -363,15 +362,14 @@ def run(cfg: ScenarioConfig) -> Metrics:
                         tx_bits[m].popleft()
                         tx_rbs[m].popleft()
                     if tx_bits[m]:
-                        per_rb = ConcatPerRbVector.from_arrays(
+                        per_rb = ConcatPerRbVector(
                             np.fromiter(tx_bits[m], np.int64, len(tx_bits[m])),
                             np.fromiter(tx_rbs[m], np.int64, len(tx_rbs[m])),
                         )
                     else:
                         # no transmissions observed: fall back to raw channel rates
                         rate_win = rates_np[m][lo:t]
-                        ones = np.ones(len(rate_win), dtype=np.int64)
-                        per_rb = ConcatPerRbVector(rate_win, ones, ones)
+                        per_rb = ConcatPerRbVector(rate_win, np.ones(len(rate_win), dtype=np.int64))
                     windows.append(
                         ServiceWindow(
                             ArrivalSampleSet(arrivals_np[m][lo:t]),
@@ -380,6 +378,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
                         )
                     )
                 decision = allocate(cfg.services, windows, n_cell, alloc_cfg, em_rng)
+                del windows  # frees the capacity prefixes built for this decision
                 baseline = list(decision.n_min)
                 for m in range(m_count):
                     alloc_rows.append(

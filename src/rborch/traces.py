@@ -20,7 +20,6 @@ log = logging.getLogger(__name__)
 ARRIVAL_HEADER = ("tti", "service_id", "bits")
 ARRIVAL_HEADER_PKT = ("tti", "service_id", "bits", "packet_sizes")
 CHANNEL_HEADER = ("tti", "service_id", "bits_per_rb")
-TXLOG_HEADER = ("tti", "service_id", "packet_bits", "rbs_used")
 
 SYNTHETIC_KINDS = ("constant", "two-point", "uniform-integer", "empirical-table")
 

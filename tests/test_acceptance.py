@@ -128,7 +128,7 @@ def test_criterion_3_bound_validity():
         arr_win = sample_many(arrival, ra, t_obs)
         rb_stream = sample_many(channel, rc, t_obs * n_min)
         ones = np.ones(len(rb_stream), dtype=np.int64)
-        x_s = build_capacity_samples(ConcatPerRbVector(rb_stream, ones, ones), n_min, n_min)
+        x_s = build_capacity_samples(ConcatPerRbVector(rb_stream, ones), n_min, n_min)
         res = delay_bound(ArrivalSampleSet(arr_win), x_s, [1.0], eps, 1.0)
         assert res.theta_star is not None
         w_model = res.w_ms + 1.0  # measured sojourn includes the transmitting slot

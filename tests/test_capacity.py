@@ -2,86 +2,128 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rborch.capacity import (
-    ConcatPerRbVector,
-    PacketTxRecord,
-    _build_from_fractions,
-    build_capacity_samples,
-    concat_window,
-    expand_packet,
-    load_packet_tx_records,
-)
+from rborch.capacity import ConcatPerRbVector, build_capacity_samples
 
 
-def rec(bits, rbs, sid=0, tti=0):
-    return PacketTxRecord(sid, tti, bits, rbs)
+def channel(values):
+    """Channel-rate window: one RB per value."""
+    return ConcatPerRbVector(values, np.ones(len(values), dtype=np.int64))
+
+
+def oracle_entries(bits, rbs):
+    """Literal per-RB stream: each packet's bits/rbs repeated once per RB."""
+    out = []
+    for b, r in zip(bits, rbs):
+        out.extend([Fraction(int(b), int(r))] * int(r))
+    return out
+
+
+def oracle_samples(bits, rbs, n_min, n_cell):
+    """Exact Fraction grouping with half-even rounding, floored at one bit."""
+    entries = oracle_entries(bits, rbs)
+    csum = [Fraction(0)]
+    for e in entries:
+        csum.append(csum[-1] + e)
+    length = len(entries)
+    per_n = []
+    for g in range(n_min, n_cell + 1):
+        t = length // g
+        if t == 0:
+            per_n.append([max(1, round(csum[-1] * g / length))])
+        else:
+            per_n.append([max(1, round(csum[(i + 1) * g] - csum[i * g])) for i in range(t)])
+    return per_n
+
+
+def assert_matches_oracle(bits, rbs, n_min, n_cell):
+    s = build_capacity_samples(ConcatPerRbVector(bits, rbs), n_min, n_cell)
+    expect = oracle_samples(bits, rbs, n_min, n_cell)
+    assert [v.astype(np.int64).tolist() for v in s.per_n_samples] == expect
 
 
 class TestExpandPacket:
     def test_even_split(self):
-        assert expand_packet(rec(100, 4)) == [Fraction(25)] * 4
+        s = build_capacity_samples(ConcatPerRbVector([100], [4]), 1, 1)
+        assert s.per_n_samples[0].tolist() == [25] * 4
 
     def test_uneven_split_conserves_sum(self):
-        out = expand_packet(rec(100, 3))
-        assert out == [Fraction(100, 3)] * 3
-        assert sum(out) == 100
+        s = build_capacity_samples(ConcatPerRbVector([100], [3]), 1, 3)
+        assert s.per_n_samples[0].tolist() == [33] * 3  # 100/3 per RB, rounded
+        assert s.per_n_samples[2].tolist() == [100]  # the whole packet, exact
 
     def test_single_bit(self):
-        assert expand_packet(rec(1, 1)) == [Fraction(1)]
+        s = build_capacity_samples(ConcatPerRbVector([1], [1]), 1, 1)
+        assert s.per_n_samples[0].tolist() == [1]
 
     def test_zero_rbs_rejected(self):
         with pytest.raises(ValueError):
-            PacketTxRecord(0, 0, 100, 0)
+            ConcatPerRbVector([100], [0])
 
 
 class TestConcatWindow:
     def test_order_preserved(self):
-        x = concat_window([rec(100, 4), rec(60, 2)])
-        assert x.entries == [Fraction(25)] * 4 + [Fraction(30)] * 2
+        s = build_capacity_samples(ConcatPerRbVector([100, 60], [4, 2]), 1, 1)
+        assert s.per_n_samples[0].tolist() == [25] * 4 + [30] * 2
 
     def test_empty(self):
-        x = concat_window([])
-        assert len(x) == 0 and x.entries == []
+        x = ConcatPerRbVector([], [])
+        assert len(x) == 0
+        with pytest.raises(ValueError, match="empty"):
+            build_capacity_samples(x, 1, 1)
 
     def test_reversed_order(self):
-        x = concat_window([rec(60, 2), rec(100, 4)])
-        assert x.entries == [Fraction(30)] * 2 + [Fraction(25)] * 4
+        s = build_capacity_samples(ConcatPerRbVector([60, 100], [2, 4]), 1, 1)
+        assert s.per_n_samples[0].tolist() == [30] * 2 + [25] * 4
 
 
 class TestBuildCapacitySamples:
     def test_region_range(self):
-        x = ConcatPerRbVector.from_values([10] * 100)
+        x = channel([10] * 100)
         s = build_capacity_samples(x, n_min=10, n_cell=25)
         assert s.n_add == 15
         assert len(s.per_n_samples) == 16
 
     def test_group_sums_and_discard(self):
-        x = ConcatPerRbVector.from_values([10] * 12)
+        x = channel([10] * 12)
         s = build_capacity_samples(x, n_min=5, n_cell=5)
         assert s.per_n_samples[0].tolist() == [50, 50]
 
     def test_short_window_fallback(self):
-        x = ConcatPerRbVector.from_values([10] * 4)
+        x = channel([10] * 4)
         s = build_capacity_samples(x, n_min=5, n_cell=5)
         # sum 40 scaled by 5/4
         assert s.per_n_samples[0].tolist() == [50]
 
+    def test_short_packet_window_logs_fallback(self, caplog):
+        # 4 RBs of 25 bits against groups of 5: one scaled sample, round(100 * 5 / 4)
+        with caplog.at_level("INFO", logger="rborch.capacity"):
+            s = build_capacity_samples(ConcatPerRbVector([100], [4]), n_min=5, n_cell=6)
+        assert [v.tolist() for v in s.per_n_samples] == [[125], [150]]
+        assert "scaled fallback" in caplog.text
+
     def test_constant_channel_exact(self):
-        x = ConcatPerRbVector.from_values([25] * 60)
+        x = channel([25] * 60)
         s = build_capacity_samples(x, n_min=4, n_cell=9)
         for n, vec in enumerate(s.per_n_samples):
             assert np.all(vec == (n + 4) * 25)
 
     def test_conservation_with_tail(self):
         rng = np.random.default_rng(0)
-        vals = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(1, 500, 97), rng.integers(1, 7, 97))]
-        x = ConcatPerRbVector.from_values(vals)
-        total = sum(vals)
+        bits, rbs = rng.integers(1, 500, 97), rng.integers(1, 7, 97)
+        x = ConcatPerRbVector(bits, rbs)
+        pn, pd = x.prefix()
+        csum = [Fraction(0)]
+        for e in oracle_entries(bits, rbs):
+            csum.append(csum[-1] + e)
+        assert [Fraction(int(a), int(d)) for a, d in zip(pn, pd)] == csum
+        total = Fraction(int(bits.sum()))
         for g in (3, 5, 8):
-            t = len(vals) // g
-            groups = [sum(vals[i * g : (i + 1) * g]) for i in range(t)]
-            tail = sum(vals[t * g :])
+            t = len(x) // g
+            groups = [csum[(i + 1) * g] - csum[i * g] for i in range(t)]
+            tail = csum[-1] - csum[t * g]
             assert sum(groups) + tail == total
 
     def test_monotone_means_truncated(self):
@@ -96,7 +138,7 @@ class TestBuildCapacitySamples:
 
     def test_monotone_means_from_builder(self):
         rng = np.random.default_rng(2)
-        con = ConcatPerRbVector.from_values(rng.integers(1, 60, 240).tolist())
+        con = channel(rng.integers(1, 60, 240))
         s = build_capacity_samples(con, n_min=4, n_cell=10)
         counts = s.counts()
         for n in range(s.n_add):
@@ -107,44 +149,52 @@ class TestBuildCapacitySamples:
 
     def test_round_half_even_at_boundary(self):
         # entries of 12.5 bits, groups of 3 -> exact 37.5 -> banker's round to 38
-        x = concat_window([rec(25, 2)] * 6)
+        x = ConcatPerRbVector([25] * 6, [2] * 6)
         s = build_capacity_samples(x, n_min=3, n_cell=3)
         assert s.per_n_samples[0].tolist() == [38, 38, 38, 38]
 
     def test_fraction_path_matches_scaled_path(self):
         rng = np.random.default_rng(3)
-        bits = rng.integers(1, 900, 120)
-        rbs = rng.integers(1, 9, 120)
-        x = ConcatPerRbVector.from_arrays(bits, rbs)
-        fast = build_capacity_samples(x, 3, 8)
-        slow = _build_from_fractions(x, 3, 5)
-        for a, b in zip(fast.per_n_samples, slow.per_n_samples):
-            assert np.array_equal(a, b)
+        assert_matches_oracle(rng.integers(1, 900, 120), rng.integers(1, 9, 120), 3, 8)
 
-    def test_huge_values_fall_back_to_fractions(self):
-        # denominators chosen so the int64 scaling would overflow
+    def test_huge_values_stay_exact(self):
+        # coprime run lengths whose lcm is far beyond int64
         primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-        vals = [Fraction(10**9 + i, p) for i, p in enumerate(primes * 4)]
-        x = ConcatPerRbVector.from_values(vals)
-        scaled, _ = x.scaled()
-        assert scaled is None
-        s = build_capacity_samples(x, 3, 4)
-        # oracle: direct Fraction grouping
-        t = len(vals) // 3
-        expect = [sum(vals[i * 3 : (i + 1) * 3]) for i in range(t)]
-        got = s.per_n_samples[0]
-        for g, e in zip(got, expect):
-            assert abs(g - e) <= Fraction(1, 2)
+        bits = [10**9 + i for i in range(len(primes) * 4)]
+        assert_matches_oracle(bits, primes * 4, 3, 40)
+
+    def test_prefix_built_once_per_window(self):
+        x = ConcatPerRbVector([100, 60], [4, 2])
+        first = x.prefix()
+        build_capacity_samples(x, 1, 3)
+        build_capacity_samples(x, 2, 3)
+        assert x.prefix() is first
+
+    def test_overflow_guard_raises(self):
+        # sum(bits) * max(rbs)^2 = 2^42 * 2^22 >= 2^62
+        x = ConcatPerRbVector([1 << 40] * 4, [1 << 11] * 4)
+        with pytest.raises(ValueError, match="2\\^62"):
+            build_capacity_samples(x, 1, 1)
 
     def test_input_validation(self):
-        x = ConcatPerRbVector.from_values([10])
+        x = channel([10])
         with pytest.raises(ValueError):
             build_capacity_samples(x, 5, 4)  # n_min > n_cell
         with pytest.raises(ValueError):
-            build_capacity_samples(ConcatPerRbVector.from_values([]), 1, 1)
+            build_capacity_samples(channel([]), 1, 1)
 
 
-def test_load_packet_tx_records():
-    csv = "tti,service_id,packet_bits,rbs_used\n0,0,100,4\n1,1,50,2\n2,0,60,2\n"
-    recs = load_packet_tx_records(csv, 0)
-    assert [(r.tti, r.packet_bits, r.rbs_used) for r in recs] == [(0, 100, 4), (2, 60, 2)]
+@st.composite
+def packet_windows(draw):
+    max_rbs = draw(st.sampled_from([1, 200]))  # channel-rate windows and packet windows
+    runs = draw(st.lists(st.tuples(st.integers(1, 5000), st.integers(1, max_rbs)), min_size=1, max_size=30))
+    n_cell = draw(st.integers(1, 120))
+    n_min = draw(st.integers(1, n_cell))
+    bits, rbs = zip(*runs)
+    return list(bits), list(rbs), n_min, n_cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(packet_windows())
+def test_groups_match_fraction_oracle(window):
+    assert_matches_oracle(*window)

@@ -227,6 +227,21 @@ class TestValidateModel:
         rc = main(["validate-model", "--config", cfg_file, "--out", str(tmp_path / "v")])
         assert rc == 1
 
+    def test_zero_traffic_rel_err_inf(self, tmp_path, caplog):
+        p = tmp_path / "idle.cfg"
+        p.write_text(SINGLE_CFG.replace("two-point 0:0.5 150:0.5", "constant 0"))
+        out = str(tmp_path / "v3")
+        with caplog.at_level("WARNING", logger="rborch.cli"):
+            rc = main([
+                "validate-model", "--config", str(p), "--out", out,
+                "--n-min-grid", "4", "--t-obs-grid", "500",
+                "--runs", "1", "--run-ttis", "2000",
+            ])
+        assert rc == 0
+        cells = read(os.path.join(out, "validate.csv")).decode().splitlines()[1].split(",")
+        assert cells[3] == "nan" and cells[4] == "inf"
+        assert "no packet measured" in caplog.text
+
 
 TRIPLE_CFG = """
 [scenario]

@@ -62,7 +62,7 @@ class TestAllocate:
         arr = np.tile([0, 200], 500)
         rb = np.full(4000, 25, dtype=np.int64)
         ones = np.ones(4000, dtype=np.int64)
-        win = ServiceWindow(ArrivalSampleSet(arr), ConcatPerRbVector(rb, ones, ones), np.zeros(1, np.int64))
+        win = ServiceWindow(ArrivalSampleSet(arr), ConcatPerRbVector(rb, ones), np.zeros(1, np.int64))
         wins = [win, win, win]
         res = allocate(specs, wins, 30)
         assert res.n_min == (10, 10, 10)

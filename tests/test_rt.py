@@ -7,11 +7,13 @@ from rborch.rt import (
     STATE_A,
     STATE_B,
     STATE_C,
+    ConfigError,
     FsmRecord,
     RtThresholds,
     fsm_step,
     mitigate,
     schedule_tti,
+    slot_count,
 )
 
 THR = RtThresholds(q_t=10, eta=0.75, tau=0.3)  # q_upper=7, q_lower=3
@@ -24,6 +26,18 @@ class TestThresholds:
     def test_budget_constructor(self):
         t = RtThresholds.for_budget(10.0, 1.0, 0.75, 0.3)
         assert t.q_t == 10
+
+    def test_budget_on_decimal_slot_grid(self):
+        # 0.7 / 0.1 is 6.999..., which truncation turned into 6 slots
+        assert RtThresholds.for_budget(0.7, 0.1, 0.75, 0.3).q_t == 7
+        assert slot_count(0.3, 0.1) == 3
+        assert slot_count(3.0, 0.125) == 24
+
+    def test_budget_off_slot_grid_rejected(self):
+        with pytest.raises(ConfigError):
+            slot_count(0.75, 0.1)
+        with pytest.raises(ConfigError):
+            RtThresholds.for_budget(2.5, 1.0, 0.75, 0.3)
 
     def test_upper_must_exceed_lower(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rborch.near_rt import ServiceSpec
+from rborch.rt import ConfigError
 from rborch.sim import (
     CCDF_GRID,
     AnomalyConfig,
@@ -149,6 +150,15 @@ class TestRunBasics:
         cfg = small_config()
         cfg.services[0] = svc(0, 0.5, 1e-3, mk("constant", 0), mk("constant", 25))
         with pytest.raises(ValueError):
+            cfg.validate()
+
+    def test_budget_off_slot_grid_rejected(self):
+        for kind in ("marea", "ref2"):
+            cfg = small_config(controller=kind, t_slot_ms=0.1)
+            cfg.services[0] = svc(0, 0.75, 1e-3, mk("constant", 0), mk("constant", 25))
+            with pytest.raises(ConfigError):
+                cfg.validate()
+            cfg.services[0] = svc(0, 0.7, 1e-3, mk("constant", 0), mk("constant", 25))
             cfg.validate()
 
     def test_all_controllers_run_clean(self):
