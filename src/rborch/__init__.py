@@ -23,7 +23,7 @@ from .near_rt import (
     brute_force_allocate,
     objective,
 )
-from .rt import FsmRecord, RtThresholds, fsm_step, mitigate, schedule_tti
+from .rt import FsmRecord, PacketQueue, RtThresholds, fsm_step, mitigate, schedule_tti
 from .sim import (
     AnomalyConfig,
     Metrics,
@@ -41,8 +41,6 @@ from .traces import (
     SyntheticModel,
     load_arrival_trace,
     load_channel_trace,
-    sample_arrival,
-    sample_bits_per_rb,
 )
 from .utilization import (
     GmmMixture,

@@ -35,7 +35,10 @@ def _fmt(v) -> str:
         return str(int(v))
     if isinstance(v, float):
         return "%.9g" % v
-    return str(v)
+    v = str(v)
+    if any(ch in v for ch in ',"\n'):
+        return '"' + v.replace('"', '""') + '"'
+    return v
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -109,17 +112,21 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_one(task) -> tuple:
+def _sweep_one(task) -> tuple[str, str]:
+    """One sweep run; returns (status, error text) instead of raising."""
     config_path, overrides, out_dir, overwrite = task
-    cfg = load_config(config_path)
-    for name, value in overrides.items():
-        setattr(cfg, name, value)
-    cfg.validate()
-    files = ["summary.csv", "ccdf.csv", "alloc.csv"] + (["debug.csv"] if cfg.debug_log else [])
-    _prepare_out(out_dir, files, overwrite)
-    metrics = run(cfg)
-    _write_metrics(metrics, out_dir)
-    return (out_dir, "ok")
+    try:
+        cfg = load_config(config_path)
+        for name, value in overrides.items():
+            setattr(cfg, name, value)
+        cfg.validate()
+        files = ["summary.csv", "ccdf.csv", "alloc.csv"] + (["debug.csv"] if cfg.debug_log else [])
+        _prepare_out(out_dir, files, overwrite)
+        _write_metrics(run(cfg), out_dir)
+    except Exception as exc:  # noqa: BLE001 - one failed run must not abort the sweep
+        log.exception("sweep run %s failed", out_dir)
+        return "failed", f"{type(exc).__name__}: {exc}"
+    return "ok", ""
 
 
 def cmd_sweep(args) -> int:
@@ -153,10 +160,12 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]
-    rows = []
-    for i, (combo, (run_dir, status)) in enumerate(zip(combos, results)):
-        rows.append((i, *combo, run_dir, status))
-    _write_csv(index_path, ["run_id", *names, "out_dir", "status"], rows)
+    rows = [(i, *combo, task[2], *res) for i, (combo, task, res) in enumerate(zip(combos, tasks, results))]
+    _write_csv(index_path, ["run_id", *names, "out_dir", "status", "error"], rows)
+    failed = sum(res[0] != "ok" for res in results)
+    if failed:
+        print(f"error: {failed} of {len(results)} sweep runs failed; see {index_path}", file=sys.stderr)
+        return 2
     return 0
 
 

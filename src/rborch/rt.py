@@ -1,15 +1,18 @@
 """Per-TTI control: queue hysteresis FSM, guaranteed-RB mitigation and
-deadline-driven sharing of unused RBs.
+deadline-driven sharing of unused RBs over FIFO packet queues.
 
 State A keeps the near-RT guarantee unchanged; B accumulates an extra-RB
 request while the head packet's wait is above the upper threshold; C holds
 the request while the wait sits between the thresholds.  Mitigation moves
 RBs round-robin from state-A donors to B/C borrowers, conserving the total.
+Each service's queue is a head/tail window over its packet table, and the
+completion TTI and RB count of every sent packet are kept in FIFO order.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,34 +126,86 @@ def mitigate(n_min: Sequence[int], records: Sequence[FsmRecord]) -> list[int]:
     return alloc
 
 
-def drain_queue(queue, budget_bits: int, bits_per_rb: int, tti: int, service_id: int, completed: list) -> int:
-    """Send up to budget_bits from a FIFO packet queue; returns bits sent.
+class PacketQueue:
+    """FIFO service of one packet table: packets [head, tail) are queued.
 
-    Packets are lists [arrival_tti, size, remaining, rb_frac]; an RB may end
-    one packet and start the next, so bits flow as one pipe.  Completed
-    packets are appended as (service_id, arrival_tti, size, rbs_used, tti).
+    The table lists every packet's arrival TTI and size in FIFO order.  Only
+    the head packet is ever partly sent; it still owes `head_rem` bits and
+    has spent `head_rbs` RBs' worth of bits so far.  Completed packets form
+    the table prefix [0, head) and record their completion TTI and RB count
+    in `done_tti` / `done_rbs`.
     """
+
+    __slots__ = (
+        "arrival", "size", "head", "tail", "head_rem", "head_rbs", "queued_bits", "done_tti", "done_rbs"
+    )
+
+    def __init__(self, arrival: Sequence[int], size: Sequence[int]):
+        if len(arrival) != len(size):
+            raise ValueError("packet table columns differ in length")
+        self.arrival = arrival
+        self.size = size
+        self.head = 0
+        self.tail = 0
+        self.head_rem = size[0] if len(size) else 0
+        self.head_rbs = 0.0
+        self.queued_bits = 0
+        self.done_tti = array("q")
+        self.done_rbs = array("q")
+
+    def __len__(self) -> int:
+        return self.tail - self.head
+
+    def admit(self, tti: int) -> None:
+        """Queue every packet that has arrived by the start of `tti`."""
+        arrival, tail = self.arrival, self.tail
+        n = len(arrival)
+        while tail < n and arrival[tail] <= tti:
+            self.queued_bits += self.size[tail]
+            tail += 1
+        self.tail = tail
+
+    def head_wait(self, tti: int) -> int:
+        """TTIs the head packet has waited; 0 for an empty queue."""
+        return tti - self.arrival[self.head] if self.head < self.tail else 0
+
+
+def drain_queue(
+    queue: PacketQueue, budget_bits: int, bits_per_rb: int, tti: int, service_id: int, completed: list
+) -> int:
+    """Send up to budget_bits from a packet queue; returns bits sent.
+
+    An RB may end one packet and start the next, so bits flow as one pipe.
+    Each completed packet is recorded in the queue and appended to
+    `completed` as (service_id, packet index).
+    """
+    head, tail = queue.head, queue.tail
+    rem, rbs = queue.head_rem, queue.head_rbs
+    size = queue.size
     sent = 0
-    while queue and sent < budget_bits:
-        pkt = queue[0]
+    while head < tail and sent < budget_bits:
         take = budget_bits - sent
-        rem = pkt[2]
         if take >= rem:
-            take = rem
-            pkt[3] += take / bits_per_rb
-            sent += take
-            queue.popleft()
-            completed.append((service_id, pkt[0], pkt[1], max(1, math.ceil(pkt[3] - 1e-9)), tti))
+            sent += rem
+            rbs += rem / bits_per_rb
+            queue.done_tti.append(tti)
+            queue.done_rbs.append(max(1, math.ceil(rbs - 1e-9)))
+            completed.append((service_id, head))
+            head += 1
+            rem = size[head] if head < len(size) else 0
+            rbs = 0.0
         else:
-            pkt[2] = rem - take
-            pkt[3] += take / bits_per_rb
+            rem -= take
+            rbs += take / bits_per_rb
             sent += take
+    queue.head, queue.head_rem, queue.head_rbs = head, rem, rbs
+    queue.queued_bits -= sent
     return sent
 
 
 def schedule_tti(
     tti: int,
-    queues: Sequence,
+    queues: Sequence[PacketQueue],
     alloc: Sequence[int],
     bits_per_rb: Sequence[int],
     n_cell: int,
@@ -170,28 +225,29 @@ def schedule_tti(
 
     for m in range(m_count):
         n = alloc[m]
-        if n <= 0 or not queues[m]:
+        q = queues[m]
+        if n <= 0 or q.head == q.tail:
             continue
         c = bits_per_rb[m]
-        sent = drain_queue(queues[m], n * c, c, tti, m, completed)
+        sent = drain_queue(q, n * c, c, tti, m, completed)
         rbs_used[m] = -(-sent // c)
 
     if not share:
         return rbs_used, completed
 
     pool = n_cell - sum(rbs_used)
-    backlog = [m for m in range(m_count) if queues[m]]
+    backlog = [m for m, q in enumerate(queues) if q.head < q.tail]
     while pool > 0 and backlog:
-        best = min(backlog, key=lambda m: (q_t[m] - (tti - queues[m][0][0]), m))
+        best = min(backlog, key=lambda m: (q_t[m] - (tti - queues[m].arrival[queues[m].head]), m))
+        q = queues[best]
         c = bits_per_rb[best]
-        head_rem = queues[best][0][2]
         # the winner keeps winning until its head packet changes, so grant
         # the RBs needed to finish the head in one batch
-        k = min(pool, -(-head_rem // c))
-        sent = drain_queue(queues[best], k * c, c, tti, best, completed)
+        k = min(pool, -(-q.head_rem // c))
+        sent = drain_queue(q, k * c, c, tti, best, completed)
         used = -(-sent // c)
         rbs_used[best] += used
         pool -= used
-        if not queues[best]:
+        if q.head == q.tail:
             backlog.remove(best)
     return rbs_used, completed

@@ -5,49 +5,64 @@ Time advances in TTIs.  A packet arrives at the start of a TTI and, when its
 last bit is sent, completes at the end of that TTI, so the minimum delay is
 one slot.  The first t_obs TTIs warm the observation windows under a static
 equal split and are excluded from the reported metrics.
+
+Each service's traffic is one packet table (arrival TTI and size of every
+packet, FIFO order) drawn for the whole horizon and served through an
+`rt.PacketQueue`.  The near-RT transmission window is a slice of the queue's
+completion records, and delays come from the completion TTIs at the end of
+the run through the same helper `measure_fifo_delays` uses.  The controller
+kinds are rows of `ControllerStrategy` data.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .martingale import ArrivalSampleSet, ThetaSearchParams
+from .martingale import ArrivalSampleSet
 from .capacity import ConcatPerRbVector
-from .near_rt import AllocatorConfig, GuaranteedAllocation, ServiceSpec, ServiceWindow, allocate
-from .rt import FsmRecord, RtThresholds, STATE_A, fsm_step, mitigate, schedule_tti, slot_count
+from .near_rt import AllocatorConfig, ServiceSpec, ServiceWindow, allocate
+from .rt import FsmRecord, PacketQueue, RtThresholds, STATE_A, fsm_step, mitigate, schedule_tti, slot_count
 from .traces import ArrivalTrace, ChannelTrace, SyntheticModel, extend_cyclically, sample_many
 
 log = logging.getLogger(__name__)
-
-CONTROLLER_KINDS = ("marea", "ref1", "ref2", "ref3", "ref4")
 
 CCDF_GRID = tuple((5 * i - 100) / 100.0 for i in range(81))
 
 
 @dataclass(frozen=True)
 class ControllerStrategy:
-    """What a controller kind actually switches on."""
+    """What a controller kind actually switches on.
+
+    guarantee: where the guaranteed RBs come from after warm-up -- "model"
+    (near-RT allocator every t_out TTIs), "qldr" (queue-length proportional
+    split every qldr_window TTIs) or "none" (zero guarantees).
+    """
 
     kind: str
-    uses_model: bool
+    guarantee: str
     shares: bool
     mitigates: bool
-    uses_qldr: bool
 
 
 _STRATEGIES = {
-    "marea": ControllerStrategy("marea", True, True, True, False),
-    "ref1": ControllerStrategy("ref1", False, True, False, False),
-    "ref2": ControllerStrategy("ref2", False, False, False, True),
-    "ref3": ControllerStrategy("ref3", True, False, False, False),
-    "ref4": ControllerStrategy("ref4", True, True, False, False),
+    s.kind: s
+    for s in (
+        ControllerStrategy("marea", "model", shares=True, mitigates=True),
+        ControllerStrategy("ref1", "none", shares=True, mitigates=False),
+        ControllerStrategy("ref2", "qldr", shares=False, mitigates=False),
+        ControllerStrategy("ref3", "model", shares=False, mitigates=False),
+        ControllerStrategy("ref4", "model", shares=True, mitigates=False),
+    )
 }
+CONTROLLER_KINDS = tuple(_STRATEGIES)
 
 
 def controller_for(kind: str) -> ControllerStrategy:
@@ -121,7 +136,7 @@ class ScenarioConfig:
             slot_count(s.w_th_ms, self.t_slot_ms)  # the budget must be a whole number of slots
         if self.anomaly is not None and self.anomaly.service_id not in ids:
             raise ValueError("anomaly references an unknown service id")
-        if self.controller == "marea":
+        if controller_for(self.controller).mitigates:
             for s in self.services:
                 RtThresholds.for_budget(s.w_th_ms, self.t_slot_ms, self.eta, self.tau)
 
@@ -213,9 +228,14 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
     dep = a_cum - backlog
     t_arr = np.nonzero(a > 0)[0]
     comp = np.searchsorted(dep, a_cum[t_arr], side="left")
-    done = comp < len(dep)
-    delays = (comp[done] - t_arr[done] + 1).astype(np.float64) * t_slot_ms
-    return delays, t_arr[~done]
+    return _fifo_delays(t_arr, comp[: np.searchsorted(comp, len(dep))], t_slot_ms)
+
+
+def _fifo_delays(t_arr: np.ndarray, t_done: np.ndarray, t_slot_ms: float):
+    """(delays_ms, pending arrival TTIs) of FIFO packets arriving at t_arr,
+    the first len(t_done) of which completed at the TTIs t_done."""
+    k = len(t_done)
+    return (t_done - t_arr[:k] + 1).astype(np.float64) * t_slot_ms, t_arr[k:]
 
 
 def synthesize_window(
@@ -246,44 +266,50 @@ def _source_rng(seed: int, domain: int, index: int, stream_id: int) -> np.random
 
 
 def _gen_service_streams(cfg: ScenarioConfig, m: int):
-    """Pre-draw the whole horizon of arrivals and per-RB capacity for service m."""
+    """Pre-draw the whole horizon for service m.
+
+    Returns its packet table -- arrival TTI and size of every packet, in FIFO
+    order -- with the per-TTI arrival bits derived from it, and the per-TTI
+    bits per RB.  Synthetic sources and bare traces give one packet per
+    non-empty TTI; packet traces are flattened and extended cyclically.
+    """
     spec = cfg.services[m]
-    if isinstance(spec.arrival, SyntheticModel):
-        rng = _source_rng(cfg.seed, 0, m, spec.arrival.stream_id)
-        bits = sample_many(spec.arrival, rng, cfg.horizon)
-        pkts = None
-    elif isinstance(spec.arrival, ArrivalTrace):
-        bits = extend_cyclically(spec.arrival.bits_per_tti, cfg.horizon, f"arrival trace {spec.id}")
-        pkts = None
-        if spec.arrival.packet_sizes_per_tti is not None:
-            pkts = [spec.arrival.packets_at(t) for t in range(cfg.horizon)]
+    src = spec.arrival
+    horizon = cfg.horizon
+    what = f"arrival trace {spec.id}"
+    if isinstance(src, ArrivalTrace) and src.packet_sizes_per_tti is not None:
+        counts = np.array([len(p) for p in src.packet_sizes_per_tti], dtype=np.int64)
+        t_arr = np.repeat(np.arange(horizon), extend_cyclically(counts, horizon, what))
+        flat = np.fromiter(itertools.chain.from_iterable(src.packet_sizes_per_tti), np.int64)
+        sizes = np.resize(flat, len(t_arr))
     else:
-        raise ValueError(f"service {spec.id}: unsupported arrival source {type(spec.arrival)}")
+        if isinstance(src, SyntheticModel):
+            bits = sample_many(src, _source_rng(cfg.seed, 0, m, src.stream_id), horizon)
+        elif isinstance(src, ArrivalTrace):
+            bits = extend_cyclically(src.bits_per_tti, horizon, what)
+        else:
+            raise ValueError(f"service {spec.id}: unsupported arrival source {type(src)}")
+        t_arr = np.flatnonzero(bits)
+        sizes = bits[t_arr]
 
     if isinstance(spec.channel, SyntheticModel):
         if spec.channel.min_value <= 0:
             raise ValueError(f"service {spec.id}: channel support must be positive")
         rng = _source_rng(cfg.seed, 1, m, spec.channel.stream_id)
-        rates = sample_many(spec.channel, rng, cfg.horizon)
+        rates = sample_many(spec.channel, rng, horizon)
     elif isinstance(spec.channel, ChannelTrace):
-        rates = extend_cyclically(spec.channel.bits_per_rb, cfg.horizon, f"channel trace {spec.id}")
+        rates = extend_cyclically(spec.channel.bits_per_rb, horizon, f"channel trace {spec.id}")
     else:
         raise ValueError(f"service {spec.id}: unsupported channel source {type(spec.channel)}")
 
     anom = cfg.anomaly
     if anom is not None and anom.service_id == spec.id:
-        lo, hi = anom.start_tti, min(anom.end_tti, cfg.horizon)
-        if pkts is None:
-            bits = bits.copy()
-            bits[lo:hi] = np.rint(bits[lo:hi] * anom.factor).astype(np.int64)
-        else:
-            for t in range(lo, hi):
-                scaled = tuple(
-                    int(v) for v in (int(round(p * anom.factor)) for p in pkts[t]) if v > 0
-                )
-                pkts[t] = scaled
-                bits[t] = sum(scaled)
-    return bits, pkts, rates
+        hit = (t_arr >= anom.start_tti) & (t_arr < anom.end_tti)
+        sizes[hit] = np.rint(sizes[hit] * anom.factor).astype(np.int64)
+        t_arr, sizes = t_arr[sizes > 0], sizes[sizes > 0]
+    bits = np.zeros(horizon, dtype=np.int64)
+    np.add.at(bits, t_arr, sizes)
+    return t_arr, sizes, bits, rates
 
 
 def run(cfg: ScenarioConfig) -> Metrics:
@@ -296,210 +322,144 @@ def run(cfg: ScenarioConfig) -> Metrics:
     t_slot = cfg.t_slot_ms
     warmup_end = cfg.t_obs
 
-    streams = [_gen_service_streams(cfg, m) for m in range(m_count)]
-    bits_all = [s[0].tolist() for s in streams]
-    pkts_all = [s[1] for s in streams]
-    rates_np = [s[2] for s in streams]
-    rates_all = [s[2].tolist() for s in streams]
-    arrivals_np = [np.asarray(s[0], dtype=np.int64) for s in streams]
+    t_arr_np, sizes_np, arrivals_np, rates_np = zip(*(_gen_service_streams(cfg, m) for m in range(m_count)))
+    rates_all = [r.tolist() for r in rates_np]
+    queues = [PacketQueue(a.tolist(), s.tolist()) for a, s in zip(t_arr_np, sizes_np)]
 
     q_t = [slot_count(s.w_th_ms, t_slot) for s in cfg.services]
-    thresholds = None
     if strat.mitigates:
-        thresholds = [
-            RtThresholds.for_budget(s.w_th_ms, t_slot, cfg.eta, cfg.tau) for s in cfg.services
-        ]
-
-    alloc_cfg = AllocatorConfig(
-        t_slot_ms=t_slot,
-        estimator=cfg.estimator,
-        gmm_components=cfg.gmm_components,
-        theta=ThetaSearchParams(),
-    )
+        thresholds = [RtThresholds.for_budget(s.w_th_ms, t_slot, cfg.eta, cfg.tau) for s in cfg.services]
+    alloc_cfg = AllocatorConfig(t_slot_ms=t_slot, estimator=cfg.estimator, gmm_components=cfg.gmm_components)
     em_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
 
-    equal_split = [n_cell // m_count] * m_count
-    baseline = list(equal_split)
-    queues = [deque() for _ in range(m_count)]
+    baseline = [n_cell // m_count] * m_count  # static equal split while warming up
     fsm = [FsmRecord() for _ in range(m_count)]
-    tx_tti = [deque() for _ in range(m_count)]
-    tx_bits = [deque() for _ in range(m_count)]
-    tx_rbs = [deque() for _ in range(m_count)]
     extras = [deque(maxlen=cfg.t_out) for _ in range(m_count)]
     qldr_qbits = [deque(maxlen=cfg.qldr_window) for _ in range(m_count)]
-    delays: list[list[float]] = [[] for _ in range(m_count)]
-    arrived_cum = [0] * m_count
-    sent_cum = [0] * m_count
     rbs_used_measured = 0
     alloc_rows: list[tuple] = []
     debug_rows: list[tuple] = [] if cfg.debug_log else None
     period = 0
     check = cfg.check_invariants
-    last_completed_arrival = [-1] * m_count
     w_th = [s.w_th_ms for s in cfg.services]
 
     for t in range(horizon):
-        for m in range(m_count):
-            pk = pkts_all[m]
-            if pk is None:
-                b = bits_all[m][t]
-                if b:
-                    queues[m].append([t, b, b, 0.0])
-                    arrived_cum[m] += b
-            else:
-                for size in pk[t]:
-                    queues[m].append([t, size, size, 0.0])
-                    arrived_cum[m] += size
+        for q in queues:
+            q.admit(t)
 
         warm = t < warmup_end
-        if not warm:
-            if strat.uses_model and (t - cfg.t_obs) % cfg.t_out == 0:
-                windows = []
-                for m in range(m_count):
-                    lo = t - cfg.t_obs
-                    while tx_tti[m] and tx_tti[m][0] < lo:
-                        tx_tti[m].popleft()
-                        tx_bits[m].popleft()
-                        tx_rbs[m].popleft()
-                    if tx_bits[m]:
-                        per_rb = ConcatPerRbVector(
-                            np.fromiter(tx_bits[m], np.int64, len(tx_bits[m])),
-                            np.fromiter(tx_rbs[m], np.int64, len(tx_rbs[m])),
-                        )
-                    else:
-                        # no transmissions observed: fall back to raw channel rates
-                        rate_win = rates_np[m][lo:t]
-                        per_rb = ConcatPerRbVector(rate_win, np.ones(len(rate_win), dtype=np.int64))
-                    windows.append(
-                        ServiceWindow(
-                            ArrivalSampleSet(arrivals_np[m][lo:t]),
-                            per_rb,
-                            np.fromiter(extras[m], np.int64, len(extras[m])),
-                        )
+        since = t - warmup_end
+        source = None if warm else strat.guarantee  # guarantees stay at the equal split while warm
+        if source == "model" and since % cfg.t_out == 0:
+            lo = t - cfg.t_obs
+            windows = []
+            for m, q in enumerate(queues):
+                # packets completed in [lo, t): a FIFO prefix slice of the table
+                i, j = bisect_left(q.done_tti, lo), len(q.done_tti)
+                if i < j:
+                    per_rb = ConcatPerRbVector(sizes_np[m][i:j], np.frombuffer(q.done_rbs[i:j], np.int64))
+                else:
+                    # no transmissions observed: fall back to raw channel rates
+                    rate_win = rates_np[m][lo:t]
+                    per_rb = ConcatPerRbVector(rate_win, np.ones(len(rate_win), dtype=np.int64))
+                windows.append(
+                    ServiceWindow(
+                        ArrivalSampleSet(arrivals_np[m][lo:t]),
+                        per_rb,
+                        np.fromiter(extras[m], np.int64, len(extras[m])),
                     )
-                decision = allocate(cfg.services, windows, n_cell, alloc_cfg, em_rng)
-                del windows  # frees the capacity prefixes built for this decision
-                baseline = list(decision.n_min)
-                for m in range(m_count):
-                    alloc_rows.append(
-                        (period, cfg.services[m].id, decision.n_min[m], decision.w_est[m], decision.objective)
-                    )
-                period += 1
-            elif strat.uses_qldr and (t - warmup_end) % cfg.qldr_window == 0 and t > warmup_end:
-                avg_q = [
-                    (sum(qldr_qbits[m]) / len(qldr_qbits[m])) if qldr_qbits[m] else 0.0
-                    for m in range(m_count)
-                ]
-                lo = max(0, t - cfg.qldr_window)
-                avg_c = [float(np.mean(rates_np[m][lo:t])) for m in range(m_count)]
-                baseline = qldr_allocate(avg_q, avg_c, w_th, n_cell)
+                )
+            decision = allocate(cfg.services, windows, n_cell, alloc_cfg, em_rng)
+            del windows  # frees the capacity prefixes built for this decision
+            baseline = list(decision.n_min)
+            for m in range(m_count):
+                alloc_rows.append(
+                    (period, cfg.services[m].id, decision.n_min[m], decision.w_est[m], decision.objective)
+                )
+            period += 1
+        elif source == "qldr" and since and since % cfg.qldr_window == 0:
+            avg_q = [
+                (sum(qldr_qbits[m]) / len(qldr_qbits[m])) if qldr_qbits[m] else 0.0
+                for m in range(m_count)
+            ]
+            lo = max(0, t - cfg.qldr_window)
+            avg_c = [float(np.mean(rates_np[m][lo:t])) for m in range(m_count)]
+            baseline = qldr_allocate(avg_q, avg_c, w_th, n_cell)
+        elif source == "none" and not since:
+            baseline = [0] * m_count
 
-        if warm:
-            rt_alloc = baseline
-            share = False
-        elif strat.kind == "ref1":
-            rt_alloc = [0] * m_count
-            share = True
-        else:
-            rt_alloc = baseline
-            share = strat.shares
-            if strat.mitigates:
-                any_active = False
-                for m in range(m_count):
-                    qm = queues[m]
-                    q_wait = (t - qm[0][0]) if qm else 0
-                    rec = fsm_step(q_wait, fsm[m], thresholds[m])
-                    fsm[m] = rec
-                    if rec.state != STATE_A:
-                        any_active = True
-                if any_active:
-                    rt_alloc = mitigate(baseline, fsm)
+        rt_alloc = baseline
+        share = strat.shares and not warm
+        if strat.mitigates and not warm:
+            any_active = False
+            for m in range(m_count):
+                rec = fsm_step(queues[m].head_wait(t), fsm[m], thresholds[m])
+                fsm[m] = rec
+                if rec.state != STATE_A:
+                    any_active = True
+            if any_active:
+                rt_alloc = mitigate(baseline, fsm)
 
         rates_t = [rates_all[m][t] for m in range(m_count)]
         rbs_used, completed = schedule_tti(t, queues, rt_alloc, rates_t, n_cell, q_t, share)
 
-        measured = t >= warmup_end
-        if measured:
+        if not warm:
             rbs_used_measured += sum(rbs_used)
         for m in range(m_count):
             extra = rbs_used[m] - baseline[m]
             extras[m].append(extra if extra > 0 else 0)
-        for sid, arr_tti, size, n_pkt, comp_tti in completed:
-            tx_tti[sid].append(comp_tti)
-            tx_bits[sid].append(size)
-            tx_rbs[sid].append(n_pkt)
-            sent_cum[sid] += size
-            if arr_tti >= warmup_end:
-                delays[sid].append((comp_tti - arr_tti + 1) * t_slot)
-        if strat.uses_qldr:
+        if strat.guarantee == "qldr":
             for m in range(m_count):
-                qldr_qbits[m].append(sum(p[2] for p in queues[m]))
+                qldr_qbits[m].append(queues[m].queued_bits)
         if debug_rows is not None:
-            for m in range(m_count):
-                qm = queues[m]
-                debug_rows.append(
-                    (
-                        t,
-                        cfg.services[m].id,
-                        fsm[m].state,
-                        fsm[m].n_req,
-                        rt_alloc[m],
-                        rbs_used[m],
-                        sum(p[2] for p in qm),
-                        (t - qm[0][0]) if qm else 0,
-                    )
-                )
+            for m, q in enumerate(queues):
+                rec = fsm[m]
+                debug_rows.append((
+                    t, cfg.services[m].id, rec.state, rec.n_req, rt_alloc[m], rbs_used[m],
+                    q.queued_bits, q.head_wait(t),
+                ))
         if check:
-            total_used = sum(rbs_used)
-            if total_used > n_cell:
-                raise AssertionError(f"RB ledger violated at tti {t}: {total_used} > {n_cell}")
             if strat.mitigates and not warm and sum(rt_alloc) != sum(baseline):
                 raise AssertionError(f"mitigation broke conservation at tti {t}")
-            for sid, arr_tti, _size, _n_pkt, _comp in completed:
-                if arr_tti < last_completed_arrival[sid]:
-                    raise AssertionError(f"FIFO order violated at tti {t} service {sid}")
-                last_completed_arrival[sid] = arr_tti
-            for m in range(m_count):
-                # arrived = completed sizes + full sizes of packets still queued
-                in_flight = sum(p[1] for p in queues[m])
-                if arrived_cum[m] != sent_cum[m] + in_flight:
-                    raise AssertionError(f"flow conservation violated at tti {t} service {m}")
+            _check_invariants(t, queues, rbs_used, n_cell, completed)
 
     services_out = []
     measured_ttis = horizon - warmup_end
-    for m in range(m_count):
-        darr = np.asarray(delays[m], dtype=np.float64)
-        pending_viol = 0
-        for p in queues[m]:
-            if p[0] >= warmup_end and (horizon - p[0]) * t_slot > w_th[m]:
-                pending_viol += 1
-        total = len(darr) + pending_viol
-        if total:
-            viol = int(np.count_nonzero(darr > w_th[m])) + pending_viol
-            viol_prob = viol / total
-            with_pending = (
-                np.concatenate([darr, np.full(pending_viol, np.inf)]) if pending_viol else darr
-            )
-            curve = ccdf(with_pending, w_th[m]) if len(with_pending) else []
-        else:
-            viol_prob = 0.0
-            curve = []
+    for m, q in enumerate(queues):
+        # packets arriving after warm-up are a suffix of the table
+        first = int(np.searchsorted(t_arr_np[m], warmup_end))
+        darr, pending = _fifo_delays(t_arr_np[m][first:], np.frombuffer(q.done_tti, np.int64)[first:], t_slot)
+        pending_viol = int(np.count_nonzero((horizon - pending) * t_slot > w_th[m]))
+        # pending packets already past their budget count as violations
+        scored = np.concatenate([darr, np.full(pending_viol, np.inf)])
+        total = len(scored)
+        viol_prob = int(np.count_nonzero(scored > w_th[m])) / total if total else 0.0
+        curve = ccdf(scored, w_th[m]) if total else []
         if len(darr):
             p50, p95, p99, p999 = np.percentile(darr, [50, 95, 99, 99.9])
             stats = (float(darr.mean()), float(p50), float(p95), float(p99), float(p999), float(darr.max()))
         else:
             stats = (math.nan,) * 6
         services_out.append(
-            ServiceMetrics(
-                cfg.services[m].id,
-                total,
-                len(darr),
-                pending_viol,
-                viol_prob,
-                *stats,
-                curve,
-                darr,
-            )
+            ServiceMetrics(cfg.services[m].id, total, len(darr), pending_viol, viol_prob, *stats, curve, darr)
         )
     util = rbs_used_measured / (n_cell * measured_ttis) if measured_ttis else 0.0
     return Metrics(services_out, util, alloc_rows, horizon, warmup_end, debug_rows)
+
+
+def _check_invariants(t: int, queues: Sequence[PacketQueue], rbs_used, n_cell: int, completed) -> None:
+    """RB ledger, FIFO order and flow conservation after serving TTI t."""
+    total_used = sum(rbs_used)
+    if total_used > n_cell:
+        raise AssertionError(f"RB ledger violated at tti {t}: {total_used} > {n_cell}")
+    for sid, i in completed:
+        done = queues[sid].done_tti
+        # completion TTIs never precede the arrival and never decrease
+        if done[i] < queues[sid].arrival[i] or (i and done[i] < done[i - 1]):
+            raise AssertionError(f"FIFO order violated at tti {t} service {sid}")
+    for m, q in enumerate(queues):
+        # the completed packets are the table prefix before the head, and the
+        # counter holds exactly the bits still owed on the queued packets
+        owed = q.head_rem + sum(q.size[q.head + 1 : q.tail]) if q.head < q.tail else 0
+        if len(q.done_tti) != q.head or q.queued_bits != owed:
+            raise AssertionError(f"flow conservation violated at tti {t} service {m}")

@@ -67,14 +67,6 @@ class ArrivalTrace:
     def __len__(self) -> int:
         return len(self.bits_per_tti)
 
-    def packets_at(self, tti: int) -> tuple[int, ...]:
-        """Packet sizes for one TTI; bare traces carry one packet per TTI."""
-        i = tti % len(self.bits_per_tti)
-        if self.packet_sizes_per_tti is not None:
-            return self.packet_sizes_per_tti[i]
-        b = int(self.bits_per_tti[i])
-        return (b,) if b > 0 else ()
-
 
 @dataclass(frozen=True)
 class ChannelTrace:
@@ -153,18 +145,6 @@ def sample_many(model: SyntheticModel, rng: np.random.Generator, size: int) -> n
     vals = np.asarray(model.values, dtype=np.int64)
     idx = rng.choice(len(vals), size=size, p=model.probs)
     return vals[idx]
-
-
-def sample_arrival(model: SyntheticModel, rng: np.random.Generator) -> int:
-    """One draw of arriving bits for a TTI (non-negative)."""
-    return int(sample_many(model, rng, 1)[0])
-
-
-def sample_bits_per_rb(model: SyntheticModel, rng: np.random.Generator) -> int:
-    """One draw of per-RB capacity for a TTI; support must be strictly positive."""
-    if model.min_value <= 0:
-        raise ValueError("channel model support must be strictly positive")
-    return int(sample_many(model, rng, 1)[0])
 
 
 def _read_rows(source, expected_headers: Sequence[tuple[str, ...]]):

@@ -40,10 +40,6 @@ class GmmMixture:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "sigmas", sg)
 
-    @property
-    def n_components(self) -> int:
-        return len(self.weights)
-
 
 @dataclass(frozen=True)
 class UtilizationPmf:

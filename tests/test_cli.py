@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 
@@ -143,10 +144,23 @@ class TestSweepCommand:
         ])
         assert rc == 0
         idx = read(os.path.join(out, "index.csv")).decode().splitlines()
-        assert idx[0] == "run_id,seed,controller,out_dir,status"
+        assert idx[0] == "run_id,seed,controller,out_dir,status,error"
         assert len(idx) == 5
         for i in range(4):
             assert os.path.exists(os.path.join(out, f"run_{i:03d}", "summary.csv"))
+
+    def test_sweep_failed_run_recorded(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfg_file, "--out", str(out), "--axis", "controller=marea,ref9"])
+        assert rc == 2
+        with open(out / "index.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["run_id", "controller", "out_dir", "status", "error"]
+        assert rows[1][1] == "marea" and rows[1][3:] == ["ok", ""]
+        assert rows[2][1] == "ref9" and rows[2][3] == "failed"
+        assert "unknown controller 'ref9'" in rows[2][4]
+        assert (out / "run_000" / "summary.csv").exists()
+        assert "1 of 2 sweep runs failed" in capsys.readouterr().err
 
     def test_sweep_requires_axis(self, cfg_file, tmp_path):
         assert main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s")]) == 1

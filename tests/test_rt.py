@@ -1,5 +1,3 @@
-from collections import deque
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,9 @@ from rborch.rt import (
     STATE_C,
     ConfigError,
     FsmRecord,
+    PacketQueue,
     RtThresholds,
+    drain_queue,
     fsm_step,
     mitigate,
     schedule_tti,
@@ -126,45 +126,70 @@ class TestMitigate:
 
 
 def mkq(*pkts):
-    return deque([list(p) + [0.0] for p in pkts])
+    """Queue holding (arrival_tti, size) packets, all of them admitted."""
+    q = PacketQueue([p[0] for p in pkts], [p[1] for p in pkts])
+    q.admit(max((p[0] for p in pkts), default=0))
+    return q
+
+
+class TestPacketQueue:
+    def test_admit_counts_arrived_bits(self):
+        q = PacketQueue([0, 2, 2, 5], [10, 20, 30, 40])
+        q.admit(1)
+        assert len(q) == 1 and q.queued_bits == 10 and q.head_wait(1) == 1
+        q.admit(4)
+        assert len(q) == 3 and q.queued_bits == 60 and q.head_wait(4) == 4
+
+    def test_completions_recorded_in_fifo_order(self):
+        q = PacketQueue([0, 0, 1], [30, 20, 25])
+        q.admit(0)
+        done = []
+        assert drain_queue(q, 40, 10, 0, 7, done) == 40  # 30 + 10 of the next
+        assert done == [(7, 0)] and list(q.done_tti) == [0] and list(q.done_rbs) == [3]
+        assert q.head_rem == 10 and q.queued_bits == 10
+        q.admit(1)
+        drain_queue(q, 100, 10, 1, 7, done)
+        assert done == [(7, 0), (7, 1), (7, 2)]
+        assert list(q.done_tti) == [0, 1, 1] and list(q.done_rbs) == [3, 2, 3]  # 20 bits over two TTIs: 2 RBs
+        assert len(q) == 0 and q.queued_bits == 0 and q.head_wait(2) == 0
 
 
 class TestScheduleTti:
     def test_all_empty(self):
-        queues = [deque(), deque()]
+        queues = [mkq(), mkq()]
         used, done = schedule_tti(0, queues, [5, 5], [25, 25], 10, [5, 5])
         assert used == [0, 0] and done == []
 
     def test_exact_rb_consumption(self):
-        queues = [mkq((0, 100, 100))]
+        queues = [mkq((0, 100))]
         used, done = schedule_tti(0, queues, [10], [25], 10, [5])
         assert used == [4]
-        assert len(done) == 1 and done[0][1] == 0 and done[0][3] == 4
+        assert len(done) == 1 and queues[0].arrival[done[0][1]] == 0 and queues[0].done_rbs[0] == 4
         assert not queues[0]
 
     def test_partial_rb_rounds_up(self):
-        queues = [mkq((0, 90, 90))]
+        queues = [mkq((0, 90))]
         used, _ = schedule_tti(0, queues, [10], [25], 10, [5])
         assert used == [4]  # ceil(90/25)
 
     def test_edf_picks_smallest_slack(self):
         # heads with waits 4 and 1 against q_t 5 and 9 -> slacks 1 and 8
-        queues = [mkq((1, 500, 500)), mkq((4, 500, 500))]
+        queues = [mkq((1, 500)), mkq((4, 500))]
         used, _ = schedule_tti(5, queues, [0, 0], [25, 25], 1, [5, 9])
         assert used == [1, 0]
 
     def test_edf_tie_breaks_lowest_index(self):
-        queues = [mkq((0, 500, 500)), mkq((0, 500, 500))]
+        queues = [mkq((0, 500)), mkq((0, 500))]
         used, _ = schedule_tti(3, queues, [0, 0], [25, 25], 1, [5, 5])
         assert used == [1, 0]
 
     def test_rb_straddles_packets(self):
         # one RB of 25 bits finishes a 10-bit packet and starts the next
-        queues = [mkq((0, 10, 10), (0, 30, 30))]
+        queues = [mkq((0, 10), (0, 30))]
         used, done = schedule_tti(0, queues, [1], [25], 1, [5])
         assert used == [1]
         assert len(done) == 1
-        assert queues[0][0][2] == 15  # 30 - (25 - 10)
+        assert queues[0].head_rem == 15  # 30 - (25 - 10)
 
     def test_budget_respected(self):
         rng = np.random.default_rng(2)
@@ -173,7 +198,7 @@ class TestScheduleTti:
             n_cell = int(rng.integers(m, 20))
             alloc = [int(v) for v in rng.multinomial(n_cell, np.ones(m) / m)]
             queues = [
-                mkq(*[(0, int(b), int(b)) for b in rng.integers(1, 400, rng.integers(0, 4))])
+                mkq(*[(0, int(b)) for b in rng.integers(1, 400, rng.integers(0, 4))])
                 for _ in range(m)
             ]
             rates = [int(v) for v in rng.integers(10, 40, m)]
@@ -188,7 +213,7 @@ class TestScheduleTti:
             n_cell = int(rng.integers(m, 16))
             alloc = [0] * m
             queues = [
-                mkq(*[(0, int(b), int(b)) for b in rng.integers(1, 200, rng.integers(0, 3))])
+                mkq(*[(0, int(b)) for b in rng.integers(1, 200, rng.integers(0, 3))])
                 for _ in range(m)
             ]
             rates = [int(v) for v in rng.integers(5, 30, m)]
@@ -197,6 +222,6 @@ class TestScheduleTti:
                 assert sum(used) == n_cell  # backlog remains only if all RBs spent
 
     def test_no_sharing_keeps_pool_idle(self):
-        queues = [mkq((0, 1000, 1000)), deque()]
+        queues = [mkq((0, 1000)), mkq()]
         used, _ = schedule_tti(0, queues, [2, 2], [25, 25], 10, [5, 5], share=False)
         assert used == [2, 0]

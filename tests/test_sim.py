@@ -51,9 +51,9 @@ class TestControllerFor:
     def test_known_kinds(self):
         assert controller_for("marea").mitigates
         assert not controller_for("ref4").mitigates and controller_for("ref4").shares
-        assert not controller_for("ref3").shares and controller_for("ref3").uses_model
-        assert controller_for("ref2").uses_qldr
-        assert not controller_for("ref1").uses_model
+        assert not controller_for("ref3").shares and controller_for("ref3").guarantee == "model"
+        assert controller_for("ref2").guarantee == "qldr"
+        assert controller_for("ref1").guarantee != "model"
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

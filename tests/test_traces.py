@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from rborch.sim import synthesize_window
 from rborch.traces import (
     ArrivalTrace,
     ChannelTrace,
@@ -12,8 +13,6 @@ from rborch.traces import (
     extend_cyclically,
     load_arrival_trace,
     load_channel_trace,
-    sample_arrival,
-    sample_bits_per_rb,
     sample_many,
     write_arrival_trace,
     write_channel_trace,
@@ -29,7 +28,7 @@ def test_gap_fill_rule():
 def test_packet_sizes_parse():
     csv = "tti,service_id,bits,packet_sizes\n0,0,100,60;40\n"
     tr = load_arrival_trace(csv, 0)
-    assert tr.packets_at(0) == (60, 40)
+    assert tr.packet_sizes_per_tti == ((60, 40),)
     assert tr.bits_per_tti.tolist() == [100]
 
 
@@ -100,14 +99,14 @@ def test_channel_gap_rejected():
 def test_constant_model():
     rng = np.random.default_rng(0)
     m = SyntheticModel("constant", (100,))
-    assert sample_arrival(m, rng) == 100
+    assert sample_many(m, rng, 1).tolist() == [100]
     assert sample_many(m, rng, 5).tolist() == [100] * 5
 
 
 def test_single_entry_table():
     rng = np.random.default_rng(0)
     m = SyntheticModel("empirical-table", (42,), (1.0,))
-    assert sample_arrival(m, rng) == 42
+    assert sample_many(m, rng, 1).tolist() == [42]
 
 
 def test_two_point_lln_mean_100():
@@ -132,8 +131,12 @@ def test_seeded_reproducibility():
 
 def test_bits_per_rb_requires_positive_support():
     m = SyntheticModel("two-point", (0, 50), (0.5, 0.5))
-    with pytest.raises(ValueError):
-        sample_bits_per_rb(m, np.random.default_rng(0))
+    arrival = SyntheticModel("constant", (100,))
+    with pytest.raises(ValueError, match="strictly positive"):
+        synthesize_window(arrival, m, 10, 2, np.random.default_rng(0), np.random.default_rng(1))
+    ok = synthesize_window(arrival, SyntheticModel("two-point", (1, 50), (0.5, 0.5)), 10, 2,
+                           np.random.default_rng(0), np.random.default_rng(1))
+    assert len(ok.per_rb) == 20 and ok.per_rb.bits.min() >= 1
 
 
 def test_model_validation():
