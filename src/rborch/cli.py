@@ -250,17 +250,16 @@ def cmd_table1(args) -> int:
 
     acfg = AllocatorConfig(t_slot_ms=cfg.t_slot_ms, estimator=cfg.estimator,
                            gmm_components=cfg.gmm_components)
+    # one set of windows for every cell size, so their cached group samples carry over
+    windows = []
+    for m, spec in enumerate(cfg.services):
+        ss = np.random.SeedSequence([cfg.seed, 20, m])
+        r_a, r_c = (np.random.default_rng(s) for s in ss.spawn(2))
+        if not isinstance(spec.arrival, SyntheticModel) or not isinstance(spec.channel, SyntheticModel):
+            raise ConfigError("table1 expects synthetic sources")
+        windows.append(synthesize_window(spec.arrival, spec.channel, cfg.t_obs, args.rbs_per_tti, r_a, r_c))
     rows = []
     for n_cell in grid:
-        windows = []
-        for m, spec in enumerate(cfg.services):
-            ss = np.random.SeedSequence([cfg.seed, 20, m])
-            r_a, r_c = (np.random.default_rng(s) for s in ss.spawn(2))
-            if not isinstance(spec.arrival, SyntheticModel) or not isinstance(spec.channel, SyntheticModel):
-                raise ConfigError("table1 expects synthetic sources")
-            windows.append(
-                synthesize_window(spec.arrival, spec.channel, cfg.t_obs, args.rbs_per_tti, r_a, r_c)
-            )
         heur = allocate(cfg.services, windows, n_cell, acfg)
         brute, iters = brute_force_allocate(cfg.services, windows, n_cell, acfg)
         rel = (heur.objective - brute.objective) / brute.objective if brute.objective > 0 else 0.0

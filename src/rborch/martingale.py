@@ -17,10 +17,15 @@ import numpy as np
 BISECT_REL_WIDTH = 1e-9
 
 
-def _lse(x: np.ndarray, w: np.ndarray) -> float:
-    """log(sum(w * exp(x))) with max-shift; w positive, not necessarily normalized."""
-    m = float(np.max(x))
+def _lse(x: np.ndarray, w: np.ndarray, m: float) -> float:
+    """log(sum(w * exp(x))) shifted by m = max(x); w positive, not necessarily normalized."""
     return m + math.log(float(np.dot(w, np.exp(x - m))))
+
+
+def unique_counts(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted unique values, float64 counts); duplicates are frequent in sample windows."""
+    vals, counts = np.unique(samples, return_counts=True)
+    return vals, counts.astype(np.float64)
 
 
 class ArrivalSampleSet:
@@ -44,8 +49,7 @@ class ArrivalSampleSet:
     def compressed(self):
         """(unique values, counts); duplicates are frequent with synthetic sources."""
         if self._vals is None:
-            self._vals, self._counts = np.unique(self.samples, return_counts=True)
-            self._counts = self._counts.astype(np.float64)
+            self._vals, self._counts = unique_counts(self.samples)
         return self._vals, self._counts
 
 
@@ -74,15 +78,23 @@ class CapacitySampleSet:
         self.n_add = n_add
         self._compressed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+    @classmethod
+    def from_groups(cls, groups, n_min: int) -> CapacitySampleSet:
+        """Set over already checked regions: groups[n] = (float64 samples, unique values, counts)."""
+        self = cls.__new__(cls)
+        self.per_n_samples = [samples for samples, _, _ in groups]
+        self.n_min = n_min
+        self.n_add = len(groups) - 1
+        self._compressed = {n: (vals, counts) for n, (_, vals, counts) in enumerate(groups)}
+        return self
+
     def counts(self) -> list[int]:
         return [len(v) for v in self.per_n_samples]
 
     def compressed(self, n: int):
         got = self._compressed.get(n)
         if got is None:
-            vals, cnt = np.unique(self.per_n_samples[n], return_counts=True)
-            got = (vals, cnt.astype(np.float64))
-            self._compressed[n] = got
+            got = self._compressed[n] = unique_counts(self.per_n_samples[n])
         return got
 
 
@@ -129,12 +141,13 @@ def _normalize_pi(pi, n_add: int) -> np.ndarray:
     return arr
 
 
-def arrival_log_mgf(x_a: ArrivalSampleSet, theta: float) -> float:
-    """K'_a(theta) = log[(1/T) sum_i exp(theta a_i)], evaluated in log space."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+def _arrival_rate(x_a: ArrivalSampleSet):
+    """K'_a as a function of theta > 0, over one compression of the samples."""
     vals, counts = x_a.compressed()
-    return _lse(theta * vals, counts) - math.log(len(x_a))
+    # vals is sorted and theta > 0 keeps the rounded products in order, so theta * top is their max
+    top = float(vals[-1])
+    log_t_obs = math.log(len(x_a))
+    return lambda theta: _lse(theta * vals, counts, theta * top) - log_t_obs
 
 
 def _service_weighted(x_s: CapacitySampleSet, pi: np.ndarray):
@@ -150,13 +163,26 @@ def _service_weighted(x_s: CapacitySampleSet, pi: np.ndarray):
     return np.concatenate(chunks_v), np.concatenate(chunks_w)
 
 
+def _service_rate(x_s: CapacitySampleSet, pi):
+    """K'_s as a function of theta > 0, over one flattening of the active regions."""
+    vals, wts = _service_weighted(x_s, _normalize_pi(pi, x_s.n_add))
+    # -theta * low is the max of -theta * vals, for the same reason as in _arrival_rate
+    low = float(vals.min())
+    return lambda theta: -_lse(-theta * vals, wts, -theta * low)
+
+
+def arrival_log_mgf(x_a: ArrivalSampleSet, theta: float) -> float:
+    """K'_a(theta) = log[(1/T) sum_i exp(theta a_i)], evaluated in log space."""
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    return _arrival_rate(x_a)(float(theta))
+
+
 def service_log_neg_mgf(x_s: CapacitySampleSet, pi, theta: float) -> float:
     """K'_s(theta) = -log[ sum_n (pi_n / T_n) sum_i exp(-theta s_i^n) ]."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    pi = _normalize_pi(pi, x_s.n_add)
-    vals, wts = _service_weighted(x_s, pi)
-    return -_lse(-theta * vals, wts)
+    return _service_rate(x_s, pi)(float(theta))
 
 
 def _bisect(f, lo: float, hi: float, iters: int) -> float:
@@ -172,30 +198,11 @@ def _bisect(f, lo: float, hi: float, iters: int) -> float:
     return lo
 
 
-def find_theta_star(
-    x_a: ArrivalSampleSet,
-    x_s: CapacitySampleSet,
-    pi,
-    params: ThetaSearchParams | None = None,
-) -> Optional[float]:
-    """Locate theta* = sup{theta > 0 : K'_s(theta) >= K'_a(theta)}.
-
-    Geometric shrink from theta_init until the gap turns non-negative, then
-    bisection over the bracketing interval.  Returns None when the gap stays
-    negative all the way down to the floor (service cannot keep up).  When the
-    gap is already non-negative at theta_init, the search expands upward by
-    doubling and caps out at theta_cap.
-    """
-    p = params or ThetaSearchParams()
-    pi = _normalize_pi(pi, x_s.n_add)
-    a_vals, a_cnt = x_a.compressed()
-    log_t_obs = math.log(len(x_a))
-    s_vals, s_wts = _service_weighted(x_s, pi)
+def _search(ks, ka, p: ThetaSearchParams) -> Optional[float]:
+    """find_theta_star over the rate functions ks = K'_s and ka = K'_a."""
 
     def f(theta: float) -> float:
-        ks = -_lse(-theta * s_vals, s_wts)
-        ka = _lse(theta * a_vals, a_cnt) - log_t_obs
-        return ks - ka
+        return ks(theta) - ka(theta)
 
     if f(p.theta_init) >= 0.0:
         lo = p.theta_init
@@ -217,6 +224,23 @@ def find_theta_star(
             return None
 
 
+def find_theta_star(
+    x_a: ArrivalSampleSet,
+    x_s: CapacitySampleSet,
+    pi,
+    params: ThetaSearchParams | None = None,
+) -> Optional[float]:
+    """Locate theta* = sup{theta > 0 : K'_s(theta) >= K'_a(theta)}.
+
+    Geometric shrink from theta_init until the gap turns non-negative, then
+    bisection over the bracketing interval.  Returns None when the gap stays
+    negative all the way down to the floor (service cannot keep up).  When the
+    gap is already non-negative at theta_init, the search expands upward by
+    doubling and caps out at theta_cap.
+    """
+    return _search(_service_rate(x_s, pi), _arrival_rate(x_a), params or ThetaSearchParams())
+
+
 def delay_bound(
     x_a: ArrivalSampleSet,
     x_s: CapacitySampleSet,
@@ -234,11 +258,12 @@ def delay_bound(
         raise ValueError("epsilon must lie strictly inside (0, 1)")
     if t_slot_ms <= 0:
         raise ValueError("t_slot_ms must be positive")
-    theta = find_theta_star(x_a, x_s, pi, params)
+    ks_of, ka_of = _service_rate(x_s, pi), _arrival_rate(x_a)
+    theta = _search(ks_of, ka_of, params or ThetaSearchParams())
     if theta is None:
         return DelayBoundResult(None, math.inf, math.nan, math.nan, epsilon)
-    ks = service_log_neg_mgf(x_s, pi, theta)
-    ka = arrival_log_mgf(x_a, theta)
+    ks = ks_of(theta)
+    ka = ka_of(theta)
     if ks <= 0.0:
         # zero effective service rate: no finite decay, treat as infeasible
         return DelayBoundResult(None, math.inf, math.nan, math.nan, epsilon)

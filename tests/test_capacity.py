@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rborch.capacity
 from rborch.capacity import ConcatPerRbVector, build_capacity_samples
+from rborch.martingale import ArrivalSampleSet
+from rborch.near_rt import ServiceSpec, ServiceWindow, allocate, brute_force_allocate
 
 
 def channel(values):
@@ -104,6 +107,15 @@ class TestBuildCapacitySamples:
         assert [v.tolist() for v in s.per_n_samples] == [[125], [150]]
         assert "scaled fallback" in caplog.text
 
+    def test_fallback_logged_on_every_build(self, caplog):
+        # the second build takes both groups from the window's cache and must log again
+        x = ConcatPerRbVector([100], [4])
+        with caplog.at_level("INFO", logger="rborch.capacity"):
+            build_capacity_samples(x, n_min=3, n_cell=5)
+            build_capacity_samples(x, n_min=4, n_cell=5)
+            build_capacity_samples(x, n_min=1, n_cell=4)  # no group longer than the window
+        assert sum("scaled fallback" in r.getMessage() for r in caplog.records) == 2
+
     def test_constant_channel_exact(self):
         x = channel([25] * 60)
         s = build_capacity_samples(x, n_min=4, n_cell=9)
@@ -170,6 +182,15 @@ class TestBuildCapacitySamples:
         build_capacity_samples(x, 2, 3)
         assert x.prefix() is first
 
+    def test_samples_are_read_only(self):
+        x = ConcatPerRbVector([100, 60, 7], [4, 2, 1])
+        s = build_capacity_samples(x, 1, 3)
+        vals, counts = s.compressed(1)
+        for arr in (s.per_n_samples[0], vals, counts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 5.0
+        assert build_capacity_samples(x, 1, 3).per_n_samples[0].tolist() == [25] * 4 + [30, 30, 7]
+
     def test_overflow_guard_raises(self):
         # sum(bits) * max(rbs)^2 = 2^42 * 2^22 >= 2^62
         x = ConcatPerRbVector([1 << 40] * 4, [1 << 11] * 4)
@@ -198,3 +219,57 @@ def packet_windows(draw):
 @given(packet_windows())
 def test_groups_match_fraction_oracle(window):
     assert_matches_oracle(*window)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    packet_windows(),
+    st.lists(st.tuples(st.integers(1, 120), st.integers(1, 120)), min_size=1, max_size=6),
+)
+def test_cached_builds_match_fresh_window(window, pairs):
+    # one window object serves builds in any order, across n_min and n_cell
+    bits, rbs, _, _ = window
+    shared = ConcatPerRbVector(bits, rbs)
+    for a, b in pairs:
+        n_min, n_cell = min(a, b), max(a, b)
+        got = build_capacity_samples(shared, n_min, n_cell)
+        fresh = build_capacity_samples(ConcatPerRbVector(bits, rbs), n_min, n_cell)
+        assert (got.n_min, got.n_add) == (n_min, n_cell - n_min)
+        assert [v.tolist() for v in got.per_n_samples] == [v.tolist() for v in fresh.per_n_samples]
+        for n in range(got.n_add + 1):
+            for mine, theirs in zip(got.compressed(n), fresh.compressed(n)):
+                assert mine.tolist() == theirs.tolist()
+        assert [v.astype(np.int64).tolist() for v in got.per_n_samples] == oracle_samples(bits, rbs, n_min, n_cell)
+
+
+def test_groups_built_once_per_window(monkeypatch):
+    built = []
+    group_samples = rborch.capacity._group_samples
+
+    def counting(x_con, g):
+        built.append((id(x_con), g))
+        return group_samples(x_con, g)
+
+    monkeypatch.setattr(rborch.capacity, "_group_samples", counting)
+    rng = np.random.default_rng(4)
+    specs = [ServiceSpec(id=m, w_th_ms=5.0, epsilon=1e-3) for m in range(2)]
+    windows = [
+        ServiceWindow(
+            ArrivalSampleSet(rng.integers(0, 300, 400)),
+            ConcatPerRbVector(rng.integers(300, 1500, 200), rng.integers(1, 60, 200)),
+            rng.integers(0, 5, 400),
+        )
+        for _ in specs
+    ]
+    allocate(specs, windows, 30)
+    # every candidate n_min of a service needs groups n_min..30, yet each is built once
+    assert len(built) == len(set(built))
+    first = len(built)
+    allocate(specs, windows, 30)
+    assert len(built) == first
+    brute_force_allocate(specs, windows, 30)  # every n_min: builds only the groups not seen yet
+    assert len(built) == len(set(built)) == 2 * 30
+    brute_force_allocate(specs, windows, 24)  # smaller cell: every group is cached already
+    assert len(built) == 2 * 30
+    allocate(specs, windows, 32)  # larger cell: only groups 31 and 32 are new
+    assert sorted(g for _, g in built[2 * 30 :]) == [31, 31, 32, 32]

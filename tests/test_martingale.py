@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rborch.martingale import (
     ArrivalSampleSet,
@@ -228,3 +230,104 @@ class TestStructuralProperties:
             scaled = delay_bound(xa2, xs2, [1.0], 1e-3)
             assert scaled.theta_star == pytest.approx(base.theta_star / c, rel=1e-6)
             assert scaled.w_ms == pytest.approx(base.w_ms, rel=1e-6)
+
+
+# ------------------------------------------------ pre-shift reference search
+
+
+def _lse_max_shift(x, w):
+    m = float(np.max(x))
+    return m + math.log(float(np.dot(w, np.exp(x - m))))
+
+
+def reference_delay_bound(x_a, x_s, pi, epsilon, params=ThetaSearchParams()):
+    """The search with the shift taken by np.max on every evaluation, and the
+    rate functions at theta* computed from fresh flattenings."""
+    pi = np.asarray(pi, dtype=np.float64)
+    a_vals, a_cnt = np.unique(x_a.samples, return_counts=True)
+    a_cnt = a_cnt.astype(np.float64)
+    log_t_obs = math.log(len(x_a))
+    chunks_v, chunks_w = [], []
+    for n, v in enumerate(x_s.per_n_samples):
+        if pi[n] == 0.0:
+            continue
+        vals, cnt = np.unique(v, return_counts=True)
+        chunks_v.append(vals)
+        chunks_w.append(cnt.astype(np.float64) * (pi[n] / len(v)))
+    s_vals, s_wts = np.concatenate(chunks_v), np.concatenate(chunks_w)
+
+    def ks(theta):
+        return -_lse_max_shift(-theta * s_vals, s_wts)
+
+    def ka(theta):
+        return _lse_max_shift(theta * a_vals, a_cnt) - log_t_obs
+
+    def f(theta):
+        return ks(theta) - ka(theta)
+
+    def bisect(lo, hi):
+        for _ in range(params.bisection_iters):
+            if hi - lo <= 1e-9 * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if f(mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def search():
+        if f(params.theta_init) >= 0.0:
+            lo = params.theta_init
+            while lo < params.theta_cap:
+                hi = min(2.0 * lo, params.theta_cap)
+                if f(hi) >= 0.0:
+                    lo = hi
+                else:
+                    return bisect(lo, hi)
+            return params.theta_cap
+        theta_old = params.theta_init
+        while True:
+            theta_new = theta_old * params.shrink
+            if f(theta_new) >= 0.0:
+                return bisect(theta_new, theta_old)
+            theta_old = theta_new
+            if theta_new < params.floor:
+                return None
+
+    theta = search()
+    if theta is None or ks(theta) <= 0.0:
+        return None, math.inf, math.nan, math.nan
+    return theta, -math.log(epsilon) / ks(theta), ks(theta), ka(theta)
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@st.composite
+def bound_inputs(draw):
+    arrivals = draw(st.lists(st.integers(0, 3000), min_size=1, max_size=40))
+    n_add = draw(st.integers(0, 4))
+    vecs = [draw(st.lists(st.integers(0, 2000), min_size=1, max_size=25)) for _ in range(n_add + 1)]
+    weights = draw(st.lists(st.integers(0, 9), min_size=n_add + 1, max_size=n_add + 1).filter(any))
+    pi = np.asarray(weights, dtype=np.float64) / sum(weights)
+    pi[-1] = 1.0 - pi[:-1].sum()  # sums to 1 within one rounding
+    pi = np.clip(pi, 0.0, None)
+    epsilon = draw(st.sampled_from([1e-1, 1e-3, 1e-5]))
+    return ArrivalSampleSet(arrivals), CapacitySampleSet(vecs, 1, n_add), pi, epsilon
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_inputs())
+def test_theta_star_bit_exact_against_max_shift(inputs):
+    x_a, x_s, pi, epsilon = inputs
+    theta, w_ms, ks, ka = reference_delay_bound(x_a, x_s, pi, epsilon)
+    assert same_bits(find_theta_star(x_a, x_s, pi), theta)
+    res = delay_bound(x_a, x_s, pi, epsilon)
+    assert same_bits(res.theta_star, theta)
+    assert same_bits(res.w_ms, w_ms)
+    assert same_bits(res.k_prime_s_at_star, ks)
+    assert same_bits(res.k_prime_a_at_star, ka)
