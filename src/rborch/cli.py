@@ -191,6 +191,39 @@ def _channel_window(spec, length: int, rng) -> np.ndarray:
     return extend_cyclically(spec.channel.bits_per_rb, length)
 
 
+def validate_point(spec, seed: int, n_min: int, t_obs: int, runs: int, run_ttis: int, t_slot_ms: float):
+    """One validate-model grid point: (W_model_ms, W_measured_ms, rel_err, pooled delays).
+
+    W_model_ms is the bound from a t_obs-TTI window plus the transmitting slot,
+    which measured delays count; the delays come from `runs` FIFO runs of
+    run_ttis TTIs at n_min RBs per TTI.
+    """
+    ss = np.random.SeedSequence([seed, 10, n_min, t_obs])
+    r_arr, r_ch = (np.random.default_rng(s) for s in ss.spawn(2))
+    arr_win = _arrival_window(spec, t_obs, r_arr)
+    rb_stream = _channel_window(spec, t_obs * n_min, r_ch)
+    per_rb = ConcatPerRbVector(rb_stream, np.ones(len(rb_stream), dtype=np.int64))
+    x_s = build_capacity_samples(per_rb, n_min, n_min)
+    res = delay_bound(ArrivalSampleSet(arr_win), x_s, [1.0], spec.epsilon, t_slot_ms)
+    w_model = res.w_ms + t_slot_ms if math.isfinite(res.w_ms) else math.inf
+
+    delays = []
+    for r in range(runs):
+        rr = np.random.default_rng(np.random.SeedSequence([seed, 11, n_min, t_obs, r]))
+        a = _arrival_window(spec, run_ttis, rr)
+        c = _channel_window(spec, run_ttis, rr)
+        d, _pending = measure_fifo_delays(a, n_min * c, t_slot_ms)
+        delays.append(d)
+    pooled = np.concatenate(delays) if delays else np.empty(0)
+    if pooled.size:
+        w_meas = float(np.quantile(pooled, 1.0 - spec.epsilon, method="inverted_cdf"))
+        rel = abs(w_model - w_meas) / w_meas if math.isfinite(w_model) else math.inf
+    else:
+        log.warning("validate-model n_min=%d t_obs=%d: no packet measured, rel_err is inf", n_min, t_obs)
+        w_meas, rel = math.nan, math.inf
+    return w_model, w_meas, rel, pooled
+
+
 def cmd_validate_model(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -205,31 +238,8 @@ def cmd_validate_model(args) -> int:
     rows = []
     for n_min in n_min_grid:
         for t_obs in t_obs_grid:
-            ss = np.random.SeedSequence([cfg.seed, 10, n_min, t_obs])
-            r_arr, r_ch, r_meas = (np.random.default_rng(s) for s in ss.spawn(3))
-            arr_win = _arrival_window(spec, t_obs, r_arr)
-            rb_stream = _channel_window(spec, t_obs * n_min, r_ch)
-            per_rb = ConcatPerRbVector(rb_stream, np.ones(len(rb_stream), dtype=np.int64))
-            x_s = build_capacity_samples(per_rb, n_min, n_min)
-            res = delay_bound(ArrivalSampleSet(arr_win), x_s, [1.0], spec.epsilon, cfg.t_slot_ms)
-            # measured delays count the transmitting slot, so compare against
-            # the queueing bound plus one slot
-            w_model = res.w_ms + cfg.t_slot_ms if math.isfinite(res.w_ms) else math.inf
-
-            delays = []
-            for r in range(args.runs):
-                rr = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11, n_min, t_obs, r]))
-                a = _arrival_window(spec, args.run_ttis, rr)
-                c = _channel_window(spec, args.run_ttis, rr)
-                d, _pending = measure_fifo_delays(a, n_min * c, cfg.t_slot_ms)
-                delays.append(d)
-            pooled = np.concatenate(delays) if delays else np.empty(0)
-            if pooled.size:
-                w_meas = float(np.quantile(pooled, 1.0 - spec.epsilon, method="inverted_cdf"))
-                rel = abs(w_model - w_meas) / w_meas if math.isfinite(w_model) else math.inf
-            else:
-                log.warning("validate-model n_min=%d t_obs=%d: no packet measured, rel_err is inf", n_min, t_obs)
-                w_meas, rel = math.nan, math.inf
+            w_model, w_meas, rel, _ = validate_point(spec, cfg.seed, n_min, t_obs, args.runs,
+                                                     args.run_ttis, cfg.t_slot_ms)
             rows.append((n_min, t_obs, w_model, w_meas, rel))
     _write_csv(
         os.path.join(args.out, "validate.csv"),
@@ -237,6 +247,17 @@ def cmd_validate_model(args) -> int:
         rows,
     )
     return 0
+
+
+def table1_windows(specs, entropy, t_obs: int, rbs_per_tti: int) -> list:
+    """One synthetic window per service; service m draws from SeedSequence([*entropy, m])."""
+    windows = []
+    for m, spec in enumerate(specs):
+        if not isinstance(spec.arrival, SyntheticModel) or not isinstance(spec.channel, SyntheticModel):
+            raise ConfigError("table1 expects synthetic sources")
+        r_a, r_c = (np.random.default_rng(s) for s in np.random.SeedSequence([*entropy, m]).spawn(2))
+        windows.append(synthesize_window(spec.arrival, spec.channel, t_obs, rbs_per_tti, r_a, r_c))
+    return windows
 
 
 def cmd_table1(args) -> int:
@@ -251,13 +272,7 @@ def cmd_table1(args) -> int:
     acfg = AllocatorConfig(t_slot_ms=cfg.t_slot_ms, estimator=cfg.estimator,
                            gmm_components=cfg.gmm_components)
     # one set of windows for every cell size, so their cached group samples carry over
-    windows = []
-    for m, spec in enumerate(cfg.services):
-        ss = np.random.SeedSequence([cfg.seed, 20, m])
-        r_a, r_c = (np.random.default_rng(s) for s in ss.spawn(2))
-        if not isinstance(spec.arrival, SyntheticModel) or not isinstance(spec.channel, SyntheticModel):
-            raise ConfigError("table1 expects synthetic sources")
-        windows.append(synthesize_window(spec.arrival, spec.channel, cfg.t_obs, args.rbs_per_tti, r_a, r_c))
+    windows = table1_windows(cfg.services, (cfg.seed, 20), cfg.t_obs, args.rbs_per_tti)
     rows = []
     for n_cell in grid:
         heur = allocate(cfg.services, windows, n_cell, acfg)

@@ -16,12 +16,14 @@ Example::
 
 Sources are single-line descriptors: ``constant V``, ``two-point V:P V:P``,
 ``uniform-integer LO HI``, ``empirical-table V:P [V:P ...]`` or
-``trace PATH`` (CSV, resolved relative to the config file).
+``trace PATH`` (a CSV file of any name, resolved relative to the config
+file).  Every invalid value raises ConfigError from `load_config` (CLI exit 1).
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import os
 from typing import Optional
 
@@ -83,22 +85,14 @@ def format_source(source, trace_path: Optional[str] = None) -> str:
     raise ConfigError(f"cannot serialize source {type(source)}")
 
 
+_SCALAR_TYPES = {t.__name__: t for t in (int, float, str, bool)}
+# the [scenario] options: every scalar ScenarioConfig field (f.type is a name: sim.py postpones annotations)
 _SCALAR_FIELDS = {
-    "n_cell": int,
-    "horizon": int,
-    "t_slot_ms": float,
-    "t_obs": int,
-    "t_out": int,
-    "eta": float,
-    "tau": float,
-    "seed": int,
-    "gmm_components": int,
-    "qldr_window": int,
-    "controller": str,
-    "estimator": str,
-    "debug_log": bool,
-    "check_invariants": bool,
+    f.name: _SCALAR_TYPES[f.type] for f in dataclasses.fields(ScenarioConfig) if f.type in _SCALAR_TYPES
 }
+_ANOMALY_FIELDS = (
+    ("anomaly_service", int), ("anomaly_start", int), ("anomaly_end", int), ("anomaly_factor", float),
+)
 
 
 def _convert(name: str, raw: str, typ):
@@ -115,7 +109,12 @@ def _convert(name: str, raw: str, typ):
         raise ConfigError(f"option {name!r}: cannot parse {raw!r} as {typ.__name__}") from None
 
 
-def load_config(path: str) -> ScenarioConfig:
+def load_config(path) -> ScenarioConfig:
+    """Read and validate a scenario file (str or os.PathLike).
+
+    Every value that cannot be parsed or fails a check of the scenario, its
+    services, anomaly, models or traces raises ConfigError naming the file.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
@@ -123,60 +122,51 @@ def load_config(path: str) -> ScenarioConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if "scenario" not in parser:
-        raise ConfigError(f"{path}: missing [scenario] section")
     base_dir = os.path.dirname(os.path.abspath(path))
-
-    sc = parser["scenario"]
-    kwargs = {}
-    for name, typ in _SCALAR_FIELDS.items():
-        if name in sc:
-            kwargs[name] = _convert(name, sc[name], typ)
-    for required in ("n_cell", "horizon"):
-        if required not in kwargs:
-            raise ConfigError(f"{path}: [scenario] must set {required}")
-
-    anomaly = None
-    if "anomaly_service" in sc:
-        try:
-            anomaly = AnomalyConfig(
-                int(sc["anomaly_service"]),
-                int(sc["anomaly_start"]),
-                int(sc["anomaly_end"]),
-                float(sc["anomaly_factor"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{path}: incomplete anomaly block ({exc} missing)") from None
-
-    services = []
-    for section in parser.sections():
-        if not section.startswith("service."):
-            continue
-        try:
-            sid = int(section.split(".", 1)[1])
-        except ValueError:
-            raise ConfigError(f"{path}: bad service section name [{section}]") from None
-        svc = parser[section]
-        for required in ("w_th_ms", "epsilon", "arrival", "channel"):
-            if required not in svc:
-                raise ConfigError(f"{path}: [{section}] must set {required}")
-        services.append(
-            ServiceSpec(
-                sid,
-                _convert("w_th_ms", svc["w_th_ms"], float),
-                _convert("epsilon", svc["epsilon"], float),
-                parse_source(svc["arrival"], base_dir, channel=False, service_id=sid),
-                parse_source(svc["channel"], base_dir, channel=True, service_id=sid),
-            )
-        )
-    if not services:
-        raise ConfigError(f"{path}: no [service.N] sections")
-    services.sort(key=lambda s: s.id)
-
-    cfg = ScenarioConfig(services=services, anomaly=anomaly, **kwargs)
     try:
+        if "scenario" not in parser:
+            raise ConfigError("missing [scenario] section")
+        sc = parser["scenario"]
+        kwargs = {name: _convert(name, sc[name], typ) for name, typ in _SCALAR_FIELDS.items() if name in sc}
+        for required in ("n_cell", "horizon"):
+            if required not in kwargs:
+                raise ConfigError(f"[scenario] must set {required}")
+
+        anomaly = None
+        if "anomaly_service" in sc:
+            try:
+                anomaly = AnomalyConfig(*(_convert(name, sc[name], typ) for name, typ in _ANOMALY_FIELDS))
+            except KeyError as exc:
+                raise ConfigError(f"incomplete anomaly block ({exc} missing)") from None
+
+        services = []
+        for section in parser.sections():
+            if not section.startswith("service."):
+                continue
+            try:
+                sid = int(section.split(".", 1)[1])
+            except ValueError:
+                raise ConfigError(f"bad service section name [{section}]") from None
+            svc = parser[section]
+            for required in ("w_th_ms", "epsilon", "arrival", "channel"):
+                if required not in svc:
+                    raise ConfigError(f"[{section}] must set {required}")
+            services.append(
+                ServiceSpec(
+                    sid,
+                    _convert("w_th_ms", svc["w_th_ms"], float),
+                    _convert("epsilon", svc["epsilon"], float),
+                    parse_source(svc["arrival"], base_dir, channel=False, service_id=sid),
+                    parse_source(svc["channel"], base_dir, channel=True, service_id=sid),
+                )
+            )
+        if not services:
+            raise ConfigError("no [service.N] sections")
+        services.sort(key=lambda s: s.id)
+
+        cfg = ScenarioConfig(services=services, anomaly=anomaly, **kwargs)
         cfg.validate()
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included: each message gains the file name once
         raise ConfigError(f"{path}: {exc}") from exc
     return cfg
 

@@ -9,7 +9,7 @@ plus bisection, and the delay bound follows as -log(eps) / K'_s(theta*) slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -88,9 +88,6 @@ class CapacitySampleSet:
         self._compressed = {n: (vals, counts) for n, (_, vals, counts) in enumerate(groups)}
         return self
 
-    def counts(self) -> list[int]:
-        return [len(v) for v in self.per_n_samples]
-
     def compressed(self, n: int):
         got = self._compressed.get(n)
         if got is None:
@@ -123,11 +120,6 @@ class DelayBoundResult:
     w_ms: float
     k_prime_a_at_star: float
     k_prime_s_at_star: float
-    bound_p: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.theta_star is not None
 
 
 def _normalize_pi(pi, n_add: int) -> np.ndarray:
@@ -261,14 +253,14 @@ def delay_bound(
     ks_of, ka_of = _service_rate(x_s, pi), _arrival_rate(x_a)
     theta = _search(ks_of, ka_of, params or ThetaSearchParams())
     if theta is None:
-        return DelayBoundResult(None, math.inf, math.nan, math.nan, epsilon)
+        return DelayBoundResult(None, math.inf, math.nan, math.nan)
     ks = ks_of(theta)
     ka = ka_of(theta)
     if ks <= 0.0:
         # zero effective service rate: no finite decay, treat as infeasible
-        return DelayBoundResult(None, math.inf, math.nan, math.nan, epsilon)
+        return DelayBoundResult(None, math.inf, math.nan, math.nan)
     w = (-math.log(epsilon) / ks) * t_slot_ms
-    return DelayBoundResult(theta, w, ka, ks, epsilon)
+    return DelayBoundResult(theta, w, ka, ks)
 
 
 def violation_bound(result: DelayBoundResult, w_query_ms: float, t_slot_ms: float = 1.0) -> float:

@@ -11,13 +11,13 @@ of the cell budget serves as the optimality oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .capacity import ConcatPerRbVector, build_capacity_samples
-from .martingale import ArrivalSampleSet, ThetaSearchParams, delay_bound
+from .martingale import ArrivalSampleSet, delay_bound
 from .utilization import UtilizationPmf, empirical_pmf, fit_gmm_em, region_probabilities
 
 BRUTE_FORCE_LIMIT = 1_000_000
@@ -61,9 +61,6 @@ class AllocatorConfig:
     t_slot_ms: float = 1.0
     estimator: str = "empirical"
     gmm_components: int = 3
-    gmm_iters: int = 200
-    gmm_tol: float = 1e-8
-    theta: ThetaSearchParams = field(default_factory=ThetaSearchParams)
 
     def __post_init__(self):
         if self.estimator not in ("empirical", "gmm"):
@@ -110,9 +107,7 @@ class _CandidateEvaluator:
                 fit_gmm_em(
                     w.extra_rb_usage.astype(np.float64),
                     min(cfg.gmm_components, len(w.extra_rb_usage)),
-                    cfg.gmm_iters,
-                    cfg.gmm_tol,
-                    rng,
+                    rng=rng,
                 )
                 for w in windows
             ]
@@ -136,7 +131,6 @@ class _CandidateEvaluator:
             pi.pi,
             self.specs[m].epsilon,
             self.cfg.t_slot_ms,
-            self.cfg.theta,
         )
         self._cache[key] = res.w_ms
         return res.w_ms

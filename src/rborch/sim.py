@@ -131,6 +131,8 @@ class ScenarioConfig:
         for s in self.services:
             if s.arrival is None or s.channel is None:
                 raise ValueError(f"service {s.id} is missing a traffic or channel source")
+            if isinstance(s.channel, SyntheticModel) and s.channel.min_value <= 0:
+                raise ValueError(f"service {s.id}: channel support must be positive")
             if s.w_th_ms < self.t_slot_ms:
                 raise ValueError(f"service {s.id}: delay budget below one slot")
             slot_count(s.w_th_ms, self.t_slot_ms)  # the budget must be a whole number of slots
@@ -163,8 +165,6 @@ class Metrics:
     services: list[ServiceMetrics]
     rb_utilization: float
     alloc_rows: list[tuple]
-    horizon: int
-    measured_from: int
     debug_rows: Optional[list[tuple]] = None
 
 
@@ -293,8 +293,6 @@ def _gen_service_streams(cfg: ScenarioConfig, m: int):
         sizes = bits[t_arr]
 
     if isinstance(spec.channel, SyntheticModel):
-        if spec.channel.min_value <= 0:
-            raise ValueError(f"service {spec.id}: channel support must be positive")
         rng = _source_rng(cfg.seed, 1, m, spec.channel.stream_id)
         rates = sample_many(spec.channel, rng, horizon)
     elif isinstance(spec.channel, ChannelTrace):
@@ -444,7 +442,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
             ServiceMetrics(cfg.services[m].id, total, len(darr), pending_viol, viol_prob, *stats, curve, darr)
         )
     util = rbs_used_measured / (n_cell * measured_ttis) if measured_ttis else 0.0
-    return Metrics(services_out, util, alloc_rows, horizon, warmup_end, debug_rows)
+    return Metrics(services_out, util, alloc_rows, debug_rows)
 
 
 def _check_invariants(t: int, queues: Sequence[PacketQueue], rbs_used, n_cell: int, completed) -> None:

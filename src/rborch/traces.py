@@ -1,17 +1,19 @@
 """Trace ingestion and synthetic traffic/channel generation.
 
-Arrival and channel traces are plain CSV files (one row per TTI with data);
-synthetic sources are small parametric models drawn through seeded numpy
+Arrival and channel traces are CSV files with one row per TTI with data,
+read through one row reader (`_service_rows`) from a path of any name or an
+open text stream; each loader then parses only its own value columns.
+Synthetic sources are small parametric models drawn through seeded numpy
 Generators so every run is reproducible.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+import os
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -125,13 +127,6 @@ class SyntheticModel:
     def min_value(self) -> int:
         return min(self.values)
 
-    def mean(self) -> float:
-        if self.kind == "constant":
-            return float(self.values[0])
-        if self.kind == "uniform-integer":
-            return (self.values[0] + self.values[1]) / 2.0
-        return float(np.dot(self.values, self.probs))
-
 
 def sample_many(model: SyntheticModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw `size` values from the model; deterministic for a given stream state."""
@@ -147,22 +142,6 @@ def sample_many(model: SyntheticModel, rng: np.random.Generator, size: int) -> n
     return vals[idx]
 
 
-def _read_rows(source, expected_headers: Sequence[tuple[str, ...]]):
-    if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceParseError(1, "empty file, header row required") from None
-    header = tuple(h.strip() for h in header)
-    if header not in expected_headers:
-        raise TraceParseError(1, f"unexpected header {header!r}")
-    return reader, header
-
-
 def _parse_int(raw: str, name: str, line: int) -> int:
     try:
         return int(raw)
@@ -170,131 +149,95 @@ def _parse_int(raw: str, name: str, line: int) -> int:
         raise TraceParseError(line, f"{name} is not an integer: {raw!r}") from None
 
 
+def _service_rows(source, service_id: int, headers: tuple[tuple[str, ...], ...]):
+    """(header, [(line, tti, row), ...]) for one service of a trace CSV.
+
+    `source` is a path (str or os.PathLike) or an open text stream; a path is
+    read whole and closed before any value column is parsed.  Checks the
+    header, the field count, the integer tti/service_id columns, and that tti
+    is non-negative and strictly increasing within the service.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, newline="") as fh:
+            return _service_rows(fh, service_id, headers)
+    reader = csv.reader(source)
+    try:
+        header = tuple(h.strip() for h in next(reader))
+    except StopIteration:
+        raise TraceParseError(1, "empty file, header row required") from None
+    if header not in headers:
+        raise TraceParseError(1, f"unexpected header {header!r}")
+    rows = []
+    last_tti = -1
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise TraceParseError(line, f"expected {len(header)} fields, got {len(row)}")
+        tti = _parse_int(row[0], "tti", line)
+        if _parse_int(row[1], "service_id", line) != service_id:
+            continue
+        if tti < 0:
+            raise TraceParseError(line, "tti must be non-negative")
+        if tti <= last_tti:
+            raise TraceParseError(line, "tti values must be strictly increasing per service")
+        last_tti = tti
+        rows.append((line, tti, row))
+    if not rows:
+        raise TraceValidationError(f"no rows for service {service_id}")
+    return header, rows
+
+
 def load_arrival_trace(source, service_id: int) -> ArrivalTrace:
     """Parse an arrivals CSV, keeping rows for `service_id` and gap-filling zeros.
 
-    Accepts a path-like/str content/bytes/file object.  Missing TTIs become
-    0-bit slots; the optional `packet_sizes` column is a `;`-separated list
-    whose sum must equal the row's bits.
+    `source` is a path or an open text stream.  Missing TTIs become 0-bit
+    slots; the optional `packet_sizes` column is a `;`-separated list whose
+    sum must equal the row's bits (empty: the bits form one packet).
     """
-    close = False
-    if hasattr(source, "read") or isinstance(source, (str, bytes, bytearray)):
-        if isinstance(source, str) and "\n" not in source and source.endswith(".csv"):
-            source = open(source, "r", newline="")
-            close = True
-    try:
-        reader, header = _read_rows(source, (ARRIVAL_HEADER, ARRIVAL_HEADER_PKT))
-        has_pkts = header == ARRIVAL_HEADER_PKT
-        bits: dict[int, int] = {}
-        pkts: dict[int, tuple[int, ...]] = {}
-        last_tti = -1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise TraceParseError(lineno, f"expected {len(header)} fields, got {len(row)}")
-            tti = _parse_int(row[0], "tti", lineno)
-            sid = _parse_int(row[1], "service_id", lineno)
-            if sid != service_id:
-                continue
-            if tti < 0:
-                raise TraceParseError(lineno, "tti must be non-negative")
-            if tti <= last_tti:
-                raise TraceParseError(lineno, "tti values must be strictly increasing per service")
-            last_tti = tti
-            b = _parse_int(row[2], "bits", lineno)
-            if b < 0:
-                raise TraceValidationError(f"line {lineno}: negative bits")
-            bits[tti] = b
-            if has_pkts:
-                raw = row[3].strip()
-                if raw:
-                    try:
-                        sizes = tuple(int(tok) for tok in raw.split(";"))
-                    except ValueError:
-                        raise TraceParseError(lineno, f"bad packet_sizes: {raw!r}") from None
-                    if any(s <= 0 for s in sizes):
-                        raise TraceValidationError(f"line {lineno}: non-positive packet size")
-                    if sum(sizes) != b:
-                        raise TraceValidationError(
-                            f"line {lineno}: packet sizes sum to {sum(sizes)}, bits say {b}"
-                        )
-                    pkts[tti] = sizes
-                else:
-                    pkts[tti] = (b,) if b > 0 else ()
-        if not bits:
-            raise TraceValidationError(f"no rows for service {service_id}")
-        horizon = last_tti + 1
-        arr = np.zeros(horizon, dtype=np.int64)
-        for t, b in bits.items():
-            arr[t] = b
-        packet_sizes = None
-        if has_pkts:
-            packet_sizes = tuple(
-                pkts.get(t, ((int(arr[t]),) if arr[t] > 0 else ())) for t in range(horizon)
-            )
-        return ArrivalTrace(service_id, arr, packet_sizes)
-    finally:
-        if close:
-            source.close()
+    header, rows = _service_rows(source, service_id, (ARRIVAL_HEADER, ARRIVAL_HEADER_PKT))
+    horizon = rows[-1][1] + 1
+    bits = np.zeros(horizon, dtype=np.int64)
+    sizes = [()] * horizon if header == ARRIVAL_HEADER_PKT else None
+    for line, tti, row in rows:
+        b = _parse_int(row[2], "bits", line)
+        if b < 0:
+            raise TraceValidationError(f"line {line}: negative bits")
+        bits[tti] = b
+        if sizes is None:
+            continue
+        raw = row[3].strip()
+        if not raw:
+            sizes[tti] = (b,) if b > 0 else ()
+            continue
+        try:
+            pkts = tuple(int(tok) for tok in raw.split(";"))
+        except ValueError:
+            raise TraceParseError(line, f"bad packet_sizes: {raw!r}") from None
+        if any(s <= 0 for s in pkts):
+            raise TraceValidationError(f"line {line}: non-positive packet size")
+        if sum(pkts) != b:
+            raise TraceValidationError(f"line {line}: packet sizes sum to {sum(pkts)}, bits say {b}")
+        sizes[tti] = pkts
+    return ArrivalTrace(service_id, bits, None if sizes is None else tuple(sizes))
 
 
 def load_channel_trace(source, service_id: int) -> ChannelTrace:
-    """Parse a channel CSV (`tti,service_id,bits_per_rb`) for one service."""
-    close = False
-    if isinstance(source, str) and "\n" not in source and source.endswith(".csv"):
-        source = open(source, "r", newline="")
-        close = True
-    try:
-        reader, _ = _read_rows(source, (CHANNEL_HEADER,))
-        vals: dict[int, int] = {}
-        last_tti = -1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise TraceParseError(lineno, f"expected 3 fields, got {len(row)}")
-            tti = _parse_int(row[0], "tti", lineno)
-            sid = _parse_int(row[1], "service_id", lineno)
-            if sid != service_id:
-                continue
-            if tti < 0:
-                raise TraceParseError(lineno, "tti must be non-negative")
-            if tti <= last_tti:
-                raise TraceParseError(lineno, "tti values must be strictly increasing per service")
-            last_tti = tti
-            c = _parse_int(row[2], "bits_per_rb", lineno)
-            if c <= 0:
-                raise TraceValidationError(f"line {lineno}: bits_per_rb must be positive")
-            vals[tti] = c
-        if not vals:
-            raise TraceValidationError(f"no rows for service {service_id}")
-        if len(vals) != last_tti + 1:
-            raise TraceValidationError("channel trace has TTI gaps; capacity must be defined per TTI")
-        return ChannelTrace(service_id, np.array([vals[t] for t in range(last_tti + 1)], dtype=np.int64))
-    finally:
-        if close:
-            source.close()
+    """Parse a channel CSV (`tti,service_id,bits_per_rb`) for one service.
 
-
-def write_arrival_trace(trace: ArrivalTrace, stream) -> None:
-    """Emit CSV such that load_arrival_trace round-trips to an identical trace."""
-    w = csv.writer(stream, lineterminator="\n")
-    has_pkts = trace.packet_sizes_per_tti is not None
-    w.writerow(ARRIVAL_HEADER_PKT if has_pkts else ARRIVAL_HEADER)
-    for t, b in enumerate(trace.bits_per_tti):
-        if has_pkts:
-            sizes = ";".join(str(s) for s in trace.packet_sizes_per_tti[t])
-            w.writerow([t, trace.service_id, int(b), sizes])
-        else:
-            w.writerow([t, trace.service_id, int(b)])
-
-
-def write_channel_trace(trace: ChannelTrace, stream) -> None:
-    w = csv.writer(stream, lineterminator="\n")
-    w.writerow(CHANNEL_HEADER)
-    for t, c in enumerate(trace.bits_per_rb):
-        w.writerow([t, trace.service_id, int(c)])
+    `source` is a path or an open text stream; the service's rows must cover
+    every TTI from 0 with a positive rate.
+    """
+    _, rows = _service_rows(source, service_id, (CHANNEL_HEADER,))
+    vals = []
+    for line, _, row in rows:
+        c = _parse_int(row[2], "bits_per_rb", line)
+        if c <= 0:
+            raise TraceValidationError(f"line {line}: bits_per_rb must be positive")
+        vals.append(c)
+    if rows[-1][1] + 1 != len(rows):
+        raise TraceValidationError("channel trace has TTI gaps; capacity must be defined per TTI")
+    return ChannelTrace(service_id, np.array(vals, dtype=np.int64))
 
 
 def extend_cyclically(values: np.ndarray, horizon: int, what: str = "trace") -> np.ndarray:

@@ -8,7 +8,7 @@ regions centred on each integer RB count (tails absorbed at both ends).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

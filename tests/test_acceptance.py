@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import rborch as rb
-from rborch.capacity import ConcatPerRbVector, build_capacity_samples
+from rborch.cli import table1_windows, validate_point
 from rborch.martingale import ArrivalSampleSet, CapacitySampleSet, arrival_log_mgf, delay_bound, find_theta_star, service_log_neg_mgf
 from rborch.near_rt import AllocatorConfig, ServiceWindow, allocate, brute_force_allocate
 from rborch.rt import FsmRecord, STATE_A, STATE_B, STATE_C, mitigate, schedule_tti
-from rborch.sim import measure_fifo_delays, run, synthesize_window
-from rborch.traces import SyntheticModel, sample_many
+from rborch.sim import run
+from rborch.traces import SyntheticModel
 from rborch.utilization import GmmMixture, empirical_pmf, region_probabilities
 
 mk = SyntheticModel
@@ -41,12 +41,7 @@ def table_specs():
 
 
 def table_windows(specs, seed=99, t_obs=2000, rbs_per_tti=8):
-    out = []
-    for m, s in enumerate(specs):
-        ss = np.random.SeedSequence([seed, m])
-        ra, rc = (np.random.default_rng(x) for x in ss.spawn(2))
-        out.append(synthesize_window(s.arrival, s.channel, t_obs, rbs_per_tti, ra, rc))
-    return out
+    return table1_windows(specs, (seed,), t_obs, rbs_per_tti)
 
 
 def ordering_config(seed: int, controller: str) -> rb.ScenarioConfig:
@@ -123,26 +118,10 @@ def test_criterion_3_bound_validity():
     seed = 5
     lines = []
     for name, arrival, channel, n_min in BOUND_SCENARIOS:
-        ss = np.random.SeedSequence([seed, 10, n_min, t_obs])
-        ra, rc = (np.random.default_rng(s) for s in ss.spawn(2))
-        arr_win = sample_many(arrival, ra, t_obs)
-        rb_stream = sample_many(channel, rc, t_obs * n_min)
-        ones = np.ones(len(rb_stream), dtype=np.int64)
-        x_s = build_capacity_samples(ConcatPerRbVector(rb_stream, ones), n_min, n_min)
-        res = delay_bound(ArrivalSampleSet(arr_win), x_s, [1.0], eps, 1.0)
-        assert res.theta_star is not None
-        w_model = res.w_ms + 1.0  # measured sojourn includes the transmitting slot
-
-        pooled = []
-        for r in range(runs):
-            rr = np.random.default_rng(np.random.SeedSequence([seed, 11, n_min, r]))
-            a = sample_many(arrival, rr, run_ttis)
-            c = sample_many(channel, rr, run_ttis)
-            d, _ = measure_fifo_delays(a, n_min * c, 1.0)
-            pooled.append(d)
-        delays = np.concatenate(pooled)
-        w_meas = float(np.quantile(delays, 1 - eps, method="inverted_cdf"))
-        rel = abs(w_model - w_meas) / w_meas
+        # the validate-model grid point: W_model includes the transmitting slot
+        spec = rb.ServiceSpec(0, 10.0, eps, arrival, channel)
+        w_model, _, rel, delays = validate_point(spec, seed, n_min, t_obs, runs, run_ttis, 1.0)
+        assert math.isfinite(w_model)
         p_exceed = float(np.mean(delays >= w_model))
         assert rel <= 0.5, f"{name}: rel err {rel:.2%}"
         assert p_exceed <= 3 * eps, f"{name}: P[w >= W] = {p_exceed:.2e}"

@@ -152,7 +152,7 @@ class TestBuildCapacitySamples:
         rng = np.random.default_rng(2)
         con = channel(rng.integers(1, 60, 240))
         s = build_capacity_samples(con, n_min=4, n_cell=10)
-        counts = s.counts()
+        counts = [len(v) for v in s.per_n_samples]
         for n in range(s.n_add):
             t = min(counts[n], counts[n + 1])
             a = s.per_n_samples[n][:t].mean()

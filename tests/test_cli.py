@@ -97,6 +97,52 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    def test_trace_source_any_name(self, tmp_path):
+        (tmp_path / "arr.dat").write_text("tti,service_id,bits\n0,0,100\n2,0,50\n")
+        (tmp_path / "rates").write_text("tti,service_id,bits_per_rb\n0,0,25\n1,0,30\n")
+        p = tmp_path / "traced.cfg"
+        p.write_text(BASE_CFG.replace("arrival = two-point 0:0.5 200:0.5", "arrival = trace arr.dat")
+                     .replace("channel = constant 25", "channel = trace rates", 1))
+        cfg = load_config(p)
+        assert cfg.services[0].arrival.bits_per_tti.tolist() == [100, 0, 50]
+        assert cfg.services[0].channel.bits_per_rb.tolist() == [25, 30]
+
+
+BAD_VALUES = {
+    "epsilon": ("epsilon = 1e-3", "epsilon = 2"),
+    "w_th_ms": ("w_th_ms = 5", "w_th_ms = -1"),
+    "empty_anomaly": ("seed = 5", "seed = 5\nanomaly_service = 0\nanomaly_start = 100\n"
+                                  "anomaly_end = 100\nanomaly_factor = 2"),
+    "anomaly_start": ("seed = 5", "seed = 5\nanomaly_service = 0\nanomaly_start = five\n"
+                                  "anomaly_end = 200\nanomaly_factor = 2"),
+    "zero_channel": ("channel = constant 25", "channel = constant 0"),
+}
+
+
+class TestBadScenarioValues:
+    """Invalid scenario values are configuration errors: exit 1, file named."""
+
+    def check_exit_1(self, tmp_path, capsys, text, old, new, argv):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text.replace(old, new, 1))
+        rc = main([*argv, "--config", str(p), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith(f"error: {p}: ")
+
+    @pytest.mark.parametrize("name", sorted(BAD_VALUES))
+    def test_run(self, name, tmp_path, capsys):
+        self.check_exit_1(tmp_path, capsys, BASE_CFG, *BAD_VALUES[name], ["run"])
+
+    def test_zero_channel_validate_model(self, tmp_path, capsys):
+        self.check_exit_1(tmp_path, capsys, SINGLE_CFG, *BAD_VALUES["zero_channel"],
+                          ["validate-model", "--n-min-grid", "4", "--t-obs-grid", "500", "--runs", "1",
+                           "--run-ttis", "2000"])
+
+    def test_zero_channel_table1(self, tmp_path, capsys):
+        self.check_exit_1(tmp_path, capsys, TRIPLE_CFG, *BAD_VALUES["zero_channel"],
+                          ["table1", "--n-cell-grid", "20"])
+
 
 class TestRunCommand:
     def test_run_writes_outputs(self, cfg_file, tmp_path):

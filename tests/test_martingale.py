@@ -181,7 +181,7 @@ class TestViolationBound:
         assert violation_bound(res, 2 * res.w_ms) == pytest.approx(1e-6, rel=1e-9)
 
     def test_absent_theta_raises(self):
-        res = DelayBoundResult(None, math.inf, math.nan, math.nan, 1e-3)
+        res = DelayBoundResult(None, math.inf, math.nan, math.nan)
         with pytest.raises(ValueError):
             violation_bound(res, 1.0)
 

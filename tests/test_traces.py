@@ -14,20 +14,18 @@ from rborch.traces import (
     load_arrival_trace,
     load_channel_trace,
     sample_many,
-    write_arrival_trace,
-    write_channel_trace,
 )
 
 
 def test_gap_fill_rule():
     csv = "tti,service_id,bits\n0,0,100\n2,0,50\n"
-    tr = load_arrival_trace(csv, 0)
+    tr = load_arrival_trace(io.StringIO(csv), 0)
     assert tr.bits_per_tti.tolist() == [100, 0, 50]
 
 
 def test_packet_sizes_parse():
     csv = "tti,service_id,bits,packet_sizes\n0,0,100,60;40\n"
-    tr = load_arrival_trace(csv, 0)
+    tr = load_arrival_trace(io.StringIO(csv), 0)
     assert tr.packet_sizes_per_tti == ((60, 40),)
     assert tr.bits_per_tti.tolist() == [100]
 
@@ -35,65 +33,96 @@ def test_packet_sizes_parse():
 def test_packet_sizes_sum_mismatch():
     csv = "tti,service_id,bits,packet_sizes\n0,0,100,60;50\n"
     with pytest.raises(TraceValidationError):
-        load_arrival_trace(csv, 0)
+        load_arrival_trace(io.StringIO(csv), 0)
 
 
 def test_negative_bits_rejected():
     with pytest.raises(TraceValidationError):
-        load_arrival_trace("tti,service_id,bits\n0,0,-5\n", 0)
+        load_arrival_trace(io.StringIO("tti,service_id,bits\n0,0,-5\n"), 0)
 
 
 def test_malformed_row_reports_line():
     csv = "tti,service_id,bits\n0,0,100\nx,0,1\n"
     with pytest.raises(TraceParseError) as ei:
-        load_arrival_trace(csv, 0)
+        load_arrival_trace(io.StringIO(csv), 0)
     assert ei.value.line == 3
 
 
 def test_non_increasing_tti_rejected():
     csv = "tti,service_id,bits\n2,0,100\n1,0,50\n"
     with pytest.raises(TraceParseError):
-        load_arrival_trace(csv, 0)
+        load_arrival_trace(io.StringIO(csv), 0)
 
 
 def test_other_services_filtered():
     csv = "tti,service_id,bits\n0,0,100\n0,1,7\n1,1,9\n1,0,50\n"
-    tr = load_arrival_trace(csv, 1)
+    tr = load_arrival_trace(io.StringIO(csv), 1)
     assert tr.bits_per_tti.tolist() == [7, 9]
 
 
-def test_arrival_roundtrip_plain():
-    tr = ArrivalTrace(3, np.array([10, 0, 25, 0, 7]))
-    buf = io.StringIO()
-    write_arrival_trace(tr, buf)
-    back = load_arrival_trace(buf.getvalue(), 3)
-    assert back.service_id == tr.service_id
-    assert np.array_equal(back.bits_per_tti, tr.bits_per_tti)
-    assert back.packet_sizes_per_tti is None
+def test_arrival_plain_gaps_have_no_packet_table():
+    csv = "tti,service_id,bits\n0,3,10\n2,3,25\n4,3,7\n"
+    tr = load_arrival_trace(io.StringIO(csv), 3)
+    assert tr.service_id == 3
+    assert tr.bits_per_tti.tolist() == [10, 0, 25, 0, 7]
+    assert tr.packet_sizes_per_tti is None
 
 
-def test_arrival_roundtrip_with_packets():
-    tr = ArrivalTrace(0, np.array([100, 0, 30]), (((60, 40)), (), ((30,))))
-    buf = io.StringIO()
-    write_arrival_trace(tr, buf)
-    back = load_arrival_trace(buf.getvalue(), 0)
-    assert back.packet_sizes_per_tti == tr.packet_sizes_per_tti
-    assert np.array_equal(back.bits_per_tti, tr.bits_per_tti)
+def test_arrival_packets_keep_empty_tti():
+    csv = "tti,service_id,bits,packet_sizes\n0,0,100,60;40\n1,0,0,\n2,0,30,30\n"
+    tr = load_arrival_trace(io.StringIO(csv), 0)
+    assert tr.packet_sizes_per_tti == ((60, 40), (), (30,))
+    assert tr.bits_per_tti.tolist() == [100, 0, 30]
 
 
-def test_channel_roundtrip_and_positivity():
-    tr = ChannelTrace(1, np.array([25, 30, 25]))
-    buf = io.StringIO()
-    write_channel_trace(tr, buf)
-    back = load_channel_trace(buf.getvalue(), 1)
-    assert np.array_equal(back.bits_per_rb, tr.bits_per_rb)
+def test_channel_load_and_positivity():
+    tr = load_channel_trace(io.StringIO("tti,service_id,bits_per_rb\n0,1,25\n1,1,30\n2,1,25\n"), 1)
+    assert tr.service_id == 1
+    assert tr.bits_per_rb.tolist() == [25, 30, 25]
     with pytest.raises(TraceValidationError):
-        load_channel_trace("tti,service_id,bits_per_rb\n0,1,0\n", 1)
+        load_channel_trace(io.StringIO("tti,service_id,bits_per_rb\n0,1,0\n"), 1)
+
+
+def write_traces(tmp_path, arr_name, ch_name):
+    arr, ch = tmp_path / arr_name, tmp_path / ch_name
+    arr.write_text("tti,service_id,bits\n0,0,100\n2,0,50\n")
+    ch.write_text("tti,service_id,bits_per_rb\n0,0,25\n1,0,30\n")
+    return arr, ch
+
+
+def test_path_without_csv_suffix(tmp_path):
+    arr, ch = write_traces(tmp_path, "arr.dat", "channel")
+    assert load_arrival_trace(str(arr), 0).bits_per_tti.tolist() == [100, 0, 50]
+    assert load_channel_trace(str(ch), 0).bits_per_rb.tolist() == [25, 30]
+
+
+def test_pathlib_path(tmp_path):
+    arr, ch = write_traces(tmp_path, "arr.csv", "channel.csv")
+    assert load_arrival_trace(arr, 0).bits_per_tti.tolist() == [100, 0, 50]
+    assert load_channel_trace(ch, 0).bits_per_rb.tolist() == [25, 30]
+
+
+def test_path_closed_after_error(tmp_path, monkeypatch):
+    p = tmp_path / "bad.csv"
+    p.write_text("tti,service_id,bits\n0,0,100\n1,0,x\n")
+    opened = []
+    real_open = open
+
+    def spy(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr("builtins.open", spy)
+    with pytest.raises(TraceParseError) as ei:
+        load_arrival_trace(p, 0)
+    assert ei.value.line == 3
+    assert opened and all(fh.closed for fh in opened)
 
 
 def test_channel_gap_rejected():
     with pytest.raises(TraceValidationError):
-        load_channel_trace("tti,service_id,bits_per_rb\n0,0,25\n2,0,30\n", 0)
+        load_channel_trace(io.StringIO("tti,service_id,bits_per_rb\n0,0,25\n2,0,30\n"), 0)
 
 
 def test_constant_model():
