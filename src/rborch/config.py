@@ -25,18 +25,11 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import os
-from typing import Optional
 
 from .near_rt import ServiceSpec
 from .rt import ConfigError
 from .sim import AnomalyConfig, ScenarioConfig
-from .traces import (
-    ArrivalTrace,
-    ChannelTrace,
-    SyntheticModel,
-    load_arrival_trace,
-    load_channel_trace,
-)
+from .traces import SyntheticModel, load_arrival_trace, load_channel_trace
 
 
 def parse_source(text: str, base_dir: str = ".", channel: bool = False, service_id: int = 0):
@@ -68,21 +61,6 @@ def parse_source(text: str, base_dir: str = ".", channel: bool = False, service_
     except Exception as exc:
         raise ConfigError(f"bad source descriptor {text!r}: {exc}") from exc
     raise ConfigError(f"unknown source kind {kind!r}")
-
-
-def format_source(source, trace_path: Optional[str] = None) -> str:
-    if isinstance(source, SyntheticModel):
-        if source.kind == "constant":
-            return f"constant {source.values[0]}"
-        if source.kind == "uniform-integer":
-            return f"uniform-integer {source.values[0]} {source.values[1]}"
-        pairs = " ".join(f"{v}:{p:.12g}" for v, p in zip(source.values, source.probs))
-        return f"{source.kind} {pairs}"
-    if isinstance(source, (ArrivalTrace, ChannelTrace)):
-        if trace_path is None:
-            raise ConfigError("trace sources need a path to serialize")
-        return f"trace {trace_path}"
-    raise ConfigError(f"cannot serialize source {type(source)}")
 
 
 _SCALAR_TYPES = {t.__name__: t for t in (int, float, str, bool)}
@@ -170,29 +148,3 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     return cfg
 
-
-def save_config(cfg: ScenarioConfig, path: str, trace_paths: Optional[dict] = None) -> None:
-    """Serialize a scenario so load_config reproduces it (synthetic sources
-    round-trip exactly; traces are stored by reference path)."""
-    parser = configparser.ConfigParser()
-    parser["scenario"] = {}
-    sc = parser["scenario"]
-    for name in _SCALAR_FIELDS:
-        val = getattr(cfg, name)
-        sc[name] = str(val).lower() if isinstance(val, bool) else str(val)
-    if cfg.anomaly is not None:
-        sc["anomaly_service"] = str(cfg.anomaly.service_id)
-        sc["anomaly_start"] = str(cfg.anomaly.start_tti)
-        sc["anomaly_end"] = str(cfg.anomaly.end_tti)
-        sc["anomaly_factor"] = str(cfg.anomaly.factor)
-    trace_paths = trace_paths or {}
-    for spec in cfg.services:
-        section = f"service.{spec.id}"
-        parser[section] = {
-            "w_th_ms": repr(spec.w_th_ms),
-            "epsilon": repr(spec.epsilon),
-            "arrival": format_source(spec.arrival, trace_paths.get((spec.id, "arrival"))),
-            "channel": format_source(spec.channel, trace_paths.get((spec.id, "channel"))),
-        }
-    with open(path, "w") as fh:
-        parser.write(fh)

@@ -2,8 +2,11 @@
 
 The arrival side exposes K'_a(theta) = log mean(exp(theta * a_i)); the service
 side K'_s(theta) = -log of the availability-weighted mean of exp(-theta * s_i).
-The supremum theta* of {theta : K'_s >= K'_a} is located by geometric shrink
-plus bisection, and the delay bound follows as -log(eps) / K'_s(theta*) slots.
+K'_a is convex and K'_s concave, so the gap f = K'_s - K'_a is concave with
+f(0) = 0, and theta* = sup{theta : f(theta) >= 0} is its unique positive root.
+The search classifies the capped and infeasible cases from the samples alone,
+then runs a safeguarded Newton iteration on f from the right.  The delay bound
+follows as -log(eps) / K'_s(theta*) slots.
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-BISECT_REL_WIDTH = 1e-9
-
-
-def _lse(x: np.ndarray, w: np.ndarray, m: float) -> float:
-    """log(sum(w * exp(x))) shifted by m = max(x); w positive, not necessarily normalized."""
-    return m + math.log(float(np.dot(w, np.exp(x - m))))
+# a search stops once its Newton step is at most this fraction of the bracket's upper end
+REL_TOL = 1e-9
+# bound on safeguarded steps: bisection alone narrows [1e-9, 64] to REL_TOL in about 60
+MAX_STEPS = 100
 
 
 def unique_counts(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,19 +98,14 @@ class CapacitySampleSet:
 
 @dataclass(frozen=True)
 class ThetaSearchParams:
-    theta_init: float = 1.0
-    shrink: float = 0.9
+    """theta* below floor counts as infeasible; theta_cap is the largest value returned."""
+
     floor: float = 1e-9
     theta_cap: float = 64.0
-    bisection_iters: int = 80
 
     def __post_init__(self):
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must lie in (0, 1)")
-        if not (0.0 < self.floor < self.theta_init <= self.theta_cap):
-            raise ValueError("need 0 < floor < theta_init <= theta_cap")
-        if self.bisection_iters < 1:
-            raise ValueError("bisection_iters must be positive")
+        if not (0.0 < self.floor < self.theta_cap):
+            raise ValueError("need 0 < floor < theta_cap")
 
 
 @dataclass(frozen=True)
@@ -133,87 +129,123 @@ def _normalize_pi(pi, n_add: int) -> np.ndarray:
     return arr
 
 
-def _arrival_rate(x_a: ArrivalSampleSet):
-    """K'_a as a function of theta > 0, over one compression of the samples."""
+class _Rate:
+    """R(theta) = sign * log(sum(w * exp(sign * theta * v))) - offset, for theta > 0.
+
+    sign = +1 with offset log T gives K'_a; sign = -1 with offset 0 gives K'_s.
+    A call returns (R, R') from one exp pass; R' is the mean of v tilted by
+    w * exp(sign * theta * v).  As theta grows, R approaches the line
+    theta * edge + intercept, K'_a from above and K'_s from below.  groups
+    holds the (weights, means) of the sample groups that (v, w) mixes: the
+    active regions for K'_s, the one window for K'_a.
+    """
+
+    __slots__ = ("sign", "vals", "w", "wv", "edge", "offset", "groups")
+
+    def __init__(self, sign: float, vals: np.ndarray, w: np.ndarray, groups, offset: float = 0.0):
+        self.sign = sign
+        self.vals = vals
+        self.w = w
+        self.wv = w * vals
+        self.groups = groups
+        # sign * theta * edge is the max of sign * theta * vals: theta > 0 keeps the rounded products in order
+        self.edge = float(vals.max() if sign > 0 else vals.min())
+        self.offset = offset
+
+    def __call__(self, theta: float) -> tuple[float, float]:
+        t = self.sign * theta
+        m = t * self.edge
+        e = np.exp(t * self.vals - m)
+        z = float(np.dot(self.w, e))
+        return self.sign * (m + math.log(z)) - self.offset, float(np.dot(self.wv, e)) / z
+
+    def intercept(self) -> float:
+        return self.sign * math.log(float(self.w[self.vals == self.edge].sum())) - self.offset
+
+
+def _arrival_rate(x_a: ArrivalSampleSet) -> _Rate:
+    """K'_a over one compression of the samples."""
     vals, counts = x_a.compressed()
-    # vals is sorted and theta > 0 keeps the rounded products in order, so theta * top is their max
-    top = float(vals[-1])
-    log_t_obs = math.log(len(x_a))
-    return lambda theta: _lse(theta * vals, counts, theta * top) - log_t_obs
+    mean = float(np.dot(counts, vals)) / len(x_a)
+    return _Rate(1.0, vals, counts, (np.ones(1), np.array([mean])), math.log(len(x_a)))
 
 
-def _service_weighted(x_s: CapacitySampleSet, pi: np.ndarray):
-    """Flatten the active regions into (values, weights) for one LSE pass."""
-    chunks_v, chunks_w = [], []
+def _service_rate(x_s: CapacitySampleSet, pi) -> _Rate:
+    """K'_s over one flattening of the active regions into (values, weights)."""
+    pi = _normalize_pi(pi, x_s.n_add)
+    chunks_v, chunks_w, ps, means = [], [], [], []
     for n in range(x_s.n_add + 1):
         p = pi[n]
         if p == 0.0:
             continue
         vals, counts = x_s.compressed(n)
+        t_n = len(x_s.per_n_samples[n])
         chunks_v.append(vals)
-        chunks_w.append(counts * (p / len(x_s.per_n_samples[n])))
-    return np.concatenate(chunks_v), np.concatenate(chunks_w)
-
-
-def _service_rate(x_s: CapacitySampleSet, pi):
-    """K'_s as a function of theta > 0, over one flattening of the active regions."""
-    vals, wts = _service_weighted(x_s, _normalize_pi(pi, x_s.n_add))
-    # -theta * low is the max of -theta * vals, for the same reason as in _arrival_rate
-    low = float(vals.min())
-    return lambda theta: -_lse(-theta * vals, wts, -theta * low)
+        chunks_w.append(counts * (p / t_n))
+        ps.append(p)
+        means.append(float(np.dot(counts, vals)) / t_n)
+    return _Rate(-1.0, np.concatenate(chunks_v), np.concatenate(chunks_w), (np.array(ps), np.array(means)))
 
 
 def arrival_log_mgf(x_a: ArrivalSampleSet, theta: float) -> float:
     """K'_a(theta) = log[(1/T) sum_i exp(theta a_i)], evaluated in log space."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    return _arrival_rate(x_a)(float(theta))
+    return _arrival_rate(x_a)(float(theta))[0]
 
 
 def service_log_neg_mgf(x_s: CapacitySampleSet, pi, theta: float) -> float:
     """K'_s(theta) = -log[ sum_n (pi_n / T_n) sum_i exp(-theta s_i^n) ]."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    return _service_rate(x_s, pi)(float(theta))
+    return _service_rate(x_s, pi)(float(theta))[0]
 
 
-def _bisect(f, lo: float, hi: float, iters: int) -> float:
-    """Shrink [lo, hi] with f(lo) >= 0 > f(hi); returns the feasible edge."""
-    for _ in range(iters):
-        if hi - lo <= BISECT_REL_WIDTH * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _search(ks, ka, p: ThetaSearchParams) -> Optional[float]:
-    """find_theta_star over the rate functions ks = K'_s and ka = K'_a."""
-
-    def f(theta: float) -> float:
-        return ks(theta) - ka(theta)
-
-    if f(p.theta_init) >= 0.0:
-        lo = p.theta_init
-        while lo < p.theta_cap:
-            hi = min(2.0 * lo, p.theta_cap)
-            if f(hi) >= 0.0:
-                lo = hi
-            else:
-                return _bisect(f, lo, hi, p.bisection_iters)
+def _search(ks: _Rate, ka: _Rate, p: ThetaSearchParams) -> Optional[float]:
+    """find_theta_star over the rates ks = K'_s and ka = K'_a."""
+    if ka.edge <= ks.edge:
+        # max(a) <= min(s): f(theta) >= theta * (min(s) - max(a)) >= 0 everywhere (f = 0 included)
         return p.theta_cap
+    # f'(0) = E_pi[s] - mean(a), summed over differences of means so that equal means cancel exactly
+    p_s, m_s = ks.groups
+    if float(np.dot(p_s, m_s - ka.groups[1][0])) <= 0.0:
+        # a concave f with f(0) = 0 and f'(0) <= 0 has no positive root
+        return None
+    # f lies below the difference of the asymptotes, whose root therefore bounds theta* from above
+    hi = min(p.theta_cap, (ks.intercept() - ka.intercept()) / (ka.edge - ks.edge))
+    if hi < p.floor:
+        return None
 
-    theta_old = p.theta_init
-    while True:
-        theta_new = theta_old * p.shrink
-        if f(theta_new) >= 0.0:
-            return _bisect(f, theta_new, theta_old, p.bisection_iters)
-        theta_old = theta_new
-        if theta_new < p.floor:
+    def gap(theta: float) -> tuple[float, float]:
+        (s, ds), (a, da) = ks(theta), ka(theta)
+        return s - a, ds - da
+
+    theta, lo = hi, p.floor
+    value, slope = gap(theta)
+    if value >= 0.0:
+        return theta  # the cap, or the asymptotes' root when it is theta* to rounding
+    for _ in range(MAX_STEPS):
+        if value >= 0.0:
+            lo = theta
+        else:
+            hi = theta
+        tol = REL_TOL * hi
+        # right of theta* the tangent of the concave f lies above it, so its root is still >= theta*
+        step = -value / slope if slope < 0.0 else math.nan
+        nxt = theta + step
+        if value < 0.0 and lo == p.floor and nxt <= lo:
             return None
+        if abs(step) <= tol:
+            if value >= 0.0:
+                return theta
+            nxt -= 0.5 * tol  # converged from the right: step back onto the feasible side
+        if not lo < nxt < hi:
+            if hi - lo <= tol:
+                return lo if lo > p.floor else None
+            nxt = 0.5 * (lo + hi)
+        theta = nxt
+        value, slope = gap(theta)
+    return lo if lo > p.floor else None
 
 
 def find_theta_star(
@@ -224,11 +256,13 @@ def find_theta_star(
 ) -> Optional[float]:
     """Locate theta* = sup{theta > 0 : K'_s(theta) >= K'_a(theta)}.
 
-    Geometric shrink from theta_init until the gap turns non-negative, then
-    bisection over the bracketing interval.  Returns None when the gap stays
-    negative all the way down to the floor (service cannot keep up).  When the
-    gap is already non-negative at theta_init, the search expands upward by
-    doubling and caps out at theta_cap.
+    Returns theta_cap when max(a) <= min(s) or the gap is still non-negative
+    there, and None when f'(0) = E_pi[s] - mean(a) <= 0 or theta* lies below
+    the floor (service cannot keep up); neither case evaluates an exp when
+    the samples decide it.  Otherwise Newton steps on the gap run from the
+    right, starting at the root of the rate functions' asymptotes (or the cap);
+    any step that leaves the bracket becomes a bisection step.  The result is
+    within REL_TOL of theta* relative, on the side where the gap is >= 0.
     """
     return _search(_service_rate(x_s, pi), _arrival_rate(x_a), params or ThetaSearchParams())
 
@@ -254,8 +288,8 @@ def delay_bound(
     theta = _search(ks_of, ka_of, params or ThetaSearchParams())
     if theta is None:
         return DelayBoundResult(None, math.inf, math.nan, math.nan)
-    ks = ks_of(theta)
-    ka = ka_of(theta)
+    ks = ks_of(theta)[0]
+    ka = ka_of(theta)[0]
     if ks <= 0.0:
         # zero effective service rate: no finite decay, treat as infeasible
         return DelayBoundResult(None, math.inf, math.nan, math.nan)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rborch.cli import main
-from rborch.config import ConfigError, load_config, parse_source, save_config
+from rborch.config import ConfigError, load_config, parse_source
 from rborch.near_rt import ServiceSpec
-from rborch.sim import AnomalyConfig, ScenarioConfig
+from rborch.sim import AnomalyConfig
 from rborch.traces import SyntheticModel
 
 BASE_CFG = """
@@ -52,32 +52,30 @@ class TestConfig:
         assert cfg.n_cell == 12 and len(cfg.services) == 2
         assert cfg.services[0].arrival.kind == "two-point"
 
-    def test_roundtrip(self, tmp_path):
-        cfg = ScenarioConfig(
-            n_cell=20,
-            horizon=6000,
-            services=[
-                ServiceSpec(0, 5.0, 1e-4,
-                            SyntheticModel("empirical-table", (0, 10, 500), (0.25, 0.5, 0.25)),
-                            SyntheticModel("uniform-integer", (20, 30))),
-                ServiceSpec(1, 12.0, 1e-3,
-                            SyntheticModel("constant", (90,)),
-                            SyntheticModel("constant", (25,))),
-            ],
-            controller="ref4",
-            estimator="gmm",
-            eta=0.6,
-            tau=0.2,
-            seed=17,
-            anomaly=AnomalyConfig(1, 4500, 5000, 2.5),
+    def test_load_literal_ini(self, tmp_path):
+        path = tmp_path / "lit.cfg"
+        path.write_text(
+            "[scenario]\n"
+            "n_cell = 20\nhorizon = 6000\ncontroller = ref4\nestimator = gmm\n"
+            "eta = 0.6\ntau = 0.2\nseed = 17\n"
+            "anomaly_service = 1\nanomaly_start = 4500\nanomaly_end = 5000\nanomaly_factor = 2.5\n"
+            "[service.0]\nw_th_ms = 5.0\nepsilon = 0.0001\n"
+            "arrival = empirical-table 0:0.25 10:0.5 500:0.25\nchannel = uniform-integer 20 30\n"
+            "[service.1]\nw_th_ms = 12.0\nepsilon = 0.001\n"
+            "arrival = constant 90\nchannel = constant 25\n"
         )
-        path = str(tmp_path / "rt.cfg")
-        save_config(cfg, path)
-        back = load_config(path)
-        assert back.n_cell == cfg.n_cell and back.controller == cfg.controller
-        assert back.estimator == "gmm" and back.eta == 0.6 and back.tau == 0.2
-        assert back.anomaly == cfg.anomaly
-        assert back.services == cfg.services
+        cfg = load_config(path)
+        assert cfg.n_cell == 20 and cfg.controller == "ref4"
+        assert cfg.estimator == "gmm" and cfg.eta == 0.6 and cfg.tau == 0.2
+        assert cfg.anomaly == AnomalyConfig(1, 4500, 5000, 2.5)
+        assert cfg.services == [
+            ServiceSpec(0, 5.0, 1e-4,
+                        SyntheticModel("empirical-table", (0, 10, 500), (0.25, 0.5, 0.25)),
+                        SyntheticModel("uniform-integer", (20, 30))),
+            ServiceSpec(1, 12.0, 1e-3,
+                        SyntheticModel("constant", (90,)),
+                        SyntheticModel("constant", (25,))),
+        ]
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import mpmath as mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import table_specs, table_windows
 
+from rborch import martingale, near_rt
 from rborch.martingale import (
     ArrivalSampleSet,
     CapacitySampleSet,
@@ -16,6 +19,7 @@ from rborch.martingale import (
     service_log_neg_mgf,
     violation_bound,
 )
+from rborch.near_rt import AllocatorConfig, brute_force_allocate
 
 # real root of u^3 = u^2 + u + 1, from mpmath.polyroots at 50 digits
 U_ROOT = 1.8392867552141612
@@ -122,6 +126,25 @@ class TestFindThetaStar:
         x_s = CapacitySampleSet([np.full(8, 150)], 6, 0)
         assert find_theta_star(x_a, x_s, [1.0]) == 64.0
 
+    def test_balanced_means_infeasible(self):
+        # E_pi[s] == mean(a) exactly: f'(0) = 0, so no positive root, even with weights 1/7
+        cases = [
+            ([1], [[0, 2]], [1.0]),
+            ([2, 4, 1, 0, 1, 3, 1, 4, 1, 0, 0, 0, 0, 0, 4, 4, 2, 1, 4, 4, 4, 3, 3, 3, 0, 3, 3, 1],
+             [[0, 0, 3, 0, 4, 4, 3]], [1.0]),
+            ([1, 1, 4], [[0, 4], [2]], [0.5, 0.5]),
+        ]
+        for arrivals, vecs, pi in cases:
+            x_s = CapacitySampleSet([np.array(v) for v in vecs], 1, len(vecs) - 1)
+            assert find_theta_star(ArrivalSampleSet(arrivals), x_s, pi) is None
+
+    def test_root_at_asymptote_bound(self):
+        # at theta* every term but max(a) and min(s) underflows, so f equals the
+        # difference of its asymptotes there: the root is log(40 * 25), not the cap
+        x_a = ArrivalSampleSet([0] * 39 + [1001])
+        x_s = CapacitySampleSet([np.array([1000] + [2000] * 24)], 1, 0)
+        assert find_theta_star(x_a, x_s, [1.0]) == pytest.approx(math.log(1000.0), rel=1e-9)
+
     def test_bracketed_root_tightness(self):
         x_a, x_s = bernoulli_inputs()
         theta = find_theta_star(x_a, x_s, [1.0])
@@ -131,9 +154,11 @@ class TestFindThetaStar:
 
     def test_custom_params_validation(self):
         with pytest.raises(ValueError):
-            ThetaSearchParams(shrink=1.5)
+            ThetaSearchParams(floor=0.0)
         with pytest.raises(ValueError):
-            ThetaSearchParams(floor=2.0)
+            ThetaSearchParams(floor=64.0)
+        with pytest.raises(ValueError):
+            ThetaSearchParams(floor=2.0, theta_cap=1.0)
 
 
 class TestDelayBound:
@@ -232,79 +257,42 @@ class TestStructuralProperties:
             assert scaled.w_ms == pytest.approx(base.w_ms, rel=1e-6)
 
 
-# ------------------------------------------------ pre-shift reference search
+# ------------------------------------------------ 50-digit oracle for theta*
+
+mp.mp.dps = 50
 
 
-def _lse_max_shift(x, w):
-    m = float(np.max(x))
-    return m + math.log(float(np.dot(w, np.exp(x - m))))
+def mp_gap(x_a, x_s, pi):
+    """f = K'_s - K'_a and f' in 50-digit arithmetic, the sign of f'(0), and
+    whether max(a) <= min(s) over the regions with pi_n > 0."""
+    a = [mp.mpf(float(v)) for v in x_a.samples]
+    atoms = [
+        (mp.mpf(float(p)) / len(v), mp.mpf(float(s)))
+        for p, v in zip(pi, x_s.per_n_samples) if p > 0
+        for s in v
+    ]
+
+    def rates(theta):
+        ea = [mp.exp(theta * v) for v in a]
+        es = [w * mp.exp(-theta * s) for w, s in atoms]
+        za, zs = mp.fsum(ea), mp.fsum(es)
+        ka = mp.log(za / len(a))
+        f = -mp.log(zs) - ka
+        df = mp.fsum(s * e for (_, s), e in zip(atoms, es)) / zs - mp.fsum(v * e for v, e in zip(a, ea)) / za
+        return f, df, ka
+
+    slope0 = mp.fsum(w * s for w, s in atoms) / mp.fsum(w for w, _ in atoms) - mp.fsum(a) / len(a)
+    dominated = max(a) <= min(s for _, s in atoms)
+    return rates, slope0, dominated
 
 
-def reference_delay_bound(x_a, x_s, pi, epsilon, params=ThetaSearchParams()):
-    """The search with the shift taken by np.max on every evaluation, and the
-    rate functions at theta* computed from fresh flattenings."""
-    pi = np.asarray(pi, dtype=np.float64)
-    a_vals, a_cnt = np.unique(x_a.samples, return_counts=True)
-    a_cnt = a_cnt.astype(np.float64)
-    log_t_obs = math.log(len(x_a))
-    chunks_v, chunks_w = [], []
-    for n, v in enumerate(x_s.per_n_samples):
-        if pi[n] == 0.0:
-            continue
-        vals, cnt = np.unique(v, return_counts=True)
-        chunks_v.append(vals)
-        chunks_w.append(cnt.astype(np.float64) * (pi[n] / len(v)))
-    s_vals, s_wts = np.concatenate(chunks_v), np.concatenate(chunks_w)
-
-    def ks(theta):
-        return -_lse_max_shift(-theta * s_vals, s_wts)
-
-    def ka(theta):
-        return _lse_max_shift(theta * a_vals, a_cnt) - log_t_obs
-
-    def f(theta):
-        return ks(theta) - ka(theta)
-
-    def bisect(lo, hi):
-        for _ in range(params.bisection_iters):
-            if hi - lo <= 1e-9 * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            if f(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def search():
-        if f(params.theta_init) >= 0.0:
-            lo = params.theta_init
-            while lo < params.theta_cap:
-                hi = min(2.0 * lo, params.theta_cap)
-                if f(hi) >= 0.0:
-                    lo = hi
-                else:
-                    return bisect(lo, hi)
-            return params.theta_cap
-        theta_old = params.theta_init
-        while True:
-            theta_new = theta_old * params.shrink
-            if f(theta_new) >= 0.0:
-                return bisect(theta_new, theta_old)
-            theta_old = theta_new
-            if theta_new < params.floor:
-                return None
-
-    theta = search()
-    if theta is None or ks(theta) <= 0.0:
-        return None, math.inf, math.nan, math.nan
-    return theta, -math.log(epsilon) / ks(theta), ks(theta), ka(theta)
-
-
-def same_bits(a, b):
-    if a is None or b is None:
-        return a is b
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
+def mp_root(rates, cap):
+    """The positive root of a concave f with f(0) = 0 < f'(0) and f(cap) < 0."""
+    lo = mp.mpf(cap)
+    while rates(lo)[0] < 0:
+        lo /= 2
+    hi = min(2 * lo, mp.mpf(cap))
+    return mp.findroot(lambda t: rates(t)[0], (lo, hi), solver="anderson")
 
 
 @st.composite
@@ -322,12 +310,89 @@ def bound_inputs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(bound_inputs())
-def test_theta_star_bit_exact_against_max_shift(inputs):
+def test_theta_star_against_mpmath_root(inputs):
     x_a, x_s, pi, epsilon = inputs
-    theta, w_ms, ks, ka = reference_delay_bound(x_a, x_s, pi, epsilon)
-    assert same_bits(find_theta_star(x_a, x_s, pi), theta)
+    p = ThetaSearchParams()
+    rates, slope0, dominated = mp_gap(x_a, x_s, pi)
+    theta = find_theta_star(x_a, x_s, pi)
     res = delay_bound(x_a, x_s, pi, epsilon)
-    assert same_bits(res.theta_star, theta)
-    assert same_bits(res.w_ms, w_ms)
-    assert same_bits(res.k_prime_s_at_star, ks)
-    assert same_bits(res.k_prime_a_at_star, ka)
+    if dominated or (slope0 > 0 and rates(mp.mpf(p.theta_cap))[0] >= 0):
+        assert theta == p.theta_cap
+    elif slope0 <= 0:
+        assert theta is None and res.theta_star is None
+    else:
+        root = mp_root(rates, p.theta_cap)
+        if root < p.floor:
+            assert theta is None
+            return
+        _, df, ka = rates(root)
+        # the relative tolerance of the search plus the float conditioning of f near its root
+        tol = 1e-9 * root + 1e-13 * (1 + abs(ka)) / abs(df)
+        assert theta is not None and abs(mp.mpf(theta) - root) <= tol
+        assert res.theta_star == theta
+        assert res.k_prime_s_at_star == service_log_neg_mgf(x_s, pi, theta)
+        assert res.k_prime_a_at_star == arrival_log_mgf(x_a, theta)
+        assert res.w_ms == -math.log(epsilon) / res.k_prime_s_at_star
+
+
+# ------------------------------------------------ evaluation counts
+
+
+@pytest.fixture
+def gap_evals(monkeypatch):
+    """Counts calls of every arrival rate function: one per gap evaluation,
+    plus one for the value of K'_a at theta* in delay_bound."""
+    box = [0]
+    make = martingale._arrival_rate
+
+    class Counting:
+        def __init__(self, rate):
+            self._rate = rate
+
+        def __call__(self, theta):
+            box[0] += 1
+            return self._rate(theta)
+
+        def __getattr__(self, name):
+            return getattr(self._rate, name)
+
+    monkeypatch.setattr(martingale, "_arrival_rate", lambda x_a: Counting(make(x_a)))
+    return box
+
+
+def test_under_provisioned_without_evaluation(gap_evals):
+    x_a = ArrivalSampleSet([200] * 8)
+    x_s = CapacitySampleSet([np.full(8, 150)], 6, 0)
+    assert find_theta_star(x_a, x_s, [1.0]) is None
+    assert delay_bound(x_a, x_s, [1.0], 1e-3).theta_star is None
+    assert gap_evals[0] == 0
+
+
+def test_dominated_arrivals_capped_without_evaluation(gap_evals):
+    x_a = ArrivalSampleSet([0, 40, 90, 90])
+    x_s = CapacitySampleSet([np.array([90, 120]), np.array([200, 95])], 6, 1)
+    assert find_theta_star(x_a, x_s, [0.3, 0.7]) == 64.0
+    assert gap_evals[0] == 0
+
+
+def test_equal_constant_rates_capped():
+    x_a = ArrivalSampleSet([150] * 8)
+    x_s = CapacitySampleSet([np.full(5, 150)], 6, 0)
+    assert find_theta_star(x_a, x_s, [1.0]) == 64.0
+    res = delay_bound(x_a, x_s, [1.0], 1e-3)
+    assert res.theta_star == 64.0 and math.isfinite(res.w_ms)
+
+
+def test_criterion_2_windows_average_evaluations(gap_evals, monkeypatch):
+    calls = [0]
+    bound = near_rt.delay_bound
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return bound(*args, **kwargs)
+
+    monkeypatch.setattr(near_rt, "delay_bound", counted)
+    specs = table_specs()
+    brute_force_allocate(specs, table_windows(specs), 40, AllocatorConfig())
+    assert calls[0] == 3 * 38
+    assert gap_evals[0] / calls[0] <= 10
