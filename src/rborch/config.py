@@ -32,8 +32,11 @@ from .sim import AnomalyConfig, ScenarioConfig
 from .traces import SyntheticModel, load_arrival_trace, load_channel_trace
 
 
-def parse_source(text: str, base_dir: str = ".", channel: bool = False, service_id: int = 0):
-    """Turn a one-line source descriptor into a model or a loaded trace."""
+def parse_source(text: str, base_dir: str = ".", channel: bool = False, service_id: int = 0, tables=None):
+    """Turn a one-line source descriptor into a model or a loaded trace.
+
+    Calls that share a `tables` dict parse each trace file once.
+    """
     toks = text.split()
     if not toks:
         raise ConfigError("empty source descriptor")
@@ -44,7 +47,7 @@ def parse_source(text: str, base_dir: str = ".", channel: bool = False, service_
                 raise ConfigError("trace source takes exactly one path")
             path = os.path.join(base_dir, args[0])
             loader = load_channel_trace if channel else load_arrival_trace
-            return loader(path, service_id)
+            return loader(path, service_id, tables)
         if kind == "constant":
             return SyntheticModel("constant", (int(args[0]),))
         if kind == "uniform-integer":
@@ -118,6 +121,7 @@ def load_config(path) -> ScenarioConfig:
                 raise ConfigError(f"incomplete anomaly block ({exc} missing)") from None
 
         services = []
+        tables: dict = {}  # each trace file is parsed once, for every service that reads it
         for section in parser.sections():
             if not section.startswith("service."):
                 continue
@@ -134,8 +138,8 @@ def load_config(path) -> ScenarioConfig:
                     sid,
                     _convert("w_th_ms", svc["w_th_ms"], float),
                     _convert("epsilon", svc["epsilon"], float),
-                    parse_source(svc["arrival"], base_dir, channel=False, service_id=sid),
-                    parse_source(svc["channel"], base_dir, channel=True, service_id=sid),
+                    parse_source(svc["arrival"], base_dir, False, sid, tables),
+                    parse_source(svc["channel"], base_dir, True, sid, tables),
                 )
             )
         if not services:

@@ -7,6 +7,11 @@ f(0) = 0, and theta* = sup{theta : f(theta) >= 0} is its unique positive root.
 The search classifies the capped and infeasible cases from the samples alone,
 then runs a safeguarded Newton iteration on f from the right.  The delay bound
 follows as -log(eps) / K'_s(theta*) slots.
+
+A CapacitySampleSet keeps the sorted unique values and counts of all its
+regions back to back in one table with per-region offsets, so K'_s is
+assembled from it with array operations and no loop over regions.  An ArrivalSampleSet builds K'_a once; every candidate guarantee
+evaluated against the same arrivals reuses it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ def unique_counts(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ArrivalSampleSet:
     """Observed bits-per-TTI window feeding the arrival MGF."""
 
-    __slots__ = ("samples", "_vals", "_counts")
+    __slots__ = ("samples", "_rate")
 
     def __init__(self, samples):
         arr = np.asarray(samples)
@@ -41,23 +46,21 @@ class ArrivalSampleSet:
         if np.any(arr < 0):
             raise ValueError("arrival samples must be non-negative")
         self.samples = arr.astype(np.float64, copy=False)
-        self._vals = None
-        self._counts = None
+        self._rate = None  # K'_a, built on first use
 
     def __len__(self) -> int:
         return len(self.samples)
 
-    def compressed(self):
-        """(unique values, counts); duplicates are frequent with synthetic sources."""
-        if self._vals is None:
-            self._vals, self._counts = unique_counts(self.samples)
-        return self._vals, self._counts
-
 
 class CapacitySampleSet:
-    """Per-region service samples: vector n holds sums over n + n_min RBs."""
+    """Per-region service samples: region n holds sums over n + n_min RBs.
 
-    __slots__ = ("per_n_samples", "n_min", "n_add", "_compressed")
+    per_n_samples[n] is region n's float64 samples.  The sorted unique values
+    of every region and their float64 counts lie back to back in one table:
+    region n's are vals and counts over val_offsets[n]:val_offsets[n + 1].
+    """
+
+    __slots__ = ("n_min", "n_add", "per_n_samples", "vals", "counts", "val_offsets")
 
     def __init__(self, per_n_samples, n_min: int, n_add: int):
         if n_min < 1:
@@ -74,26 +77,33 @@ class CapacitySampleSet:
             if np.any(arr < 0):
                 raise ValueError(f"service samples must be non-negative (region {n})")
             vecs.append(arr.astype(np.float64, copy=False))
-        self.per_n_samples = vecs
-        self.n_min = n_min
-        self.n_add = n_add
-        self._compressed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        uniq = [unique_counts(v) for v in vecs]
+        sizes = np.cumsum([len(vals) for vals, _ in uniq])
+        self._fill(
+            n_min,
+            vecs,
+            np.concatenate([vals for vals, _ in uniq]),
+            np.concatenate([counts for _, counts in uniq]),
+            np.concatenate(([0], sizes)),
+        )
 
     @classmethod
-    def from_groups(cls, groups, n_min: int) -> CapacitySampleSet:
-        """Set over already checked regions: groups[n] = (float64 samples, unique values, counts)."""
+    def _of_table(cls, n_min: int, per_n_samples, vals, counts, val_offsets) -> CapacitySampleSet:
+        """Set over already checked regions and their table, taken as they are."""
         self = cls.__new__(cls)
-        self.per_n_samples = [samples for samples, _, _ in groups]
-        self.n_min = n_min
-        self.n_add = len(groups) - 1
-        self._compressed = {n: (vals, counts) for n, (_, vals, counts) in enumerate(groups)}
+        self._fill(n_min, per_n_samples, vals, counts, val_offsets)
         return self
 
-    def compressed(self, n: int):
-        got = self._compressed.get(n)
-        if got is None:
-            got = self._compressed[n] = unique_counts(self.per_n_samples[n])
-        return got
+    def _fill(self, n_min, per_n_samples, vals, counts, val_offsets):
+        self.n_min = n_min
+        self.n_add = len(per_n_samples) - 1
+        self.per_n_samples = per_n_samples
+        self.vals, self.counts, self.val_offsets = vals, counts, val_offsets
+
+    def compressed(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted unique values, float64 counts) of region n."""
+        a, b = self.val_offsets[n], self.val_offsets[n + 1]
+        return self.vals[a:b], self.counts[a:b]
 
 
 @dataclass(frozen=True)
@@ -164,27 +174,31 @@ class _Rate:
 
 
 def _arrival_rate(x_a: ArrivalSampleSet) -> _Rate:
-    """K'_a over one compression of the samples."""
-    vals, counts = x_a.compressed()
-    mean = float(np.dot(counts, vals)) / len(x_a)
-    return _Rate(1.0, vals, counts, (np.ones(1), np.array([mean])), math.log(len(x_a)))
+    """K'_a over one compression of the samples, built once per set."""
+    if x_a._rate is None:
+        vals, counts = unique_counts(x_a.samples)
+        mean = float(np.dot(counts, vals)) / len(x_a)
+        x_a._rate = _Rate(1.0, vals, counts, (np.ones(1), np.array([mean])), math.log(len(x_a)))
+    return x_a._rate
 
 
 def _service_rate(x_s: CapacitySampleSet, pi) -> _Rate:
-    """K'_s over one flattening of the active regions into (values, weights)."""
+    """K'_s over the regions with pi_n != 0, read from the set's table without a loop.
+
+    Region means come from np.add.reduceat: the samples are whole bits below
+    2^53, so every partial sum is exact and equals a per-region dot product.
+    """
     pi = _normalize_pi(pi, x_s.n_add)
-    chunks_v, chunks_w, ps, means = [], [], [], []
-    for n in range(x_s.n_add + 1):
-        p = pi[n]
-        if p == 0.0:
-            continue
-        vals, counts = x_s.compressed(n)
-        t_n = len(x_s.per_n_samples[n])
-        chunks_v.append(vals)
-        chunks_w.append(counts * (p / t_n))
-        ps.append(p)
-        means.append(float(np.dot(counts, vals)) / t_n)
-    return _Rate(-1.0, np.concatenate(chunks_v), np.concatenate(chunks_w), (np.array(ps), np.array(means)))
+    t_n = np.fromiter(map(len, x_s.per_n_samples), np.int64, x_s.n_add + 1)
+    per_val = np.diff(x_s.val_offsets)
+    vals, counts = x_s.vals, x_s.counts
+    means = np.add.reduceat(counts * vals, x_s.val_offsets[:-1]) / t_n
+    w = counts * np.repeat(pi / t_n, per_val)
+    active = pi != 0.0
+    if not active.all():
+        keep = np.repeat(active, per_val)
+        vals, w, pi, means = vals[keep], w[keep], pi[active], means[active]
+    return _Rate(-1.0, vals, w, (pi, means))
 
 
 def arrival_log_mgf(x_a: ArrivalSampleSet, theta: float) -> float:

@@ -149,17 +149,18 @@ def _parse_int(raw: str, name: str, line: int) -> int:
         raise TraceParseError(line, f"{name} is not an integer: {raw!r}") from None
 
 
-def _service_rows(source, service_id: int, headers: tuple[tuple[str, ...], ...]):
-    """(header, [(line, tti, row), ...]) for one service of a trace CSV.
+def _read_rows(source, headers: tuple[tuple[str, ...], ...]):
+    """(header, {service_id: [(line, tti, row), ...]}, error) for a whole trace CSV.
 
     `source` is a path (str or os.PathLike) or an open text stream; a path is
     read whole and closed before any value column is parsed.  Checks the
-    header, the field count, the integer tti/service_id columns, and that tti
-    is non-negative and strictly increasing within the service.
+    header, then each row's field count and integer tti/service_id columns;
+    reading stops at the first row that fails them, and that row's error is
+    returned for each service to raise after checking its own earlier rows.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, newline="") as fh:
-            return _service_rows(fh, service_id, headers)
+            return _read_rows(fh, headers)
     reader = csv.reader(source)
     try:
         header = tuple(h.strip() for h in next(reader))
@@ -167,35 +168,60 @@ def _service_rows(source, service_id: int, headers: tuple[tuple[str, ...], ...])
         raise TraceParseError(1, "empty file, header row required") from None
     if header not in headers:
         raise TraceParseError(1, f"unexpected header {header!r}")
-    rows = []
-    last_tti = -1
+    by_service: dict[int, list] = {}
     for line, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != len(header):
-            raise TraceParseError(line, f"expected {len(header)} fields, got {len(row)}")
-        tti = _parse_int(row[0], "tti", line)
-        if _parse_int(row[1], "service_id", line) != service_id:
-            continue
+        try:
+            if len(row) != len(header):
+                raise TraceParseError(line, f"expected {len(header)} fields, got {len(row)}")
+            tti = _parse_int(row[0], "tti", line)
+            service_id = _parse_int(row[1], "service_id", line)
+        except TraceParseError as exc:
+            return header, by_service, exc
+        by_service.setdefault(service_id, []).append((line, tti, row))
+    return header, by_service, None
+
+
+def _service_rows(source, service_id: int, headers: tuple[tuple[str, ...], ...], tables: Optional[dict]):
+    """(header, [(line, tti, row), ...]) for one service of a trace CSV.
+
+    With a `tables` dict, a path's rows are read on its first use and kept
+    there for later calls.  Checks that tti is non-negative and strictly
+    increasing within the service; errors come in file order, as if the file
+    were read for this service alone.
+    """
+    if tables is not None and isinstance(source, (str, os.PathLike)):
+        key = (os.fspath(source), headers)
+        if key not in tables:
+            tables[key] = _read_rows(source, headers)
+        header, by_service, error = tables[key]
+    else:
+        header, by_service, error = _read_rows(source, headers)
+    rows = by_service.get(service_id, [])
+    last_tti = -1
+    for line, tti, _ in rows:
         if tti < 0:
             raise TraceParseError(line, "tti must be non-negative")
         if tti <= last_tti:
             raise TraceParseError(line, "tti values must be strictly increasing per service")
         last_tti = tti
-        rows.append((line, tti, row))
+    if error is not None:
+        raise error
     if not rows:
         raise TraceValidationError(f"no rows for service {service_id}")
     return header, rows
 
 
-def load_arrival_trace(source, service_id: int) -> ArrivalTrace:
+def load_arrival_trace(source, service_id: int, tables: Optional[dict] = None) -> ArrivalTrace:
     """Parse an arrivals CSV, keeping rows for `service_id` and gap-filling zeros.
 
-    `source` is a path or an open text stream.  Missing TTIs become 0-bit
+    `source` is a path or an open text stream; calls that share a `tables`
+    dict read each path once (see `_service_rows`).  Missing TTIs become 0-bit
     slots; the optional `packet_sizes` column is a `;`-separated list whose
     sum must equal the row's bits (empty: the bits form one packet).
     """
-    header, rows = _service_rows(source, service_id, (ARRIVAL_HEADER, ARRIVAL_HEADER_PKT))
+    header, rows = _service_rows(source, service_id, (ARRIVAL_HEADER, ARRIVAL_HEADER_PKT), tables)
     horizon = rows[-1][1] + 1
     bits = np.zeros(horizon, dtype=np.int64)
     sizes = [()] * horizon if header == ARRIVAL_HEADER_PKT else None
@@ -222,13 +248,14 @@ def load_arrival_trace(source, service_id: int) -> ArrivalTrace:
     return ArrivalTrace(service_id, bits, None if sizes is None else tuple(sizes))
 
 
-def load_channel_trace(source, service_id: int) -> ChannelTrace:
+def load_channel_trace(source, service_id: int, tables: Optional[dict] = None) -> ChannelTrace:
     """Parse a channel CSV (`tti,service_id,bits_per_rb`) for one service.
 
-    `source` is a path or an open text stream; the service's rows must cover
-    every TTI from 0 with a positive rate.
+    `source` is a path or an open text stream (`tables` as for
+    `load_arrival_trace`); the service's rows must cover every TTI from 0
+    with a positive rate.
     """
-    _, rows = _service_rows(source, service_id, (CHANNEL_HEADER,))
+    _, rows = _service_rows(source, service_id, (CHANNEL_HEADER,), tables)
     vals = []
     for line, _, row in rows:
         c = _parse_int(row[2], "bits_per_rb", line)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 SIGMA_FLOOR = 1e-3
 
@@ -147,6 +146,8 @@ def region_probabilities(gmm: GmmMixture, n_add: int) -> UtilizationPmf:
     below and region n_add all mass above, then the vector is renormalized so
     it is exactly a PMF.
     """
+    from scipy.special import ndtr  # imported here: it is most of the cost of importing rborch
+
     if n_add < 0:
         raise ValueError("n_add must be non-negative")
     edges = np.arange(n_add + 2, dtype=np.float64) - 0.5

@@ -1,12 +1,14 @@
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rborch.capacity
-from rborch.capacity import ConcatPerRbVector, build_capacity_samples
+from rborch.capacity import PASS_SAMPLES, ConcatPerRbVector, build_capacity_samples
 from rborch.martingale import ArrivalSampleSet
 from rborch.near_rt import ServiceSpec, ServiceWindow, allocate, brute_force_allocate
 
@@ -24,21 +26,25 @@ def oracle_entries(bits, rbs):
     return out
 
 
-def oracle_samples(bits, rbs, n_min, n_cell):
-    """Exact Fraction grouping with half-even rounding, floored at one bit."""
-    entries = oracle_entries(bits, rbs)
-    csum = [Fraction(0)]
-    for e in entries:
-        csum.append(csum[-1] + e)
-    length = len(entries)
-    per_n = []
-    for g in range(n_min, n_cell + 1):
+def oracle_groups(bits, rbs):
+    """g -> exact Fraction group sums rounded half-even, floored at one bit;
+    a group longer than the window scales the whole window's sum."""
+    csum = list(itertools.accumulate(oracle_entries(bits, rbs), initial=Fraction(0)))
+    length = len(csum) - 1
+
+    @functools.cache
+    def group(g):
         t = length // g
         if t == 0:
-            per_n.append([max(1, round(csum[-1] * g / length))])
-        else:
-            per_n.append([max(1, round(csum[(i + 1) * g] - csum[i * g])) for i in range(t)])
-    return per_n
+            return [max(1, round(csum[-1] * g / length))]
+        return [max(1, round(csum[(i + 1) * g] - csum[i * g])) for i in range(t)]
+
+    return group
+
+
+def oracle_samples(bits, rbs, n_min, n_cell):
+    group = oracle_groups(bits, rbs)
+    return [group(g) for g in range(n_min, n_cell + 1)]
 
 
 def assert_matches_oracle(bits, rbs, n_min, n_cell):
@@ -244,13 +250,13 @@ def test_cached_builds_match_fresh_window(window, pairs):
 
 def test_groups_built_once_per_window(monkeypatch):
     built = []
-    group_samples = rborch.capacity._group_samples
+    build_pass = rborch.capacity._pass
 
-    def counting(x_con, g):
-        built.append((id(x_con), g))
-        return group_samples(x_con, g)
+    def counting(x_con, gs):
+        built.extend((id(x_con), g) for g in gs)
+        return build_pass(x_con, gs)
 
-    monkeypatch.setattr(rborch.capacity, "_group_samples", counting)
+    monkeypatch.setattr(rborch.capacity, "_pass", counting)
     rng = np.random.default_rng(4)
     specs = [ServiceSpec(id=m, w_th_ms=5.0, epsilon=1e-3) for m in range(2)]
     windows = [
@@ -273,3 +279,75 @@ def test_groups_built_once_per_window(monkeypatch):
     assert len(built) == 2 * 30
     allocate(specs, windows, 32)  # larger cell: only groups 31 and 32 are new
     assert sorted(g for _, g in built[2 * 30 :]) == [31, 31, 32, 32]
+
+
+@st.composite
+def long_windows(draw):
+    """Packet-run or unit-run windows up to about 4000 RBs: a drawn run pattern repeated."""
+    max_rbs = draw(st.sampled_from([1, 200]))
+    pattern = draw(st.lists(st.tuples(st.integers(1, 5000), st.integers(1, max_rbs)), min_size=1, max_size=12))
+    reps = draw(st.integers(1, max(1, 4000 // sum(r for _, r in pattern))))
+    bits, rbs = zip(*(pattern * reps))
+    return list(bits), list(rbs)
+
+
+builds = st.lists(
+    st.tuples(st.integers(1, 3) | st.integers(1, 120), st.integers(0, 60)).map(lambda p: (p[0], p[0] + p[1])),
+    min_size=1,
+    max_size=6,
+)
+
+
+def assert_build_matches_oracle(x, group, n_min, n_cell):
+    s = build_capacity_samples(x, n_min, n_cell)
+    assert (s.n_min, s.n_add) == (n_min, n_cell - n_min)
+    for arr in (s.vals, s.counts, *s.per_n_samples):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+    for n, g in enumerate(range(n_min, n_cell + 1)):
+        expect = group(g)
+        assert s.per_n_samples[n].astype(np.int64).tolist() == expect
+        vals, counts = s.compressed(n)
+        want_vals, want_counts = np.unique(expect, return_counts=True)
+        assert vals.tolist() == want_vals.tolist() and counts.tolist() == want_counts.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_windows(), builds)
+@example(([100], [4]), [(3, 6), (1, 2)])  # groups longer than the window
+@example(([7, 9, 4] * 1000, [1] * 3000), [(2, 40), (1, 3)])  # lone over-budget sizes
+@example(([900, 1300, 450, 700] * 60, [31, 2, 57, 9] * 60), [(40, 100), (20, 45), (10, 120)])  # multi-size passes
+def test_table_builds_match_fraction_oracle(window, pairs):
+    # one window serves every build in turn; each build is checked whole against the oracle
+    bits, rbs = window
+    x = ConcatPerRbVector(bits, rbs)
+    group = oracle_groups(bits, rbs)
+    for n_min, n_cell in pairs:
+        assert_build_matches_oracle(x, group, n_min, n_cell)
+
+
+def test_pass_kinds_match_fraction_oracle(monkeypatch):
+    passes = []
+    build_pass = rborch.capacity._pass
+
+    def recording(x_con, gs):
+        passes.append((len(x_con), list(gs)))
+        return build_pass(x_con, gs)
+
+    monkeypatch.setattr(rborch.capacity, "_pass", recording)
+    rng = np.random.default_rng(5)
+    packet = (rng.integers(300, 1500, 80).tolist(), rng.integers(1, 60, 80).tolist())
+    unit = (rng.integers(1, 60, 3000).tolist(), [1] * 3000)
+    for (bits, rbs), pairs in ((packet, [(30, 100), (12, 40), (11, 40)]), (unit, [(1, 6), (2, 3)]), (([50, 70], [2, 1]), [(2, 5)])):
+        x = ConcatPerRbVector(bits, rbs)
+        group = oracle_groups(bits, rbs)
+        for n_min, n_cell in pairs:
+            assert_build_matches_oracle(x, group, n_min, n_cell)
+    kinds = set()
+    for length, gs in passes:
+        t = [length // g for g in gs]
+        if len(gs) > 1:
+            assert 0 < min(t) and sum(t) <= PASS_SAMPLES
+            kinds.add("multi")
+        else:
+            kinds.add("scaled" if t[0] == 0 else "over budget" if t[0] > PASS_SAMPLES else "single")
+    assert kinds == {"multi", "single", "scaled", "over budget"}

@@ -105,6 +105,26 @@ class TestConfig:
         assert cfg.services[0].arrival.bits_per_tti.tolist() == [100, 0, 50]
         assert cfg.services[0].channel.bits_per_rb.tolist() == [25, 30]
 
+    def test_shared_trace_files_parsed_once(self, tmp_path, monkeypatch):
+        (tmp_path / "arr.csv").write_text("tti,service_id,bits\n0,0,100\n0,1,70\n2,0,50\n1,1,20\n")
+        (tmp_path / "ch.csv").write_text("tti,service_id,bits_per_rb\n0,0,25\n0,1,20\n1,0,30\n")
+        p = tmp_path / "shared.cfg"
+        p.write_text(BASE_CFG.replace("arrival = two-point 0:0.5 200:0.5", "arrival = trace arr.csv")
+                     .replace("arrival = constant 60", "arrival = trace arr.csv")
+                     .replace("channel = constant 25", "channel = trace ch.csv"))
+        opened = []
+        real_open = open
+
+        def spy(*args, **kwargs):
+            opened.append(os.path.basename(args[0]))
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        cfg = load_config(p)
+        assert sorted(name for name in opened if name.endswith(".csv")) == ["arr.csv", "ch.csv"]
+        assert [s.arrival.bits_per_tti.tolist() for s in cfg.services] == [[100, 0, 50], [70, 20]]
+        assert [s.channel.bits_per_rb.tolist() for s in cfg.services] == [[25, 30], [20]]
+
 
 BAD_VALUES = {
     "epsilon": ("epsilon = 1e-3", "epsilon = 2"),

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 import mpmath as mp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import table_specs, table_windows
 
 from rborch import martingale, near_rt
+from rborch.capacity import ConcatPerRbVector, build_capacity_samples
 from rborch.martingale import (
     ArrivalSampleSet,
     CapacitySampleSet,
@@ -396,3 +397,60 @@ def test_criterion_2_windows_average_evaluations(gap_evals, monkeypatch):
     brute_force_allocate(specs, table_windows(specs), 40, AllocatorConfig())
     assert calls[0] == 3 * 38
     assert gap_evals[0] / calls[0] <= 10
+
+
+# ------------------------------------------------ service rate from the table
+
+
+def per_region_service_rate(x_s, pi):
+    """The service rate's (values, weights, pi, means) by the former per-region loop."""
+    chunks_v, chunks_w, ps, means = [], [], [], []
+    for n in range(x_s.n_add + 1):
+        p = pi[n]
+        if p == 0.0:
+            continue
+        samples = x_s.per_n_samples[n]
+        vals, counts = np.unique(samples, return_counts=True)
+        counts = counts.astype(np.float64)
+        t_n = len(samples)
+        chunks_v.append(vals)
+        chunks_w.append(counts * (p / t_n))
+        ps.append(p)
+        means.append(float(np.dot(counts, vals)) / t_n)
+    return np.concatenate(chunks_v), np.concatenate(chunks_w), np.array(ps), np.array(means)
+
+
+@st.composite
+def rate_inputs(draw):
+    n_add = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        vecs = [draw(st.lists(st.integers(0, 5000), min_size=1, max_size=30)) for _ in range(n_add + 1)]
+        x_s = CapacitySampleSet(vecs, 2, n_add)
+    else:  # a slice of a window's group table
+        runs = draw(st.lists(st.tuples(st.integers(1, 3000), st.integers(1, 80)), min_size=1, max_size=40))
+        bits, rbs = zip(*runs)
+        n_min = draw(st.integers(1, 40))
+        x_s = build_capacity_samples(ConcatPerRbVector(bits, rbs), n_min, n_min + n_add)
+    kind = draw(st.sampled_from(["some zero", "one active", "all active"]))
+    if kind == "one active":
+        weights = [0] * (n_add + 1)
+        weights[draw(st.integers(0, n_add))] = 1
+    else:
+        low = 0 if kind == "some zero" else 1
+        weights = draw(st.lists(st.integers(low, 9), min_size=n_add + 1, max_size=n_add + 1).filter(any))
+    pi = np.asarray(weights, dtype=np.float64) / sum(weights)
+    return x_s, pi
+
+
+@settings(max_examples=150, deadline=None)
+@given(rate_inputs())
+@example((CapacitySampleSet([[5, 5, 9], [7], [1, 2, 2, 3]], 1, 2), np.array([0.5, 0.0, 0.5])))
+@example((CapacitySampleSet([[5, 5, 9], [7], [1, 2, 2, 3]], 1, 2), np.array([0.0, 1.0, 0.0])))
+@example((CapacitySampleSet([[5, 5, 9], [7], [1, 2, 2, 3]], 1, 2), np.array([0.25, 0.25, 0.5])))
+def test_service_rate_matches_per_region_loop(inputs):
+    x_s, pi = inputs
+    rate = martingale._service_rate(x_s, pi)
+    vals, w, ps, means = per_region_service_rate(x_s, pi)
+    for got, want in ((rate.vals, vals), (rate.w, w), (rate.wv, w * vals), *zip(rate.groups, (ps, means))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rate.edge == float(vals.min())

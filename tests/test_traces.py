@@ -184,3 +184,39 @@ def test_extend_cyclically():
     out = extend_cyclically(vals, 8)
     assert out.tolist() == [1, 2, 3, 1, 2, 3, 1, 2]
     assert extend_cyclically(vals, 2).tolist() == [1, 2]
+
+
+SHARED_FILES = {
+    "clean": "tti,service_id,bits\n0,0,100\n0,1,40\n2,0,50\n1,1,10\n",
+    "bad tti in service 1 before a malformed row": "tti,service_id,bits\n0,0,1\n3,1,2\n2,1,3\n1,0,4\n0,0\n",
+    "malformed row before bad tti in service 1": "tti,service_id,bits\n0,0,1\n3,1,2\n1,x,3\n2,1,4\n",
+    "bad value in service 0 only": "tti,service_id,bits\n0,0,-5\n0,1,7\n",
+    "no rows for service 2": "tti,service_id,bits\n0,0,1\n0,1,2\n",
+    "bad header": "tti,service,bits\n0,0,1\n",
+}
+
+
+def load_outcome(*args):
+    try:
+        return load_arrival_trace(*args).bits_per_tti.tolist()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_FILES))
+def test_shared_tables_read_once_with_the_same_outcomes(name, tmp_path, monkeypatch):
+    path = tmp_path / "arr.csv"
+    path.write_text(SHARED_FILES[name])
+    fresh = [load_outcome(path, sid) for sid in range(3)]
+    opened = []
+    real_open = open
+
+    def spy(*args, **kwargs):
+        opened.append(args[0])
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    tables = {}
+    assert [load_outcome(path, sid, tables) for sid in range(3)] == fresh
+    # a file whose header fails is not kept: each call raises the same error again
+    assert len(opened) == (3 if name == "bad header" else 1)

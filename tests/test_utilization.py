@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -132,3 +136,14 @@ def test_pmf_validation():
         GmmMixture([0.5, 0.6], [0, 1], [1, 1])
     with pytest.raises(ValueError):
         GmmMixture([1.0], [0.0], [0.0])
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.special is most of the import time; only region_probabilities needs it
+    import rborch
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rborch.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, rborch, rborch.cli; sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
