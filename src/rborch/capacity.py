@@ -7,17 +7,17 @@ RBs, and each group's exact rational sum, rounded half-even to whole bits, is
 one service sample.  All arithmetic is exact int64: the prefix sum at RB
 boundary b is pn[b] / pd[b], where pd[b] is the length of the run holding b.
 
-The samples of group size g do not depend on n_min, so each window keeps
-every group size it has built: each size's read-only samples, and one table,
-ordered by g, of each size's sorted unique values and their counts with per-g
-offsets.  A build adds only the sizes the window lacks and returns its sizes
-n_min..n_cell as a CapacitySampleSet whose unique values and counts are a
-slice of that table.  The samples stay one array per size: nothing on the
-decision path reads them, and copying them into one table per window put a
-long window's samples in fresh memory, which made decisions on long windows
-slower.
+The delay bound reads a region's samples only through their distinct values,
+how often each occurs and how many there are, and none of these depends on
+n_min.  So each window keeps one read-only table over one contiguous range of
+group sizes lo..hi: each size's sorted unique values and counts, back to back
+with per-size offsets, and each size's sample count.  The samples themselves
+are never kept.  A build for n_min..n_cell extends the range at whichever
+ends it must, so a request that leaves a gap to the range also builds the
+sizes in the gap, and returns its sizes as a CapacitySampleSet over a slice
+of the table.
 
-Missing sizes are built in passes: consecutive sizes whose samples fit in
+New sizes are built in passes: consecutive sizes whose samples fit in
 PASS_SAMPLES share one gather of the prefix, one rounding and one sort of
 (size, sum) keys, which keeps numpy's per-call cost off the many short sizes
 of a packet window; a size with more samples, or longer than the window, is
@@ -41,21 +41,20 @@ _INT64_LIMIT = 1 << 62
 PASS_SAMPLES = 1024
 # (size index, sum) keys of a pass stay below this, so they and the sums are exact in float64 too
 _KEY_LIMIT = 1 << 53
-# (unique values, counts, offsets): size g owns vals/counts[offsets[g]:offsets[g + 1]],
-# nothing while it is not built
-_EMPTY_TABLE = (np.empty(0), np.empty(0), np.zeros(1, dtype=np.int64))
 
 
 class ConcatPerRbVector:
     """Per-RB capacity stream of one window, run-length encoded as packet runs.
 
     Run j spreads bits[j] evenly over rbs[j] consecutive RBs.  The exact
-    prefix is built on first use and kept with the window, and so are the
-    samples of every group size built on it (`_samples[g]`, None until built)
-    and their unique-value table, so every build on the window shares them.
+    prefix is built on first use and kept with the window, and so is the
+    table of group sizes _lo.._lo + len(t) - 1 built on it: (unique values,
+    counts, offsets, t), where size g owns vals/counts over
+    offsets[g - _lo]:offsets[g - _lo + 1] and has t[g - _lo] samples.  Every
+    build on the window shares them.
     """
 
-    __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_samples", "_table")
+    __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_lo", "_table")
 
     def __init__(self, bits, rbs):
         self.bits = np.asarray(bits, dtype=np.int64)
@@ -67,8 +66,8 @@ class ConcatPerRbVector:
         self._length = int(self.rbs.sum())
         self._total = int(self.bits.sum())
         self._prefix = None
-        self._samples: list[np.ndarray | None] = []
-        self._table = _EMPTY_TABLE
+        self._lo = 0
+        self._table = None  # no size built yet
 
     def __len__(self) -> int:
         return self._length
@@ -112,19 +111,18 @@ def _round_half_even_div(num, den):
     return q + ((two_r > den) | ((two_r == den) & (q % 2 == 1)))
 
 
-def _passes(missing: list[int], length: int, total: int) -> list[list[int]]:
-    """Split ascending group sizes into passes of consecutive sizes.
+def _passes(sizes: range, length: int, total: int) -> list[list[int]]:
+    """Split a range of group sizes into passes of consecutive sizes.
 
-    A size joins the open pass when it follows the pass's last size and the
-    pass's samples stay within PASS_SAMPLES and its keys below _KEY_LIMIT
-    (every sum is at most the window's total bits); a size longer than the
-    window always goes alone.
+    A size joins the open pass while the pass's samples stay within
+    PASS_SAMPLES and its keys below _KEY_LIMIT (every sum is at most the
+    window's total bits); a size longer than the window always goes alone.
     """
     most = _KEY_LIMIT // (total + 1)
     passes, room = [], 0
-    for g in missing:
+    for g in sizes:
         t = length // g
-        if 0 < t <= room and len(passes[-1]) < most and g == passes[-1][-1] + 1:
+        if 0 < t <= room and len(passes[-1]) < most:
             passes[-1].append(g)
             room -= t
         else:
@@ -134,8 +132,8 @@ def _passes(missing: list[int], length: int, total: int) -> list[list[int]]:
 
 
 def _pass(x_con: ConcatPerRbVector, gs: list[int]):
-    """Build the consecutive group sizes gs: (read-only float64 samples of
-    each size, unique values, counts, unique values per size), in order of size."""
+    """Build the consecutive group sizes gs: (unique values, counts, unique
+    values per size, samples per size), in order of size."""
     pn, pd = x_con.prefix()
     length, total = len(x_con), x_con._total
     if len(gs) == 1:
@@ -150,10 +148,9 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
             else:
                 d = pd[0 : t * g + 1 : g]
                 sums = _round_half_even_div(a[1:] * d[:-1] - a[:-1] * d[1:], d[:-1] * d[1:])
-        samples = np.maximum(sums, 1).astype(np.float64)
-        samples.flags.writeable = False
-        vals, counts = unique_counts(samples)
-        return [samples], vals, counts, [len(vals)]
+        # sums are rounded to float64 before the sort, so any above 2^53 that round alike count as one value
+        vals, counts = unique_counts(np.maximum(sums, 1).astype(np.float64))
+        return vals, counts, [len(vals)], [len(sums)]
     sizes = np.array(gs)
     t = length // sizes
     step = np.repeat(sizes, t)
@@ -165,50 +162,32 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     else:
         d0, d1 = pd[left], pd[right]
         sums = _round_half_even_div(pn[right] * d0 - pn[left] * d1, d0 * d1)
-    sums = np.maximum(sums, 1)
-    samples = sums.astype(np.float64)
-    samples.flags.writeable = False
     # one sort for every size: key i*k + sum orders by size index i, then sum
     k = total + 1
-    keys, counts = np.unique(np.repeat(np.arange(len(gs)) * k, t) + sums, return_counts=True)
+    keys, counts = np.unique(np.repeat(np.arange(len(gs)) * k, t) + np.maximum(sums, 1), return_counts=True)
     which = keys // k
     vals = (keys - which * k).astype(np.float64)
-    ends = np.cumsum(t).tolist()
-    per_size = [samples[a:b] for a, b in zip([0] + ends, ends)]
-    return per_size, vals, counts.astype(np.float64), np.bincount(which, minlength=len(gs))
+    return vals, counts.astype(np.float64), np.bincount(which, minlength=len(gs)), t
 
 
-def _add_groups(x_con: ConcatPerRbVector, missing: list[int]) -> None:
-    """Build the ascending sizes `missing`, none built yet and all covered by
-    the window's offsets, and splice their unique values and counts in."""
-    vals, counts, offsets = x_con._table
-    new_vals, new_counts, val_sizes = [], [], []
-    for gs in _passes(missing, len(x_con), x_con._total):
-        samples, got_vals, got_counts, got_sizes = _pass(x_con, gs)
-        x_con._samples[gs[0] : gs[-1] + 1] = samples
-        new_vals.append(got_vals)
-        new_counts.append(got_counts)
-        val_sizes.append(got_sizes)
-    val_sizes = np.concatenate(val_sizes)
-    at = offsets[missing].tolist()
-    lens = np.diff(offsets)
-    lens[missing] = val_sizes
-    vals = _splice(vals, at, np.concatenate(new_vals), val_sizes)
-    counts = _splice(counts, at, np.concatenate(new_counts), val_sizes)
-    vals.flags.writeable = counts.flags.writeable = False
-    x_con._table = vals, counts, np.concatenate(([0], np.cumsum(lens)))
-
-
-def _splice(old: np.ndarray, at: list[int], new: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """`old` with the consecutive blocks of `new` (block i: sizes[i] entries) inserted before old[at[i]]."""
-    if not len(old):
-        return new
-    pieces, o, n = [], 0, 0
-    for p, size in zip(at, sizes.tolist()):
-        pieces += (old[o:p], new[n : n + size])
-        o, n = p, n + size
-    pieces.append(old[o:])
-    return np.concatenate(pieces)
+def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int) -> None:
+    """Extend the window's table to cover n_min..n_cell: the sizes below its
+    range and above it are built, and the three blocks joined once."""
+    if x_con._table is None:
+        lo, hi, old = n_min, n_min - 1, []
+    else:
+        vals, counts, offsets, t = x_con._table
+        lo, hi, old = x_con._lo, x_con._lo + len(t) - 1, [(vals, counts, np.diff(offsets), t)]
+    if lo <= n_min and n_cell <= hi:
+        return
+    length, total = len(x_con), x_con._total
+    low = [_pass(x_con, gs) for gs in _passes(range(n_min, lo), length, total)]
+    high = [_pass(x_con, gs) for gs in _passes(range(hi + 1, n_cell + 1), length, total)]
+    vals, counts, val_sizes, t = (np.concatenate(part) for part in zip(*low, *old, *high))
+    offsets = np.concatenate(([0], np.cumsum(val_sizes)))
+    for arr in (vals, counts, offsets, t):
+        arr.flags.writeable = False
+    x_con._lo, x_con._table = min(lo, n_min), (vals, counts, offsets, t)
 
 
 def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int) -> CapacitySampleSet:
@@ -217,7 +196,9 @@ def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int) ->
     Region n uses groups of n + n_min consecutive entries; trailing partial
     groups are discarded.  A window shorter than one group yields a single
     linearly scaled sample (logged as degraded).  Group sizes already built on
-    this window are taken from its table.
+    this window are taken from its table; the table covers one range of
+    sizes, so a request that leaves a gap to it also builds the sizes in the
+    gap.  The result is the same whatever the order of the requests.
     """
     if n_min < 1:
         raise ValueError("n_min must be positive")
@@ -226,19 +207,11 @@ def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int) ->
     length = len(x_con)
     if length == 0:
         raise ValueError("capacity window is empty")
-    samples = x_con._samples
-    if len(samples) <= n_cell:  # sizes up to n_cell get their places, empty until built
-        samples += [None] * (n_cell + 1 - len(samples))
-        vals, counts, offsets = x_con._table
-        x_con._table = vals, counts, np.pad(offsets, (0, n_cell + 2 - len(offsets)), mode="edge")
-    missing = [g for g in range(n_min, n_cell + 1) if samples[g] is None]
-    if missing:
-        _add_groups(x_con, missing)
-    vals, counts, offsets = x_con._table
+    _extend(x_con, n_min, n_cell)
+    vals, counts, offsets, t = x_con._table
     # length // g only falls with g, so exactly the groups above the window length are scaled
     if n_cell > length:
         log.info("capacity window of %d entries shorter than some group sizes; scaled fallback used", length)
-    lo, hi = offsets[n_min], offsets[n_cell + 1]
-    return CapacitySampleSet._of_table(
-        n_min, samples[n_min : n_cell + 1], vals[lo:hi], counts[lo:hi], offsets[n_min : n_cell + 2] - lo
-    )
+    a, b = n_min - x_con._lo, n_cell - x_con._lo + 1
+    lo, hi = offsets[a], offsets[b]
+    return CapacitySampleSet._of_table(n_min, t[a:b], vals[lo:hi], counts[lo:hi], offsets[a : b + 1] - lo)

@@ -169,14 +169,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_grid(raw: str, name: str) -> list[int]:
+def _parse_grid(raw: str, option: str) -> list[int]:
     try:
         vals = [int(tok) for tok in raw.split(",") if tok]
     except ValueError:
-        raise ConfigError(f"bad {name} grid {raw!r}") from None
+        raise ConfigError(f"bad {option} {raw!r}") from None
     if not vals:
-        raise ConfigError(f"{name} grid is empty")
+        raise ConfigError(f"{option} is empty")
+    for v in vals:
+        _at_least_one(v, option)
     return vals
+
+
+def _at_least_one(value: int, option: str) -> int:
+    if value < 1:
+        raise ConfigError(f"{option} values must be at least 1, got {value}")
+    return value
 
 
 def _arrival_window(spec, t_obs: int, rng) -> np.ndarray:
@@ -231,15 +239,15 @@ def cmd_validate_model(args) -> int:
     if len(cfg.services) != 1:
         raise ConfigError("validate-model needs a single-service config")
     spec = cfg.services[0]
-    n_min_grid = _parse_grid(args.n_min_grid, "n-min")
-    t_obs_grid = _parse_grid(args.t_obs_grid, "t-obs")
+    n_min_grid = _parse_grid(args.n_min_grid, "--n-min-grid")
+    t_obs_grid = _parse_grid(args.t_obs_grid, "--t-obs-grid")
+    runs, run_ttis = _at_least_one(args.runs, "--runs"), _at_least_one(args.run_ttis, "--run-ttis")
     _prepare_out(args.out, ["validate.csv"], args.overwrite)
 
     rows = []
     for n_min in n_min_grid:
         for t_obs in t_obs_grid:
-            w_model, w_meas, rel, _ = validate_point(spec, cfg.seed, n_min, t_obs, args.runs,
-                                                     args.run_ttis, cfg.t_slot_ms)
+            w_model, w_meas, rel, _ = validate_point(spec, cfg.seed, n_min, t_obs, runs, run_ttis, cfg.t_slot_ms)
             rows.append((n_min, t_obs, w_model, w_meas, rel))
     _write_csv(
         os.path.join(args.out, "validate.csv"),
@@ -264,7 +272,8 @@ def cmd_table1(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    grid = _parse_grid(args.n_cell_grid, "n-cell")
+    grid = _parse_grid(args.n_cell_grid, "--n-cell-grid")
+    rbs_per_tti = _at_least_one(args.rbs_per_tti, "--rbs-per-tti")
     if min(grid) < len(cfg.services):
         raise ConfigError("n_cell grid entries must be at least the number of services")
     _prepare_out(args.out, ["table1.csv"], args.overwrite)
@@ -272,7 +281,7 @@ def cmd_table1(args) -> int:
     acfg = AllocatorConfig(t_slot_ms=cfg.t_slot_ms, estimator=cfg.estimator,
                            gmm_components=cfg.gmm_components)
     # one set of windows for every cell size, so their cached group samples carry over
-    windows = table1_windows(cfg.services, (cfg.seed, 20), cfg.t_obs, args.rbs_per_tti)
+    windows = table1_windows(cfg.services, (cfg.seed, 20), cfg.t_obs, rbs_per_tti)
     rows = []
     for n_cell in grid:
         heur = allocate(cfg.services, windows, n_cell, acfg)

@@ -8,10 +8,13 @@ The search classifies the capped and infeasible cases from the samples alone,
 then runs a safeguarded Newton iteration on f from the right.  The delay bound
 follows as -log(eps) / K'_s(theta*) slots.
 
-A CapacitySampleSet keeps the sorted unique values and counts of all its
-regions back to back in one table with per-region offsets, so K'_s is
-assembled from it with array operations and no loop over regions.  An ArrivalSampleSet builds K'_a once; every candidate guarantee
-evaluated against the same arrivals reuses it.
+K'_s reads a region's samples only through their distinct values, how often
+each occurs and how many there are.  So a CapacitySampleSet keeps no samples:
+it holds the sorted unique values and counts of all its regions back to back
+in one table with per-region offsets, and each region's sample count, and
+K'_s is assembled from them with array operations and no loop over regions.
+An ArrivalSampleSet builds K'_a once; every candidate guarantee evaluated
+against the same arrivals reuses it.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ class ArrivalSampleSet:
         arr = np.asarray(samples)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("arrival sample set must be a non-empty 1-d sequence")
-        if np.any(arr < 0):
-            raise ValueError("arrival samples must be non-negative")
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            raise ValueError("arrival samples must be finite and non-negative")
         self.samples = arr.astype(np.float64, copy=False)
         self._rate = None  # K'_a, built on first use
 
@@ -55,49 +58,50 @@ class ArrivalSampleSet:
 class CapacitySampleSet:
     """Per-region service samples: region n holds sums over n + n_min RBs.
 
-    per_n_samples[n] is region n's float64 samples.  The sorted unique values
-    of every region and their float64 counts lie back to back in one table:
-    region n's are vals and counts over val_offsets[n]:val_offsets[n + 1].
+    Only what K'_s reads is kept.  The sorted unique values of every region
+    and their float64 counts lie back to back in one table: region n's are
+    vals and counts over val_offsets[n]:val_offsets[n + 1].  t_n[n] is region
+    n's number of samples.
     """
 
-    __slots__ = ("n_min", "n_add", "per_n_samples", "vals", "counts", "val_offsets")
+    __slots__ = ("n_min", "n_add", "t_n", "vals", "counts", "val_offsets")
 
-    def __init__(self, per_n_samples, n_min: int, n_add: int):
+    def __init__(self, region_samples, n_min: int, n_add: int):
         if n_min < 1:
             raise ValueError("n_min must be a positive RB count")
         if n_add < 0:
             raise ValueError("n_add must be non-negative")
-        if len(per_n_samples) != n_add + 1:
+        if len(region_samples) != n_add + 1:
             raise ValueError("need exactly n_add + 1 sample vectors")
         vecs = []
-        for n, v in enumerate(per_n_samples):
+        for n, v in enumerate(region_samples):
             arr = np.asarray(v)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"sample vector for region {n} is empty")
-            if np.any(arr < 0):
-                raise ValueError(f"service samples must be non-negative (region {n})")
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                raise ValueError(f"service samples must be finite and non-negative (region {n})")
             vecs.append(arr.astype(np.float64, copy=False))
         uniq = [unique_counts(v) for v in vecs]
         sizes = np.cumsum([len(vals) for vals, _ in uniq])
         self._fill(
             n_min,
-            vecs,
+            np.array([len(v) for v in vecs], dtype=np.int64),
             np.concatenate([vals for vals, _ in uniq]),
             np.concatenate([counts for _, counts in uniq]),
             np.concatenate(([0], sizes)),
         )
 
     @classmethod
-    def _of_table(cls, n_min: int, per_n_samples, vals, counts, val_offsets) -> CapacitySampleSet:
-        """Set over already checked regions and their table, taken as they are."""
+    def _of_table(cls, n_min: int, t_n, vals, counts, val_offsets) -> CapacitySampleSet:
+        """Set over an already checked table and sample counts, taken as they are."""
         self = cls.__new__(cls)
-        self._fill(n_min, per_n_samples, vals, counts, val_offsets)
+        self._fill(n_min, t_n, vals, counts, val_offsets)
         return self
 
-    def _fill(self, n_min, per_n_samples, vals, counts, val_offsets):
+    def _fill(self, n_min, t_n, vals, counts, val_offsets):
         self.n_min = n_min
-        self.n_add = len(per_n_samples) - 1
-        self.per_n_samples = per_n_samples
+        self.n_add = len(t_n) - 1
+        self.t_n = t_n
         self.vals, self.counts, self.val_offsets = vals, counts, val_offsets
 
     def compressed(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,13 +132,15 @@ class DelayBoundResult:
     k_prime_s_at_star: float
 
 
-def _normalize_pi(pi, n_add: int) -> np.ndarray:
+def check_pmf(pi, size: int | None = None) -> np.ndarray:
+    """pi as a float64 vector of `size` (any positive number if None)
+    non-negative entries that sum to 1 within 1e-9; a NaN or an infinity fails."""
     arr = np.asarray(pi, dtype=np.float64)
-    if arr.ndim != 1 or len(arr) != n_add + 1:
-        raise ValueError(f"pi must have {n_add + 1} entries, got {arr.shape}")
+    if arr.ndim != 1 or len(arr) == 0 or size not in (None, len(arr)):
+        raise ValueError(f"pi must be a non-empty vector of {size or 'any number of'} entries, got shape {arr.shape}")
     if np.any(arr < 0):
         raise ValueError("pi entries must be non-negative")
-    if abs(float(arr.sum()) - 1.0) > 1e-9:
+    if not abs(float(arr.sum()) - 1.0) <= 1e-9:
         raise ValueError("pi must sum to 1 within 1e-9")
     return arr
 
@@ -188,8 +194,8 @@ def _service_rate(x_s: CapacitySampleSet, pi) -> _Rate:
     Region means come from np.add.reduceat: the samples are whole bits below
     2^53, so every partial sum is exact and equals a per-region dot product.
     """
-    pi = _normalize_pi(pi, x_s.n_add)
-    t_n = np.fromiter(map(len, x_s.per_n_samples), np.int64, x_s.n_add + 1)
+    pi = check_pmf(pi, x_s.n_add + 1)
+    t_n = x_s.t_n
     per_val = np.diff(x_s.val_offsets)
     vals, counts = x_s.vals, x_s.counts
     means = np.add.reduceat(counts * vals, x_s.val_offsets[:-1]) / t_n

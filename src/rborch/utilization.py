@@ -13,6 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .martingale import check_pmf
+
 SIGMA_FLOOR = 1e-3
 
 
@@ -31,10 +33,12 @@ class GmmMixture:
         sg = np.asarray(self.sigmas, dtype=np.float64)
         if not (len(w) == len(mu) == len(sg)) or len(w) == 0:
             raise ValueError("weights, means and sigmas must share a positive length")
-        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-9:
+        if np.any(w <= 0) or not abs(float(w.sum()) - 1.0) <= 1e-9:
             raise ValueError("weights must be positive and sum to 1 within 1e-9")
-        if np.any(sg <= 0):
-            raise ValueError("sigmas must be positive")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("means must be finite")
+        if not np.all((sg > 0) & np.isfinite(sg)):
+            raise ValueError("sigmas must be positive and finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "sigmas", sg)
@@ -47,14 +51,7 @@ class UtilizationPmf:
     pi: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pi, dtype=np.float64)
-        if arr.ndim != 1 or len(arr) == 0:
-            raise ValueError("pi must be a non-empty vector")
-        if np.any(arr < 0):
-            raise ValueError("pi entries must be non-negative")
-        if abs(float(arr.sum()) - 1.0) > 1e-9:
-            raise ValueError("pi must sum to 1 within 1e-9")
-        object.__setattr__(self, "pi", arr)
+        object.__setattr__(self, "pi", check_pmf(self.pi))
 
     @property
     def n_add(self) -> int:

@@ -47,25 +47,42 @@ def oracle_samples(bits, rbs, n_min, n_cell):
     return [group(g) for g in range(n_min, n_cell + 1)]
 
 
+def summary(samples):
+    """(sorted unique values, their counts, sample count) of a list of samples."""
+    vals, counts = np.unique(samples, return_counts=True)
+    return vals.tolist(), counts.tolist(), len(samples)
+
+
+def region(s, n):
+    """What a CapacitySampleSet keeps of region n, in the form of summary()."""
+    vals, counts = s.compressed(n)
+    return vals.tolist(), counts.tolist(), int(s.t_n[n])
+
+
+def assert_regions(s, expect):
+    """Every region of s holds what the sample lists `expect` give, region by region."""
+    assert len(s.t_n) == s.n_add + 1 == len(expect)
+    assert [region(s, n) for n in range(s.n_add + 1)] == [summary(v) for v in expect]
+
+
 def assert_matches_oracle(bits, rbs, n_min, n_cell):
     s = build_capacity_samples(ConcatPerRbVector(bits, rbs), n_min, n_cell)
-    expect = oracle_samples(bits, rbs, n_min, n_cell)
-    assert [v.astype(np.int64).tolist() for v in s.per_n_samples] == expect
+    assert_regions(s, oracle_samples(bits, rbs, n_min, n_cell))
 
 
 class TestExpandPacket:
     def test_even_split(self):
         s = build_capacity_samples(ConcatPerRbVector([100], [4]), 1, 1)
-        assert s.per_n_samples[0].tolist() == [25] * 4
+        assert_regions(s, [[25] * 4])
 
     def test_uneven_split_conserves_sum(self):
         s = build_capacity_samples(ConcatPerRbVector([100], [3]), 1, 3)
-        assert s.per_n_samples[0].tolist() == [33] * 3  # 100/3 per RB, rounded
-        assert s.per_n_samples[2].tolist() == [100]  # the whole packet, exact
+        assert region(s, 0) == summary([33] * 3)  # 100/3 per RB, rounded
+        assert region(s, 2) == summary([100])  # the whole packet, exact
 
     def test_single_bit(self):
         s = build_capacity_samples(ConcatPerRbVector([1], [1]), 1, 1)
-        assert s.per_n_samples[0].tolist() == [1]
+        assert_regions(s, [[1]])
 
     def test_zero_rbs_rejected(self):
         with pytest.raises(ValueError):
@@ -73,9 +90,10 @@ class TestExpandPacket:
 
 
 class TestConcatWindow:
+    # groups of 4 RBs: the first group is the 100-bit packet, or two RBs of each packet
     def test_order_preserved(self):
-        s = build_capacity_samples(ConcatPerRbVector([100, 60], [4, 2]), 1, 1)
-        assert s.per_n_samples[0].tolist() == [25] * 4 + [30] * 2
+        s = build_capacity_samples(ConcatPerRbVector([100, 60], [4, 2]), 4, 4)
+        assert_regions(s, [[100]])
 
     def test_empty(self):
         x = ConcatPerRbVector([], [])
@@ -84,8 +102,8 @@ class TestConcatWindow:
             build_capacity_samples(x, 1, 1)
 
     def test_reversed_order(self):
-        s = build_capacity_samples(ConcatPerRbVector([60, 100], [2, 4]), 1, 1)
-        assert s.per_n_samples[0].tolist() == [30] * 2 + [25] * 4
+        s = build_capacity_samples(ConcatPerRbVector([60, 100], [2, 4]), 4, 4)
+        assert_regions(s, [[110]])
 
 
 class TestBuildCapacitySamples:
@@ -93,24 +111,24 @@ class TestBuildCapacitySamples:
         x = channel([10] * 100)
         s = build_capacity_samples(x, n_min=10, n_cell=25)
         assert s.n_add == 15
-        assert len(s.per_n_samples) == 16
+        assert s.t_n.tolist() == [100 // g for g in range(10, 26)]
 
     def test_group_sums_and_discard(self):
         x = channel([10] * 12)
         s = build_capacity_samples(x, n_min=5, n_cell=5)
-        assert s.per_n_samples[0].tolist() == [50, 50]
+        assert_regions(s, [[50, 50]])
 
     def test_short_window_fallback(self):
         x = channel([10] * 4)
         s = build_capacity_samples(x, n_min=5, n_cell=5)
         # sum 40 scaled by 5/4
-        assert s.per_n_samples[0].tolist() == [50]
+        assert_regions(s, [[50]])
 
     def test_short_packet_window_logs_fallback(self, caplog):
         # 4 RBs of 25 bits against groups of 5: one scaled sample, round(100 * 5 / 4)
         with caplog.at_level("INFO", logger="rborch.capacity"):
             s = build_capacity_samples(ConcatPerRbVector([100], [4]), n_min=5, n_cell=6)
-        assert [v.tolist() for v in s.per_n_samples] == [[125], [150]]
+        assert_regions(s, [[125], [150]])
         assert "scaled fallback" in caplog.text
 
     def test_fallback_logged_on_every_build(self, caplog):
@@ -125,8 +143,7 @@ class TestBuildCapacitySamples:
     def test_constant_channel_exact(self):
         x = channel([25] * 60)
         s = build_capacity_samples(x, n_min=4, n_cell=9)
-        for n, vec in enumerate(s.per_n_samples):
-            assert np.all(vec == (n + 4) * 25)
+        assert_regions(s, [[g * 25] * (60 // g) for g in range(4, 10)])
 
     def test_conservation_with_tail(self):
         rng = np.random.default_rng(0)
@@ -155,21 +172,21 @@ class TestBuildCapacitySamples:
             assert b >= a - 1e-9
 
     def test_monotone_means_from_builder(self):
+        # 2520 = lcm(4..10): every region covers the whole window, so its mean is total * g / 2520
         rng = np.random.default_rng(2)
-        con = channel(rng.integers(1, 60, 240))
-        s = build_capacity_samples(con, n_min=4, n_cell=10)
-        counts = [len(v) for v in s.per_n_samples]
-        for n in range(s.n_add):
-            t = min(counts[n], counts[n + 1])
-            a = s.per_n_samples[n][:t].mean()
-            b = s.per_n_samples[n + 1][:t].mean()
-            assert b >= a - 1.0  # rounding to whole bits can cost up to one bit
+        values = rng.integers(1, 60, 2520)
+        s = build_capacity_samples(channel(values), n_min=4, n_cell=10)
+        assert s.t_n.tolist() == [2520 // g for g in range(4, 11)]
+        totals = [float(np.dot(*s.compressed(n))) for n in range(s.n_add + 1)]
+        assert totals == [float(values.sum())] * 7
+        means = np.array(totals) / s.t_n
+        assert np.all(np.diff(means) > 0)
 
     def test_round_half_even_at_boundary(self):
         # entries of 12.5 bits, groups of 3 -> exact 37.5 -> banker's round to 38
         x = ConcatPerRbVector([25] * 6, [2] * 6)
         s = build_capacity_samples(x, n_min=3, n_cell=3)
-        assert s.per_n_samples[0].tolist() == [38, 38, 38, 38]
+        assert_regions(s, [[38, 38, 38, 38]])
 
     def test_fraction_path_matches_scaled_path(self):
         rng = np.random.default_rng(3)
@@ -188,14 +205,14 @@ class TestBuildCapacitySamples:
         build_capacity_samples(x, 2, 3)
         assert x.prefix() is first
 
-    def test_samples_are_read_only(self):
+    def test_table_is_read_only(self):
         x = ConcatPerRbVector([100, 60, 7], [4, 2, 1])
         s = build_capacity_samples(x, 1, 3)
         vals, counts = s.compressed(1)
-        for arr in (s.per_n_samples[0], vals, counts):
+        for arr in (s.t_n, vals, counts, *x._table):
             with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 5.0
-        assert build_capacity_samples(x, 1, 3).per_n_samples[0].tolist() == [25] * 4 + [30, 30, 7]
+                arr[0] = 5
+        assert region(build_capacity_samples(x, 1, 3), 0) == summary([25] * 4 + [30, 30, 7])
 
     def test_overflow_guard_raises(self):
         # sum(bits) * max(rbs)^2 = 2^42 * 2^22 >= 2^62
@@ -241,11 +258,11 @@ def test_cached_builds_match_fresh_window(window, pairs):
         got = build_capacity_samples(shared, n_min, n_cell)
         fresh = build_capacity_samples(ConcatPerRbVector(bits, rbs), n_min, n_cell)
         assert (got.n_min, got.n_add) == (n_min, n_cell - n_min)
-        assert [v.tolist() for v in got.per_n_samples] == [v.tolist() for v in fresh.per_n_samples]
+        assert got.t_n.tolist() == fresh.t_n.tolist()
         for n in range(got.n_add + 1):
             for mine, theirs in zip(got.compressed(n), fresh.compressed(n)):
                 assert mine.tolist() == theirs.tolist()
-        assert [v.astype(np.int64).tolist() for v in got.per_n_samples] == oracle_samples(bits, rbs, n_min, n_cell)
+        assert_regions(got, oracle_samples(bits, rbs, n_min, n_cell))
 
 
 def test_groups_built_once_per_window(monkeypatch):
@@ -279,6 +296,13 @@ def test_groups_built_once_per_window(monkeypatch):
     assert len(built) == 2 * 30
     allocate(specs, windows, 32)  # larger cell: only groups 31 and 32 are new
     assert sorted(g for _, g in built[2 * 30 :]) == [31, 31, 32, 32]
+    # a build that leaves a gap to the built sizes builds the gap as well, and still nothing twice
+    x = ConcatPerRbVector(rng.integers(300, 1500, 200), rng.integers(1, 60, 200))
+    for (n_min, n_cell), new in (((5, 10), range(5, 11)), ((20, 30), range(11, 31)), ((2, 14), range(2, 5)),
+                                 ((6, 25), range(0)), ((1, 32), [1, 31, 32])):
+        done = len(built)
+        build_capacity_samples(x, n_min, n_cell)
+        assert built[done:] == [(id(x), g) for g in new]
 
 
 @st.composite
@@ -301,14 +325,12 @@ builds = st.lists(
 def assert_build_matches_oracle(x, group, n_min, n_cell):
     s = build_capacity_samples(x, n_min, n_cell)
     assert (s.n_min, s.n_add) == (n_min, n_cell - n_min)
-    for arr in (s.vals, s.counts, *s.per_n_samples):
+    for arr in (s.vals, s.counts):
         assert arr.dtype == np.float64 and not arr.flags.writeable
-    for n, g in enumerate(range(n_min, n_cell + 1)):
-        expect = group(g)
-        assert s.per_n_samples[n].astype(np.int64).tolist() == expect
-        vals, counts = s.compressed(n)
-        want_vals, want_counts = np.unique(expect, return_counts=True)
-        assert vals.tolist() == want_vals.tolist() and counts.tolist() == want_counts.tolist()
+    assert s.t_n.dtype == np.int64 and not s.t_n.flags.writeable
+    for arr in x._table:
+        assert not arr.flags.writeable
+    assert_regions(s, [group(g) for g in range(n_min, n_cell + 1)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -316,6 +338,8 @@ def assert_build_matches_oracle(x, group, n_min, n_cell):
 @example(([100], [4]), [(3, 6), (1, 2)])  # groups longer than the window
 @example(([7, 9, 4] * 1000, [1] * 3000), [(2, 40), (1, 3)])  # lone over-budget sizes
 @example(([900, 1300, 450, 700] * 60, [31, 2, 57, 9] * 60), [(40, 100), (20, 45), (10, 120)])  # multi-size passes
+@example(([900, 1300, 450, 700] * 10, [31, 2, 57, 9] * 10), [(5, 10), (20, 30)])  # a gap to the built sizes
+@example(([900, 1300, 450, 700] * 10, [31, 2, 57, 9] * 10), [(5, 10), (2, 14)])  # new sizes at both ends
 def test_table_builds_match_fraction_oracle(window, pairs):
     # one window serves every build in turn; each build is checked whole against the oracle
     bits, rbs = window

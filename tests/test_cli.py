@@ -321,6 +321,30 @@ class TestValidateModel:
         assert "no packet measured" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("validate-model", "--runs", "-1"),
+        ("validate-model", "--runs", "0"),
+        ("validate-model", "--run-ttis", "0"),
+        ("validate-model", "--n-min-grid", "0"),
+        ("validate-model", "--t-obs-grid", "0"),
+        ("validate-model", "--t-obs-grid", "500,-3"),
+        ("table1", "--rbs-per-tti", "0"),
+        ("table1", "--rbs-per-tti", "-1"),
+        ("table1", "--n-cell-grid", "0"),
+    ],
+)
+def test_option_below_one_exit_1(command, option, value, tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SINGLE_CFG if command == "validate-model" else TRIPLE_CFG)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), option, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err
+    assert not out.exists()
+
+
 TRIPLE_CFG = """
 [scenario]
 n_cell = 30

@@ -6,6 +6,7 @@ import mpmath as mp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import table_specs, table_windows
+from test_capacity import oracle_samples
 
 from rborch import martingale, near_rt
 from rborch.capacity import ConcatPerRbVector, build_capacity_samples
@@ -21,6 +22,7 @@ from rborch.martingale import (
     violation_bound,
 )
 from rborch.near_rt import AllocatorConfig, brute_force_allocate
+from rborch.utilization import GmmMixture, UtilizationPmf
 
 # real root of u^3 = u^2 + u + 1, from mpmath.polyroots at 50 digits
 U_ROOT = 1.8392867552141612
@@ -190,6 +192,25 @@ class TestDelayBound:
         assert w2 == pytest.approx(0.5 * w1, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: delay_bound(
+            ArrivalSampleSet([100, 0, 50]), CapacitySampleSet([[150, 140], [300]], 1, 1), [math.nan, 1.0], 1e-3
+        ),
+        lambda: ArrivalSampleSet([math.nan, 1.0]),
+        lambda: CapacitySampleSet([[math.nan, 2.0]], 1, 0),
+        lambda: UtilizationPmf([math.nan, 1.0]),
+        lambda: GmmMixture(np.array([math.nan, 1.0]), np.array([1.0, 2.0]), np.array([1.0, 1.0])),
+        lambda: GmmMixture(np.array([0.5, 0.5]), np.array([math.nan, 2.0]), np.array([1.0, 1.0])),
+    ],
+    ids=["delay-bound-pi", "arrivals", "capacity", "utilization-pmf", "gmm-weight", "gmm-mean"],
+)
+def test_non_finite_inputs_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestViolationBound:
     def test_zero_query_caps_at_one(self):
         x_a, x_s = bernoulli_inputs()
@@ -263,13 +284,14 @@ class TestStructuralProperties:
 mp.mp.dps = 50
 
 
-def mp_gap(x_a, x_s, pi):
+def mp_gap(arrivals, vecs, pi):
     """f = K'_s - K'_a and f' in 50-digit arithmetic, the sign of f'(0), and
-    whether max(a) <= min(s) over the regions with pi_n > 0."""
-    a = [mp.mpf(float(v)) for v in x_a.samples]
+    whether max(a) <= min(s) over the regions with pi_n > 0, from the raw
+    arrival samples and per-region service samples."""
+    a = [mp.mpf(float(v)) for v in arrivals]
     atoms = [
         (mp.mpf(float(p)) / len(v), mp.mpf(float(s)))
-        for p, v in zip(pi, x_s.per_n_samples) if p > 0
+        for p, v in zip(pi, vecs) if p > 0
         for s in v
     ]
 
@@ -306,15 +328,16 @@ def bound_inputs(draw):
     pi[-1] = 1.0 - pi[:-1].sum()  # sums to 1 within one rounding
     pi = np.clip(pi, 0.0, None)
     epsilon = draw(st.sampled_from([1e-1, 1e-3, 1e-5]))
-    return ArrivalSampleSet(arrivals), CapacitySampleSet(vecs, 1, n_add), pi, epsilon
+    return arrivals, vecs, pi, epsilon
 
 
 @settings(max_examples=200, deadline=None)
 @given(bound_inputs())
 def test_theta_star_against_mpmath_root(inputs):
-    x_a, x_s, pi, epsilon = inputs
+    arrivals, vecs, pi, epsilon = inputs
+    x_a, x_s = ArrivalSampleSet(arrivals), CapacitySampleSet(vecs, 1, len(vecs) - 1)
     p = ThetaSearchParams()
-    rates, slope0, dominated = mp_gap(x_a, x_s, pi)
+    rates, slope0, dominated = mp_gap(arrivals, vecs, pi)
     theta = find_theta_star(x_a, x_s, pi)
     res = delay_bound(x_a, x_s, pi, epsilon)
     if dominated or (slope0 > 0 and rates(mp.mpf(p.theta_cap))[0] >= 0):
@@ -402,14 +425,13 @@ def test_criterion_2_windows_average_evaluations(gap_evals, monkeypatch):
 # ------------------------------------------------ service rate from the table
 
 
-def per_region_service_rate(x_s, pi):
-    """The service rate's (values, weights, pi, means) by the former per-region loop."""
+def per_region_service_rate(vecs, pi):
+    """The service rate's (values, weights, pi, means) by a loop over the raw per-region samples."""
     chunks_v, chunks_w, ps, means = [], [], [], []
-    for n in range(x_s.n_add + 1):
-        p = pi[n]
+    for n, p in enumerate(pi):
         if p == 0.0:
             continue
-        samples = x_s.per_n_samples[n]
+        samples = np.asarray(vecs[n], dtype=np.float64)
         vals, counts = np.unique(samples, return_counts=True)
         counts = counts.astype(np.float64)
         t_n = len(samples)
@@ -426,11 +448,12 @@ def rate_inputs(draw):
     if draw(st.booleans()):
         vecs = [draw(st.lists(st.integers(0, 5000), min_size=1, max_size=30)) for _ in range(n_add + 1)]
         x_s = CapacitySampleSet(vecs, 2, n_add)
-    else:  # a slice of a window's group table
+    else:  # a slice of a window's group table, against the Fraction oracle's groups
         runs = draw(st.lists(st.tuples(st.integers(1, 3000), st.integers(1, 80)), min_size=1, max_size=40))
         bits, rbs = zip(*runs)
         n_min = draw(st.integers(1, 40))
         x_s = build_capacity_samples(ConcatPerRbVector(bits, rbs), n_min, n_min + n_add)
+        vecs = oracle_samples(bits, rbs, n_min, n_min + n_add)
     kind = draw(st.sampled_from(["some zero", "one active", "all active"]))
     if kind == "one active":
         weights = [0] * (n_add + 1)
@@ -439,18 +462,21 @@ def rate_inputs(draw):
         low = 0 if kind == "some zero" else 1
         weights = draw(st.lists(st.integers(low, 9), min_size=n_add + 1, max_size=n_add + 1).filter(any))
     pi = np.asarray(weights, dtype=np.float64) / sum(weights)
-    return x_s, pi
+    return x_s, vecs, pi
+
+
+EXAMPLE_VECS = [[5, 5, 9], [7], [1, 2, 2, 3]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(rate_inputs())
-@example((CapacitySampleSet([[5, 5, 9], [7], [1, 2, 2, 3]], 1, 2), np.array([0.5, 0.0, 0.5])))
-@example((CapacitySampleSet([[5, 5, 9], [7], [1, 2, 2, 3]], 1, 2), np.array([0.0, 1.0, 0.0])))
-@example((CapacitySampleSet([[5, 5, 9], [7], [1, 2, 2, 3]], 1, 2), np.array([0.25, 0.25, 0.5])))
+@example((CapacitySampleSet(EXAMPLE_VECS, 1, 2), EXAMPLE_VECS, np.array([0.5, 0.0, 0.5])))
+@example((CapacitySampleSet(EXAMPLE_VECS, 1, 2), EXAMPLE_VECS, np.array([0.0, 1.0, 0.0])))
+@example((CapacitySampleSet(EXAMPLE_VECS, 1, 2), EXAMPLE_VECS, np.array([0.25, 0.25, 0.5])))
 def test_service_rate_matches_per_region_loop(inputs):
-    x_s, pi = inputs
+    x_s, vecs, pi = inputs
     rate = martingale._service_rate(x_s, pi)
-    vals, w, ps, means = per_region_service_rate(x_s, pi)
+    vals, w, ps, means = per_region_service_rate(vecs, pi)
     for got, want in ((rate.vals, vals), (rate.w, w), (rate.wv, w * vals), *zip(rate.groups, (ps, means))):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert rate.edge == float(vals.min())
