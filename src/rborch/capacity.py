@@ -39,7 +39,8 @@ log = logging.getLogger(__name__)
 _INT64_LIMIT = 1 << 62
 # a pass packs consecutive group sizes while their samples stay within this many
 PASS_SAMPLES = 1024
-# (size index, sum) keys of a pass stay below this, so they and the sums are exact in float64 too
+# group sums and the (size index, sum) keys of a pass stay below this, so
+# they are exact in float64 too
 _KEY_LIMIT = 1 << 53
 
 
@@ -148,7 +149,6 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
             else:
                 d = pd[0 : t * g + 1 : g]
                 sums = _round_half_even_div(a[1:] * d[:-1] - a[:-1] * d[1:], d[:-1] * d[1:])
-        # sums are rounded to float64 before the sort, so any above 2^53 that round alike count as one value
         vals, counts = unique_counts(np.maximum(sums, 1).astype(np.float64))
         return vals, counts, [len(vals)], [len(sums)]
     sizes = np.array(gs)
@@ -181,6 +181,13 @@ def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int) -> None:
     if lo <= n_min and n_cell <= hi:
         return
     length, total = len(x_con), x_con._total
+    # a group inside the window sums to at most the total, and the scaled
+    # group of a size g above the length to total * g / length
+    if total * max(length, n_cell) >= _KEY_LIMIT * length:
+        raise ValueError(
+            "capacity window too large for exact float64 samples: a group sum "
+            f"can reach 2^53 (total {total} bits over {length} RBs, groups up to {n_cell})"
+        )
     low = [_pass(x_con, gs) for gs in _passes(range(n_min, lo), length, total)]
     high = [_pass(x_con, gs) for gs in _passes(range(hi + 1, n_cell + 1), length, total)]
     vals, counts, val_sizes, t = (np.concatenate(part) for part in zip(*low, *old, *high))

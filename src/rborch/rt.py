@@ -5,15 +5,17 @@ State A keeps the near-RT guarantee unchanged; B accumulates an extra-RB
 request while the head packet's wait is above the upper threshold; C holds
 the request while the wait sits between the thresholds.  Mitigation moves
 RBs round-robin from state-A donors to B/C borrowers, conserving the total.
-Each service's queue is a head/tail window over its packet table, and the
-completion TTI and RB count of every sent packet are kept in FIFO order.
+Each service's queue is its packet table read from the head on: a packet is
+queued at TTI t once its arrival TTI is at most t, so arrivals need no
+per-TTI admission step.  The queue counts the bits it has sent, and keeps the
+completion TTI and RB count of every sent packet in FIFO order.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 STATE_A = "A"
@@ -22,6 +24,8 @@ STATE_C = "C"
 
 # a duration this close to a whole number of slots is taken as that number
 _SLOT_TOL = 1e-9
+# arrival TTI of the sentinel packet that ends every packet table: never queued
+_NEVER = 1 << 62
 
 
 class ConfigError(ValueError):
@@ -58,40 +62,40 @@ class RtThresholds:
     q_t: int
     eta: float = 0.75
     tau: float = 0.3
+    q_upper: int = field(init=False)
+    q_lower: int = field(init=False)
 
     def __post_init__(self):
         if self.q_t < 1:
             raise ValueError("q_t must be a positive TTI count")
         if not (0.0 < self.eta <= 1.0) or not (0.0 < self.tau <= 1.0):
             raise ValueError("eta and tau must lie in (0, 1]")
+        object.__setattr__(self, "q_upper", int(self.eta * self.q_t))
+        object.__setattr__(self, "q_lower", int(self.tau * self.q_t))
         if self.q_upper <= self.q_lower:
             raise ValueError(
                 f"q_upper ({self.q_upper}) must exceed q_lower ({self.q_lower}); "
                 "delay budget too small for the chosen eta/tau"
             )
 
-    @property
-    def q_upper(self) -> int:
-        return int(self.eta * self.q_t)
-
-    @property
-    def q_lower(self) -> int:
-        return int(self.tau * self.q_t)
-
     @classmethod
     def for_budget(cls, w_th_ms: float, t_slot_ms: float, eta: float, tau: float) -> "RtThresholds":
         return cls(slot_count(w_th_ms, t_slot_ms), eta, tau)
 
 
+IDLE = FsmRecord()
+
+
 def fsm_step(q: int, prev: FsmRecord, thr: RtThresholds) -> FsmRecord:
-    """Advance one service's state given its head-packet wait q (TTIs)."""
+    """Advance one service's state given its head-packet wait q (TTIs).
+
+    Every state-A result is the one shared record IDLE.
+    """
     if q > thr.q_upper:
         return FsmRecord(STATE_B, prev.n_req + 1)
-    if q < thr.q_lower:
-        return FsmRecord(STATE_A, 0)
     # within [q_lower, q_upper]: hold the request unless we never left A
-    if prev.state == STATE_A:
-        return FsmRecord(STATE_A, 0)
+    if q < thr.q_lower or prev.state == STATE_A:
+        return IDLE
     return FsmRecord(STATE_C, prev.n_req)
 
 
@@ -127,79 +131,69 @@ def mitigate(n_min: Sequence[int], records: Sequence[FsmRecord]) -> list[int]:
 
 
 class PacketQueue:
-    """FIFO service of one packet table: packets [head, tail) are queued.
+    """FIFO service of one packet table: packet i is queued at TTI t when
+    head <= i and arrival[i] <= t.
 
-    The table lists every packet's arrival TTI and size in FIFO order.  Only
-    the head packet is ever partly sent; it still owes `head_rem` bits and
-    has spent `head_rbs` RBs' worth of bits so far.  Completed packets form
-    the table prefix [0, head) and record their completion TTI and RB count
-    in `done_tti` / `done_rbs`.
+    The table lists every packet's arrival TTI and size in FIFO order and
+    ends in a sentinel packet that never arrives.  Only the head packet is
+    ever partly sent; it still owes `head_rem` bits and has spent `head_rbs`
+    RBs' worth of bits so far.  Completed packets form the table prefix
+    [0, head) and record their completion TTI and RB count in `done_tti` /
+    `done_rbs`; `sent_bits` counts every bit sent, so the bits queued at TTI
+    t are the bits arrived by t less `sent_bits`.
     """
 
-    __slots__ = (
-        "arrival", "size", "head", "tail", "head_rem", "head_rbs", "queued_bits", "done_tti", "done_rbs"
-    )
+    __slots__ = ("arrival", "size", "head", "head_rem", "head_rbs", "sent_bits", "done_tti", "done_rbs")
 
     def __init__(self, arrival: Sequence[int], size: Sequence[int]):
         if len(arrival) != len(size):
             raise ValueError("packet table columns differ in length")
-        self.arrival = arrival
-        self.size = size
+        self.arrival = [*arrival, _NEVER]
+        self.size = [*size, 0]
         self.head = 0
-        self.tail = 0
-        self.head_rem = size[0] if len(size) else 0
+        self.head_rem = self.size[0]
         self.head_rbs = 0.0
-        self.queued_bits = 0
+        self.sent_bits = 0
         self.done_tti = array("q")
         self.done_rbs = array("q")
 
-    def __len__(self) -> int:
-        return self.tail - self.head
-
-    def admit(self, tti: int) -> None:
-        """Queue every packet that has arrived by the start of `tti`."""
-        arrival, tail = self.arrival, self.tail
-        n = len(arrival)
-        while tail < n and arrival[tail] <= tti:
-            self.queued_bits += self.size[tail]
-            tail += 1
-        self.tail = tail
-
     def head_wait(self, tti: int) -> int:
-        """TTIs the head packet has waited; 0 for an empty queue."""
-        return tti - self.arrival[self.head] if self.head < self.tail else 0
+        """TTIs the head packet has waited at `tti`; 0 for an empty queue."""
+        a = self.arrival[self.head]
+        return tti - a if a <= tti else 0
 
 
 def drain_queue(
     queue: PacketQueue, budget_bits: int, bits_per_rb: int, tti: int, service_id: int, completed: list
 ) -> int:
-    """Send up to budget_bits from a packet queue; returns bits sent.
+    """Send up to budget_bits at `tti` from a packet queue; returns bits sent.
 
     An RB may end one packet and start the next, so bits flow as one pipe.
     Each completed packet is recorded in the queue and appended to
     `completed` as (service_id, packet index).
     """
-    head, tail = queue.head, queue.tail
+    head = queue.head
     rem, rbs = queue.head_rem, queue.head_rbs
-    size = queue.size
+    arrival, size = queue.arrival, queue.size
     sent = 0
-    while head < tail and sent < budget_bits:
+    while sent < budget_bits and arrival[head] <= tti:
         take = budget_bits - sent
         if take >= rem:
             sent += rem
             rbs += rem / bits_per_rb
             queue.done_tti.append(tti)
-            queue.done_rbs.append(max(1, math.ceil(rbs - 1e-9)))
+            n = math.ceil(rbs - 1e-9)
+            queue.done_rbs.append(n if n > 1 else 1)  # max(1, n), without a call per packet
             completed.append((service_id, head))
             head += 1
-            rem = size[head] if head < len(size) else 0
+            rem = size[head]
             rbs = 0.0
         else:
             rem -= take
             rbs += take / bits_per_rb
             sent += take
     queue.head, queue.head_rem, queue.head_rbs = head, rem, rbs
-    queue.queued_bits -= sent
+    queue.sent_bits += sent
     return sent
 
 
@@ -217,28 +211,35 @@ def schedule_tti(
     Phase 1 drains each queue with its own guaranteed RBs.  Phase 2 hands the
     unused guaranteed RBs plus the unguaranteed pool, one RB at a time, to the
     backlogged service whose head packet has the least slack to its budget
-    (ties to the lowest service index).  Returns (rbs_used, completed).
+    (ties to the lowest service index); it is skipped when phase 1 leaves no
+    backlog.  Returns (rbs_used, completed).
     """
     m_count = len(queues)
     rbs_used = [0] * m_count
     completed: list = []
+    backlog = []
 
     for m in range(m_count):
-        n = alloc[m]
         q = queues[m]
-        if n <= 0 or q.head == q.tail:
+        if q.arrival[q.head] > tti:
             continue
-        c = bits_per_rb[m]
-        sent = drain_queue(q, n * c, c, tti, m, completed)
-        rbs_used[m] = -(-sent // c)
+        n = alloc[m]
+        if n > 0:
+            c = bits_per_rb[m]
+            sent = drain_queue(q, n * c, c, tti, m, completed)
+            rbs_used[m] = -(-sent // c)
+            if q.arrival[q.head] > tti:
+                continue
+        backlog.append(m)
 
-    if not share:
+    if not share or not backlog:
         return rbs_used, completed
 
     pool = n_cell - sum(rbs_used)
-    backlog = [m for m, q in enumerate(queues) if q.head < q.tail]
     while pool > 0 and backlog:
-        best = min(backlog, key=lambda m: (q_t[m] - (tti - queues[m].arrival[queues[m].head]), m))
+        # slack q_t - (tti - arrival) less the common tti; backlog ascends, and
+        # min keeps the first of equal keys, so ties go to the lowest index
+        best = min(backlog, key=lambda m: q_t[m] + queues[m].arrival[queues[m].head])
         q = queues[best]
         c = bits_per_rb[best]
         # the winner keeps winning until its head packet changes, so grant
@@ -248,6 +249,6 @@ def schedule_tti(
         used = -(-sent // c)
         rbs_used[best] += used
         pool -= used
-        if q.head == q.tail:
+        if q.arrival[q.head] > tti:
             backlog.remove(best)
     return rbs_used, completed

@@ -8,10 +8,12 @@ equal split and are excluded from the reported metrics.
 
 Each service's traffic is one packet table (arrival TTI and size of every
 packet, FIFO order) drawn for the whole horizon and served through an
-`rt.PacketQueue`.  The near-RT transmission window is a slice of the queue's
-completion records, and delays come from the completion TTIs at the end of
-the run through the same helper `measure_fifo_delays` uses.  The controller
-kinds are rows of `ControllerStrategy` data.
+`rt.PacketQueue`, which queues a packet once its arrival TTI is reached.  The
+bits queued at TTI t are derived, where they are read, as the bits arrived by
+t less the bits the queue has sent.  The near-RT transmission window is a
+slice of the queue's completion records, and delays come from the completion
+TTIs at the end of the run through the same helper `measure_fifo_delays`
+uses.  The controller kinds are rows of `ControllerStrategy` data.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,7 +32,7 @@ import numpy as np
 from .martingale import ArrivalSampleSet
 from .capacity import ConcatPerRbVector
 from .near_rt import AllocatorConfig, ServiceSpec, ServiceWindow, allocate
-from .rt import FsmRecord, PacketQueue, RtThresholds, STATE_A, fsm_step, mitigate, schedule_tti, slot_count
+from .rt import IDLE, PacketQueue, RtThresholds, fsm_step, mitigate, schedule_tti, slot_count
 from .traces import ArrivalTrace, ChannelTrace, SyntheticModel, extend_cyclically, sample_many
 
 log = logging.getLogger(__name__)
@@ -176,7 +179,13 @@ def ccdf(delays_ms: Sequence[float], w_th_ms: float) -> list[tuple[float, float]
     if w_th_ms <= 0:
         raise ValueError("w_th_ms must be positive")
     rel = (arr - w_th_ms) / w_th_ms
-    return [(x, float(np.mean(rel > x))) for x in CCDF_GRID]
+    rel.sort()  # in place: a sorted copy would add to the run's peak memory
+    if np.isnan(rel[-1]):  # NaN sorts last
+        raise ValueError("ccdf delays must not be NaN")
+    # the values above x follow the last one at most x; k / n is np.mean(rel > x) exactly
+    n = len(rel)
+    above = n - np.searchsorted(rel, CCDF_GRID, side="right")
+    return [(x, k / n) for x, k in zip(CCDF_GRID, above.tolist())]
 
 
 def qldr_allocate(
@@ -331,20 +340,25 @@ def run(cfg: ScenarioConfig) -> Metrics:
     em_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
 
     baseline = [n_cell // m_count] * m_count  # static equal split while warming up
-    fsm = [FsmRecord() for _ in range(m_count)]
-    extras = [deque(maxlen=cfg.t_out) for _ in range(m_count)]
-    qldr_qbits = [deque(maxlen=cfg.qldr_window) for _ in range(m_count)]
+    fsm = [IDLE] * m_count
+    model = strat.guarantee == "model"
+    extras = [deque(maxlen=cfg.t_out) for _ in range(m_count)]  # read by model guarantees only
+    qldr = strat.guarantee == "qldr"
+    if qldr:
+        qldr_qbits = [deque(maxlen=cfg.qldr_window) for _ in range(m_count)]
+        rate_sums = [np.concatenate(([0], np.cumsum(r))) for r in rates_np]
     rbs_used_measured = 0
     alloc_rows: list[tuple] = []
     debug_rows: list[tuple] = [] if cfg.debug_log else None
     period = 0
     check = cfg.check_invariants
+    if qldr or debug_rows is not None or check:
+        # bits arrived by the end of each TTI; less a queue's sent bits, the
+        # bits it holds.  Built only for these readers: 8 bytes per TTI and service
+        arrived = [array("q", np.cumsum(a).tobytes()) for a in arrivals_np]
     w_th = [s.w_th_ms for s in cfg.services]
 
     for t in range(horizon):
-        for q in queues:
-            q.admit(t)
-
         warm = t < warmup_end
         since = t - warmup_end
         source = None if warm else strat.guarantee  # guarantees stay at the equal split while warm
@@ -381,7 +395,8 @@ def run(cfg: ScenarioConfig) -> Metrics:
                 for m in range(m_count)
             ]
             lo = max(0, t - cfg.qldr_window)
-            avg_c = [float(np.mean(rates_np[m][lo:t])) for m in range(m_count)]
+            # whole-bit rates: the exact window sum over its length, as np.mean gives it
+            avg_c = [int(rate_sums[m][t] - rate_sums[m][lo]) / (t - lo) for m in range(m_count)]
             baseline = qldr_allocate(avg_q, avg_c, w_th, n_cell)
         elif source == "none" and not since:
             baseline = [0] * m_count
@@ -393,33 +408,33 @@ def run(cfg: ScenarioConfig) -> Metrics:
             for m in range(m_count):
                 rec = fsm_step(queues[m].head_wait(t), fsm[m], thresholds[m])
                 fsm[m] = rec
-                if rec.state != STATE_A:
+                if rec is not IDLE:
                     any_active = True
             if any_active:
                 rt_alloc = mitigate(baseline, fsm)
 
-        rates_t = [rates_all[m][t] for m in range(m_count)]
+        rates_t = [r[t] for r in rates_all]
         rbs_used, completed = schedule_tti(t, queues, rt_alloc, rates_t, n_cell, q_t, share)
 
         if not warm:
             rbs_used_measured += sum(rbs_used)
-        for m in range(m_count):
-            extra = rbs_used[m] - baseline[m]
-            extras[m].append(extra if extra > 0 else 0)
-        if strat.guarantee == "qldr":
+        if model:
+            for e, used, base in zip(extras, rbs_used, baseline):
+                e.append(used - base if used > base else 0)
+        elif qldr:
             for m in range(m_count):
-                qldr_qbits[m].append(queues[m].queued_bits)
+                qldr_qbits[m].append(arrived[m][t] - queues[m].sent_bits)
         if debug_rows is not None:
             for m, q in enumerate(queues):
                 rec = fsm[m]
                 debug_rows.append((
                     t, cfg.services[m].id, rec.state, rec.n_req, rt_alloc[m], rbs_used[m],
-                    q.queued_bits, q.head_wait(t),
+                    arrived[m][t] - q.sent_bits, q.head_wait(t),
                 ))
         if check:
             if strat.mitigates and not warm and sum(rt_alloc) != sum(baseline):
                 raise AssertionError(f"mitigation broke conservation at tti {t}")
-            _check_invariants(t, queues, rbs_used, n_cell, completed)
+            _check_invariants(t, queues, arrived, rbs_used, n_cell, completed)
 
     services_out = []
     measured_ttis = horizon - warmup_end
@@ -445,7 +460,9 @@ def run(cfg: ScenarioConfig) -> Metrics:
     return Metrics(services_out, util, alloc_rows, debug_rows)
 
 
-def _check_invariants(t: int, queues: Sequence[PacketQueue], rbs_used, n_cell: int, completed) -> None:
+def _check_invariants(
+    t: int, queues: Sequence[PacketQueue], arrived, rbs_used, n_cell: int, completed
+) -> None:
     """RB ledger, FIFO order and flow conservation after serving TTI t."""
     total_used = sum(rbs_used)
     if total_used > n_cell:
@@ -457,7 +474,9 @@ def _check_invariants(t: int, queues: Sequence[PacketQueue], rbs_used, n_cell: i
             raise AssertionError(f"FIFO order violated at tti {t} service {sid}")
     for m, q in enumerate(queues):
         # the completed packets are the table prefix before the head, and the
-        # counter holds exactly the bits still owed on the queued packets
-        owed = q.head_rem + sum(q.size[q.head + 1 : q.tail]) if q.head < q.tail else 0
-        if len(q.done_tti) != q.head or q.queued_bits != owed:
+        # bits arrived less the bits sent are exactly the bits still owed on
+        # the queued packets [head, tail)
+        tail = bisect_right(q.arrival, t)
+        owed = q.head_rem + sum(q.size[q.head + 1 : tail]) if q.head < tail else 0
+        if len(q.done_tti) != q.head or arrived[m][t] - q.sent_bits != owed:
             raise AssertionError(f"flow conservation violated at tti {t} service {m}")

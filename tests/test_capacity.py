@@ -220,6 +220,23 @@ class TestBuildCapacitySamples:
         with pytest.raises(ValueError, match="2\\^62"):
             build_capacity_samples(x, 1, 1)
 
+    def test_float64_guard_raises(self):
+        # unit runs pass the 2^62 guard, but these sums round alike in float64
+        with pytest.raises(ValueError, match="2\\^53"):
+            build_capacity_samples(ConcatPerRbVector([2**55 + 1, 2**55 + 3, 5], [1, 1, 1]), 1, 1)
+        with pytest.raises(ValueError, match="2\\^53"):
+            build_capacity_samples(channel([2**52, 2**52]), 1, 1)  # the whole window sums to 2^53
+        assert region(build_capacity_samples(channel([2**52, 2**52 - 1]), 1, 2), 1) == summary([2**53 - 1])
+
+    def test_float64_guard_on_scaled_group(self):
+        # a 2-RB window of 2^52 bits scales a group of g RBs to 2^52 * g / 2
+        x = channel([2**51, 2**51])
+        assert region(build_capacity_samples(x, 1, 3), 2) == summary([3 * 2**51])
+        with pytest.raises(ValueError, match="2\\^53"):
+            build_capacity_samples(x, 1, 4)
+        with pytest.raises(ValueError, match="2\\^53"):
+            build_capacity_samples(channel([2**51, 2**51]), 4, 4)
+
     def test_input_validation(self):
         x = channel([10])
         with pytest.raises(ValueError):

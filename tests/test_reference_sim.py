@@ -9,6 +9,7 @@ nothing with `run()` except the decision functions `fsm_step`, `mitigate`,
 `allocate`, `qldr_allocate` and the capacity window type.
 """
 
+import dataclasses
 import math
 from collections import deque
 from fractions import Fraction
@@ -273,3 +274,18 @@ def test_run_matches_reference(cfg):
         assert s.pending_violations == pending
     assert metrics.alloc_rows == alloc_rows
     assert metrics.debug_rows == debug_rows
+
+
+@settings(max_examples=60)
+@given(scenarios())
+def test_run_without_debug_or_checks_matches(cfg):
+    # the path a plain `run` takes, with no debug rows or invariant checks
+    # reading the queued bits, against the one diffed with the reference above
+    on = run(cfg)
+    off = run(dataclasses.replace(cfg, debug_log=False, check_invariants=False))
+    assert off.debug_rows is None
+    for a, b in zip(on.services, off.services):
+        assert a.delays_ms.tolist() == b.delays_ms.tolist()
+        assert a.pending_violations == b.pending_violations
+    assert off.alloc_rows == on.alloc_rows
+    assert off.rb_utilization == on.rb_utilization

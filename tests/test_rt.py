@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rborch import rt
 from rborch.rt import (
+    IDLE,
     STATE_A,
     STATE_B,
     STATE_C,
@@ -76,6 +80,21 @@ class TestFsmStep:
         for q in rng.integers(0, THR.q_upper + 1, 2000):
             rec = fsm_step(int(q), rec, THR)
             assert rec.state == STATE_A and rec.n_req == 0
+            assert rec is IDLE
+
+    def test_every_a_result_is_the_shared_idle_record(self):
+        for q, prev in [(0, FsmRecord()), (5, IDLE), (2, FsmRecord(STATE_C, 3)), (1, FsmRecord(STATE_B, 2))]:
+            assert fsm_step(q, prev, THR) is IDLE
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            IDLE.n_req = 1
+
+    def test_b_and_c_results_are_fresh_records(self):
+        b1, b2 = fsm_step(8, IDLE, THR), fsm_step(8, IDLE, THR)
+        assert b1 == b2 == FsmRecord(STATE_B, 1) and b1 is not b2 and b1 is not IDLE
+        b3 = fsm_step(9, b1, THR)
+        assert b3.n_req == 2 and b1.n_req == 1
+        c = fsm_step(5, b3, THR)
+        assert c == FsmRecord(STATE_C, 2) and c is not b3
 
 
 class TestMitigate:
@@ -126,32 +145,44 @@ class TestMitigate:
 
 
 def mkq(*pkts):
-    """Queue holding (arrival_tti, size) packets, all of them admitted."""
-    q = PacketQueue([p[0] for p in pkts], [p[1] for p in pkts])
-    q.admit(max((p[0] for p in pkts), default=0))
-    return q
+    """Queue of (arrival_tti, size) packets."""
+    return PacketQueue([p[0] for p in pkts], [p[1] for p in pkts])
+
+
+def queued(q, tti):
+    """(packets, bits) queued at `tti`, counted from the packet table: the
+    packets from the head on that have arrived, and the bits arrived by
+    `tti` less the bits sent."""
+    n = sum(1 for a in q.arrival[q.head :] if a <= tti)
+    return n, sum(s for a, s in zip(q.arrival, q.size) if a <= tti) - q.sent_bits
 
 
 class TestPacketQueue:
     def test_admit_counts_arrived_bits(self):
-        q = PacketQueue([0, 2, 2, 5], [10, 20, 30, 40])
-        q.admit(1)
-        assert len(q) == 1 and q.queued_bits == 10 and q.head_wait(1) == 1
-        q.admit(4)
-        assert len(q) == 3 and q.queued_bits == 60 and q.head_wait(4) == 4
+        q = mkq((0, 10), (2, 20), (2, 30), (5, 40))
+        assert queued(q, 1) == (1, 10) and q.head_wait(1) == 1
+        assert queued(q, 4) == (3, 60) and q.head_wait(4) == 4
 
     def test_completions_recorded_in_fifo_order(self):
-        q = PacketQueue([0, 0, 1], [30, 20, 25])
-        q.admit(0)
+        q = mkq((0, 30), (0, 20), (1, 25))
         done = []
         assert drain_queue(q, 40, 10, 0, 7, done) == 40  # 30 + 10 of the next
         assert done == [(7, 0)] and list(q.done_tti) == [0] and list(q.done_rbs) == [3]
-        assert q.head_rem == 10 and q.queued_bits == 10
-        q.admit(1)
+        assert q.head_rem == 10 and queued(q, 0) == (1, 10) and q.sent_bits == 40
         drain_queue(q, 100, 10, 1, 7, done)
         assert done == [(7, 0), (7, 1), (7, 2)]
         assert list(q.done_tti) == [0, 1, 1] and list(q.done_rbs) == [3, 2, 3]  # 20 bits over two TTIs: 2 RBs
-        assert len(q) == 0 and q.queued_bits == 0 and q.head_wait(2) == 0
+        assert queued(q, 2) == (0, 0) and q.head_wait(2) == 0 and q.head_rem == 0
+
+    def test_packet_after_tti_neither_served_nor_waiting(self):
+        q = mkq((0, 10), (3, 20))
+        done = []
+        assert drain_queue(q, 100, 10, 1, 0, done) == 10  # the packet of TTI 3 is not yet queued
+        assert done == [(0, 0)] and q.head == 1 and q.head_rem == 20
+        assert queued(q, 1) == (0, 0) and q.head_wait(1) == 0 and q.head_wait(3) == 0
+        assert queued(q, 3) == (1, 20) and q.head_wait(5) == 2
+        used, done = schedule_tti(2, [q], [5], [10], 5, [5])
+        assert used == [0] and done == [] and q.sent_bits == 10
 
 
 class TestScheduleTti:
@@ -165,7 +196,7 @@ class TestScheduleTti:
         used, done = schedule_tti(0, queues, [10], [25], 10, [5])
         assert used == [4]
         assert len(done) == 1 and queues[0].arrival[done[0][1]] == 0 and queues[0].done_rbs[0] == 4
-        assert not queues[0]
+        assert queued(queues[0], 0) == (0, 0)
 
     def test_partial_rb_rounds_up(self):
         queues = [mkq((0, 90))]
@@ -218,8 +249,18 @@ class TestScheduleTti:
             ]
             rates = [int(v) for v in rng.integers(5, 30, m)]
             used, _ = schedule_tti(0, queues, alloc, rates, n_cell, [5] * m)
-            if any(queues[i] for i in range(m)):
+            if any(queued(q, 0)[0] for q in queues):
                 assert sum(used) == n_cell  # backlog remains only if all RBs spent
+
+    def test_sharing_skipped_without_backlog(self, monkeypatch):
+        calls = []
+        real = rt.drain_queue
+        monkeypatch.setattr(rt, "drain_queue", lambda q, *a: calls.append(a[3]) or real(q, *a))
+        queues = [mkq((0, 50)), mkq((0, 20)), mkq((3, 10))]
+        used, done = schedule_tti(0, queues, [2, 1, 4], [25, 25, 25], 10, [5, 5, 5])
+        assert used == [2, 1, 0] and len(done) == 2
+        # phase 1 only: service 2 has nothing queued and no queue is left to share with
+        assert calls == [0, 1]
 
     def test_no_sharing_keeps_pool_idle(self):
         queues = [mkq((0, 1000)), mkq()]

@@ -107,6 +107,27 @@ class TestCcdf:
         with pytest.raises(ValueError):
             ccdf([], 5.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ccdf([1.0, math.nan], 5.0)
+
+    def test_matches_mask_formula(self):
+        # binary fractions of the budget: (d - w) / w lands exactly on a grid point
+        at_grid = [1.0 + x for x in CCDF_GRID if (4 * x).is_integer()]
+        assert all(d - 1.0 in CCDF_GRID for d in at_grid)
+        rng = np.random.default_rng(4)
+        cases = [
+            (at_grid, 1.0),
+            (at_grid * 3 + [2.0] * 5, 1.0),  # ties, on and off the grid
+            ([0.7], 1.0),  # one sample
+            ([1.0], 1.0),  # one sample at x = 0
+            ([math.inf, 3.0, 3.0], 3.0),  # a pending violation scored as inf
+            (rng.choice([1.0, 2.5, 4.0, 11.0], 301).tolist() + rng.exponential(4.0, 400).tolist(), 4.0),
+        ]
+        for delays, w in cases:
+            rel = (np.asarray(delays, dtype=np.float64) - w) / w
+            assert ccdf(delays, w) == [(x, float(np.mean(rel > x))) for x in CCDF_GRID]
+
 
 class TestRunBasics:
     def test_zero_traffic(self):
