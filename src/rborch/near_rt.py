@@ -10,6 +10,7 @@ of the cell budget serves as the optimality oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,18 +43,34 @@ class ServiceSpec:
 
 @dataclass
 class ServiceWindow:
-    """Observation window for one service feeding a near-RT decision."""
+    """Observation window for one service feeding a near-RT decision.
+
+    Extra-RB usage must be 1-d, finite, whole and non-negative; it is kept as
+    int64, so both estimators read the same counts.
+    """
 
     arrivals: ArrivalSampleSet
     per_rb: ConcatPerRbVector
     extra_rb_usage: np.ndarray
 
     def __post_init__(self):
-        self.extra_rb_usage = np.asarray(self.extra_rb_usage, dtype=np.int64)
         if len(self.per_rb) == 0:
             raise ValueError("capacity window is empty")
-        if self.extra_rb_usage.size == 0:
+        u = np.asarray(self.extra_rb_usage)
+        if u.ndim != 1:
+            raise ValueError(f"extra-RB usage must be 1-d, got {u.ndim} dimensions")
+        if u.size == 0:
             raise ValueError("extra-RB usage window is empty")
+        if u.dtype.kind != "i":
+            f = u.astype(np.float64)
+            if not np.all(np.isfinite(f)):
+                raise ValueError("extra-RB usage must be finite")
+            if np.any(f != np.floor(f)) or np.any(f >= 2.0**63):
+                raise ValueError("extra-RB usage must be whole RB counts")
+            u = f
+        if np.any(u < 0):
+            raise ValueError("extra-RB usage cannot be negative")
+        self.extra_rb_usage = u.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -187,14 +204,20 @@ def allocate(
     return GuaranteedAllocation(tuple(best_n), tuple(best_w), best_g, tuple(history), evals)
 
 
-def _compositions(total: int, parts: int):
-    """All positive integer compositions of `total` into `parts`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All positive integer compositions of `total` into `parts`, lexicographic.
+
+    Row i holds the parts between the cut points of the i-th (parts - 1)-subset
+    of 1..total-1; combinations yields those subsets in lexicographic order, and
+    so the compositions too.
+    """
+    count = math.comb(total - 1, parts - 1)
+    cuts = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(1, total), parts - 1)),
+        dtype=np.int64,
+        count=count * (parts - 1),
+    ).reshape(count, parts - 1)
+    return np.diff(cuts, axis=1, prepend=0, append=total)
 
 
 def brute_force_allocate(
@@ -204,7 +227,12 @@ def brute_force_allocate(
     cfg: AllocatorConfig | None = None,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[GuaranteedAllocation, int]:
-    """Exhaustive minimizer over all positive compositions of the cell budget."""
+    """Exhaustive minimizer over all positive compositions of the cell budget.
+
+    W(m, n) is evaluated once for each n a composition can give service m;
+    every composition is then scored from that table, and the first minimum
+    in lexicographic order wins.
+    """
     cfg = cfg or AllocatorConfig()
     m_count = len(specs)
     if n_cell < m_count:
@@ -215,13 +243,16 @@ def brute_force_allocate(
     ev = _CandidateEvaluator(specs, windows, n_cell, cfg, rng)
     w_th = [s.w_th_ms for s in specs]
 
-    best = None
-    count = 0
-    for comp in _compositions(n_cell, m_count):
-        count += 1
-        w_z = [ev.w_est(m, comp[m]) for m in range(m_count)]
-        g_z = objective(w_z, w_th)
-        if best is None or g_z < best[2]:
-            best = (comp, w_z, g_z)
-    alloc = GuaranteedAllocation(tuple(best[0]), tuple(best[1]), best[2], (best[2],), count)
-    return alloc, count
+    n_lo = n_cell if m_count == 1 else 1
+    n_hi = n_cell - m_count + 1
+    ratios = np.empty((m_count, n_cell + 1))
+    for m in range(m_count):
+        for n in range(n_lo, n_hi + 1):
+            ratios[m, n] = ev.w_est(m, n) / w_th[m]
+    comps = _compositions(n_cell, m_count)
+    scores = ratios[np.arange(m_count), comps].max(axis=1)
+    best = tuple(int(n) for n in comps[int(np.argmin(scores))])
+    w_z = tuple(ev.w_est(m, n) for m, n in enumerate(best))
+    g_z = objective(w_z, w_th)
+    alloc = GuaranteedAllocation(best, w_z, g_z, (g_z,), n_compositions)
+    return alloc, n_compositions

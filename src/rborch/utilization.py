@@ -3,6 +3,10 @@
 Two paths: a plain normalized histogram of observed extra-RB usage, and a
 Gaussian mixture fitted by EM whose density is integrated over unit-wide
 regions centred on each integer RB count (tails absorbed at both ends).
+
+Usage windows hold few distinct values, so EM runs over those values
+weighted by their counts (EM for grouped data): the same sums as over every
+sample, one row per value.  The normal CDF is math.erfc, so no scipy.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from .martingale import check_pmf
 
 SIGMA_FLOOR = 1e-3
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -72,11 +77,6 @@ def empirical_pmf(extra_rb_usage: Sequence[int], n_add: int) -> UtilizationPmf:
     return UtilizationPmf(counts / counts.sum())
 
 
-def _log_pdf_matrix(x: np.ndarray, mix_w, mu, sigma) -> np.ndarray:
-    z = (x[:, None] - mu[None, :]) / sigma[None, :]
-    return -0.5 * z * z - np.log(sigma)[None, :] - 0.5 * math.log(2 * math.pi) + np.log(mix_w)[None, :]
-
-
 def _kmeanspp_centers(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
     centers = [x[rng.integers(len(x))]]
     for _ in range(1, c):
@@ -115,20 +115,25 @@ def fit_gmm_em(
     sigma = np.full(c, max(float(np.std(x)), SIGMA_FLOOR))
     w = np.full(c, 1.0 / c)
 
+    v, k = np.unique(x, return_counts=True)
+    k = k.astype(np.float64)
+    log_norm = 0.5 * math.log(2 * math.pi)
     lls: list[float] = []
     prev_ll = -math.inf
     for _ in range(iters):
-        logp = _log_pdf_matrix(x, w, mu, sigma)
-        row_max = logp.max(axis=1, keepdims=True)
-        lse = row_max[:, 0] + np.log(np.exp(logp - row_max).sum(axis=1))
-        ll = float(lse.sum())
+        z = (v[:, None] - mu) / sigma
+        logp = -0.5 * z * z + (np.log(w) - np.log(sigma) - log_norm)
+        row_max = logp.max(axis=1)
+        p = np.exp(logp - row_max[:, None])
+        tot = p.sum(axis=1)
+        ll = float(k @ (row_max + np.log(tot)))
         lls.append(ll)
-        resp = np.exp(logp - lse[:, None])
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 1e-300)
+        resp = p * (k / tot)[:, None]
+        nk = np.maximum(resp.sum(axis=0), 1e-300)
         w = nk / len(x)
-        mu = (resp * x[:, None]).sum(axis=0) / nk
-        var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
+        mu = (v @ resp) / nk
+        d = v[:, None] - mu
+        var = (resp * d * d).sum(axis=0) / nk
         sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
         if ll - prev_ll < tol and math.isfinite(prev_ll):
             break
@@ -143,14 +148,14 @@ def region_probabilities(gmm: GmmMixture, n_add: int) -> UtilizationPmf:
     below and region n_add all mass above, then the vector is renormalized so
     it is exactly a PMF.
     """
-    from scipy.special import ndtr  # imported here: it is most of the cost of importing rborch
-
     if n_add < 0:
         raise ValueError("n_add must be non-negative")
-    edges = np.arange(n_add + 2, dtype=np.float64) - 0.5
+    # Phi at the inner edges 0.5 .. n_add - 0.5; the outer edges are -inf and +inf
+    edges = np.arange(n_add, dtype=np.float64) + 0.5
     z = (edges[None, :] - gmm.means[:, None]) / gmm.sigmas[:, None]
-    cdf = ndtr(z)
+    cdf = np.empty((len(gmm.means), n_add + 2))
     cdf[:, 0] = 0.0
+    cdf[:, 1:-1] = [[0.5 * math.erfc(-t / _SQRT2) for t in row] for row in z.tolist()]
     cdf[:, -1] = 1.0
     pi = gmm.weights @ np.diff(cdf, axis=1)
     pi = np.maximum(pi, 0.0)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import rborch.near_rt
 from rborch.martingale import ArrivalSampleSet
 from rborch.capacity import ConcatPerRbVector
 from rborch.near_rt import (
     AllocatorConfig,
+    _CandidateEvaluator,
     ServiceSpec,
     ServiceWindow,
     allocate,
@@ -148,3 +150,117 @@ class TestBruteForce:
             h = allocate(specs, wins, n_cell)
             b, _ = brute_force_allocate(specs, wins, n_cell)
             assert h.objective == b.objective
+
+
+def _ref_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(1, total - parts + 2):
+        for rest in _ref_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def ref_brute_force(specs, windows, n_cell, cfg=None, rng=None):
+    """The oracle as a loop that scores one composition at a time."""
+    cfg = cfg or AllocatorConfig()
+    ev = _CandidateEvaluator(specs, windows, n_cell, cfg, rng)
+    w_th = [s.w_th_ms for s in specs]
+    best = None
+    count = 0
+    for comp in _ref_compositions(n_cell, len(specs)):
+        count += 1
+        w_z = [ev.w_est(m, comp[m]) for m in range(len(specs))]
+        g_z = objective(w_z, w_th)
+        if best is None or g_z < best[2]:
+            best = (comp, w_z, g_z)
+    return best[0], tuple(best[1]), best[2], count
+
+
+def assert_brute_matches_reference(specs, windows, n_cell, estimator="empirical", seed=0):
+    cfg = AllocatorConfig(estimator=estimator)
+    got, count = brute_force_allocate(specs, windows, n_cell, cfg, np.random.default_rng(seed))
+    n_min, w_est, obj, ref_count = ref_brute_force(specs, windows, n_cell, cfg, np.random.default_rng(seed))
+    assert got.n_min == n_min
+    assert got.w_est == w_est
+    assert got.objective == obj
+    assert count == got.evaluations == ref_count
+    return got
+
+
+class TestBruteForceMatchesLoop:
+    def test_random_cases(self):
+        rng = np.random.default_rng(12)
+        four = make_specs() + [ServiceSpec(3, 8.0, 1e-4, SyntheticModel("two-point", (0, 300), (0.6, 0.4)),
+                                           SyntheticModel("constant", (22,)))]
+        for case in range(9):
+            m_count = 2 + case % 3
+            specs = four[:m_count]
+            wins = make_windows(specs, seed=int(rng.integers(1000)), t_obs=200)
+            n_cell = int(rng.integers(*{2: (8, 40), 3: (18, 30), 4: (24, 32)}[m_count]))
+            estimator = "gmm" if case % 2 else "empirical"
+            assert_brute_matches_reference(specs, wins, n_cell, estimator, seed=case)
+
+    def test_ties_go_to_first_composition(self):
+        specs = [ServiceSpec(i, 10.0, 1e-3) for i in range(3)]
+        win = ServiceWindow(ArrivalSampleSet(np.tile([0, 200], 500)),
+                            ConcatPerRbVector(np.full(4000, 25), np.ones(4000, np.int64)), np.arange(300) % 4)
+        got = assert_brute_matches_reference(specs, [win, win, win], 10)
+        assert math.isfinite(got.objective)
+        # the smallest share sets the objective: (3, 3, 4), (3, 4, 3) and (4, 3, 3) tie
+        assert got.n_min == (3, 3, 4)
+
+    def test_all_infinite(self):
+        specs = make_specs()
+        win = ServiceWindow(ArrivalSampleSet(np.full(200, 1000)), ConcatPerRbVector(np.ones(400, np.int64),
+                            np.ones(400, np.int64)), np.zeros(1, np.int64))
+        got = assert_brute_matches_reference(specs, [win] * 3, 9)
+        assert math.isinf(got.objective) and all(math.isinf(w) for w in got.w_est)
+        assert got.n_min == (1, 1, 7)
+
+    def test_single_service_evaluates_one_pair(self, monkeypatch):
+        calls = []
+        bound = rborch.near_rt.delay_bound
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return bound(*args, **kwargs)
+
+        specs = make_specs(1)
+        wins = make_windows(specs, t_obs=200)
+        monkeypatch.setattr(rborch.near_rt, "delay_bound", spy)
+        got, count = brute_force_allocate(specs, wins, 9)
+        assert len(calls) == 1 and count == 1
+        monkeypatch.undo()
+        assert_brute_matches_reference(specs, wins, 9)
+        assert got.n_min == (9,)
+
+
+class TestUsageValidation:
+    @pytest.mark.parametrize("estimator", ["empirical", "gmm"])
+    @pytest.mark.parametrize(
+        "usage",
+        [
+            np.zeros((2, 3), np.int64),
+            [1.0, math.nan, 2.0],
+            [1.0, math.inf, 2.0],
+            [2.7, 0.5, 1.9],
+            [-3, -1, 0, 2, -5] * 100,
+            np.array([3, 2**64 - 1], np.uint64),
+        ],
+        ids=["2d", "nan", "inf", "fractional", "negative", "past-int64"],
+    )
+    def test_rejected(self, usage, estimator):
+        spec = make_specs(1)[0]
+        win = make_windows([spec], t_obs=200)[0]
+        with pytest.raises(ValueError):
+            allocate([spec], [ServiceWindow(win.arrivals, win.per_rb, usage)], 10, AllocatorConfig(estimator=estimator))
+
+    @pytest.mark.parametrize("estimator", ["empirical", "gmm"])
+    def test_whole_floats_accepted(self, estimator):
+        spec = make_specs(1)[0]
+        win = make_windows([spec], t_obs=200)[0]
+        usage = ServiceWindow(win.arrivals, win.per_rb, [2.0, 0.0, 5.0, 1.0]).extra_rb_usage
+        assert usage.dtype == np.int64 and usage.tolist() == [2, 0, 5, 1]
+        res = allocate([spec], [ServiceWindow(win.arrivals, win.per_rb, usage)], 10, AllocatorConfig(estimator=estimator))
+        assert res.n_min == (10,)

@@ -1,9 +1,13 @@
+import math
 import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rborch.utilization import (
     SIGMA_FLOOR,
@@ -138,12 +142,147 @@ def test_pmf_validation():
         GmmMixture([1.0], [0.0], [0.0])
 
 
+def test_region_probabilities_match_mpmath_oracle():
+    # pi_n from the 50-digit normal CDF of each component, tails absorbed, over the exact weight sum
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(200):
+            c = int(rng.integers(1, 5))
+            gmm = GmmMixture(rng.dirichlet(np.ones(c)), rng.uniform(-5, 25, c), rng.uniform(0.01, 8, c))
+            n_add = int(rng.integers(0, 30))
+            got = region_probabilities(gmm, n_add).pi
+            cdf = [
+                [mpmath.mpf(0)]
+                + [mpmath.ncdf(n + mpmath.mpf(0.5), mu=float(mu), sigma=float(sg)) for n in range(n_add)]
+                + [mpmath.mpf(1)]
+                for mu, sg in zip(gmm.means, gmm.sigmas)
+            ]
+            total = mpmath.fsum(mpmath.mpf(float(w)) for w in gmm.weights)
+            for n in range(n_add + 1):
+                exact = mpmath.fsum(mpmath.mpf(float(w)) * (row[n + 1] - row[n]) for w, row in zip(gmm.weights, cdf))
+                worst = max(worst, abs(float(got[n]) - float(exact / total)))
+    assert worst <= 1e-14
+
+
+def _ref_log_pdf_matrix(x, mix_w, mu, sigma):
+    z = (x[:, None] - mu[None, :]) / sigma[None, :]
+    return -0.5 * z * z - np.log(sigma)[None, :] - 0.5 * math.log(2 * math.pi) + np.log(mix_w)[None, :]
+
+
+def _ref_kmeanspp_centers(x, c, rng):
+    centers = [x[rng.integers(len(x))]]
+    for _ in range(1, c):
+        d2 = np.min((x[:, None] - np.asarray(centers)[None, :]) ** 2, axis=1)
+        total = d2.sum()
+        if total <= 0.0:
+            centers.append(x[rng.integers(len(x))])
+        else:
+            centers.append(x[rng.choice(len(x), p=d2 / total)])
+    return np.asarray(centers, dtype=np.float64)
+
+
+def ref_fit_gmm_em(samples, c, iters=200, tol=1e-8, rng=None):
+    """EM with one row per sample: fit_gmm_em as it was before it grouped equal values."""
+    x = np.asarray(samples, dtype=np.float64)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    mu = _ref_kmeanspp_centers(x, c, rng)
+    sigma = np.full(c, max(float(np.std(x)), SIGMA_FLOOR))
+    w = np.full(c, 1.0 / c)
+    lls = []
+    prev_ll = -math.inf
+    for _ in range(iters):
+        logp = _ref_log_pdf_matrix(x, w, mu, sigma)
+        row_max = logp.max(axis=1, keepdims=True)
+        lse = row_max[:, 0] + np.log(np.exp(logp - row_max).sum(axis=1))
+        ll = float(lse.sum())
+        lls.append(ll)
+        resp = np.exp(logp - lse[:, None])
+        nk = resp.sum(axis=0)
+        nk = np.maximum(nk, 1e-300)
+        w = nk / len(x)
+        mu = (resp * x[:, None]).sum(axis=0) / nk
+        var = (resp * (x[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
+        sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
+        if ll - prev_ll < tol and math.isfinite(prev_ll):
+            break
+        prev_ll = ll
+    return GmmMixture(w / w.sum(), mu, sigma, log_likelihoods=tuple(lls))
+
+
+def assert_fit_matches_reference(usage, c, seed):
+    """Same rng stream, the same log-likelihood trail, and the same parameters
+    when both fits stopped after the same number of iterations."""
+    rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = ref_fit_gmm_em(usage, c, rng=rng_ref)
+    got = fit_gmm_em(usage, c, rng=rng_new)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    for a, b in zip(got.log_likelihoods, ref.log_likelihoods):
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+    if len(got.log_likelihoods) == len(ref.log_likelihoods):
+        for mine, theirs in ((got.weights, ref.weights), (got.means, ref.means), (got.sigmas, ref.sigmas)):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-9, atol=1e-9)
+    return got, ref
+
+
+@st.composite
+def usage_windows(draw):
+    """Integer windows of 3-2000 values in 0..60: drawn value by value, or as
+    draws from a few distinct values with drawn shares, as live usage looks."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, 60), min_size=3, max_size=2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.integers(0, 61, draw(st.integers(1, 15)))
+    return rng.choice(support, draw(st.integers(3, 2000)), p=rng.dirichlet(np.ones(len(support)))).tolist()
+
+
+@settings(max_examples=150)
+@given(usage=usage_windows(), c=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_fit_matches_per_sample_reference(usage, c, seed):
+    assume(len(usage) >= c)
+    assert_fit_matches_reference(np.asarray(usage, dtype=np.float64), c, seed)
+
+
+def test_fit_matches_reference_on_model_check_windows():
+    # the extra-RB usage windows of perfbench model-check's GMM decisions at seed 61:
+    # 8 rounds x 3 decisions, each fitting its 3 services from one shared rng
+    seed, n_cell, length = 61, 40, 500
+    for r in range(8):
+        for i in (6, 7, 8):
+            em_seed = np.random.SeedSequence([seed, 4, r, i])
+            rng_ref, rng_new = np.random.default_rng(em_seed), np.random.default_rng(em_seed)
+            for m in range(3):
+                r_u = np.random.default_rng(np.random.SeedSequence([seed, 3, r, i, m]).spawn(3)[2])
+                busy = r_u.random(length) < 0.3
+                usage = np.where(busy, r_u.integers(5, n_cell // 3, length), r_u.integers(0, 3, length))
+                x = usage.astype(np.float64)
+                ref = ref_fit_gmm_em(x, 3, rng=rng_ref)
+                got = fit_gmm_em(x, 3, rng=rng_new)
+                assert len(got.log_likelihoods) == len(ref.log_likelihoods), (r, i, m)
+                np.testing.assert_allclose(got.log_likelihoods, ref.log_likelihoods, rtol=1e-9)
+                for mine, theirs in ((got.weights, ref.weights), (got.means, ref.means), (got.sigmas, ref.sigmas)):
+                    np.testing.assert_allclose(mine, theirs, rtol=1e-9, atol=1e-9)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_import_leaves_scipy_unloaded():
-    # scipy.special is most of the import time; only region_probabilities needs it
+    # nothing in rborch needs scipy: importing it and taking a GMM decision loads none of it
     import rborch
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(rborch.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, rborch, rborch.cli; sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
+    code = """
+import sys
+import numpy as np
+import rborch, rborch.cli
+from rborch.capacity import ConcatPerRbVector
+from rborch.martingale import ArrivalSampleSet
+from rborch.near_rt import AllocatorConfig, ServiceSpec, ServiceWindow, allocate
+win = ServiceWindow(ArrivalSampleSet(np.tile([0, 200], 500)),
+                    ConcatPerRbVector(np.full(2000, 25), np.ones(2000, np.int64)), np.arange(300) % 7)
+alloc = allocate([ServiceSpec(0, 10.0, 1e-3)] * 2, [win, win], 10, AllocatorConfig(estimator="gmm"))
+assert alloc.n_min == (5, 5), alloc
+sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)
+"""
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
