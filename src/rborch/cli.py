@@ -131,6 +131,7 @@ def _sweep_one(task) -> tuple[str, str]:
 
 def cmd_sweep(args) -> int:
     load_config(args.config)  # fail fast on a broken base config
+    jobs = _at_least_one(args.jobs, "--jobs")
     axes: list[tuple[str, list]] = []
     for spec in args.axis or []:
         if "=" not in spec:
@@ -155,8 +156,8 @@ def cmd_sweep(args) -> int:
     for i, combo in enumerate(combos):
         run_dir = os.path.join(args.out, f"run_{i:03d}")
         tasks.append((args.config, dict(zip(names, combo)), run_dir, args.overwrite))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]

@@ -5,18 +5,26 @@ State A keeps the near-RT guarantee unchanged; B accumulates an extra-RB
 request while the head packet's wait is above the upper threshold; C holds
 the request while the wait sits between the thresholds.  Mitigation moves
 RBs round-robin from state-A donors to B/C borrowers, conserving the total.
-Each service's queue is its packet table read from the head on: a packet is
-queued at TTI t once its arrival TTI is at most t, so arrivals need no
-per-TTI admission step.  The queue counts the bits it has sent, and keeps the
-completion TTI and RB count of every sent packet in FIFO order.
+
+Each service's queue is kept as cumulative bits: its packet table gives every
+packet's arrival TTI and cumulative end, and the queue counts the bits it has
+sent, so the bits queued at TTI t are the bits arrived by t less the bits
+sent, and the head is the first packet whose end exceeds them.  Serving a TTI
+writes two int64 logs per service -- cumulative bits sent and RBs used -- and
+records nothing per packet: completion TTIs and RB counts are derived from the
+logs (`completion_ttis`, `packet_rbs`).  `schedule_tti` steps one TTI for all
+services.  Where services cannot affect each other (fixed guarantees, no
+sharing, no mitigation), `serve_guaranteed` serves a whole stretch of TTIs in
+one Lindley pass (`lindley_sent`) that writes the same logs.
 """
 
 from __future__ import annotations
 
-import math
-from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 STATE_A = "A"
 STATE_B = "B"
@@ -131,31 +139,43 @@ def mitigate(n_min: Sequence[int], records: Sequence[FsmRecord]) -> list[int]:
 
 
 class PacketQueue:
-    """FIFO service of one packet table: packet i is queued at TTI t when
-    head <= i and arrival[i] <= t.
+    """FIFO service of one packet table over `horizon` TTIs, kept as cumulative bits.
 
-    The table lists every packet's arrival TTI and size in FIFO order and
-    ends in a sentinel packet that never arrives.  Only the head packet is
-    ever partly sent; it still owes `head_rem` bits and has spent `head_rbs`
-    RBs' worth of bits so far.  Completed packets form the table prefix
-    [0, head) and record their completion TTI and RB count in `done_tti` /
-    `done_rbs`; `sent_bits` counts every bit sent, so the bits queued at TTI
-    t are the bits arrived by t less `sent_bits`.
+    The table lists every packet's arrival TTI and its cumulative end (the
+    bits of the table up to and including it) in FIFO order, and ends in a
+    sentinel packet that never arrives.  `arrived[t]` counts the bits arrived
+    by the end of TTI t and `sent` the bits sent so far: the bits queued at t
+    are arrived[t] - sent, the packets whose end is at most `sent` have
+    completed, and `head` is the first that has not.  Serving TTI t writes
+    the cumulative bits sent by its end to `sent_log[t]` and the RBs it used
+    to `used_log[t]`; every per-packet figure is derived from these two logs.
+    The columns are int64 buffers, read per TTI as memoryviews and as whole
+    arrays through `np.asarray`.
     """
 
-    __slots__ = ("arrival", "size", "head", "head_rem", "head_rbs", "sent_bits", "done_tti", "done_rbs")
+    __slots__ = ("arrival", "ends", "arrived", "sent_log", "used_log", "head", "sent")
 
-    def __init__(self, arrival: Sequence[int], size: Sequence[int]):
-        if len(arrival) != len(size):
+    def __init__(self, arrival: Sequence[int], size: Sequence[int], horizon: int):
+        arrival = np.asarray(arrival, dtype=np.int64)
+        size = np.asarray(size, dtype=np.int64)
+        n = len(arrival)
+        if arrival.ndim != 1 or arrival.shape != size.shape:
             raise ValueError("packet table columns differ in length")
-        self.arrival = [*arrival, _NEVER]
-        self.size = [*size, 0]
+        if n and (arrival[0] < 0 or arrival[-1] >= horizon or (np.diff(arrival) < 0).any() or size.min() < 1):
+            raise ValueError("packets must arrive in order within the horizon and carry at least one bit")
+        table = np.empty((2, n + 1), dtype=np.int64)
+        table[0, :n] = arrival
+        np.cumsum(size, out=table[1, :n])
+        table[:, n] = _NEVER
+        arrived = np.zeros(horizon, dtype=np.int64)
+        np.add.at(arrived, arrival, size)
+        np.cumsum(arrived, out=arrived)
+        self.arrival, self.ends = memoryview(table[0]), memoryview(table[1])
+        self.arrived = memoryview(arrived)
+        self.sent_log = memoryview(np.zeros(horizon, dtype=np.int64))
+        self.used_log = memoryview(np.zeros(horizon, dtype=np.int64))
         self.head = 0
-        self.head_rem = self.size[0]
-        self.head_rbs = 0.0
-        self.sent_bits = 0
-        self.done_tti = array("q")
-        self.done_rbs = array("q")
+        self.sent = 0
 
     def head_wait(self, tti: int) -> int:
         """TTIs the head packet has waited at `tti`; 0 for an empty queue."""
@@ -163,37 +183,25 @@ class PacketQueue:
         return tti - a if a <= tti else 0
 
 
-def drain_queue(
-    queue: PacketQueue, budget_bits: int, bits_per_rb: int, tti: int, service_id: int, completed: list
-) -> int:
+def drain_queue(queue: PacketQueue, budget_bits: int, tti: int, service_id: int, completed: list) -> int:
     """Send up to budget_bits at `tti` from a packet queue; returns bits sent.
 
-    An RB may end one packet and start the next, so bits flow as one pipe.
-    Each completed packet is recorded in the queue and appended to
-    `completed` as (service_id, packet index).
+    Bits flow as one pipe: a budget may end one packet and start the next.
+    The head moves past each completed packet, which is appended to
+    `completed` as (service_id, packet index), and the sent log records the
+    bits sent by the end of `tti`.
     """
-    head = queue.head
-    rem, rbs = queue.head_rem, queue.head_rbs
-    arrival, size = queue.arrival, queue.size
-    sent = 0
-    while sent < budget_bits and arrival[head] <= tti:
-        take = budget_bits - sent
-        if take >= rem:
-            sent += rem
-            rbs += rem / bits_per_rb
-            queue.done_tti.append(tti)
-            n = math.ceil(rbs - 1e-9)
-            queue.done_rbs.append(n if n > 1 else 1)  # max(1, n), without a call per packet
-            completed.append((service_id, head))
-            head += 1
-            rem = size[head]
-            rbs = 0.0
-        else:
-            rem -= take
-            rbs += take / bits_per_rb
-            sent += take
-    queue.head, queue.head_rem, queue.head_rbs = head, rem, rbs
-    queue.sent_bits += sent
+    s = queue.sent
+    sent = queue.arrived[tti] - s
+    if budget_bits < sent:
+        sent = budget_bits
+    s += sent
+    queue.sent = queue.sent_log[tti] = s
+    ends, head = queue.ends, queue.head
+    while ends[head] <= s:
+        completed.append((service_id, head))
+        head += 1
+    queue.head = head
     return sent
 
 
@@ -208,47 +216,126 @@ def schedule_tti(
 ):
     """Serve all queues for one TTI: guaranteed phase then deadline sharing.
 
-    Phase 1 drains each queue with its own guaranteed RBs.  Phase 2 hands the
-    unused guaranteed RBs plus the unguaranteed pool, one RB at a time, to the
-    backlogged service whose head packet has the least slack to its budget
-    (ties to the lowest service index); it is skipped when phase 1 leaves no
-    backlog.  Returns (rbs_used, completed).
+    Phase 1 sends min(queued bits, guaranteed RBs x bits per RB) from each
+    queue, using ceil(sent / c) RBs.  Phase 2 hands the unused guaranteed RBs
+    plus the unguaranteed pool to the backlogged service whose head packet
+    has the least slack to its budget (ties to the lowest service index),
+    granting the RBs that finish its head at once; it is skipped when phase 1
+    leaves no backlog.  Writes each queue's logs at `tti` and returns
+    (rbs_used, completed).
     """
-    m_count = len(queues)
-    rbs_used = [0] * m_count
+    rbs_used = [0] * len(queues)
     completed: list = []
     backlog = []
 
-    for m in range(m_count):
-        q = queues[m]
-        if q.arrival[q.head] > tti:
-            continue
-        n = alloc[m]
-        if n > 0:
-            c = bits_per_rb[m]
-            sent = drain_queue(q, n * c, c, tti, m, completed)
-            rbs_used[m] = -(-sent // c)
-            if q.arrival[q.head] > tti:
-                continue
-        backlog.append(m)
+    for m, q in enumerate(queues):
+        s = q.sent
+        owed = q.arrived[tti] - s
+        if owed:
+            n = alloc[m]
+            if n > 0:
+                # drain_queue inlined: this runs for every queue in every stepped TTI
+                c = bits_per_rb[m]
+                sent = n * c
+                if sent >= owed:
+                    sent = owed
+                else:
+                    backlog.append(m)
+                s += sent
+                q.sent = s
+                q.used_log[tti] = rbs_used[m] = -(-sent // c)
+                ends, head = q.ends, q.head
+                while ends[head] <= s:
+                    completed.append((m, head))
+                    head += 1
+                q.head = head
+            else:
+                backlog.append(m)
+        q.sent_log[tti] = s
 
-    if not share or not backlog:
-        return rbs_used, completed
-
-    pool = n_cell - sum(rbs_used)
-    while pool > 0 and backlog:
-        # slack q_t - (tti - arrival) less the common tti; backlog ascends, and
-        # min keeps the first of equal keys, so ties go to the lowest index
-        best = min(backlog, key=lambda m: q_t[m] + queues[m].arrival[queues[m].head])
-        q = queues[best]
-        c = bits_per_rb[best]
-        # the winner keeps winning until its head packet changes, so grant
-        # the RBs needed to finish the head in one batch
-        k = min(pool, -(-q.head_rem // c))
-        sent = drain_queue(q, k * c, c, tti, best, completed)
-        used = -(-sent // c)
-        rbs_used[best] += used
-        pool -= used
-        if q.arrival[q.head] > tti:
-            backlog.remove(best)
+    if share and backlog:
+        pool = n_cell - sum(rbs_used)
+        while pool > 0 and backlog:
+            if len(backlog) == 1:
+                best = backlog[0]
+            else:
+                # slack q_t - (tti - arrival) less the common tti; backlog ascends, and
+                # min keeps the first of equal keys, so ties go to the lowest index
+                best = min(backlog, key=lambda m: q_t[m] + queues[m].arrival[queues[m].head])
+            q = queues[best]
+            c = bits_per_rb[best]
+            # the winner keeps winning until its head packet changes, so grant
+            # the RBs needed to finish the head in one batch
+            k = -(-(q.ends[q.head] - q.sent) // c)
+            if k > pool:
+                k = pool
+            used = -(-drain_queue(q, k * c, tti, best, completed) // c)
+            q.used_log[tti] = rbs_used[best] = rbs_used[best] + used
+            pool -= used
+            if q.sent == q.arrived[tti]:
+                backlog.remove(best)
     return rbs_used, completed
+
+
+def lindley_sent(arrived: np.ndarray, offered: np.ndarray, sent0: int = 0) -> np.ndarray:
+    """Cumulative bits a FIFO queue has sent by the end of each TTI of a stretch.
+
+    `arrived` is the cumulative bits arrived by the end of each TTI, `offered`
+    the bits the queue may send in each TTI, and `sent0` the bits sent before
+    the stretch.  This is Lindley's recursion Q_t = max(0, Q_(t-1) + a_t - s_t)
+    in closed form: with y the backlog before reflection, sent = sent0 +
+    cumsum(offered) + min(0, running minimum of y).
+    """
+    sent = np.cumsum(offered)
+    sent += sent0
+    y = arrived - sent
+    np.minimum.accumulate(y, out=y)
+    np.minimum(y, 0, out=y)
+    sent += y
+    return sent
+
+
+def serve_guaranteed(queue: PacketQueue, t0: int, t1: int, n: int, bits_per_rb: np.ndarray) -> None:
+    """Serve TTIs [t0, t1) with n guaranteed RBs each and nothing shared, in
+    one Lindley pass; `bits_per_rb` holds the rates of those TTIs.  Writes the
+    same logs, head and sent count as stepping schedule_tti through them."""
+    sent = lindley_sent(np.asarray(queue.arrived)[t0:t1], n * bits_per_rb, queue.sent)
+    np.asarray(queue.sent_log)[t0:t1] = sent
+    np.asarray(queue.used_log)[t0:t1] = -(-np.diff(sent, prepend=queue.sent) // bits_per_rb)
+    queue.sent = int(sent[-1])
+    queue.head = bisect_right(queue.ends, queue.sent)
+
+
+def completion_ttis(sent_log: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Completion TTIs of the FIFO packets with cumulative ends `ends` that
+    completed within the log: for each, the first TTI whose cumulative sent
+    bits reach its end."""
+    comp = np.searchsorted(sent_log, ends, side="left")
+    return comp[: np.searchsorted(comp, len(sent_log))]
+
+
+def packet_rbs(queue: PacketQueue, bits_per_rb: np.ndarray, i: int, j: int, tti: int) -> np.ndarray:
+    """RB counts of packets [i, j), all completed before `tti`, from the sent log.
+
+    A packet's count is its share sum(bits_tau / c_tau) over the TTIs that
+    carried it, then max(1, ceil(share - 1e-9)).  The packets' bits are cut
+    at every packet end and every TTI end; each piece belongs to one packet
+    and one TTI, and a packet's pieces are summed in TTI order.
+    """
+    lo_bits = queue.ends[i - 1] if i else 0
+    hi_bits = queue.ends[j - 1]
+    # the TTIs [t0, t1) carried the packets' bits
+    t0 = bisect_right(queue.sent_log, lo_bits, 0, tti)
+    t1 = bisect_left(queue.sent_log, hi_bits, 0, tti) + 1
+    tti_ends = np.asarray(queue.sent_log)[t0:t1].copy()
+    tti_ends[-1] = hi_bits  # the last TTI may carry bits of later packets
+    ends = np.asarray(queue.ends)[i:j]
+    cuts = np.concatenate((ends, tti_ends))
+    cuts.sort()
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    # a piece ending at a cut was carried by the first TTI, and belongs to the
+    # first packet, whose end reaches the cut
+    pieces = np.diff(cuts, prepend=lo_bits) / bits_per_rb[t0:t1][np.searchsorted(tti_ends, cuts)]
+    share = np.bincount(np.searchsorted(ends, cuts), weights=pieces, minlength=j - i)
+    rbs = np.ceil(share - 1e-9).astype(np.int64)
+    return np.maximum(rbs, 1, out=rbs)

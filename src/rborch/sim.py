@@ -7,13 +7,17 @@ one slot.  The first t_obs TTIs warm the observation windows under a static
 equal split and are excluded from the reported metrics.
 
 Each service's traffic is one packet table (arrival TTI and size of every
-packet, FIFO order) drawn for the whole horizon and served through an
-`rt.PacketQueue`, which queues a packet once its arrival TTI is reached.  The
-bits queued at TTI t are derived, where they are read, as the bits arrived by
-t less the bits the queue has sent.  The near-RT transmission window is a
-slice of the queue's completion records, and delays come from the completion
-TTIs at the end of the run through the same helper `measure_fifo_delays`
-uses.  The controller kinds are rows of `ControllerStrategy` data.
+packet, FIFO order) drawn for the whole horizon and held once, as the
+cumulative bits of an `rt.PacketQueue`.  Serving a TTI writes the queue's two
+logs, cumulative bits sent and RBs used, and everything else is read from
+them: the near-RT window's packets and RB counts, the extra-RB usage and the
+QLDR queue bits, the utilization, and the delays, whose completion TTIs come
+from the same Lindley pass and completion search that `measure_fifo_delays`
+uses.  TTIs are stepped one at a time only where services interact.  Where
+they cannot -- warm-up for every controller, and each period between
+decisions for a controller that neither shares nor mitigates -- a stretch is
+served in one Lindley pass over each queue.  The controller kinds are rows of
+`ControllerStrategy` data.
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from array import array
-from bisect import bisect_left, bisect_right
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,7 +34,19 @@ import numpy as np
 from .martingale import ArrivalSampleSet
 from .capacity import ConcatPerRbVector
 from .near_rt import AllocatorConfig, ServiceSpec, ServiceWindow, allocate
-from .rt import IDLE, PacketQueue, RtThresholds, fsm_step, mitigate, schedule_tti, slot_count
+from .rt import (
+    IDLE,
+    PacketQueue,
+    RtThresholds,
+    completion_ttis,
+    fsm_step,
+    lindley_sent,
+    mitigate,
+    packet_rbs,
+    schedule_tti,
+    serve_guaranteed,
+    slot_count,
+)
 from .traces import ArrivalTrace, ChannelTrace, SyntheticModel, extend_cyclically, sample_many
 
 log = logging.getLogger(__name__)
@@ -223,21 +237,18 @@ def qldr_allocate(
 def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: float = 1.0):
     """Per-packet delays through one FIFO queue with per-TTI service capacity.
 
-    One packet per non-empty TTI.  Vectorized via the reflected cumulative
-    backlog, so multi-million-TTI measurement runs stay cheap.  Returns
-    (delays_ms of completed packets, arrival TTIs of packets still pending).
+    One packet per non-empty TTI.  Vectorized through the same Lindley pass
+    and completion search as `run`'s queues, so multi-million-TTI measurement
+    runs stay cheap.  Returns (delays_ms of completed packets, arrival TTIs of
+    packets still pending).
     """
     a = np.asarray(arr_bits, dtype=np.int64)
     s = np.asarray(svc_bits, dtype=np.int64)
     if a.shape != s.shape:
         raise ValueError("arrival and service arrays must align per TTI")
-    x = np.cumsum(a - s)
-    backlog = x - np.minimum(np.minimum.accumulate(x), 0)
     a_cum = np.cumsum(a)
-    dep = a_cum - backlog
     t_arr = np.nonzero(a > 0)[0]
-    comp = np.searchsorted(dep, a_cum[t_arr], side="left")
-    return _fifo_delays(t_arr, comp[: np.searchsorted(comp, len(dep))], t_slot_ms)
+    return _fifo_delays(t_arr, completion_ttis(lindley_sent(a_cum, s), a_cum[t_arr]), t_slot_ms)
 
 
 def _fifo_delays(t_arr: np.ndarray, t_done: np.ndarray, t_slot_ms: float):
@@ -278,8 +289,7 @@ def _gen_service_streams(cfg: ScenarioConfig, m: int):
     """Pre-draw the whole horizon for service m.
 
     Returns its packet table -- arrival TTI and size of every packet, in FIFO
-    order -- with the per-TTI arrival bits derived from it, and the per-TTI
-    bits per RB.  Synthetic sources and bare traces give one packet per
+    order -- and the per-TTI bits per RB.  Synthetic sources and bare traces give one packet per
     non-empty TTI; packet traces are flattened and extended cyclically.
     """
     spec = cfg.services[m]
@@ -314,9 +324,7 @@ def _gen_service_streams(cfg: ScenarioConfig, m: int):
         hit = (t_arr >= anom.start_tti) & (t_arr < anom.end_tti)
         sizes[hit] = np.rint(sizes[hit] * anom.factor).astype(np.int64)
         t_arr, sizes = t_arr[sizes > 0], sizes[sizes > 0]
-    bits = np.zeros(horizon, dtype=np.int64)
-    np.add.at(bits, t_arr, sizes)
-    return t_arr, sizes, bits, rates
+    return t_arr, sizes, rates
 
 
 def run(cfg: ScenarioConfig) -> Metrics:
@@ -329,9 +337,13 @@ def run(cfg: ScenarioConfig) -> Metrics:
     t_slot = cfg.t_slot_ms
     warmup_end = cfg.t_obs
 
-    t_arr_np, sizes_np, arrivals_np, rates_np = zip(*(_gen_service_streams(cfg, m) for m in range(m_count)))
-    rates_all = [r.tolist() for r in rates_np]
-    queues = [PacketQueue(a.tolist(), s.tolist()) for a, s in zip(t_arr_np, sizes_np)]
+    queues, rates = [], []
+    for m in range(m_count):
+        t_arr, sizes, r = _gen_service_streams(cfg, m)
+        queues.append(PacketQueue(t_arr, sizes, horizon))
+        rates.append(r)
+    del t_arr, sizes  # the queues hold the only copy of each table
+    rate_views = [memoryview(r) for r in rates]
 
     q_t = [slot_count(s.w_th_ms, t_slot) for s in cfg.services]
     if strat.mitigates:
@@ -339,109 +351,97 @@ def run(cfg: ScenarioConfig) -> Metrics:
     alloc_cfg = AllocatorConfig(t_slot_ms=t_slot, estimator=cfg.estimator, gmm_components=cfg.gmm_components)
     em_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
 
-    baseline = [n_cell // m_count] * m_count  # static equal split while warming up
     fsm = [IDLE] * m_count
+    window_rbs = [_WindowRbs() for _ in range(m_count)]
     model = strat.guarantee == "model"
-    extras = [deque(maxlen=cfg.t_out) for _ in range(m_count)]  # read by model guarantees only
     qldr = strat.guarantee == "qldr"
-    if qldr:
-        qldr_qbits = [deque(maxlen=cfg.qldr_window) for _ in range(m_count)]
-        rate_sums = [np.concatenate(([0], np.cumsum(r))) for r in rates_np]
-    rbs_used_measured = 0
+    # between decisions a model-guarantee controller that neither shares nor
+    # mitigates leaves the services decoupled: each period is served in bulk
+    shares, mitigates = strat.shares, strat.mitigates
+    zero_after_warmup = strat.guarantee == "none"
+    bulk_periods = model and not shares and not mitigates
     alloc_rows: list[tuple] = []
     debug_rows: list[tuple] = [] if cfg.debug_log else None
     period = 0
+    t_out, qldr_window = cfg.t_out, cfg.qldr_window
     check = cfg.check_invariants
-    if qldr or debug_rows is not None or check:
-        # bits arrived by the end of each TTI; less a queue's sent bits, the
-        # bits it holds.  Built only for these readers: 8 bytes per TTI and service
-        arrived = [array("q", np.cumsum(a).tobytes()) for a in arrivals_np]
     w_th = [s.w_th_ms for s in cfg.services]
+    sids = [s.id for s in cfg.services]
 
-    for t in range(horizon):
-        warm = t < warmup_end
+    def serve_bulk(t0: int, t1: int, alloc: Sequence[int]) -> None:
+        for m, q in enumerate(queues):
+            serve_guaranteed(q, t0, t1, alloc[m], rates[m][t0:t1])
+        if debug_rows is not None:
+            debug_rows.extend(_bulk_debug_rows(t0, t1, queues, alloc, sids))
+        if check:
+            _check_invariants(t0, t1, queues, rates, n_cell)
+
+    # static equal split while warming up: no sharing, no mitigation
+    baseline = [n_cell // m_count] * m_count
+    serve_bulk(0, warmup_end, baseline)
+    served = warmup_end
+    for t in range(warmup_end, horizon):
+        if t < served:
+            continue
         since = t - warmup_end
-        source = None if warm else strat.guarantee  # guarantees stay at the equal split while warm
-        if source == "model" and since % cfg.t_out == 0:
-            lo = t - cfg.t_obs
-            windows = []
-            for m, q in enumerate(queues):
-                # packets completed in [lo, t): a FIFO prefix slice of the table
-                i, j = bisect_left(q.done_tti, lo), len(q.done_tti)
-                if i < j:
-                    per_rb = ConcatPerRbVector(sizes_np[m][i:j], np.frombuffer(q.done_rbs[i:j], np.int64))
-                else:
-                    # no transmissions observed: fall back to raw channel rates
-                    rate_win = rates_np[m][lo:t]
-                    per_rb = ConcatPerRbVector(rate_win, np.ones(len(rate_win), dtype=np.int64))
-                windows.append(
-                    ServiceWindow(
-                        ArrivalSampleSet(arrivals_np[m][lo:t]),
-                        per_rb,
-                        np.fromiter(extras[m], np.int64, len(extras[m])),
-                    )
-                )
+        if model and since % t_out == 0:
+            windows = [
+                _service_window(q, rates[m], window_rbs[m], t - cfg.t_obs, max(0, t - t_out), t, baseline[m])
+                for m, q in enumerate(queues)
+            ]
             decision = allocate(cfg.services, windows, n_cell, alloc_cfg, em_rng)
             del windows  # frees the capacity prefixes built for this decision
             baseline = list(decision.n_min)
             for m in range(m_count):
-                alloc_rows.append(
-                    (period, cfg.services[m].id, decision.n_min[m], decision.w_est[m], decision.objective)
-                )
+                alloc_rows.append((period, sids[m], decision.n_min[m], decision.w_est[m], decision.objective))
             period += 1
-        elif source == "qldr" and since and since % cfg.qldr_window == 0:
-            avg_q = [
-                (sum(qldr_qbits[m]) / len(qldr_qbits[m])) if qldr_qbits[m] else 0.0
-                for m in range(m_count)
-            ]
-            lo = max(0, t - cfg.qldr_window)
-            # whole-bit rates: the exact window sum over its length, as np.mean gives it
-            avg_c = [int(rate_sums[m][t] - rate_sums[m][lo]) / (t - lo) for m in range(m_count)]
+            if bulk_periods:
+                served = min(t + t_out, horizon)
+                serve_bulk(t, served, baseline)
+                continue
+        elif qldr and since and since % qldr_window == 0:
+            lo = t - qldr_window
+            # mean queued bits and mean bits per RB over the last window, as
+            # exact whole-bit sums over its length
+            avg_q = [(sum(q.arrived[lo:t]) - sum(q.sent_log[lo:t])) / (t - lo) for q in queues]
+            avg_c = [sum(r[lo:t]) / (t - lo) for r in rate_views]
             baseline = qldr_allocate(avg_q, avg_c, w_th, n_cell)
-        elif source == "none" and not since:
+        elif zero_after_warmup and not since:
             baseline = [0] * m_count
 
         rt_alloc = baseline
-        share = strat.shares and not warm
-        if strat.mitigates and not warm:
+        if mitigates:
             any_active = False
-            for m in range(m_count):
-                rec = fsm_step(queues[m].head_wait(t), fsm[m], thresholds[m])
-                fsm[m] = rec
+            for m, q in enumerate(queues):
+                a = q.arrival[q.head]  # q.head_wait(t), inlined
+                rec = fsm[m] = fsm_step(t - a if a <= t else 0, fsm[m], thresholds[m])
                 if rec is not IDLE:
                     any_active = True
             if any_active:
                 rt_alloc = mitigate(baseline, fsm)
 
-        rates_t = [r[t] for r in rates_all]
-        rbs_used, completed = schedule_tti(t, queues, rt_alloc, rates_t, n_cell, q_t, share)
+        rbs_used, _ = schedule_tti(t, queues, rt_alloc, [r[t] for r in rate_views], n_cell, q_t, shares)
 
-        if not warm:
-            rbs_used_measured += sum(rbs_used)
-        if model:
-            for e, used, base in zip(extras, rbs_used, baseline):
-                e.append(used - base if used > base else 0)
-        elif qldr:
-            for m in range(m_count):
-                qldr_qbits[m].append(arrived[m][t] - queues[m].sent_bits)
         if debug_rows is not None:
             for m, q in enumerate(queues):
                 rec = fsm[m]
                 debug_rows.append((
-                    t, cfg.services[m].id, rec.state, rec.n_req, rt_alloc[m], rbs_used[m],
-                    arrived[m][t] - q.sent_bits, q.head_wait(t),
+                    t, sids[m], rec.state, rec.n_req, rt_alloc[m], rbs_used[m],
+                    q.arrived[t] - q.sent, q.head_wait(t),
                 ))
         if check:
-            if strat.mitigates and not warm and sum(rt_alloc) != sum(baseline):
+            if mitigates and sum(rt_alloc) != sum(baseline):
                 raise AssertionError(f"mitigation broke conservation at tti {t}")
-            _check_invariants(t, queues, arrived, rbs_used, n_cell, completed)
+            _check_invariants(t, t + 1, queues, rates, n_cell)
 
     services_out = []
     measured_ttis = horizon - warmup_end
     for m, q in enumerate(queues):
-        # packets arriving after warm-up are a suffix of the table
-        first = int(np.searchsorted(t_arr_np[m], warmup_end))
-        darr, pending = _fifo_delays(t_arr_np[m][first:], np.frombuffer(q.done_tti, np.int64)[first:], t_slot)
+        # packets arriving after warm-up are a suffix of the table (less its sentinel)
+        arrival = np.asarray(q.arrival)[:-1]
+        first = int(np.searchsorted(arrival, warmup_end))
+        done = completion_ttis(np.asarray(q.sent_log), np.asarray(q.ends)[first:-1])
+        darr, pending = _fifo_delays(arrival[first:], done, t_slot)
         pending_viol = int(np.count_nonzero((horizon - pending) * t_slot > w_th[m]))
         # pending packets already past their budget count as violations
         scored = np.concatenate([darr, np.full(pending_viol, np.inf)])
@@ -454,29 +454,97 @@ def run(cfg: ScenarioConfig) -> Metrics:
         else:
             stats = (math.nan,) * 6
         services_out.append(
-            ServiceMetrics(cfg.services[m].id, total, len(darr), pending_viol, viol_prob, *stats, curve, darr)
+            ServiceMetrics(sids[m], total, len(darr), pending_viol, viol_prob, *stats, curve, darr)
         )
+    rbs_used_measured = sum(int(np.asarray(q.used_log)[warmup_end:].sum()) for q in queues)
     util = rbs_used_measured / (n_cell * measured_ttis) if measured_ttis else 0.0
     return Metrics(services_out, util, alloc_rows, debug_rows)
 
 
-def _check_invariants(
-    t: int, queues: Sequence[PacketQueue], arrived, rbs_used, n_cell: int, completed
-) -> None:
-    """RB ledger, FIFO order and flow conservation after serving TTI t."""
-    total_used = sum(rbs_used)
-    if total_used > n_cell:
-        raise AssertionError(f"RB ledger violated at tti {t}: {total_used} > {n_cell}")
-    for sid, i in completed:
-        done = queues[sid].done_tti
-        # completion TTIs never precede the arrival and never decrease
-        if done[i] < queues[sid].arrival[i] or (i and done[i] < done[i - 1]):
-            raise AssertionError(f"FIFO order violated at tti {t} service {sid}")
+class _WindowRbs:
+    """RB counts of one queue's packets [first, first + len(counts)), derived
+    from its logs.  A packet's count is fixed once it completes, so each
+    decision derives only the packets completed since the last one and drops
+    those that left the observation window."""
+
+    __slots__ = ("first", "counts")
+
+    def __init__(self):
+        self.first = 0
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def window(self, q: PacketQueue, rates: np.ndarray, i: int, j: int, t: int) -> np.ndarray:
+        """Counts of the packets [i, j), all completed before TTI t; i and j never fall."""
+        start = max(i, self.first + len(self.counts))
+        kept = self.counts[i - self.first :]
+        self.counts = np.concatenate((kept, packet_rbs(q, rates, start, j, t))) if start < j else kept
+        self.first = i
+        return self.counts
+
+
+def _service_window(
+    q: PacketQueue, rates: np.ndarray, rbs: _WindowRbs, lo: int, lo_extra: int, t: int, base: int
+) -> ServiceWindow:
+    """Observation window of one service for a decision at TTI t, read from its
+    logs: arrivals over [lo, t), the packets completed in [lo, t) with their
+    RB counts, and the extra-RB usage over [lo_extra, t) above `base`."""
+    # the packets completed in [lo, t) end after the bits sent by the end of lo - 1
+    i = bisect_right(q.ends, q.sent_log[lo - 1]) if lo else 0
+    j = q.head
+    if i < j:
+        sizes = _increments(np.asarray(q.ends), i, j)
+        per_rb = ConcatPerRbVector(sizes, rbs.window(q, rates, i, j, t))
+    else:
+        # no transmissions observed: fall back to raw channel rates
+        rate_win = rates[lo:t]
+        per_rb = ConcatPerRbVector(rate_win, np.ones(len(rate_win), dtype=np.int64))
+    arrivals = _increments(np.asarray(q.arrived), lo, t)
+    extra = np.asarray(q.used_log)[lo_extra:t] - base
+    return ServiceWindow(ArrivalSampleSet(arrivals), per_rb, np.maximum(extra, 0, out=extra))
+
+
+def _increments(cum: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Items [lo, hi) of a cumulative column: each entry less the one before it."""
+    if lo:
+        return cum[lo:hi] - cum[lo - 1 : hi - 1]
+    return np.diff(cum[:hi], prepend=0)
+
+
+def _bulk_debug_rows(
+    t0: int, t1: int, queues: Sequence[PacketQueue], alloc: Sequence[int], sids: Sequence[int]
+) -> list[tuple]:
+    """Debug rows of a stretch served in bulk, TTI by TTI: every FSM is idle,
+    and the queued bits and head wait follow from the logs."""
+    ttis = np.arange(t0, t1)
+    columns = []
     for m, q in enumerate(queues):
-        # the completed packets are the table prefix before the head, and the
-        # bits arrived less the bits sent are exactly the bits still owed on
-        # the queued packets [head, tail)
-        tail = bisect_right(q.arrival, t)
-        owed = q.head_rem + sum(q.size[q.head + 1 : tail]) if q.head < tail else 0
-        if len(q.done_tti) != q.head or arrived[m][t] - q.sent_bits != owed:
-            raise AssertionError(f"flow conservation violated at tti {t} service {m}")
+        sent = np.asarray(q.sent_log)[t0:t1]
+        head_arrival = np.asarray(q.arrival)[np.searchsorted(np.asarray(q.ends), sent, side="right")]
+        wait = np.where(head_arrival <= ttis, ttis - head_arrival, 0)
+        queued = np.asarray(q.arrived)[t0:t1] - sent
+        fixed = itertools.repeat((sids[m], IDLE.state, IDLE.n_req, alloc[m]))
+        used = np.asarray(q.used_log)[t0:t1]
+        columns.append(zip(ttis.tolist(), fixed, used.tolist(), queued.tolist(), wait.tolist()))
+    return [(t, *same, used, bits, wait) for rows in zip(*columns) for t, same, used, bits, wait in rows]
+
+
+def _check_invariants(t0: int, t1: int, queues: Sequence[PacketQueue], rates, n_cell: int) -> None:
+    """RB ledger and flow conservation over the served TTIs [t0, t1)."""
+    used = np.array([np.asarray(q.used_log)[t0:t1] for q in queues])
+    total = used.sum(axis=0)
+    if total.max() > n_cell:
+        t = t0 + int(total.argmax())
+        raise AssertionError(f"RB ledger violated at tti {t}: {int(total.max())} > {n_cell}")
+    for m, q in enumerate(queues):
+        sent = np.asarray(q.sent_log)[t0:t1]
+        step = _increments(np.asarray(q.sent_log), t0, t1)
+        # the bits sent never fall, fit in the RBs used and never run ahead of
+        # the bits arrived; the head is the first packet not wholly sent
+        if (
+            (step < 0).any()
+            or (step > used[m] * rates[m][t0:t1]).any()
+            or (sent > np.asarray(q.arrived)[t0:t1]).any()
+            or q.sent != sent[-1]
+            or q.head != bisect_right(q.ends, q.sent)
+        ):
+            raise AssertionError(f"flow conservation violated in ttis [{t0}, {t1}) service {m}")

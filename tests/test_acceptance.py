@@ -326,7 +326,8 @@ channel = constant 25
     report(7, f"byte-identical {', '.join(files)} across repeated runs")
 
 
-def test_criterion_8_performance():
+def criterion_8_config() -> rb.ScenarioConfig:
+    """10^6 TTIs, 3 services, marea; CI also runs it alone to report its peak memory."""
     services = [
         rb.ServiceSpec(0, 5.0, 1e-3, mk("two-point", (0, 200), (0.5, 0.5)), mk("constant", (25,))),
         rb.ServiceSpec(1, 10.0, 1e-3, mk("empirical-table", (0, 100, 300), (0.3, 0.5, 0.2)),
@@ -334,9 +335,13 @@ def test_criterion_8_performance():
         rb.ServiceSpec(2, 15.0, 1e-2, mk("uniform-integer", (0, 240)),
                        mk("two-point", (20, 30), (0.5, 0.5))),
     ]
-    cfg = rb.ScenarioConfig(
+    return rb.ScenarioConfig(
         n_cell=30, horizon=1_000_000, services=services, t_obs=4000, t_out=1000, seed=1
     )
+
+
+def test_criterion_8_performance():
+    cfg = criterion_8_config()
     t0 = time.perf_counter()
     m = run(cfg)
     elapsed = time.perf_counter() - t0

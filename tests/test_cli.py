@@ -345,6 +345,19 @@ def test_option_below_one_exit_1(command, option, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_jobs_below_one_exit_1(jobs, tmp_path, capsys):
+    # used to run the sweep in sequence and exit 0; only values below 1 are
+    # tried here, since a valid count starts worker processes
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(TRIPLE_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "seed=1,2", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--jobs" in err
+    assert not out.exists()
+
+
 TRIPLE_CFG = """
 [scenario]
 n_cell = 30

@@ -238,7 +238,9 @@ def scenarios(draw_):
                         arrival, draw_(CHANNELS))
         )
     t_obs = draw_(st.integers(20, 200))
-    t_out = draw_(st.integers(10, t_obs))
+    # t_out may exceed t_obs (allowed with a warning): the first decision's
+    # extra-RB usage then reaches back into warm-up and stops at TTI 0
+    t_out = draw_(st.integers(10, 2 * t_obs))
     horizon = draw_(st.integers(t_obs + t_out, min(600, t_obs + 4 * t_out)))
     anomaly = None
     if draw_(st.booleans()):

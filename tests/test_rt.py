@@ -13,9 +13,11 @@ from rborch.rt import (
     FsmRecord,
     PacketQueue,
     RtThresholds,
+    completion_ttis,
     drain_queue,
     fsm_step,
     mitigate,
+    packet_rbs,
     schedule_tti,
     slot_count,
 )
@@ -144,17 +146,36 @@ class TestMitigate:
                     assert out[i] >= alloc[i]
 
 
+H = 16  # horizon of the hand-built queues
+
+
 def mkq(*pkts):
-    """Queue of (arrival_tti, size) packets."""
-    return PacketQueue([p[0] for p in pkts], [p[1] for p in pkts])
+    """Queue of (arrival_tti, size) packets over H TTIs."""
+    return PacketQueue([p[0] for p in pkts], [p[1] for p in pkts], H)
 
 
 def queued(q, tti):
     """(packets, bits) queued at `tti`, counted from the packet table: the
     packets from the head on that have arrived, and the bits arrived by
     `tti` less the bits sent."""
-    n = sum(1 for a in q.arrival[q.head :] if a <= tti)
-    return n, sum(s for a, s in zip(q.arrival, q.size) if a <= tti) - q.sent_bits
+    n = sum(1 for a in q.arrival[q.head : -1] if a <= tti)
+    return n, q.arrived[tti] - q.sent
+
+
+def head_rem(q):
+    """Bits the head packet still owes."""
+    return q.ends[q.head] - q.sent
+
+
+def done_ttis(q, tti):
+    """Completion TTIs of the packets completed by the end of `tti`, from the sent log."""
+    return completion_ttis(np.asarray(q.sent_log)[: tti + 1], np.asarray(q.ends)[:-1]).tolist()
+
+
+def done_rbs(q, rate, tti):
+    """RB counts of the packets completed by the end of `tti`, from the sent log
+    at a constant `rate` bits per RB."""
+    return packet_rbs(q, np.full(H, rate), 0, q.head, tti + 1).tolist()
 
 
 class TestPacketQueue:
@@ -166,23 +187,34 @@ class TestPacketQueue:
     def test_completions_recorded_in_fifo_order(self):
         q = mkq((0, 30), (0, 20), (1, 25))
         done = []
-        assert drain_queue(q, 40, 10, 0, 7, done) == 40  # 30 + 10 of the next
-        assert done == [(7, 0)] and list(q.done_tti) == [0] and list(q.done_rbs) == [3]
-        assert q.head_rem == 10 and queued(q, 0) == (1, 10) and q.sent_bits == 40
-        drain_queue(q, 100, 10, 1, 7, done)
+        assert drain_queue(q, 40, 0, 7, done) == 40  # 30 + 10 of the next
+        assert done == [(7, 0)] and done_ttis(q, 0) == [0] and done_rbs(q, 10, 0) == [3]
+        assert head_rem(q) == 10 and queued(q, 0) == (1, 10) and q.sent == 40
+        drain_queue(q, 100, 1, 7, done)
         assert done == [(7, 0), (7, 1), (7, 2)]
-        assert list(q.done_tti) == [0, 1, 1] and list(q.done_rbs) == [3, 2, 3]  # 20 bits over two TTIs: 2 RBs
-        assert queued(q, 2) == (0, 0) and q.head_wait(2) == 0 and q.head_rem == 0
+        assert done_ttis(q, 1) == [0, 1, 1] and done_rbs(q, 10, 1) == [3, 2, 3]  # 20 bits over two TTIs: 2 RBs
+        assert queued(q, 2) == (0, 0) and q.head_wait(2) == 0 and q.head == 3
+        assert list(q.sent_log[:2]) == [40, 75]
 
     def test_packet_after_tti_neither_served_nor_waiting(self):
         q = mkq((0, 10), (3, 20))
         done = []
-        assert drain_queue(q, 100, 10, 1, 0, done) == 10  # the packet of TTI 3 is not yet queued
-        assert done == [(0, 0)] and q.head == 1 and q.head_rem == 20
+        assert drain_queue(q, 100, 1, 0, done) == 10  # the packet of TTI 3 is not yet queued
+        assert done == [(0, 0)] and q.head == 1 and head_rem(q) == 20
         assert queued(q, 1) == (0, 0) and q.head_wait(1) == 0 and q.head_wait(3) == 0
         assert queued(q, 3) == (1, 20) and q.head_wait(5) == 2
         used, done = schedule_tti(2, [q], [5], [10], 5, [5])
-        assert used == [0] and done == [] and q.sent_bits == 10
+        assert used == [0] and done == [] and q.sent == 10
+
+    def test_table_checked(self):
+        with pytest.raises(ValueError):
+            PacketQueue([0, 1], [10], H)
+        with pytest.raises(ValueError):
+            PacketQueue([2, 1], [10, 10], H)  # out of order
+        with pytest.raises(ValueError):
+            PacketQueue([0, H], [10, 10], H)  # past the horizon
+        with pytest.raises(ValueError):
+            PacketQueue([0, 1], [10, 0], H)  # an empty packet
 
 
 class TestScheduleTti:
@@ -195,8 +227,9 @@ class TestScheduleTti:
         queues = [mkq((0, 100))]
         used, done = schedule_tti(0, queues, [10], [25], 10, [5])
         assert used == [4]
-        assert len(done) == 1 and queues[0].arrival[done[0][1]] == 0 and queues[0].done_rbs[0] == 4
+        assert len(done) == 1 and queues[0].arrival[done[0][1]] == 0 and done_rbs(queues[0], 25, 0) == [4]
         assert queued(queues[0], 0) == (0, 0)
+        assert queues[0].used_log[0] == 4 and queues[0].sent_log[0] == 100
 
     def test_partial_rb_rounds_up(self):
         queues = [mkq((0, 90))]
@@ -220,7 +253,7 @@ class TestScheduleTti:
         used, done = schedule_tti(0, queues, [1], [25], 1, [5])
         assert used == [1]
         assert len(done) == 1
-        assert queues[0].head_rem == 15  # 30 - (25 - 10)
+        assert head_rem(queues[0]) == 15  # 30 - (25 - 10)
 
     def test_budget_respected(self):
         rng = np.random.default_rng(2)
@@ -255,12 +288,17 @@ class TestScheduleTti:
     def test_sharing_skipped_without_backlog(self, monkeypatch):
         calls = []
         real = rt.drain_queue
-        monkeypatch.setattr(rt, "drain_queue", lambda q, *a: calls.append(a[3]) or real(q, *a))
+        monkeypatch.setattr(rt, "drain_queue", lambda q, *a: calls.append(a[2]) or real(q, *a))
         queues = [mkq((0, 50)), mkq((0, 20)), mkq((3, 10))]
         used, done = schedule_tti(0, queues, [2, 1, 4], [25, 25, 25], 10, [5, 5, 5])
         assert used == [2, 1, 0] and len(done) == 2
-        # phase 1 only: service 2 has nothing queued and no queue is left to share with
-        assert calls == [0, 1]
+        # phase 1 sends without drain_queue; service 2 has nothing queued and
+        # no queue is left to share with, so no grant is made
+        assert calls == []
+        # a backlog left by phase 1 is shared out through drain_queue grants
+        queues = [mkq((0, 60)), mkq((0, 20))]
+        used, done = schedule_tti(0, queues, [2, 1], [25, 25], 10, [5, 5])
+        assert used == [3, 1] and len(done) == 2 and calls == [0]
 
     def test_no_sharing_keeps_pool_idle(self):
         queues = [mkq((0, 1000)), mkq()]

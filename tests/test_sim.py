@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rborch import sim
 from rborch.near_rt import ServiceSpec
 from rborch.rt import ConfigError
 from rborch.sim import (
@@ -317,3 +318,35 @@ class TestTraceDrivenRun:
         m = run(cfg)
         assert m.services[0].completed > 0
         assert m.services[0].violation_prob == 0.0
+
+
+class TestInvariantChecks:
+    """`check_invariants` reads the logs of stepped TTIs and of bulk stretches."""
+
+    # warm-up is served in bulk for every controller, and ref3's periods too
+    @pytest.mark.parametrize("controller, tti", [("marea", 1999), ("ref3", 2500)])
+    def test_bulk_stretch_checked(self, controller, tti, monkeypatch):
+        real = sim.serve_guaranteed
+
+        def leaky(queue, t0, t1, n, rates):
+            real(queue, t0, t1, n, rates)
+            if t0 <= tti < t1:
+                queue.sent_log[tti] = queue.arrived[tti] + 1  # sends a bit that never arrived
+
+        monkeypatch.setattr(sim, "serve_guaranteed", leaky)
+        with pytest.raises(AssertionError, match="flow conservation"):
+            run(small_config(controller=controller))
+        run(small_config(controller=controller, check_invariants=False))  # only the checks look
+
+    def test_stepped_tti_checked(self, monkeypatch):
+        real = sim.schedule_tti
+
+        def overbooked(tti, queues, *args):
+            out = real(tti, queues, *args)
+            if tti == 2100:
+                queues[0].used_log[tti] = 31  # above n_cell on its own
+            return out
+
+        monkeypatch.setattr(sim, "schedule_tti", overbooked)
+        with pytest.raises(AssertionError, match="RB ledger violated at tti 2100"):
+            run(small_config(controller="marea"))
