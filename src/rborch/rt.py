@@ -15,7 +15,10 @@ records nothing per packet: completion TTIs and RB counts are derived from the
 logs (`completion_ttis`, `packet_rbs`).  `schedule_tti` steps one TTI for all
 services.  Where services cannot affect each other (fixed guarantees, no
 sharing, no mitigation), `serve_guaranteed` serves a whole stretch of TTIs in
-one Lindley pass (`lindley_sent`) that writes the same logs.
+one Lindley pass (`lindley_sent`) that writes the same logs.  Where every
+queue starts a TTI empty and its arrivals fit in the cell, sharing empties
+every queue in ceil(a / c) RBs each, whatever the guarantees: `clearing_rbs`
+writes those RBs ahead of time and `serve_cleared` serves such a stretch.
 """
 
 from __future__ import annotations
@@ -221,7 +224,7 @@ def schedule_tti(
     plus the unguaranteed pool to the backlogged service whose head packet
     has the least slack to its budget (ties to the lowest service index),
     granting the RBs that finish its head at once; it is skipped when phase 1
-    leaves no backlog.  Writes each queue's logs at `tti` and returns
+    leaves no backlog.  Writes both logs of every queue at `tti` and returns
     (rbs_used, completed).
     """
     rbs_used = [0] * len(queues)
@@ -231,6 +234,7 @@ def schedule_tti(
     for m, q in enumerate(queues):
         s = q.sent
         owed = q.arrived[tti] - s
+        used = 0
         if owed:
             n = alloc[m]
             if n > 0:
@@ -243,7 +247,7 @@ def schedule_tti(
                     backlog.append(m)
                 s += sent
                 q.sent = s
-                q.used_log[tti] = rbs_used[m] = -(-sent // c)
+                used = rbs_used[m] = -(-sent // c)
                 ends, head = q.ends, q.head
                 while ends[head] <= s:
                     completed.append((m, head))
@@ -252,6 +256,7 @@ def schedule_tti(
             else:
                 backlog.append(m)
         q.sent_log[tti] = s
+        q.used_log[tti] = used
 
     if share and backlog:
         pool = n_cell - sum(rbs_used)
@@ -304,6 +309,29 @@ def serve_guaranteed(queue: PacketQueue, t0: int, t1: int, n: int, bits_per_rb: 
     np.asarray(queue.used_log)[t0:t1] = -(-np.diff(sent, prepend=queue.sent) // bits_per_rb)
     queue.sent = int(sent[-1])
     queue.head = bisect_right(queue.ends, queue.sent)
+
+
+def clearing_rbs(queue: PacketQueue, t0: int, bits_per_rb: np.ndarray) -> np.ndarray:
+    """Write to the used log from TTI t0 on the RBs that send each TTI's
+    arrivals, ceil(a / c), and return that part of the log; `bits_per_rb`
+    holds the rates of those TTIs.  A TTI that starts with every queue empty
+    and whose arrivals fit in the cell uses exactly these RBs."""
+    used = np.asarray(queue.used_log)[t0:]
+    arrived = np.asarray(queue.arrived)
+    np.subtract(arrived[t0:], arrived[t0 - 1 : -1], out=used)
+    np.negative(used, out=used)
+    np.floor_divide(used, bits_per_rb, out=used)
+    np.negative(used, out=used)
+    return used
+
+
+def serve_cleared(queue: PacketQueue, t0: int, t1: int) -> None:
+    """Serve TTIs [t0, t1) of an empty queue in a cell that clears each of
+    them: every TTI sends the bits it got, in the RBs `clearing_rbs` wrote.
+    Writes the same sent log, head and sent count as stepping schedule_tti."""
+    queue.sent_log[t0:t1] = queue.arrived[t0:t1]
+    queue.sent = queue.arrived[t1 - 1]
+    queue.head = bisect_right(queue.ends, queue.sent, queue.head)
 
 
 def completion_ttis(sent_log: np.ndarray, ends: np.ndarray) -> np.ndarray:

@@ -16,8 +16,19 @@ from the same Lindley pass and completion search that `measure_fifo_delays`
 uses.  TTIs are stepped one at a time only where services interact.  Where
 they cannot -- warm-up for every controller, and each period between
 decisions for a controller that neither shares nor mitigates -- a stretch is
-served in one Lindley pass over each queue.  The controller kinds are rows of
-`ControllerStrategy` data.
+served in one Lindley pass over each queue.
+
+A controller that shares (marea, ref1, ref4) also skips the TTIs the cell
+clears.  A TTI that starts with every queue empty, and whose arrivals fit in
+the cell (sum over services of ceil(a / c) <= n_cell), sends every bit that
+arrived in it in ceil(a / c) RBs per service, whatever the guarantees, the
+mitigation and the EDF order, and leaves a state-A FSM idle.  So from a TTI
+whose event (decision or zero-guarantee switch) is handled, whose queues are
+empty and, for marea, whose FSM records are all idle, `run` serves in bulk up
+to the first TTI that does not fit or the next event.  With q_lower == 0 a
+record can stay in C over an empty queue; then marea steps.  QLDR (ref2)
+stays stepped, and ref3 keeps its bulk periods.  The controller kinds are
+rows of `ControllerStrategy` data.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,12 +49,14 @@ from .rt import (
     IDLE,
     PacketQueue,
     RtThresholds,
+    clearing_rbs,
     completion_ttis,
     fsm_step,
     lindley_sent,
     mitigate,
     packet_rbs,
     schedule_tti,
+    serve_cleared,
     serve_guaranteed,
     slot_count,
 )
@@ -368,9 +381,12 @@ def run(cfg: ScenarioConfig) -> Metrics:
     w_th = [s.w_th_ms for s in cfg.services]
     sids = [s.id for s in cfg.services]
 
-    def serve_bulk(t0: int, t1: int, alloc: Sequence[int]) -> None:
+    def serve_bulk(t0: int, t1: int, alloc: Sequence[int], cleared: bool = False) -> None:
         for m, q in enumerate(queues):
-            serve_guaranteed(q, t0, t1, alloc[m], rates[m][t0:t1])
+            if cleared:
+                serve_cleared(q, t0, t1)
+            else:
+                serve_guaranteed(q, t0, t1, alloc[m], rates[m][t0:t1])
         if debug_rows is not None:
             debug_rows.extend(_bulk_debug_rows(t0, t1, queues, alloc, sids))
         if check:
@@ -379,6 +395,15 @@ def run(cfg: ScenarioConfig) -> Metrics:
     # static equal split while warming up: no sharing, no mitigation
     baseline = [n_cell // m_count] * m_count
     serve_bulk(0, warmup_end, baseline)
+    if shares:
+        # the TTIs whose arrivals do not fit in the cell; every other TTI that
+        # starts with empty queues (and idle FSMs) is cleared, in the RBs that
+        # clearing_rbs writes ahead of time and a stepped TTI overwrites
+        need = sum(clearing_rbs(q, warmup_end, rates[m][warmup_end:]) for m, q in enumerate(queues))
+        blocked = memoryview(np.append(np.flatnonzero(need > n_cell) + warmup_end, horizon))
+        del need
+    next_block, next_event = -1, horizon
+    any_active = False
     served = warmup_end
     for t in range(warmup_end, horizon):
         if t < served:
@@ -395,8 +420,9 @@ def run(cfg: ScenarioConfig) -> Metrics:
             for m in range(m_count):
                 alloc_rows.append((period, sids[m], decision.n_min[m], decision.w_est[m], decision.objective))
             period += 1
+            next_event = t + t_out
             if bulk_periods:
-                served = min(t + t_out, horizon)
+                served = min(next_event, horizon)
                 serve_bulk(t, served, baseline)
                 continue
         elif qldr and since and since % qldr_window == 0:
@@ -408,6 +434,20 @@ def run(cfg: ScenarioConfig) -> Metrics:
             baseline = qldr_allocate(avg_q, avg_c, w_th, n_cell)
         elif zero_after_warmup and not since:
             baseline = [0] * m_count
+
+        if shares:
+            if next_block < t:
+                next_block = blocked[bisect_left(blocked, t)]
+            if next_block != t and not any_active:
+                for q in queues:
+                    if q.sent != q.arrived[t - 1]:
+                        break
+                else:
+                    # a clear cell: serve up to the next TTI that does not
+                    # fit or the next event, whichever comes first
+                    served = min(next_block, next_event)
+                    serve_bulk(t, served, baseline, cleared=True)
+                    continue
 
         rt_alloc = baseline
         if mitigates:

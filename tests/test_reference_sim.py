@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from rborch.capacity import ConcatPerRbVector
 from rborch.martingale import ArrivalSampleSet
 from rborch.near_rt import AllocatorConfig, ServiceSpec, ServiceWindow, allocate
-from rborch.rt import STATE_A, FsmRecord, RtThresholds, fsm_step, mitigate
+from rborch import sim
+from rborch.rt import STATE_A, STATE_C, FsmRecord, RtThresholds, fsm_step, mitigate
 from rborch.sim import AnomalyConfig, ScenarioConfig, qldr_allocate, run
 from rborch.traces import ArrivalTrace, ChannelTrace, SyntheticModel
 
@@ -270,6 +271,34 @@ def scenarios(draw_):
 @given(scenarios())
 def test_run_matches_reference(cfg):
     metrics = run(cfg)
+    per_service, alloc_rows, debug_rows = reference_run(cfg)
+    for s, (delays, pending) in zip(metrics.services, per_service):
+        assert s.delays_ms.tolist() == delays
+        assert s.pending_violations == pending
+    assert metrics.alloc_rows == alloc_rows
+    assert metrics.debug_rows == debug_rows
+
+
+def test_clear_cell_stretches_match_reference(monkeypatch):
+    # marea with a 2-slot budget (q_lower 0): the cell clears from empty queues
+    # until the burst at TTI 300 pushes service 0 into B, after which its
+    # record is held in C over an empty queue and every TTI must be stepped
+    cfg = ScenarioConfig(
+        n_cell=20, horizon=500, t_obs=100, t_out=100, seed=7, controller="marea",
+        services=[
+            ServiceSpec(0, 2.0, 1e-2, SyntheticModel("two-point", (0, 200), (0.5, 0.5)),
+                        SyntheticModel("constant", (25,))),
+            ServiceSpec(1, 10.0, 1e-2, SyntheticModel("constant", (100,)),
+                        SyntheticModel("uniform-integer", (20, 30))),
+        ],
+        anomaly=AnomalyConfig(0, 300, 340, 3.5), debug_log=True, check_invariants=True,
+    )
+    stepped = []
+    real = sim.schedule_tti
+    monkeypatch.setattr(sim, "schedule_tti", lambda t, *a: stepped.append(t) or real(t, *a))
+    metrics = run(cfg)
+    assert 0 < len(stepped) < cfg.horizon - cfg.t_obs
+    assert any(row[2] == STATE_C and row[6] == 0 for row in metrics.debug_rows)
     per_service, alloc_rows, debug_rows = reference_run(cfg)
     for s, (delays, pending) in zip(metrics.services, per_service):
         assert s.delays_ms.tolist() == delays

@@ -300,6 +300,16 @@ class TestScheduleTti:
         used, done = schedule_tti(0, queues, [2, 1], [25, 25], 10, [5, 5])
         assert used == [3, 1] and len(done) == 2 and calls == [0]
 
+    def test_grant_ends_at_head_on_whole_rbs(self):
+        # service 0's head owes 20 bits, exactly 2 RBs, and its next packet
+        # (one TTI more slack) waits behind it; service 1's head is due first
+        # after that, so the 4-RB pool splits 2/2 and no RB of the grant
+        # reaches the packet behind the head
+        queues = [mkq((0, 20), (1, 100)), mkq((0, 40))]
+        used, done = schedule_tti(1, queues, [0, 0], [10, 10], 4, [5, 5])
+        assert used == [2, 2] and done == [(0, 0)]
+        assert queues[0].sent == 20 and queues[0].head == 1 and queues[1].sent == 20
+
     def test_no_sharing_keeps_pool_idle(self):
         queues = [mkq((0, 1000)), mkq()]
         used, _ = schedule_tti(0, queues, [2, 2], [25, 25], 10, [5, 5], share=False)

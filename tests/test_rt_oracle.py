@@ -17,7 +17,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rborch.rt import PacketQueue, completion_ttis, packet_rbs, schedule_tti, serve_guaranteed
+from rborch.rt import (
+    IDLE,
+    STATE_B,
+    STATE_C,
+    FsmRecord,
+    PacketQueue,
+    clearing_rbs,
+    completion_ttis,
+    mitigate,
+    packet_rbs,
+    schedule_tti,
+    serve_cleared,
+    serve_guaranteed,
+)
 
 _NEVER = 1 << 62
 
@@ -169,3 +182,47 @@ def test_bulk_matches_step_on_decoupled_stretch(cell, split, data):
         assert list(a.sent_log) == list(b.sent_log)
         assert list(a.used_log) == list(b.used_log)
         assert (a.sent, a.head) == (b.sent, b.head)
+
+
+@st.composite
+def clear_cells(draw):
+    """One TTI, after an empty one, whose arrivals fit in the cell: packet
+    sizes, rates and deadlines per service, n_cell, and an allocation summing
+    to at most n_cell -- any split, zero guarantees (ref1) included, then
+    mitigated under drawn FSM records half of the time."""
+    m_count = draw(st.integers(1, 4))
+    sizes = [draw(st.lists(st.integers(1, 1500), max_size=4)) for _ in range(m_count)]
+    rates = draw(st.lists(st.integers(5, 40), min_size=m_count, max_size=m_count))
+    need = [-(-sum(s) // c) for s, c in zip(sizes, rates)]
+    n_cell = max(sum(need), m_count) + draw(st.integers(0, 4))
+    total = draw(st.integers(0, n_cell))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=m_count - 1, max_size=m_count - 1)))
+    alloc = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    if draw(st.booleans()):
+        records = st.one_of(st.just(IDLE), st.builds(FsmRecord, st.sampled_from((STATE_B, STATE_C)), st.integers(0, 5)))
+        alloc = mitigate(alloc, draw(st.lists(records, min_size=m_count, max_size=m_count)))
+    q_t = draw(st.lists(st.integers(1, 10), min_size=m_count, max_size=m_count))
+    return sizes, rates, need, n_cell, alloc, q_t
+
+
+@settings(max_examples=400)
+@given(clear_cells())
+def test_clear_cell_empties_every_queue(cell):
+    # from empty queues, sharing sends each service's arrivals in ceil(a / c)
+    # RBs whatever its guarantee, so a TTI whose arrivals fit is cleared
+    sizes, rates, need, n_cell, alloc, q_t = cell
+    assert sum(alloc) <= n_cell
+    old = [OldQueue([1] * len(s), s) for s in sizes]
+    used, _ = old_schedule(1, old, alloc, rates, n_cell, q_t, True)
+    assert used == need
+    assert all(q.arrival[q.head] > 1 and q.sent_bits == sum(s) for q, s in zip(old, sizes))
+    # stepped and cleared in bulk, the new queue writes the same logs
+    stepped = [PacketQueue([1] * len(s), s, 2) for s in sizes]
+    assert schedule_tti(1, stepped, alloc, rates, n_cell, q_t, True)[0] == need
+    for s, c, step in zip(sizes, rates, stepped):
+        q = PacketQueue([1] * len(s), s, 2)
+        assert clearing_rbs(q, 1, np.array([c])).tolist() == [-(-sum(s) // c)]
+        serve_cleared(q, 1, 2)
+        assert list(q.sent_log) == list(step.sent_log) == [0, sum(s)]
+        assert list(q.used_log) == list(step.used_log)
+        assert (q.sent, q.head) == (step.sent, step.head) == (sum(s), len(s))

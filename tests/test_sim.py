@@ -323,30 +323,43 @@ class TestTraceDrivenRun:
 class TestInvariantChecks:
     """`check_invariants` reads the logs of stepped TTIs and of bulk stretches."""
 
-    # warm-up is served in bulk for every controller, and ref3's periods too
-    @pytest.mark.parametrize("controller, tti", [("marea", 1999), ("ref3", 2500)])
-    def test_bulk_stretch_checked(self, controller, tti, monkeypatch):
-        real = sim.serve_guaranteed
+    # warm-up is served in bulk for every controller, ref3's periods too, and
+    # the stretches that a 16-RB cell clears from empty queues between the
+    # TTIs it must step
+    @pytest.mark.parametrize(
+        "controller, serve, tti",
+        [("marea", "serve_guaranteed", 1999), ("ref3", "serve_guaranteed", 2500), ("marea", "serve_cleared", 2100)],
+        ids=["marea-1999", "ref3-2500", "marea-cleared-2100"],
+    )
+    def test_bulk_stretch_checked(self, controller, serve, tti, monkeypatch):
+        real = getattr(sim, serve)
+        hit = []
 
-        def leaky(queue, t0, t1, n, rates):
-            real(queue, t0, t1, n, rates)
-            if t0 <= tti < t1:
-                queue.sent_log[tti] = queue.arrived[tti] + 1  # sends a bit that never arrived
+        def leaky(queue, t0, t1, *args):
+            real(queue, t0, t1, *args)
+            if t1 > tti and not hit:  # the first stretch that ends after `tti`
+                hit.append(t0)
+                queue.sent_log[t1 - 1] = queue.arrived[t1 - 1] + 1  # sends a bit that never arrived
 
-        monkeypatch.setattr(sim, "serve_guaranteed", leaky)
-        with pytest.raises(AssertionError, match="flow conservation"):
-            run(small_config(controller=controller))
-        run(small_config(controller=controller, check_invariants=False))  # only the checks look
+        monkeypatch.setattr(sim, serve, leaky)
+        with pytest.raises(AssertionError, match="flow conservation violated") as err:
+            run(small_config(controller=controller, n_cell=16))
+        assert err.value.args[0].startswith(f"flow conservation violated in ttis [{hit[0]},")
+        run(small_config(controller=controller, n_cell=16, check_invariants=False))  # only the checks look
 
     def test_stepped_tti_checked(self, monkeypatch):
+        # overbook the first TTI from 2100 on that the 16-RB cell steps
         real = sim.schedule_tti
+        hit = []
 
         def overbooked(tti, queues, *args):
             out = real(tti, queues, *args)
-            if tti == 2100:
+            if tti >= 2100 and not hit:
+                hit.append(tti)
                 queues[0].used_log[tti] = 31  # above n_cell on its own
             return out
 
         monkeypatch.setattr(sim, "schedule_tti", overbooked)
-        with pytest.raises(AssertionError, match="RB ledger violated at tti 2100"):
-            run(small_config(controller="marea"))
+        with pytest.raises(AssertionError, match="RB ledger violated at tti") as err:
+            run(small_config(controller="marea", n_cell=16))
+        assert err.value.args[0].startswith(f"RB ledger violated at tti {hit[0]}:")
