@@ -152,7 +152,9 @@ class PacketQueue:
     completed, and `head` is the first that has not.  Serving TTI t writes
     the cumulative bits sent by its end to `sent_log[t]` and the RBs it used
     to `used_log[t]`; every per-packet figure is derived from these two logs.
-    The columns are int64 buffers, read per TTI as memoryviews and as whole
+    An entry of a TTI not yet served may hold anything (`clearing_rbs` fills
+    `used_log` ahead of time), so whatever serves a TTI writes both of its
+    entries for every queue.  The columns are int64 buffers, read per TTI as memoryviews and as whole
     arrays through `np.asarray`.
     """
 

@@ -267,16 +267,19 @@ def scenarios(draw_):
     )
 
 
-@settings(max_examples=60)
-@given(scenarios())
-def test_run_matches_reference(cfg):
-    metrics = run(cfg)
+def _assert_matches_reference(cfg, metrics):
     per_service, alloc_rows, debug_rows = reference_run(cfg)
     for s, (delays, pending) in zip(metrics.services, per_service):
         assert s.delays_ms.tolist() == delays
         assert s.pending_violations == pending
     assert metrics.alloc_rows == alloc_rows
     assert metrics.debug_rows == debug_rows
+
+
+@settings(max_examples=60)
+@given(scenarios())
+def test_run_matches_reference(cfg):
+    _assert_matches_reference(cfg, run(cfg))
 
 
 def test_clear_cell_stretches_match_reference(monkeypatch):
@@ -299,12 +302,7 @@ def test_clear_cell_stretches_match_reference(monkeypatch):
     metrics = run(cfg)
     assert 0 < len(stepped) < cfg.horizon - cfg.t_obs
     assert any(row[2] == STATE_C and row[6] == 0 for row in metrics.debug_rows)
-    per_service, alloc_rows, debug_rows = reference_run(cfg)
-    for s, (delays, pending) in zip(metrics.services, per_service):
-        assert s.delays_ms.tolist() == delays
-        assert s.pending_violations == pending
-    assert metrics.alloc_rows == alloc_rows
-    assert metrics.debug_rows == debug_rows
+    _assert_matches_reference(cfg, metrics)
 
 
 @settings(max_examples=60)

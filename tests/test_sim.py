@@ -325,7 +325,9 @@ class TestInvariantChecks:
 
     # warm-up is served in bulk for every controller, ref3's periods too, and
     # the stretches that a 16-RB cell clears from empty queues between the
-    # TTIs it must step
+    # TTIs it must step.  A Lindley stretch is corrupted at `tti` itself; a
+    # cleared one in the middle of the first stretch of 3 or more TTIs from
+    # `tti` on, so that neither its first nor its last TTI is hit
     @pytest.mark.parametrize(
         "controller, serve, tti",
         [("marea", "serve_guaranteed", 1999), ("ref3", "serve_guaranteed", 2500), ("marea", "serve_cleared", 2100)],
@@ -337,9 +339,13 @@ class TestInvariantChecks:
 
         def leaky(queue, t0, t1, *args):
             real(queue, t0, t1, *args)
-            if t1 > tti and not hit:  # the first stretch that ends after `tti`
+            if serve == "serve_cleared":
+                bad = (t0 + t1) // 2 if t0 >= tti and t1 - t0 >= 3 else -1
+            else:
+                bad = tti
+            if t0 <= bad < t1 and not hit:
                 hit.append(t0)
-                queue.sent_log[t1 - 1] = queue.arrived[t1 - 1] + 1  # sends a bit that never arrived
+                queue.sent_log[bad] = queue.arrived[bad] + 1  # sends a bit that never arrived
 
         monkeypatch.setattr(sim, serve, leaky)
         with pytest.raises(AssertionError, match="flow conservation violated") as err:
