@@ -4,8 +4,12 @@ A transmitted packet of `bits` bits that consumed `rbs` RBs spreads bits/rbs
 over each of its RBs; in a channel-rate window every run has rbs = 1.
 Region n regroups that per-RB stream into consecutive groups of g = n + n_min
 RBs, and each group's exact rational sum, rounded half-even to whole bits, is
-one service sample.  All arithmetic is exact int64: the prefix sum at RB
-boundary b is pn[b] / pd[b], where pd[b] is the length of the run holding b.
+one service sample.  All arithmetic is exact int64: each run's per-RB value
+is reduced to lowest terms num/den, and the prefix sum at RB boundary b is
+pn[b] / pd[b], where pd[b] is the den of the run holding b.  In a whole-bit
+window, where every run's bits are a multiple of its RBs (a channel-rate
+window among them), every den is 1: the prefix is whole bits and a group sum
+is a plain difference, with no rounding.
 
 The delay bound reads a region's samples only through their distinct values,
 how often each occurs and how many there are, and none of these depends on
@@ -18,10 +22,15 @@ sizes in the gap, and returns its sizes as a CapacitySampleSet over a slice
 of the table.
 
 New sizes are built in passes: consecutive sizes whose samples fit in
-PASS_SAMPLES share one gather of the prefix, one rounding and one sort of
-(size, sum) keys, which keeps numpy's per-call cost off the many short sizes
-of a packet window; a size with more samples, or longer than the window, is
-built alone.
+PASS_SAMPLES share one gather of the prefix, one rounding and one
+distinct-value step over (size, sum) keys, which keeps numpy's per-call cost
+off the many short sizes of a packet window; a size with more samples, or
+longer than the window, is built alone.  A pass finds its distinct int64
+keys and their counts by counting them (np.bincount) when their span is
+within _COUNT_SPAN times its sample count, as with the near-constant sums of
+a whole-bit window, and by sorting them otherwise, as with the (size, sum)
+keys of a multi-size pass, which span the sizes times the window's total
+bits; only the distinct values are cast to float64.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import logging
 
 import numpy as np
 
-from .martingale import CapacitySampleSet, unique_counts
+from .martingale import CapacitySampleSet
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +48,9 @@ log = logging.getLogger(__name__)
 _INT64_LIMIT = 1 << 62
 # a pass packs consecutive group sizes while their samples stay within this many
 PASS_SAMPLES = 1024
+# a pass counts its distinct sums when their span is within this many times
+# its sample count, and sorts them otherwise
+_COUNT_SPAN = 4
 # group sums and the (size index, sum) keys of a pass stay below this, so
 # they are exact in float64 too
 _KEY_LIMIT = 1 << 53
@@ -47,8 +59,10 @@ _KEY_LIMIT = 1 << 53
 class ConcatPerRbVector:
     """Per-RB capacity stream of one window, run-length encoded as packet runs.
 
-    Run j spreads bits[j] evenly over rbs[j] consecutive RBs.  The exact
-    prefix is built on first use and kept with the window, and so is the
+    Run j spreads bits[j] evenly over rbs[j] consecutive RBs; it is whole-bit
+    when bits[j] is a multiple of rbs[j].  The exact prefix (whole bits when
+    every run is whole-bit, else over each run's reduced denominator) is
+    built on first use and kept with the window, and so is the
     table of group sizes _lo.._lo + len(t) - 1 built on it: (unique values,
     counts, offsets, t), where size g owns vals/counts over
     offsets[g - _lo]:offsets[g - _lo + 1] and has t[g - _lo] samples.  Every
@@ -76,7 +90,10 @@ class ConcatPerRbVector:
     def prefix(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(pn, pd): the exact sum of the first b entries is pn[b] / pd[b], b = 0..len.
 
-        pd is None when every run is a single RB: the prefix is then whole bits.
+        Run j's per-RB value bits[j] / rbs[j] is taken in lowest terms num / den,
+        and pd[b] is the den of the run holding boundary b.  pd is None when every
+        run is whole-bit (its bits a multiple of its RBs, as every single-RB run
+        is): the prefix is then whole bits.
         """
         if self._prefix is None:
             bits, rbs = self.bits, self.rbs
@@ -87,17 +104,25 @@ class ConcatPerRbVector:
                     f"sum(bits) * max(rbs)^2 must stay below 2^62 (max rbs {rb_max})"
                 )
             if rb_max == 1:
-                pn, pd = np.concatenate(([0], np.cumsum(bits))), None
+                per_rb = bits  # unit runs: whole bits as they are
             else:
-                # boundary b at offset k of run j: pn = B[j]*rbs[j] + k*bits[j], pd = rbs[j],
+                # run j's per-RB value bits[j] / rbs[j] in lowest terms num[j] / den[j]
+                common = np.gcd(bits, rbs)
+                num, den = bits // common, rbs // common
+                per_rb = np.repeat(num, rbs) if den.max() == 1 else None
+            if per_rb is not None:
+                pn, pd = np.zeros(len(per_rb) + 1, dtype=np.int64), None
+                np.cumsum(per_rb, out=pn[1:])
+            else:
+                # boundary b at offset k of run j: pn = B[j]*den[j] + k*num[j], pd = den[j],
                 # with B the bits before run j; the end boundary is offset rbs[-1] of the last run
                 counts = rbs.copy()
                 counts[-1] += 1
-                pd = np.repeat(rbs, counts)
-                # pn steps by bits[j] inside run j and jumps to B[j]*rbs[j] where run j starts
-                pn = np.repeat(bits, counts)
-                first = (np.cumsum(bits) - bits) * rbs
-                last = first + (rbs - 1) * bits
+                pd = np.repeat(den, counts)
+                # pn steps by num[j] inside run j and jumps to B[j]*den[j] where run j starts
+                pn = np.repeat(num, counts)
+                first = (np.cumsum(bits) - bits) * den
+                last = first + (rbs - 1) * num
                 pn[0] = 0
                 pn[np.cumsum(rbs[:-1])] = first[1:] - last[:-1]
                 np.cumsum(pn, out=pn)
@@ -106,10 +131,24 @@ class ConcatPerRbVector:
 
 
 def _round_half_even_div(num, den):
-    """Exact round-to-nearest-even of num / den (int64 arrays or Python ints)."""
-    q = num // den
-    two_r = 2 * (num - q * den)
-    return q + ((two_r > den) | ((two_r == den) & (q % 2 == 1)))
+    """Exact round-to-nearest-even of num / den, den > 0 (int64 arrays or Python ints)."""
+    q, r = divmod(num, den)
+    # up when the remainder passes half, or is exactly half and q is odd
+    return q + (2 * r + (q & 1) > den)
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct values, their counts) of int64 keys: counted over their
+    span when it is within _COUNT_SPAN times the number of keys, else sorted."""
+    lo = keys.min()
+    if keys.max() - lo < _COUNT_SPAN * len(keys):
+        counts = np.bincount(keys - lo)
+        vals = np.flatnonzero(counts)
+        return vals + lo, counts[vals]
+    keys = np.sort(keys)
+    # starts of the runs of equal keys, and the end of the last run
+    edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+    return keys[edges[:-1]], edges[1:] - edges[:-1]
 
 
 def _passes(sizes: range, length: int, total: int) -> list[list[int]]:
@@ -145,12 +184,12 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
         else:
             a = pn[0 : t * g + 1 : g]
             if pd is None:
-                sums = np.diff(a)
+                sums = a[1:] - a[:-1]
             else:
                 d = pd[0 : t * g + 1 : g]
                 sums = _round_half_even_div(a[1:] * d[:-1] - a[:-1] * d[1:], d[:-1] * d[1:])
-        vals, counts = unique_counts(np.maximum(sums, 1).astype(np.float64))
-        return vals, counts, [len(vals)], [len(sums)]
+        vals, counts = _distinct(np.maximum(sums, 1))
+        return vals.astype(np.float64), counts.astype(np.float64), [len(vals)], [len(sums)]
     sizes = np.array(gs)
     t = length // sizes
     step = np.repeat(sizes, t)
@@ -162,9 +201,9 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     else:
         d0, d1 = pd[left], pd[right]
         sums = _round_half_even_div(pn[right] * d0 - pn[left] * d1, d0 * d1)
-    # one sort for every size: key i*k + sum orders by size index i, then sum
+    # key i*k + sum orders by size index i, then sum
     k = total + 1
-    keys, counts = np.unique(np.repeat(np.arange(len(gs)) * k, t) + np.maximum(sums, 1), return_counts=True)
+    keys, counts = _distinct(np.repeat(np.arange(len(gs)) * k, t) + np.maximum(sums, 1))
     which = keys // k
     vals = (keys - which * k).astype(np.float64)
     return vals, counts.astype(np.float64), np.bincount(which, minlength=len(gs)), t

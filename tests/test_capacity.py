@@ -245,10 +245,22 @@ class TestBuildCapacitySamples:
             build_capacity_samples(channel([]), 1, 1)
 
 
+def packet_runs(max_size):
+    """Lists of (bits, rbs) runs of one kind: channel-rate windows (unit runs),
+    packet windows, and whole-bit packet windows (bits = rbs * k, rbs > 1)."""
+    unit = st.tuples(st.integers(1, 5000), st.just(1))
+    packet = st.tuples(st.integers(1, 5000), st.integers(1, 200))
+    whole = st.tuples(st.integers(1, 50), st.integers(2, 200)).map(lambda p: (p[0] * p[1], p[1]))
+    return st.sampled_from([unit, packet, whole]).flatmap(lambda run: st.lists(run, min_size=1, max_size=max_size))
+
+
+def is_whole_bit(bits, rbs):
+    return all(b % r == 0 for b, r in zip(bits, rbs))
+
+
 @st.composite
 def packet_windows(draw):
-    max_rbs = draw(st.sampled_from([1, 200]))  # channel-rate windows and packet windows
-    runs = draw(st.lists(st.tuples(st.integers(1, 5000), st.integers(1, max_rbs)), min_size=1, max_size=30))
+    runs = draw(packet_runs(30))
     n_cell = draw(st.integers(1, 120))
     n_min = draw(st.integers(1, n_cell))
     bits, rbs = zip(*runs)
@@ -257,7 +269,11 @@ def packet_windows(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(packet_windows())
+@example(([200, 150, 600, 75], [8, 6, 24, 3], 2, 40))  # whole-bit packet runs: 25 bits on every RB
 def test_groups_match_fraction_oracle(window):
+    bits, rbs, _, _ = window
+    # the prefix is whole bits exactly when every run's bits are a multiple of its RBs
+    assert (ConcatPerRbVector(bits, rbs).prefix()[1] is None) == is_whole_bit(bits, rbs)
     assert_matches_oracle(*window)
 
 
@@ -324,9 +340,8 @@ def test_groups_built_once_per_window(monkeypatch):
 
 @st.composite
 def long_windows(draw):
-    """Packet-run or unit-run windows up to about 4000 RBs: a drawn run pattern repeated."""
-    max_rbs = draw(st.sampled_from([1, 200]))
-    pattern = draw(st.lists(st.tuples(st.integers(1, 5000), st.integers(1, max_rbs)), min_size=1, max_size=12))
+    """Windows of the kinds packet_runs draws, up to about 4000 RBs: a drawn run pattern repeated."""
+    pattern = draw(packet_runs(12))
     reps = draw(st.integers(1, max(1, 4000 // sum(r for _, r in pattern))))
     bits, rbs = zip(*(pattern * reps))
     return list(bits), list(rbs)
@@ -357,33 +372,42 @@ def assert_build_matches_oracle(x, group, n_min, n_cell):
 @example(([900, 1300, 450, 700] * 60, [31, 2, 57, 9] * 60), [(40, 100), (20, 45), (10, 120)])  # multi-size passes
 @example(([900, 1300, 450, 700] * 10, [31, 2, 57, 9] * 10), [(5, 10), (20, 30)])  # a gap to the built sizes
 @example(([900, 1300, 450, 700] * 10, [31, 2, 57, 9] * 10), [(5, 10), (2, 14)])  # new sizes at both ends
+@example(([200, 150, 600, 400] * 90, [8, 6, 24, 10] * 90), [(1, 30), (3, 45)])  # whole-bit packet runs
 def test_table_builds_match_fraction_oracle(window, pairs):
     # one window serves every build in turn; each build is checked whole against the oracle
     bits, rbs = window
     x = ConcatPerRbVector(bits, rbs)
+    assert (x.prefix()[1] is None) == is_whole_bit(bits, rbs)
     group = oracle_groups(bits, rbs)
     for n_min, n_cell in pairs:
         assert_build_matches_oracle(x, group, n_min, n_cell)
 
 
 def test_pass_kinds_match_fraction_oracle(monkeypatch):
-    passes = []
-    build_pass = rborch.capacity._pass
+    passes, kinds = [], set()
+    build_pass, distinct = rborch.capacity._pass, rborch.capacity._distinct
 
     def recording(x_con, gs):
         passes.append((len(x_con), list(gs)))
         return build_pass(x_con, gs)
 
+    def recording_distinct(keys):
+        # distinct sums are counted over a span within _COUNT_SPAN times the sample count, else sorted
+        kinds.add("counted" if keys.max() - keys.min() < rborch.capacity._COUNT_SPAN * len(keys) else "sorted")
+        return distinct(keys)
+
     monkeypatch.setattr(rborch.capacity, "_pass", recording)
+    monkeypatch.setattr(rborch.capacity, "_distinct", recording_distinct)
     rng = np.random.default_rng(5)
     packet = (rng.integers(300, 1500, 80).tolist(), rng.integers(1, 60, 80).tolist())
     unit = (rng.integers(1, 60, 3000).tolist(), [1] * 3000)
-    for (bits, rbs), pairs in ((packet, [(30, 100), (12, 40), (11, 40)]), (unit, [(1, 6), (2, 3)]), (([50, 70], [2, 1]), [(2, 5)])):
+    whole = ([200, 150, 600, 400] * 60, [8, 6, 24, 10] * 60)
+    for (bits, rbs), pairs in ((packet, [(30, 100), (12, 40), (11, 40)]), (unit, [(1, 6), (2, 3)]),
+                               (([50, 70], [2, 1]), [(2, 5)]), (whole, [(2, 30)])):
         x = ConcatPerRbVector(bits, rbs)
         group = oracle_groups(bits, rbs)
         for n_min, n_cell in pairs:
             assert_build_matches_oracle(x, group, n_min, n_cell)
-    kinds = set()
     for length, gs in passes:
         t = [length // g for g in gs]
         if len(gs) > 1:
@@ -391,4 +415,4 @@ def test_pass_kinds_match_fraction_oracle(monkeypatch):
             kinds.add("multi")
         else:
             kinds.add("scaled" if t[0] == 0 else "over budget" if t[0] > PASS_SAMPLES else "single")
-    assert kinds == {"multi", "single", "scaled", "over budget"}
+    assert kinds == {"multi", "single", "scaled", "over budget", "counted", "sorted"}
