@@ -23,7 +23,7 @@ from .config import ConfigError, _SCALAR_FIELDS, _convert, load_config
 from .martingale import ArrivalSampleSet, delay_bound
 from .near_rt import AllocatorConfig, allocate, brute_force_allocate
 from .sim import measure_fifo_delays, run, synthesize_window
-from .traces import ArrivalTrace, ChannelTrace, SyntheticModel, extend_cyclically, sample_many
+from .traces import SyntheticModel, extend_cyclically, sample_many
 
 log = logging.getLogger(__name__)
 
@@ -91,38 +91,42 @@ def _write_metrics(metrics, out_dir: str) -> None:
         )
 
 
-def _apply_overrides(cfg, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "controller", None) is not None:
+def _load(path: str, seed):
+    """The scenario config at `path`, with the --seed override applied when given."""
+    cfg = load_config(path)
+    if seed is not None:
+        cfg.seed = seed
+    return cfg
+
+
+def _run_to(cfg, out_dir: str, overwrite: bool) -> None:
+    """Run a validated scenario and write its CSVs to `out_dir`."""
+    files = ["summary.csv", "ccdf.csv", "alloc.csv"] + (["debug.csv"] if cfg.debug_log else [])
+    _prepare_out(out_dir, files, overwrite)
+    _write_metrics(run(cfg), out_dir)
+
+
+def cmd_run(args) -> int:
+    cfg = _load(args.config, args.seed)
+    if args.controller is not None:
         cfg.controller = args.controller
     try:
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    files = ["summary.csv", "ccdf.csv", "alloc.csv"] + (["debug.csv"] if cfg.debug_log else [])
-    _prepare_out(args.out, files, args.overwrite)
-    metrics = run(cfg)
-    _write_metrics(metrics, args.out)
+    _run_to(cfg, args.out, args.overwrite)
     return 0
 
 
 def _sweep_one(task) -> tuple[str, str]:
     """One sweep run; returns (status, error text) instead of raising."""
-    config_path, overrides, out_dir, overwrite = task
+    config_path, seed, overrides, out_dir, overwrite = task
     try:
-        cfg = load_config(config_path)
+        cfg = _load(config_path, seed)
         for name, value in overrides.items():
             setattr(cfg, name, value)
         cfg.validate()
-        files = ["summary.csv", "ccdf.csv", "alloc.csv"] + (["debug.csv"] if cfg.debug_log else [])
-        _prepare_out(out_dir, files, overwrite)
-        _write_metrics(run(cfg), out_dir)
+        _run_to(cfg, out_dir, overwrite)
     except Exception as exc:  # noqa: BLE001 - one failed run must not abort the sweep
         log.exception("sweep run %s failed", out_dir)
         return "failed", f"{type(exc).__name__}: {exc}"
@@ -152,16 +156,14 @@ def cmd_sweep(args) -> int:
     if os.path.exists(index_path) and not args.overwrite:
         raise ConfigError(f"refusing to overwrite {index_path} (use --overwrite)")
 
-    tasks = []
-    for i, combo in enumerate(combos):
-        run_dir = os.path.join(args.out, f"run_{i:03d}")
-        tasks.append((args.config, dict(zip(names, combo)), run_dir, args.overwrite))
+    run_dirs = [os.path.join(args.out, f"run_{i:03d}") for i in range(len(combos))]
+    tasks = [(args.config, args.seed, dict(zip(names, c)), d, args.overwrite) for c, d in zip(combos, run_dirs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]
-    rows = [(i, *combo, task[2], *res) for i, (combo, task, res) in enumerate(zip(combos, tasks, results))]
+    rows = [(i, *combo, d, *res) for i, (combo, d, res) in enumerate(zip(combos, run_dirs, results))]
     _write_csv(index_path, ["run_id", *names, "out_dir", "status", "error"], rows)
     failed = sum(res[0] != "ok" for res in results)
     if failed:
@@ -188,16 +190,11 @@ def _at_least_one(value: int, option: str) -> int:
     return value
 
 
-def _arrival_window(spec, t_obs: int, rng) -> np.ndarray:
-    if isinstance(spec.arrival, SyntheticModel):
-        return sample_many(spec.arrival, rng, t_obs)
-    return extend_cyclically(spec.arrival.bits_per_tti, t_obs)
-
-
-def _channel_window(spec, length: int, rng) -> np.ndarray:
-    if isinstance(spec.channel, SyntheticModel):
-        return sample_many(spec.channel, rng, length)
-    return extend_cyclically(spec.channel.bits_per_rb, length)
+def _window(src, column: str, length: int, rng) -> np.ndarray:
+    """`length` TTIs drawn from a synthetic source, or a trace's per-TTI `column` repeated cyclically."""
+    if isinstance(src, SyntheticModel):
+        return sample_many(src, rng, length)
+    return extend_cyclically(getattr(src, column), length)
 
 
 def validate_point(spec, seed: int, n_min: int, t_obs: int, runs: int, run_ttis: int, t_slot_ms: float):
@@ -209,8 +206,8 @@ def validate_point(spec, seed: int, n_min: int, t_obs: int, runs: int, run_ttis:
     """
     ss = np.random.SeedSequence([seed, 10, n_min, t_obs])
     r_arr, r_ch = (np.random.default_rng(s) for s in ss.spawn(2))
-    arr_win = _arrival_window(spec, t_obs, r_arr)
-    rb_stream = _channel_window(spec, t_obs * n_min, r_ch)
+    arr_win = _window(spec.arrival, "bits_per_tti", t_obs, r_arr)
+    rb_stream = _window(spec.channel, "bits_per_rb", t_obs * n_min, r_ch)
     per_rb = ConcatPerRbVector(rb_stream, np.ones(len(rb_stream), dtype=np.int64))
     x_s = build_capacity_samples(per_rb, n_min, n_min)
     res = delay_bound(ArrivalSampleSet(arr_win), x_s, [1.0], spec.epsilon, t_slot_ms)
@@ -219,8 +216,8 @@ def validate_point(spec, seed: int, n_min: int, t_obs: int, runs: int, run_ttis:
     delays = []
     for r in range(runs):
         rr = np.random.default_rng(np.random.SeedSequence([seed, 11, n_min, t_obs, r]))
-        a = _arrival_window(spec, run_ttis, rr)
-        c = _channel_window(spec, run_ttis, rr)
+        a = _window(spec.arrival, "bits_per_tti", run_ttis, rr)
+        c = _window(spec.channel, "bits_per_rb", run_ttis, rr)
         d, _pending = measure_fifo_delays(a, n_min * c, t_slot_ms)
         delays.append(d)
     pooled = np.concatenate(delays) if delays else np.empty(0)
@@ -234,9 +231,7 @@ def validate_point(spec, seed: int, n_min: int, t_obs: int, runs: int, run_ttis:
 
 
 def cmd_validate_model(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _load(args.config, args.seed)
     if len(cfg.services) != 1:
         raise ConfigError("validate-model needs a single-service config")
     spec = cfg.services[0]
@@ -270,9 +265,7 @@ def table1_windows(specs, entropy, t_obs: int, rbs_per_tti: int) -> list:
 
 
 def cmd_table1(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _load(args.config, args.seed)
     grid = _parse_grid(args.n_cell_grid, "--n-cell-grid")
     rbs_per_tti = _at_least_one(args.rbs_per_tti, "--rbs-per-tti")
     if min(grid) < len(cfg.services):

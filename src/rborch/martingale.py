@@ -122,6 +122,9 @@ class ThetaSearchParams:
             raise ValueError("need 0 < floor < theta_cap")
 
 
+_PARAMS = ThetaSearchParams()
+
+
 @dataclass(frozen=True)
 class DelayBoundResult:
     """Delay bound for one service; w_ms is inf exactly when theta_star is absent."""
@@ -221,8 +224,9 @@ def service_log_neg_mgf(x_s: CapacitySampleSet, pi, theta: float) -> float:
     return _service_rate(x_s, pi)(float(theta))[0]
 
 
-def _search(ks: _Rate, ka: _Rate, p: ThetaSearchParams) -> Optional[float]:
+def _search(ks: _Rate, ka: _Rate) -> Optional[float]:
     """find_theta_star over the rates ks = K'_s and ka = K'_a."""
+    p = _PARAMS
     if ka.edge <= ks.edge:
         # max(a) <= min(s): f(theta) >= theta * (min(s) - max(a)) >= 0 everywhere (f = 0 included)
         return p.theta_cap
@@ -268,12 +272,7 @@ def _search(ks: _Rate, ka: _Rate, p: ThetaSearchParams) -> Optional[float]:
     return lo if lo > p.floor else None
 
 
-def find_theta_star(
-    x_a: ArrivalSampleSet,
-    x_s: CapacitySampleSet,
-    pi,
-    params: ThetaSearchParams | None = None,
-) -> Optional[float]:
+def find_theta_star(x_a: ArrivalSampleSet, x_s: CapacitySampleSet, pi) -> Optional[float]:
     """Locate theta* = sup{theta > 0 : K'_s(theta) >= K'_a(theta)}.
 
     Returns theta_cap when max(a) <= min(s) or the gap is still non-negative
@@ -284,7 +283,7 @@ def find_theta_star(
     any step that leaves the bracket becomes a bisection step.  The result is
     within REL_TOL of theta* relative, on the side where the gap is >= 0.
     """
-    return _search(_service_rate(x_s, pi), _arrival_rate(x_a), params or ThetaSearchParams())
+    return _search(_service_rate(x_s, pi), _arrival_rate(x_a))
 
 
 def delay_bound(
@@ -293,7 +292,6 @@ def delay_bound(
     pi,
     epsilon: float,
     t_slot_ms: float = 1.0,
-    params: ThetaSearchParams | None = None,
 ) -> DelayBoundResult:
     """Delay W (ms) with P[w >= W] <= epsilon under the fitted rate functions.
 
@@ -305,7 +303,7 @@ def delay_bound(
     if t_slot_ms <= 0:
         raise ValueError("t_slot_ms must be positive")
     ks_of, ka_of = _service_rate(x_s, pi), _arrival_rate(x_a)
-    theta = _search(ks_of, ka_of, params or ThetaSearchParams())
+    theta = _search(ks_of, ka_of)
     if theta is None:
         return DelayBoundResult(None, math.inf, math.nan, math.nan)
     ks = ks_of(theta)[0]

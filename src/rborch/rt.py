@@ -5,6 +5,9 @@ State A keeps the near-RT guarantee unchanged; B accumulates an extra-RB
 request while the head packet's wait is above the upper threshold; C holds
 the request while the wait sits between the thresholds.  Mitigation moves
 RBs round-robin from state-A donors to B/C borrowers, conserving the total.
+When q_lower is 0 (a budget of at most 3 slots at tau = 0.3) no wait falls
+below it, so a record that enters B stays in C with its request while its
+queue is empty, and keeps the RBs that mitigation moves to it.
 
 Each service's queue is kept as cumulative bits: its packet table gives every
 packet's arrival TTI and cumulative end, and the queue counts the bits it has

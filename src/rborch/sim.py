@@ -302,27 +302,22 @@ def _gen_service_streams(cfg: ScenarioConfig, m: int):
     """Pre-draw the whole horizon for service m.
 
     Returns its packet table -- arrival TTI and size of every packet, in FIFO
-    order -- and the per-TTI bits per RB.  Synthetic sources and bare traces give one packet per
-    non-empty TTI; packet traces are flattened and extended cyclically.
+    order -- and the per-TTI bits per RB.  A synthetic source gives one packet
+    per non-empty TTI; a trace repeats its per-TTI packet counts and sizes.
     """
     spec = cfg.services[m]
     src = spec.arrival
     horizon = cfg.horizon
-    what = f"arrival trace {spec.id}"
-    if isinstance(src, ArrivalTrace) and src.packet_sizes_per_tti is not None:
-        counts = np.array([len(p) for p in src.packet_sizes_per_tti], dtype=np.int64)
-        t_arr = np.repeat(np.arange(horizon), extend_cyclically(counts, horizon, what))
-        flat = np.fromiter(itertools.chain.from_iterable(src.packet_sizes_per_tti), np.int64)
-        sizes = np.resize(flat, len(t_arr))
-    else:
-        if isinstance(src, SyntheticModel):
-            bits = sample_many(src, _source_rng(cfg.seed, 0, m, src.stream_id), horizon)
-        elif isinstance(src, ArrivalTrace):
-            bits = extend_cyclically(src.bits_per_tti, horizon, what)
-        else:
-            raise ValueError(f"service {spec.id}: unsupported arrival source {type(src)}")
+    if isinstance(src, SyntheticModel):
+        bits = sample_many(src, _source_rng(cfg.seed, 0, m, src.stream_id), horizon)
         t_arr = np.flatnonzero(bits)
         sizes = bits[t_arr]
+    elif isinstance(src, ArrivalTrace):
+        counts = np.bincount(src.arrival, minlength=src.length)
+        t_arr = np.repeat(np.arange(horizon), extend_cyclically(counts, horizon, f"arrival trace {spec.id}"))
+        sizes = np.resize(src.size, len(t_arr))
+    else:
+        raise ValueError(f"service {spec.id}: unsupported arrival source {type(src)}")
 
     if isinstance(spec.channel, SyntheticModel):
         rng = _source_rng(cfg.seed, 1, m, spec.channel.stream_id)

@@ -2,7 +2,8 @@
 
 Arrival and channel traces are CSV files with one row per TTI with data,
 read through one row reader (`_service_rows`) from a path of any name or an
-open text stream; each loader then parses only its own value columns.
+open text stream; each loader then parses only its own value columns.  An
+arrival trace is held as a packet table, a channel trace as a per-TTI column.
 Synthetic sources are small parametric models drawn through seeded numpy
 Generators so every run is reproducible.
 """
@@ -42,32 +43,34 @@ class TraceValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ArrivalTrace:
-    """Per-service downlink arrivals, indexed by TTI (bits)."""
+    """Per-service downlink arrivals as a packet table over `length` TTIs.
+
+    Each packet's arrival TTI and size (bits) are int64 columns in FIFO
+    order, as in `rt.PacketQueue`; a TTI with no packet has no row.
+    """
 
     service_id: int
-    bits_per_tti: np.ndarray
-    packet_sizes_per_tti: Optional[tuple[tuple[int, ...], ...]] = None
+    arrival: np.ndarray
+    size: np.ndarray
+    length: int
 
     def __post_init__(self):
-        bits = np.asarray(self.bits_per_tti, dtype=np.int64)
-        object.__setattr__(self, "bits_per_tti", bits)
-        if bits.ndim != 1 or len(bits) == 0:
-            raise TraceValidationError("trace must contain at least one TTI")
-        if np.any(bits < 0):
-            raise TraceValidationError("negative bits in arrival trace")
-        if self.packet_sizes_per_tti is not None:
-            if len(self.packet_sizes_per_tti) != len(bits):
-                raise TraceValidationError("packet size list length mismatch")
-            for i, sizes in enumerate(self.packet_sizes_per_tti):
-                if sizes and min(sizes) <= 0:
-                    raise TraceValidationError(f"non-positive packet size at tti {i}")
-                if sum(sizes) != bits[i]:
-                    raise TraceValidationError(
-                        f"packet sizes at tti {i} sum to {sum(sizes)}, expected {bits[i]}"
-                    )
+        arrival, size = np.asarray(self.arrival, dtype=np.int64), np.asarray(self.size, dtype=np.int64)
+        object.__setattr__(self, "arrival", arrival)
+        object.__setattr__(self, "size", size)
+        if self.length < 1 or arrival.ndim != 1 or arrival.shape != size.shape:
+            raise TraceValidationError("a trace needs a length of at least 1 and 1-d columns of equal length")
+        if len(arrival) and (arrival[0] < 0 or arrival[-1] >= self.length or np.any(np.diff(arrival) < 0)):
+            raise TraceValidationError("packet arrivals must be in order and within [0, length)")
+        if np.any(size < 1):
+            raise TraceValidationError("packet sizes must be at least 1 bit")
 
-    def __len__(self) -> int:
-        return len(self.bits_per_tti)
+    @property
+    def bits_per_tti(self) -> np.ndarray:
+        """Bits arriving in each of the `length` TTIs."""
+        bits = np.zeros(self.length, dtype=np.int64)
+        np.add.at(bits, self.arrival, self.size)
+        return bits
 
 
 @dataclass(frozen=True)
@@ -213,39 +216,53 @@ def _service_rows(source, service_id: int, headers: tuple[tuple[str, ...], ...],
     return header, rows
 
 
+def _ints(tokens: list[str], locate) -> np.ndarray:
+    """`tokens` as int64 in one conversion; if one is not an integer, `locate()` raises its row's error."""
+    try:
+        return np.array(list(map(int, tokens)), dtype=np.int64)
+    except ValueError:
+        locate()
+        raise
+
+
+def _packet_sizes(line: int, raw: str) -> list[int]:
+    try:
+        return [int(tok) for tok in raw.split(";")]
+    except ValueError:
+        raise TraceParseError(line, f"bad packet_sizes: {raw!r}") from None
+
+
 def load_arrival_trace(source, service_id: int, tables: Optional[dict] = None) -> ArrivalTrace:
-    """Parse an arrivals CSV, keeping rows for `service_id` and gap-filling zeros.
+    """Parse an arrivals CSV into the packet table of `service_id`.
 
     `source` is a path or an open text stream; calls that share a `tables`
-    dict read each path once (see `_service_rows`).  Missing TTIs become 0-bit
-    slots; the optional `packet_sizes` column is a `;`-separated list whose
-    sum must equal the row's bits (empty: the bits form one packet).
+    dict read each path once (see `_service_rows`).  A `packet_sizes` cell
+    lists positive sizes (`;`-separated) summing to the row's bits; a bare row
+    or an empty cell is one packet of its bits, and a 0-bit row none.  The
+    trace spans TTIs 0 to the last row's.  Each column is parsed in one
+    conversion and checked in turn, raising for its first bad row.
     """
     header, rows = _service_rows(source, service_id, (ARRIVAL_HEADER, ARRIVAL_HEADER_PKT), tables)
-    horizon = rows[-1][1] + 1
-    bits = np.zeros(horizon, dtype=np.int64)
-    sizes = [()] * horizon if header == ARRIVAL_HEADER_PKT else None
-    for line, tti, row in rows:
-        b = _parse_int(row[2], "bits", line)
-        if b < 0:
-            raise TraceValidationError(f"line {line}: negative bits")
-        bits[tti] = b
-        if sizes is None:
-            continue
-        raw = row[3].strip()
-        if not raw:
-            sizes[tti] = (b,) if b > 0 else ()
-            continue
-        try:
-            pkts = tuple(int(tok) for tok in raw.split(";"))
-        except ValueError:
-            raise TraceParseError(line, f"bad packet_sizes: {raw!r}") from None
-        if any(s <= 0 for s in pkts):
-            raise TraceValidationError(f"line {line}: non-positive packet size")
-        if sum(pkts) != b:
-            raise TraceValidationError(f"line {line}: packet sizes sum to {sum(pkts)}, bits say {b}")
-        sizes[tti] = pkts
-    return ArrivalTrace(service_id, bits, None if sizes is None else tuple(sizes))
+    tti = np.fromiter((t for _, t, _ in rows), np.int64, len(rows))
+    bits = _ints([row[2] for _, _, row in rows], lambda: [_parse_int(row[2], "bits", line) for line, _, row in rows])
+    if np.any(bits < 0):
+        raise TraceValidationError(f"line {rows[np.argmax(bits < 0)][0]}: negative bits")
+    pkt = header == ARRIVAL_HEADER_PKT
+    # a bare row or an empty cell lists one packet of the row's bits, a 0-bit row none
+    cells = [(pkt and row[3].strip()) or (row[2] if b else "") for (_, _, row), b in zip(rows, (bits > 0).tolist())]
+    listed = np.flatnonzero([bool(c) for c in cells])
+    per_row = np.array([cells[i].count(";") + 1 for i in listed], dtype=np.int64)
+    tokens = ";".join(cells[i] for i in listed).split(";") if len(listed) else []
+    sizes = _ints(tokens, lambda: [_packet_sizes(rows[i][0], cells[i]) for i in listed])
+    if np.any(sizes < 1):
+        row = np.repeat(listed, per_row)[np.argmax(sizes < 1)]
+        raise TraceValidationError(f"line {rows[row][0]}: non-positive packet size")
+    sums = np.add.reduceat(sizes, np.cumsum(per_row) - per_row) if len(listed) else sizes
+    if np.any(sums != bits[listed]):
+        k = np.argmax(sums != bits[listed])
+        i = listed[k]
+        raise TraceValidationError(f"line {rows[i][0]}: packet sizes sum to {sums[k]}, bits say {bits[i]}")
+    return ArrivalTrace(service_id, np.repeat(tti[listed], per_row), sizes, int(tti[-1]) + 1)
 
 
 def load_channel_trace(source, service_id: int, tables: Optional[dict] = None) -> ChannelTrace:

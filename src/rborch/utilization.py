@@ -20,6 +20,8 @@ import numpy as np
 from .martingale import check_pmf
 
 SIGMA_FLOOR = 1e-3
+EM_ITERS = 200  # EM stops after this many iterations,
+EM_TOL = 1e-8  # or once an iteration gains less log-likelihood than this
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -92,8 +94,6 @@ def _kmeanspp_centers(x: np.ndarray, c: int, rng: np.random.Generator) -> np.nda
 def fit_gmm_em(
     samples: Sequence[float],
     c: int,
-    iters: int = 200,
-    tol: float = 1e-8,
     rng: Optional[np.random.Generator] = None,
 ) -> GmmMixture:
     """Fit a 1-d Gaussian mixture by EM with kmeans++-style seeding.
@@ -120,7 +120,7 @@ def fit_gmm_em(
     log_norm = 0.5 * math.log(2 * math.pi)
     lls: list[float] = []
     prev_ll = -math.inf
-    for _ in range(iters):
+    for _ in range(EM_ITERS):
         z = (v[:, None] - mu) / sigma
         logp = -0.5 * z * z + (np.log(w) - np.log(sigma) - log_norm)
         row_max = logp.max(axis=1)
@@ -135,7 +135,7 @@ def fit_gmm_em(
         d = v[:, None] - mu
         var = (resp * d * d).sum(axis=0) / nk
         sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-        if ll - prev_ll < tol and math.isfinite(prev_ll):
+        if ll - prev_ll < EM_TOL and math.isfinite(prev_ll):
             break
         prev_ll = ll
     return GmmMixture(w / w.sum(), mu, sigma, log_likelihoods=tuple(lls))

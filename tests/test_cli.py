@@ -9,7 +9,7 @@ from rborch.cli import main
 from rborch.config import ConfigError, load_config, parse_source
 from rborch.near_rt import ServiceSpec
 from rborch.sim import AnomalyConfig
-from rborch.traces import SyntheticModel
+from rborch.traces import SyntheticModel, load_arrival_trace
 
 BASE_CFG = """
 [scenario]
@@ -220,7 +220,7 @@ class TestSweepCommand:
         with open(out / "index.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["run_id", "controller", "out_dir", "status", "error"]
-        assert rows[1][1] == "marea" and rows[1][3:] == ["ok", ""]
+        assert rows[1][1:] == ["marea", str(out / "run_000"), "ok", ""]
         assert rows[2][1] == "ref9" and rows[2][3] == "failed"
         assert "unknown controller 'ref9'" in rows[2][4]
         assert (out / "run_000" / "summary.csv").exists()
@@ -234,6 +234,14 @@ class TestSweepCommand:
                    "--axis", "bogus=1,2"])
         assert rc == 1
 
+    def test_sweep_applies_seed_flag(self, cfg_file, tmp_path):
+        ran, swept = tmp_path / "run", tmp_path / "sweep"
+        assert main(["run", "--config", cfg_file, "--seed", "9", "--out", str(ran)]) == 0
+        assert main(["sweep", "--config", cfg_file, "--seed", "9", "--out", str(swept),
+                     "--axis", "controller=marea"]) == 0
+        for f in ("summary.csv", "ccdf.csv", "alloc.csv"):
+            assert read(swept / "run_000" / f) == read(ran / f)
+
     def test_sweep_parallel_matches_serial(self, cfg_file, tmp_path):
         a, b = str(tmp_path / "ser"), str(tmp_path / "par")
         assert main(["sweep", "--config", cfg_file, "--out", a, "--axis", "seed=1,2"]) == 0
@@ -242,6 +250,49 @@ class TestSweepCommand:
             assert read(os.path.join(a, f"run_{i:03d}", "summary.csv")) == read(
                 os.path.join(b, f"run_{i:03d}", "summary.csv")
             )
+
+
+class TestTraceFormats:
+    """A bare CSV and a packet CSV carrying one packet per non-empty TTI are one trace."""
+
+    @staticmethod
+    def write_traces(tmp_path, length):
+        bits = np.random.default_rng(length).choice([0, 0, 60, 150, 400], size=length)
+        bare = ["tti,service_id,bits"]
+        packet = ["tti,service_id,bits,packet_sizes"]
+        for t, b in enumerate(bits.tolist()):
+            for sid in range(2):
+                bare.append(f"{t},{sid},{b}")
+                # an empty cell is one packet of the row's bits (none for a 0-bit row)
+                packet.append(f"{t},{sid},{b},{b if b and t % 3 else ''}")
+        paths = []
+        for name, lines in (("bare.csv", bare), ("packet.csv", packet)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text("\n".join(lines) + "\n")
+        return paths
+
+    @pytest.mark.parametrize("length", [3000, 700], ids=["covers-horizon", "shorter-than-horizon"])
+    def test_bare_and_packet_csv_give_identical_runs(self, tmp_path, length):
+        bare, packet = self.write_traces(tmp_path, length)
+        for sid in range(2):
+            a, b = load_arrival_trace(bare, sid), load_arrival_trace(packet, sid)
+            assert a.length == b.length == length
+            assert a.arrival.tolist() == b.arrival.tolist() and a.size.tolist() == b.size.tolist()
+        outs = {}
+        for trace in (bare, packet):
+            cfg = tmp_path / f"{trace.stem}.cfg"
+            cfg.write_text(
+                BASE_CFG.replace("seed = 5", "seed = 5\ndebug_log = true")
+                .replace("arrival = two-point 0:0.5 200:0.5", f"arrival = trace {trace.name}")
+                .replace("arrival = constant 60", f"arrival = trace {trace.name}")
+            )
+            for controller in ("marea", "ref1", "ref2", "ref3", "ref4"):
+                out = tmp_path / trace.stem / controller
+                assert main(["run", "--config", str(cfg), "--out", str(out), "--controller", controller]) == 0
+                outs[trace.stem, controller] = {f: read(out / f) for f in sorted(os.listdir(out))}
+        for controller in ("marea", "ref1", "ref2", "ref3", "ref4"):
+            got = outs["packet", controller]
+            assert len(got) == 4 and got == outs["bare", controller]
 
 
 SINGLE_CFG = """

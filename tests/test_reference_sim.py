@@ -51,13 +51,11 @@ def packets_per_tti(cfg, m):
     if isinstance(src, SyntheticModel):
         bits = draw(src, source_rng(cfg.seed, 0, m, src.stream_id), cfg.horizon)
         per_tti = [[b] if b > 0 else [] for b in bits]
-    elif src.packet_sizes_per_tti is not None:
-        n = len(src.packet_sizes_per_tti)
-        per_tti = [list(src.packet_sizes_per_tti[t % n]) for t in range(cfg.horizon)]
     else:
-        n = len(src.bits_per_tti)
-        per_tti = [[int(src.bits_per_tti[t % n])] for t in range(cfg.horizon)]
-        per_tti = [p if p[0] > 0 else [] for p in per_tti]
+        table = [[] for _ in range(src.length)]
+        for t, size in zip(src.arrival.tolist(), src.size.tolist()):
+            table[t].append(size)
+        per_tti = [list(table[t % src.length]) for t in range(cfg.horizon)]
     an = cfg.anomaly
     if an is not None and an.service_id == spec.id:
         for t in range(an.start_tti, min(an.end_tti, cfg.horizon)):
@@ -216,10 +214,18 @@ ARRIVAL_MODELS = st.one_of(
         st.integers(0, 50), st.integers(50, 900), st.sampled_from((0.25, 0.5, 0.75)),
     ),
 )
-PACKET_TRACES = st.lists(
-    st.lists(st.integers(1, 1500), max_size=3), min_size=1, max_size=40
-).map(lambda sizes: ArrivalTrace(0, [sum(p) for p in sizes], tuple(tuple(p) for p in sizes)))
-BARE_TRACES = st.lists(st.integers(0, 600), min_size=1, max_size=40).map(lambda b: ArrivalTrace(0, b))
+
+
+def trace_of(per_tti):
+    """The packet table of a list of per-TTI packet size lists."""
+    arrival = [t for t, sizes in enumerate(per_tti) for _ in sizes]
+    return ArrivalTrace(0, arrival, [s for sizes in per_tti for s in sizes], len(per_tti))
+
+
+PACKET_TRACES = st.lists(st.lists(st.integers(1, 1500), max_size=3), min_size=1, max_size=40).map(trace_of)
+BARE_TRACES = st.lists(st.integers(0, 600), min_size=1, max_size=40).map(
+    lambda bits: trace_of([[b] if b else [] for b in bits])
+)
 CHANNELS = st.one_of(
     st.builds(lambda v: SyntheticModel("constant", (v,)), st.integers(5, 40)),
     st.builds(lambda lo, span: SyntheticModel("uniform-integer", (lo, lo + span)),

@@ -5,7 +5,7 @@ import pytest
 
 from rborch import sim
 from rborch.near_rt import ServiceSpec
-from rborch.rt import ConfigError
+from rborch.rt import STATE_C, ConfigError, FsmRecord, RtThresholds, fsm_step
 from rborch.sim import (
     CCDF_GRID,
     AnomalyConfig,
@@ -308,7 +308,7 @@ class TestMetricsShape:
 
 class TestTraceDrivenRun:
     def test_trace_sources(self):
-        tr = ArrivalTrace(0, np.array([100, 0, 200, 0]), ((rv := (60, 40)), (), (200,), ()))
+        tr = ArrivalTrace(0, np.array([0, 0, 2]), np.array([60, 40, 200]), 4)
         cfg = small_config(
             services=[svc(0, 5.0, 1e-3, tr, mk("constant", 25))],
             n_cell=12,
@@ -318,6 +318,39 @@ class TestTraceDrivenRun:
         m = run(cfg)
         assert m.services[0].completed > 0
         assert m.services[0].violation_prob == 0.0
+
+
+class TestShortBudgetHold:
+    """With a budget of at most 3 slots at tau = 0.3, q_lower is 0 and no wait
+    falls below it, so a marea record that enters B stays in C while its queue
+    is empty and keeps the RBs that mitigation moves to it.  Ending the hold at
+    a wait of 0 would bring service 0's violation probability in this scenario
+    close to ref4's, so the hold is pinned as the FSM gives it."""
+
+    def test_q_lower_is_zero_up_to_three_slots(self):
+        held = FsmRecord(STATE_C, 2)
+        for q_t in (2, 3):
+            thr = RtThresholds(q_t, 0.75, 0.3)
+            assert thr.q_lower == 0
+            assert fsm_step(0, held, thr) == held
+
+    def test_marea_keeps_borrowed_rbs_over_an_empty_queue_after_a_burst(self):
+        cfg = ScenarioConfig(
+            n_cell=30, horizon=20_000, t_slot_ms=1.0, t_obs=2000, t_out=2000, seed=3, controller="marea",
+            services=[
+                svc(0, 2.0, 1e-3, mk("two-point", (0, 200), (0.5, 0.5)), mk("constant", 25)),
+                svc(1, 5.0, 1e-3, mk("uniform", 0, 300), mk("constant", 25)),
+                svc(2, 10.0, 1e-2, mk("empirical-table", (0, 150, 600), (0.5, 0.4, 0.1)), mk("constant", 25)),
+            ],
+            anomaly=AnomalyConfig(0, 8000, 9000, 3.5), debug_log=True,
+        )
+        m = run(cfg)
+        n_min = {(period, sid): n for period, sid, n, *_ in m.alloc_rows}
+        after = [row for row in m.debug_rows if row[1] == 0 and row[0] >= 9000]
+        assert len(after) == cfg.horizon - 9000
+        for tti, _, state, n_req, rt_alloc, _, queue_bits, _ in after:
+            assert state == STATE_C and n_req > 0 and queue_bits == 0
+            assert rt_alloc > n_min[(tti - cfg.t_obs) // cfg.t_out, 0]
 
 
 class TestInvariantChecks:

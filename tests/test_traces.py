@@ -26,7 +26,7 @@ def test_gap_fill_rule():
 def test_packet_sizes_parse():
     csv = "tti,service_id,bits,packet_sizes\n0,0,100,60;40\n"
     tr = load_arrival_trace(io.StringIO(csv), 0)
-    assert tr.packet_sizes_per_tti == ((60, 40),)
+    assert (tr.arrival.tolist(), tr.size.tolist(), tr.length) == ([0, 0], [60, 40], 1)
     assert tr.bits_per_tti.tolist() == [100]
 
 
@@ -60,19 +60,51 @@ def test_other_services_filtered():
     assert tr.bits_per_tti.tolist() == [7, 9]
 
 
-def test_arrival_plain_gaps_have_no_packet_table():
-    csv = "tti,service_id,bits\n0,3,10\n2,3,25\n4,3,7\n"
+def test_arrival_plain_rows_are_one_packet_each():
+    csv = "tti,service_id,bits\n0,3,10\n2,3,25\n3,3,0\n4,3,7\n"
     tr = load_arrival_trace(io.StringIO(csv), 3)
     assert tr.service_id == 3
     assert tr.bits_per_tti.tolist() == [10, 0, 25, 0, 7]
-    assert tr.packet_sizes_per_tti is None
+    assert (tr.arrival.tolist(), tr.size.tolist(), tr.length) == ([0, 2, 4], [10, 25, 7], 5)
 
 
 def test_arrival_packets_keep_empty_tti():
     csv = "tti,service_id,bits,packet_sizes\n0,0,100,60;40\n1,0,0,\n2,0,30,30\n"
     tr = load_arrival_trace(io.StringIO(csv), 0)
-    assert tr.packet_sizes_per_tti == ((60, 40), (), (30,))
+    assert (tr.arrival.tolist(), tr.size.tolist(), tr.length) == ([0, 0, 2], [60, 40, 30], 3)
     assert tr.bits_per_tti.tolist() == [100, 0, 30]
+
+
+def test_arrival_trace_columns_are_checked():
+    ok = ArrivalTrace(0, [0, 0, 2], [60, 40, 30], 3)
+    assert ok.arrival.dtype == ok.size.dtype == np.int64
+    assert ok.bits_per_tti.tolist() == [100, 0, 30]
+    assert ArrivalTrace(0, [], [], 4).bits_per_tti.tolist() == [0, 0, 0, 0]
+    bad = {
+        "unequal columns": ([0, 1], [5], 2),
+        "out of order": ([1, 0], [5, 5], 2),
+        "negative arrival": ([-1, 0], [5, 5], 2),
+        "arrival at length": ([0, 2], [5, 5], 2),
+        "zero size": ([0, 1], [5, 0], 2),
+        "zero length": ([], [], 0),
+    }
+    for arrival, size, length in bad.values():
+        with pytest.raises(TraceValidationError):
+            ArrivalTrace(0, arrival, size, length)
+
+
+def test_packet_row_errors_name_their_line():
+    head = "tti,service_id,bits,packet_sizes\n0,0,100,60;40\n"
+    cases = [
+        ("1,0,50,20;x\n", TraceParseError, "line 3: bad packet_sizes: '20;x'"),
+        ("1,0,50,50;0\n", TraceValidationError, "line 3: non-positive packet size"),
+        ("1,0,50,20;20\n", TraceValidationError, "line 3: packet sizes sum to 40, bits say 50"),
+        ("1,0,b,\n", TraceParseError, "line 3: bits is not an integer: 'b'"),
+    ]
+    for row, exc, msg in cases:
+        with pytest.raises(exc) as ei:
+            load_arrival_trace(io.StringIO(head + row + "2,0,5,5\n"), 0)
+        assert str(ei.value) == msg
 
 
 def test_channel_load_and_positivity():
