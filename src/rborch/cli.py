@@ -280,7 +280,9 @@ def cmd_table1(args) -> int:
     for n_cell in grid:
         heur = allocate(cfg.services, windows, n_cell, acfg)
         brute, iters = brute_force_allocate(cfg.services, windows, n_cell, acfg)
-        rel = (heur.objective - brute.objective) / brute.objective if brute.objective > 0 else 0.0
+        # equal objectives agree exactly, both inf included, where inf - inf is nan
+        same = heur.objective == brute.objective
+        rel = 0.0 if same or brute.objective <= 0 else (heur.objective - brute.objective) / brute.objective
         rows.append((n_cell, heur.objective, brute.objective, rel, heur.evaluations, iters))
     _write_csv(
         os.path.join(args.out, "table1.csv"),

@@ -9,16 +9,17 @@ When q_lower is 0 (a budget of at most 3 slots at tau = 0.3) no wait falls
 below it, so a record that enters B stays in C with its request while its
 queue is empty, and keeps the RBs that mitigation moves to it.
 
-Each service's queue is kept as cumulative bits: its packet table gives every
-packet's arrival TTI and cumulative end, and the queue counts the bits it has
-sent, so the bits queued at TTI t are the bits arrived by t less the bits
-sent, and the head is the first packet whose end exceeds them.  Serving a TTI
-writes two int64 logs per service -- cumulative bits sent and RBs used -- and
-records nothing per packet: completion TTIs and RB counts are derived from the
-logs (`completion_ttis`, `packet_rbs`).  `schedule_tti` steps one TTI for all
-services.  Where services cannot affect each other (fixed guarantees, no
-sharing, no mitigation), `serve_guaranteed` serves a whole stretch of TTIs in
-one Lindley pass (`lindley_sent`) that writes the same logs.  Where every
+Each service's queue carries its channel, the bits per RB of every TTI, and is
+kept as cumulative bits: its packet table gives every packet's arrival TTI and
+cumulative end, and the queue counts the bits it has sent, so the bits queued
+at TTI t are the bits arrived by t less the bits sent, and the head is the
+first packet whose end exceeds them.  Serving a TTI writes two int64 logs per
+service -- cumulative bits sent and RBs used -- and records nothing per
+packet: completion TTIs and RB counts are derived from the logs
+(`completion_ttis`, `packet_rbs`, `window_rbs`).  `schedule_tti` steps one TTI
+for all services.  Where services cannot affect each other (fixed guarantees,
+no sharing, no mitigation), `serve_guaranteed` serves a whole stretch of TTIs
+in one Lindley pass (`lindley_sent`) that writes the same logs.  Where every
 queue starts a TTI empty and its arrivals fit in the cell, sharing empties
 every queue in ceil(a / c) RBs each, whatever the guarantees: `clearing_rbs`
 writes those RBs ahead of time and `serve_cleared` serves such a stretch.
@@ -145,8 +146,10 @@ def mitigate(n_min: Sequence[int], records: Sequence[FsmRecord]) -> list[int]:
 
 
 class PacketQueue:
-    """FIFO service of one packet table over `horizon` TTIs, kept as cumulative bits.
+    """FIFO service of one packet table over one channel, kept as cumulative bits.
 
+    `rate[t]` is the bits per RB in TTI t over the horizon of len(rate) TTIs;
+    every serving call reads it, so a queue is served only over its channel.
     The table lists every packet's arrival TTI and its cumulative end (the
     bits of the table up to and including it) in FIFO order, and ends in a
     sentinel packet that never arrives.  `arrived[t]` counts the bits arrived
@@ -157,15 +160,20 @@ class PacketQueue:
     to `used_log[t]`; every per-packet figure is derived from these two logs.
     An entry of a TTI not yet served may hold anything (`clearing_rbs` fills
     `used_log` ahead of time), so whatever serves a TTI writes both of its
-    entries for every queue.  The columns are int64 buffers, read per TTI as memoryviews and as whole
-    arrays through `np.asarray`.
+    entries for every queue.  The columns are int64 buffers, read per TTI as
+    memoryviews and as whole arrays through `np.asarray` (`rate` read-only,
+    not copied).  `rbs` holds the RB counts of packets from `rbs_first` on.
     """
 
-    __slots__ = ("arrival", "ends", "arrived", "sent_log", "used_log", "head", "sent")
+    __slots__ = ("arrival", "ends", "rate", "arrived", "sent_log", "used_log", "head", "sent", "rbs_first", "rbs")
 
-    def __init__(self, arrival: Sequence[int], size: Sequence[int], horizon: int):
+    def __init__(self, arrival: Sequence[int], size: Sequence[int], rate: Sequence[int]):
         arrival = np.asarray(arrival, dtype=np.int64)
         size = np.asarray(size, dtype=np.int64)
+        rate = np.asarray(rate, dtype=np.int64)
+        if rate.ndim != 1 or not len(rate) or rate.min() < 1:
+            raise ValueError("the rate column must be 1-d, non-empty and at least 1 bit per RB")
+        horizon = len(rate)
         n = len(arrival)
         if arrival.ndim != 1 or arrival.shape != size.shape:
             raise ValueError("packet table columns differ in length")
@@ -179,11 +187,14 @@ class PacketQueue:
         np.add.at(arrived, arrival, size)
         np.cumsum(arrived, out=arrived)
         self.arrival, self.ends = memoryview(table[0]), memoryview(table[1])
+        self.rate = memoryview(rate).toreadonly()
         self.arrived = memoryview(arrived)
         self.sent_log = memoryview(np.zeros(horizon, dtype=np.int64))
         self.used_log = memoryview(np.zeros(horizon, dtype=np.int64))
         self.head = 0
         self.sent = 0
+        self.rbs_first = 0
+        self.rbs = np.zeros(0, dtype=np.int64)
 
     def head_wait(self, tti: int) -> int:
         """TTIs the head packet has waited at `tti`; 0 for an empty queue."""
@@ -217,7 +228,6 @@ def schedule_tti(
     tti: int,
     queues: Sequence[PacketQueue],
     alloc: Sequence[int],
-    bits_per_rb: Sequence[int],
     n_cell: int,
     q_t: Sequence[int],
     share: bool = True,
@@ -225,11 +235,11 @@ def schedule_tti(
     """Serve all queues for one TTI: guaranteed phase then deadline sharing.
 
     Phase 1 sends min(queued bits, guaranteed RBs x bits per RB) from each
-    queue, using ceil(sent / c) RBs.  Phase 2 hands the unused guaranteed RBs
-    plus the unguaranteed pool to the backlogged service whose head packet
-    has the least slack to its budget (ties to the lowest service index),
-    granting the RBs that finish its head at once; it is skipped when phase 1
-    leaves no backlog.  Writes both logs of every queue at `tti` and returns
+    queue, using ceil(sent / c) RBs at the queue's rate c.  Phase 2 hands the
+    unused guaranteed RBs plus the unguaranteed pool to the backlogged service
+    whose head packet has the least slack to its budget (ties to the lowest
+    service index), granting the RBs that finish its head at once; it is
+    skipped when phase 1 leaves no backlog.  Writes both logs of every queue at `tti` and returns
     (rbs_used, completed).
     """
     rbs_used = [0] * len(queues)
@@ -244,7 +254,7 @@ def schedule_tti(
             n = alloc[m]
             if n > 0:
                 # drain_queue inlined: this runs for every queue in every stepped TTI
-                c = bits_per_rb[m]
+                c = q.rate[tti]
                 sent = n * c
                 if sent >= owed:
                     sent = owed
@@ -273,7 +283,7 @@ def schedule_tti(
                 # min keeps the first of equal keys, so ties go to the lowest index
                 best = min(backlog, key=lambda m: q_t[m] + queues[m].arrival[queues[m].head])
             q = queues[best]
-            c = bits_per_rb[best]
+            c = q.rate[tti]
             # the winner keeps winning until its head packet changes, so grant
             # the RBs needed to finish the head in one batch
             k = -(-(q.ends[q.head] - q.sent) // c)
@@ -305,10 +315,11 @@ def lindley_sent(arrived: np.ndarray, offered: np.ndarray, sent0: int = 0) -> np
     return sent
 
 
-def serve_guaranteed(queue: PacketQueue, t0: int, t1: int, n: int, bits_per_rb: np.ndarray) -> None:
+def serve_guaranteed(queue: PacketQueue, t0: int, t1: int, n: int) -> None:
     """Serve TTIs [t0, t1) with n guaranteed RBs each and nothing shared, in
-    one Lindley pass; `bits_per_rb` holds the rates of those TTIs.  Writes the
-    same logs, head and sent count as stepping schedule_tti through them."""
+    one Lindley pass.  Writes the same logs, head and sent count as stepping
+    schedule_tti through them."""
+    bits_per_rb = np.asarray(queue.rate)[t0:t1]
     sent = lindley_sent(np.asarray(queue.arrived)[t0:t1], n * bits_per_rb, queue.sent)
     np.asarray(queue.sent_log)[t0:t1] = sent
     np.asarray(queue.used_log)[t0:t1] = -(-np.diff(sent, prepend=queue.sent) // bits_per_rb)
@@ -316,16 +327,16 @@ def serve_guaranteed(queue: PacketQueue, t0: int, t1: int, n: int, bits_per_rb: 
     queue.head = bisect_right(queue.ends, queue.sent)
 
 
-def clearing_rbs(queue: PacketQueue, t0: int, bits_per_rb: np.ndarray) -> np.ndarray:
+def clearing_rbs(queue: PacketQueue, t0: int) -> np.ndarray:
     """Write to the used log from TTI t0 on the RBs that send each TTI's
-    arrivals, ceil(a / c), and return that part of the log; `bits_per_rb`
-    holds the rates of those TTIs.  A TTI that starts with every queue empty
-    and whose arrivals fit in the cell uses exactly these RBs."""
+    arrivals, ceil(a / c), and return that part of the log.  A TTI that
+    starts with every queue empty and whose arrivals fit in the cell uses
+    exactly these RBs."""
     used = np.asarray(queue.used_log)[t0:]
     arrived = np.asarray(queue.arrived)
     np.subtract(arrived[t0:], arrived[t0 - 1 : -1], out=used)
     np.negative(used, out=used)
-    np.floor_divide(used, bits_per_rb, out=used)
+    np.floor_divide(used, np.asarray(queue.rate)[t0:], out=used)
     np.negative(used, out=used)
     return used
 
@@ -347,7 +358,7 @@ def completion_ttis(sent_log: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return comp[: np.searchsorted(comp, len(sent_log))]
 
 
-def packet_rbs(queue: PacketQueue, bits_per_rb: np.ndarray, i: int, j: int, tti: int) -> np.ndarray:
+def packet_rbs(queue: PacketQueue, i: int, j: int, tti: int) -> np.ndarray:
     """RB counts of packets [i, j), all completed before `tti`, from the sent log.
 
     A packet's count is its share sum(bits_tau / c_tau) over the TTIs that
@@ -368,7 +379,20 @@ def packet_rbs(queue: PacketQueue, bits_per_rb: np.ndarray, i: int, j: int, tti:
     cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     # a piece ending at a cut was carried by the first TTI, and belongs to the
     # first packet, whose end reaches the cut
-    pieces = np.diff(cuts, prepend=lo_bits) / bits_per_rb[t0:t1][np.searchsorted(tti_ends, cuts)]
+    pieces = np.diff(cuts, prepend=lo_bits) / np.asarray(queue.rate)[t0:t1][np.searchsorted(tti_ends, cuts)]
     share = np.bincount(np.searchsorted(ends, cuts), weights=pieces, minlength=j - i)
     rbs = np.ceil(share - 1e-9).astype(np.int64)
     return np.maximum(rbs, 1, out=rbs)
+
+
+def window_rbs(queue: PacketQueue, i: int, j: int, tti: int) -> np.ndarray:
+    """`packet_rbs` of packets [i, j) for windows whose i and j never fall
+    from one call on the queue to the next.  A packet's count is fixed once it
+    completes, so the queue keeps the last window's counts, and each call drops
+    those below i and derives only the packets it lacks."""
+    first, counts = queue.rbs_first, queue.rbs
+    start = max(i, first + len(counts))
+    kept = counts[i - first :]
+    queue.rbs = np.concatenate((kept, packet_rbs(queue, start, j, tti))) if start < j else kept
+    queue.rbs_first = i
+    return queue.rbs

@@ -8,22 +8,23 @@ equal split and are excluded from the reported metrics.
 
 Each service's traffic is one packet table (arrival TTI and size of every
 packet, FIFO order) drawn for the whole horizon and held once, as the
-cumulative bits of an `rt.PacketQueue`.  Serving a TTI writes the queue's two
-logs, cumulative bits sent and RBs used, and everything else is read from
-them: the near-RT window's packets and RB counts, the extra-RB usage and the
-QLDR queue bits, the utilization, and the delays, whose completion TTIs come
-from the same Lindley pass and completion search that `measure_fifo_delays`
-uses.  TTIs are stepped one at a time only where services interact.  Where
-they cannot -- warm-up for every controller, and each period between
-decisions for a controller that neither shares nor mitigates -- a stretch is
-served in one Lindley pass over each queue.
+cumulative bits of an `rt.PacketQueue`, together with the service's channel,
+its bits per RB in every TTI, which every serving call reads from the queue.
+Serving a TTI writes the queue's two logs, cumulative bits sent and RBs used,
+and everything else is read from them: the near-RT window's packets and RB
+counts, the extra-RB usage and the QLDR queue bits, the utilization, and the
+delays, whose completion TTIs come from the same Lindley pass and completion
+search that `measure_fifo_delays` uses.  TTIs are stepped one at a time only
+where services interact.  Where they cannot -- warm-up for every controller,
+and each period between decisions for a controller that neither shares nor
+mitigates -- a stretch is served in one Lindley pass over each queue.
 
 A controller that shares (marea, ref1, ref4) also skips the TTIs the cell
 clears.  A TTI that starts with every queue empty, and whose arrivals fit in
 the cell (sum over services of ceil(a / c) <= n_cell), sends every bit that
 arrived in it in ceil(a / c) RBs per service, whatever the guarantees, the
 mitigation and the EDF order, and leaves a state-A FSM idle.  So from a TTI
-whose event (decision or zero-guarantee switch) is handled, whose queues are
+whose event (a near-RT decision) is handled, whose queues are
 empty and, for marea, whose FSM records are all idle, `run` serves in bulk up
 to the first TTI that does not fit or the next event.  With q_lower == 0 a
 record can stay in C over an empty queue; then marea steps.  QLDR (ref2)
@@ -54,11 +55,11 @@ from .rt import (
     fsm_step,
     lindley_sent,
     mitigate,
-    packet_rbs,
     schedule_tti,
     serve_cleared,
     serve_guaranteed,
     slot_count,
+    window_rbs,
 )
 from .traces import ArrivalTrace, ChannelTrace, SyntheticModel, extend_cyclically, sample_many
 
@@ -294,22 +295,24 @@ def synthesize_window(
     return ServiceWindow(arrivals, per_rb, usage)
 
 
-def _source_rng(seed: int, domain: int, index: int, stream_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, domain, index, stream_id]))
+def _source_rng(seed: int, domain: int, index: int) -> np.random.Generator:
+    # the trailing 0 is part of the entropy: dropping it would change every draw
+    return np.random.default_rng(np.random.SeedSequence([seed, domain, index, 0]))
 
 
 def _gen_service_streams(cfg: ScenarioConfig, m: int):
     """Pre-draw the whole horizon for service m.
 
-    Returns its packet table -- arrival TTI and size of every packet, in FIFO
-    order -- and the per-TTI bits per RB.  A synthetic source gives one packet
-    per non-empty TTI; a trace repeats its per-TTI packet counts and sizes.
+    Returns the columns of its `PacketQueue`: the packet table -- arrival TTI
+    and size of every packet, in FIFO order -- and the per-TTI bits per RB.  A
+    synthetic source gives one packet per non-empty TTI; a trace repeats its
+    per-TTI packet counts and sizes.
     """
     spec = cfg.services[m]
     src = spec.arrival
     horizon = cfg.horizon
     if isinstance(src, SyntheticModel):
-        bits = sample_many(src, _source_rng(cfg.seed, 0, m, src.stream_id), horizon)
+        bits = sample_many(src, _source_rng(cfg.seed, 0, m), horizon)
         t_arr = np.flatnonzero(bits)
         sizes = bits[t_arr]
     elif isinstance(src, ArrivalTrace):
@@ -320,8 +323,7 @@ def _gen_service_streams(cfg: ScenarioConfig, m: int):
         raise ValueError(f"service {spec.id}: unsupported arrival source {type(src)}")
 
     if isinstance(spec.channel, SyntheticModel):
-        rng = _source_rng(cfg.seed, 1, m, spec.channel.stream_id)
-        rates = sample_many(spec.channel, rng, horizon)
+        rates = sample_many(spec.channel, _source_rng(cfg.seed, 1, m), horizon)
     elif isinstance(spec.channel, ChannelTrace):
         rates = extend_cyclically(spec.channel.bits_per_rb, horizon, f"channel trace {spec.id}")
     else:
@@ -345,13 +347,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
     t_slot = cfg.t_slot_ms
     warmup_end = cfg.t_obs
 
-    queues, rates = [], []
-    for m in range(m_count):
-        t_arr, sizes, r = _gen_service_streams(cfg, m)
-        queues.append(PacketQueue(t_arr, sizes, horizon))
-        rates.append(r)
-    del t_arr, sizes  # the queues hold the only copy of each table
-    rate_views = [memoryview(r) for r in rates]
+    queues = [PacketQueue(*_gen_service_streams(cfg, m)) for m in range(m_count)]
 
     q_t = [slot_count(s.w_th_ms, t_slot) for s in cfg.services]
     if strat.mitigates:
@@ -360,13 +356,11 @@ def run(cfg: ScenarioConfig) -> Metrics:
     em_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
 
     fsm = [IDLE] * m_count
-    window_rbs = [_WindowRbs() for _ in range(m_count)]
     model = strat.guarantee == "model"
     qldr = strat.guarantee == "qldr"
     # between decisions a model-guarantee controller that neither shares nor
     # mitigates leaves the services decoupled: each period is served in bulk
     shares, mitigates = strat.shares, strat.mitigates
-    zero_after_warmup = strat.guarantee == "none"
     bulk_periods = model and not shares and not mitigates
     alloc_rows: list[tuple] = []
     debug_rows: list[tuple] = [] if cfg.debug_log else None
@@ -381,20 +375,22 @@ def run(cfg: ScenarioConfig) -> Metrics:
             if cleared:
                 serve_cleared(q, t0, t1)
             else:
-                serve_guaranteed(q, t0, t1, alloc[m], rates[m][t0:t1])
+                serve_guaranteed(q, t0, t1, alloc[m])
         if debug_rows is not None:
             debug_rows.extend(_bulk_debug_rows(t0, t1, queues, alloc, sids))
         if check:
-            _check_invariants(t0, t1, queues, rates, n_cell)
+            _check_invariants(t0, t1, queues, n_cell)
 
     # static equal split while warming up: no sharing, no mitigation
     baseline = [n_cell // m_count] * m_count
     serve_bulk(0, warmup_end, baseline)
+    if strat.guarantee == "none":  # no guarantee after warm-up
+        baseline = [0] * m_count
     if shares:
         # the TTIs whose arrivals do not fit in the cell; every other TTI that
         # starts with empty queues (and idle FSMs) is cleared, in the RBs that
         # clearing_rbs writes ahead of time and a stepped TTI overwrites
-        need = sum(clearing_rbs(q, warmup_end, rates[m][warmup_end:]) for m, q in enumerate(queues))
+        need = sum(clearing_rbs(q, warmup_end) for q in queues)
         blocked = memoryview(np.append(np.flatnonzero(need > n_cell) + warmup_end, horizon))
         del need
     next_block, next_event = -1, horizon
@@ -406,8 +402,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
         since = t - warmup_end
         if model and since % t_out == 0:
             windows = [
-                _service_window(q, rates[m], window_rbs[m], t - cfg.t_obs, max(0, t - t_out), t, baseline[m])
-                for m, q in enumerate(queues)
+                _service_window(q, t - cfg.t_obs, max(0, t - t_out), t, baseline[m]) for m, q in enumerate(queues)
             ]
             decision = allocate(cfg.services, windows, n_cell, alloc_cfg, em_rng)
             del windows  # frees the capacity prefixes built for this decision
@@ -425,10 +420,8 @@ def run(cfg: ScenarioConfig) -> Metrics:
             # mean queued bits and mean bits per RB over the last window, as
             # exact whole-bit sums over its length
             avg_q = [(sum(q.arrived[lo:t]) - sum(q.sent_log[lo:t])) / (t - lo) for q in queues]
-            avg_c = [sum(r[lo:t]) / (t - lo) for r in rate_views]
+            avg_c = [sum(q.rate[lo:t]) / (t - lo) for q in queues]
             baseline = qldr_allocate(avg_q, avg_c, w_th, n_cell)
-        elif zero_after_warmup and not since:
-            baseline = [0] * m_count
 
         if shares:
             if next_block < t:
@@ -455,7 +448,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
             if any_active:
                 rt_alloc = mitigate(baseline, fsm)
 
-        rbs_used, _ = schedule_tti(t, queues, rt_alloc, [r[t] for r in rate_views], n_cell, q_t, shares)
+        rbs_used, _ = schedule_tti(t, queues, rt_alloc, n_cell, q_t, shares)
 
         if debug_rows is not None:
             for m, q in enumerate(queues):
@@ -467,7 +460,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
         if check:
             if mitigates and sum(rt_alloc) != sum(baseline):
                 raise AssertionError(f"mitigation broke conservation at tti {t}")
-            _check_invariants(t, t + 1, queues, rates, n_cell)
+            _check_invariants(t, t + 1, queues, n_cell)
 
     services_out = []
     measured_ttis = horizon - warmup_end
@@ -478,8 +471,9 @@ def run(cfg: ScenarioConfig) -> Metrics:
         done = completion_ttis(np.asarray(q.sent_log), np.asarray(q.ends)[first:-1])
         darr, pending = _fifo_delays(arrival[first:], done, t_slot)
         pending_viol = int(np.count_nonzero((horizon - pending) * t_slot > w_th[m]))
-        # pending packets already past their budget count as violations
-        scored = np.concatenate([darr, np.full(pending_viol, np.inf)])
+        # pending packets already past their budget count as violations; with
+        # none, the delays are scored as they are, without a copy
+        scored = np.concatenate([darr, np.full(pending_viol, np.inf)]) if pending_viol else darr
         total = len(scored)
         viol_prob = int(np.count_nonzero(scored > w_th[m])) / total if total else 0.0
         curve = ccdf(scored, w_th[m]) if total else []
@@ -496,30 +490,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
     return Metrics(services_out, util, alloc_rows, debug_rows)
 
 
-class _WindowRbs:
-    """RB counts of one queue's packets [first, first + len(counts)), derived
-    from its logs.  A packet's count is fixed once it completes, so each
-    decision derives only the packets completed since the last one and drops
-    those that left the observation window."""
-
-    __slots__ = ("first", "counts")
-
-    def __init__(self):
-        self.first = 0
-        self.counts = np.zeros(0, dtype=np.int64)
-
-    def window(self, q: PacketQueue, rates: np.ndarray, i: int, j: int, t: int) -> np.ndarray:
-        """Counts of the packets [i, j), all completed before TTI t; i and j never fall."""
-        start = max(i, self.first + len(self.counts))
-        kept = self.counts[i - self.first :]
-        self.counts = np.concatenate((kept, packet_rbs(q, rates, start, j, t))) if start < j else kept
-        self.first = i
-        return self.counts
-
-
-def _service_window(
-    q: PacketQueue, rates: np.ndarray, rbs: _WindowRbs, lo: int, lo_extra: int, t: int, base: int
-) -> ServiceWindow:
+def _service_window(q: PacketQueue, lo: int, lo_extra: int, t: int, base: int) -> ServiceWindow:
     """Observation window of one service for a decision at TTI t, read from its
     logs: arrivals over [lo, t), the packets completed in [lo, t) with their
     RB counts, and the extra-RB usage over [lo_extra, t) above `base`."""
@@ -528,10 +499,10 @@ def _service_window(
     j = q.head
     if i < j:
         sizes = _increments(np.asarray(q.ends), i, j)
-        per_rb = ConcatPerRbVector(sizes, rbs.window(q, rates, i, j, t))
+        per_rb = ConcatPerRbVector(sizes, window_rbs(q, i, j, t))
     else:
         # no transmissions observed: fall back to raw channel rates
-        rate_win = rates[lo:t]
+        rate_win = np.asarray(q.rate)[lo:t]
         per_rb = ConcatPerRbVector(rate_win, np.ones(len(rate_win), dtype=np.int64))
     arrivals = _increments(np.asarray(q.arrived), lo, t)
     extra = np.asarray(q.used_log)[lo_extra:t] - base
@@ -563,7 +534,7 @@ def _bulk_debug_rows(
     return [(t, *same, used, bits, wait) for rows in zip(*columns) for t, same, used, bits, wait in rows]
 
 
-def _check_invariants(t0: int, t1: int, queues: Sequence[PacketQueue], rates, n_cell: int) -> None:
+def _check_invariants(t0: int, t1: int, queues: Sequence[PacketQueue], n_cell: int) -> None:
     """RB ledger and flow conservation over the served TTIs [t0, t1)."""
     used = np.array([np.asarray(q.used_log)[t0:t1] for q in queues])
     total = used.sum(axis=0)
@@ -577,7 +548,7 @@ def _check_invariants(t0: int, t1: int, queues: Sequence[PacketQueue], rates, n_
         # the bits arrived; the head is the first packet not wholly sent
         if (
             (step < 0).any()
-            or (step > used[m] * rates[m][t0:t1]).any()
+            or (step > used[m] * np.asarray(q.rate)[t0:t1]).any()
             or (sent > np.asarray(q.arrived)[t0:t1]).any()
             or q.sent != sent[-1]
             or q.head != bisect_right(q.ends, q.sent)

@@ -99,7 +99,6 @@ class SyntheticModel:
     kind: str
     values: tuple[int, ...]
     probs: Optional[tuple[float, ...]] = None
-    stream_id: int = 0
 
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:

@@ -456,6 +456,20 @@ class TestTable1:
         assert int(rows[1][5]) == 276  # C(24,2)
         assert all(r[3] == "0" for r in rows)  # heuristic matches brute force
 
+    def test_infeasible_cell_rel_err_zero(self, tmp_path):
+        # 1000 bits per TTI over 10 bits per RB needs 100 RBs per service, so
+        # both objectives are inf at every cell size and agree exactly
+        services = "".join(
+            f"[service.{m}]\nw_th_ms = {5 * (m + 1)}\nepsilon = 1e-3\narrival = constant 1000\nchannel = constant 10\n\n"
+            for m in range(2)
+        )
+        path = tmp_path / "infeasible.cfg"
+        path.write_text(f"[scenario]\nn_cell = 4\nhorizon = 3000\nt_obs = 1000\n\n{services}")
+        out = str(tmp_path / "t")
+        assert main(["table1", "--config", str(path), "--out", out, "--n-cell-grid", "4,6"]) == 0
+        rows = [l.split(",") for l in read(os.path.join(out, "table1.csv")).decode().splitlines()[1:]]
+        assert [r[:4] for r in rows] == [["4", "inf", "inf", "0"], ["6", "inf", "inf", "0"]]
+
     def test_small_cell_rejected(self, triple_cfg, tmp_path):
         rc = main(["table1", "--config", triple_cfg, "--out", str(tmp_path / "t"), "--n-cell-grid", "2"])
         assert rc == 1

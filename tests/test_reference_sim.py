@@ -40,8 +40,8 @@ def draw(model, rng, size):
     return [model.values[i] for i in idx]
 
 
-def source_rng(seed, domain, index, stream_id):
-    return np.random.default_rng(np.random.SeedSequence([seed, domain, index, stream_id]))
+def source_rng(seed, domain, index):
+    return np.random.default_rng(np.random.SeedSequence([seed, domain, index, 0]))
 
 
 def packets_per_tti(cfg, m):
@@ -49,7 +49,7 @@ def packets_per_tti(cfg, m):
     spec = cfg.services[m]
     src = spec.arrival
     if isinstance(src, SyntheticModel):
-        bits = draw(src, source_rng(cfg.seed, 0, m, src.stream_id), cfg.horizon)
+        bits = draw(src, source_rng(cfg.seed, 0, m), cfg.horizon)
         per_tti = [[b] if b > 0 else [] for b in bits]
     else:
         table = [[] for _ in range(src.length)]
@@ -67,7 +67,7 @@ def channel_rates(cfg, m):
     spec = cfg.services[m]
     src = spec.channel
     if isinstance(src, SyntheticModel):
-        return draw(src, source_rng(cfg.seed, 1, m, src.stream_id), cfg.horizon)
+        return draw(src, source_rng(cfg.seed, 1, m), cfg.horizon)
     n = len(src.bits_per_rb)
     return [int(src.bits_per_rb[t % n]) for t in range(cfg.horizon)]
 

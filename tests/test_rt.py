@@ -20,6 +20,7 @@ from rborch.rt import (
     packet_rbs,
     schedule_tti,
     slot_count,
+    window_rbs,
 )
 
 THR = RtThresholds(q_t=10, eta=0.75, tau=0.3)  # q_upper=7, q_lower=3
@@ -149,9 +150,9 @@ class TestMitigate:
 H = 16  # horizon of the hand-built queues
 
 
-def mkq(*pkts):
-    """Queue of (arrival_tti, size) packets over H TTIs."""
-    return PacketQueue([p[0] for p in pkts], [p[1] for p in pkts], H)
+def mkq(*pkts, rate=25):
+    """Queue of (arrival_tti, size) packets over H TTIs at a constant `rate` bits per RB."""
+    return PacketQueue([p[0] for p in pkts], [p[1] for p in pkts], [rate] * H)
 
 
 def queued(q, tti):
@@ -172,10 +173,9 @@ def done_ttis(q, tti):
     return completion_ttis(np.asarray(q.sent_log)[: tti + 1], np.asarray(q.ends)[:-1]).tolist()
 
 
-def done_rbs(q, rate, tti):
-    """RB counts of the packets completed by the end of `tti`, from the sent log
-    at a constant `rate` bits per RB."""
-    return packet_rbs(q, np.full(H, rate), 0, q.head, tti + 1).tolist()
+def done_rbs(q, tti):
+    """RB counts of the packets completed by the end of `tti`, from the sent log."""
+    return packet_rbs(q, 0, q.head, tti + 1).tolist()
 
 
 class TestPacketQueue:
@@ -185,72 +185,90 @@ class TestPacketQueue:
         assert queued(q, 4) == (3, 60) and q.head_wait(4) == 4
 
     def test_completions_recorded_in_fifo_order(self):
-        q = mkq((0, 30), (0, 20), (1, 25))
+        q = mkq((0, 30), (0, 20), (1, 25), rate=10)
         done = []
         assert drain_queue(q, 40, 0, 7, done) == 40  # 30 + 10 of the next
-        assert done == [(7, 0)] and done_ttis(q, 0) == [0] and done_rbs(q, 10, 0) == [3]
+        assert done == [(7, 0)] and done_ttis(q, 0) == [0] and done_rbs(q, 0) == [3]
         assert head_rem(q) == 10 and queued(q, 0) == (1, 10) and q.sent == 40
         drain_queue(q, 100, 1, 7, done)
         assert done == [(7, 0), (7, 1), (7, 2)]
-        assert done_ttis(q, 1) == [0, 1, 1] and done_rbs(q, 10, 1) == [3, 2, 3]  # 20 bits over two TTIs: 2 RBs
+        assert done_ttis(q, 1) == [0, 1, 1] and done_rbs(q, 1) == [3, 2, 3]  # 20 bits over two TTIs: 2 RBs
         assert queued(q, 2) == (0, 0) and q.head_wait(2) == 0 and q.head == 3
         assert list(q.sent_log[:2]) == [40, 75]
 
     def test_packet_after_tti_neither_served_nor_waiting(self):
-        q = mkq((0, 10), (3, 20))
+        q = mkq((0, 10), (3, 20), rate=10)
         done = []
         assert drain_queue(q, 100, 1, 0, done) == 10  # the packet of TTI 3 is not yet queued
         assert done == [(0, 0)] and q.head == 1 and head_rem(q) == 20
         assert queued(q, 1) == (0, 0) and q.head_wait(1) == 0 and q.head_wait(3) == 0
         assert queued(q, 3) == (1, 20) and q.head_wait(5) == 2
-        used, done = schedule_tti(2, [q], [5], [10], 5, [5])
+        used, done = schedule_tti(2, [q], [5], 5, [5])
         assert used == [0] and done == [] and q.sent == 10
 
     def test_table_checked(self):
+        rate = [25] * H
         with pytest.raises(ValueError):
-            PacketQueue([0, 1], [10], H)
+            PacketQueue([0, 1], [10], rate)
         with pytest.raises(ValueError):
-            PacketQueue([2, 1], [10, 10], H)  # out of order
+            PacketQueue([2, 1], [10, 10], rate)  # out of order
         with pytest.raises(ValueError):
-            PacketQueue([0, H], [10, 10], H)  # past the horizon
+            PacketQueue([0, H], [10, 10], rate)  # past the horizon
         with pytest.raises(ValueError):
-            PacketQueue([0, 1], [10, 0], H)  # an empty packet
+            PacketQueue([0, 1], [10, 0], rate)  # an empty packet
+
+    @pytest.mark.parametrize(
+        "rate", [[], [[25] * H, [25] * H], [25] * 5 + [0] + [25] * (H - 6)], ids=["empty", "2-d", "zero"]
+    )
+    def test_rate_column_checked(self, rate):
+        with pytest.raises(ValueError, match="rate column"):
+            PacketQueue([0, 1], [10, 10], rate)
+
+    def test_rate_column_sets_horizon_and_is_read_only(self):
+        q = PacketQueue([0, 4], [10, 10], [7, 8, 9, 10, 11])
+        assert len(q.sent_log) == len(q.used_log) == len(q.arrived) == 5
+        with pytest.raises(ValueError):
+            PacketQueue([0, 5], [10, 10], [7, 8, 9, 10, 11])  # past the horizon the column sets
+        with pytest.raises(TypeError):
+            q.rate[0] = 1
+        with pytest.raises(ValueError):
+            np.asarray(q.rate)[0] = 1
 
 
 class TestScheduleTti:
     def test_all_empty(self):
         queues = [mkq(), mkq()]
-        used, done = schedule_tti(0, queues, [5, 5], [25, 25], 10, [5, 5])
+        used, done = schedule_tti(0, queues, [5, 5], 10, [5, 5])
         assert used == [0, 0] and done == []
 
     def test_exact_rb_consumption(self):
         queues = [mkq((0, 100))]
-        used, done = schedule_tti(0, queues, [10], [25], 10, [5])
+        used, done = schedule_tti(0, queues, [10], 10, [5])
         assert used == [4]
-        assert len(done) == 1 and queues[0].arrival[done[0][1]] == 0 and done_rbs(queues[0], 25, 0) == [4]
+        assert len(done) == 1 and queues[0].arrival[done[0][1]] == 0 and done_rbs(queues[0], 0) == [4]
         assert queued(queues[0], 0) == (0, 0)
         assert queues[0].used_log[0] == 4 and queues[0].sent_log[0] == 100
 
     def test_partial_rb_rounds_up(self):
         queues = [mkq((0, 90))]
-        used, _ = schedule_tti(0, queues, [10], [25], 10, [5])
+        used, _ = schedule_tti(0, queues, [10], 10, [5])
         assert used == [4]  # ceil(90/25)
 
     def test_edf_picks_smallest_slack(self):
         # heads with waits 4 and 1 against q_t 5 and 9 -> slacks 1 and 8
         queues = [mkq((1, 500)), mkq((4, 500))]
-        used, _ = schedule_tti(5, queues, [0, 0], [25, 25], 1, [5, 9])
+        used, _ = schedule_tti(5, queues, [0, 0], 1, [5, 9])
         assert used == [1, 0]
 
     def test_edf_tie_breaks_lowest_index(self):
         queues = [mkq((0, 500)), mkq((0, 500))]
-        used, _ = schedule_tti(3, queues, [0, 0], [25, 25], 1, [5, 5])
+        used, _ = schedule_tti(3, queues, [0, 0], 1, [5, 5])
         assert used == [1, 0]
 
     def test_rb_straddles_packets(self):
         # one RB of 25 bits finishes a 10-bit packet and starts the next
         queues = [mkq((0, 10), (0, 30))]
-        used, done = schedule_tti(0, queues, [1], [25], 1, [5])
+        used, done = schedule_tti(0, queues, [1], 1, [5])
         assert used == [1]
         assert len(done) == 1
         assert head_rem(queues[0]) == 15  # 30 - (25 - 10)
@@ -261,12 +279,10 @@ class TestScheduleTti:
             m = int(rng.integers(1, 5))
             n_cell = int(rng.integers(m, 20))
             alloc = [int(v) for v in rng.multinomial(n_cell, np.ones(m) / m)]
-            queues = [
-                mkq(*[(0, int(b)) for b in rng.integers(1, 400, rng.integers(0, 4))])
-                for _ in range(m)
-            ]
+            pkts = [[(0, int(b)) for b in rng.integers(1, 400, rng.integers(0, 4))] for _ in range(m)]
             rates = [int(v) for v in rng.integers(10, 40, m)]
-            used, _ = schedule_tti(0, queues, alloc, rates, n_cell, [5] * m)
+            queues = [mkq(*p, rate=c) for p, c in zip(pkts, rates)]
+            used, _ = schedule_tti(0, queues, alloc, n_cell, [5] * m)
             assert sum(used) <= n_cell
             assert all(u >= 0 for u in used)
 
@@ -276,12 +292,10 @@ class TestScheduleTti:
             m = int(rng.integers(1, 5))
             n_cell = int(rng.integers(m, 16))
             alloc = [0] * m
-            queues = [
-                mkq(*[(0, int(b)) for b in rng.integers(1, 200, rng.integers(0, 3))])
-                for _ in range(m)
-            ]
+            pkts = [[(0, int(b)) for b in rng.integers(1, 200, rng.integers(0, 3))] for _ in range(m)]
             rates = [int(v) for v in rng.integers(5, 30, m)]
-            used, _ = schedule_tti(0, queues, alloc, rates, n_cell, [5] * m)
+            queues = [mkq(*p, rate=c) for p, c in zip(pkts, rates)]
+            used, _ = schedule_tti(0, queues, alloc, n_cell, [5] * m)
             if any(queued(q, 0)[0] for q in queues):
                 assert sum(used) == n_cell  # backlog remains only if all RBs spent
 
@@ -290,14 +304,14 @@ class TestScheduleTti:
         real = rt.drain_queue
         monkeypatch.setattr(rt, "drain_queue", lambda q, *a: calls.append(a[2]) or real(q, *a))
         queues = [mkq((0, 50)), mkq((0, 20)), mkq((3, 10))]
-        used, done = schedule_tti(0, queues, [2, 1, 4], [25, 25, 25], 10, [5, 5, 5])
+        used, done = schedule_tti(0, queues, [2, 1, 4], 10, [5, 5, 5])
         assert used == [2, 1, 0] and len(done) == 2
         # phase 1 sends without drain_queue; service 2 has nothing queued and
         # no queue is left to share with, so no grant is made
         assert calls == []
         # a backlog left by phase 1 is shared out through drain_queue grants
         queues = [mkq((0, 60)), mkq((0, 20))]
-        used, done = schedule_tti(0, queues, [2, 1], [25, 25], 10, [5, 5])
+        used, done = schedule_tti(0, queues, [2, 1], 10, [5, 5])
         assert used == [3, 1] and len(done) == 2 and calls == [0]
 
     def test_grant_ends_at_head_on_whole_rbs(self):
@@ -305,12 +319,39 @@ class TestScheduleTti:
         # (one TTI more slack) waits behind it; service 1's head is due first
         # after that, so the 4-RB pool splits 2/2 and no RB of the grant
         # reaches the packet behind the head
-        queues = [mkq((0, 20), (1, 100)), mkq((0, 40))]
-        used, done = schedule_tti(1, queues, [0, 0], [10, 10], 4, [5, 5])
+        queues = [mkq((0, 20), (1, 100), rate=10), mkq((0, 40), rate=10)]
+        used, done = schedule_tti(1, queues, [0, 0], 4, [5, 5])
         assert used == [2, 2] and done == [(0, 0)]
         assert queues[0].sent == 20 and queues[0].head == 1 and queues[1].sent == 20
 
     def test_no_sharing_keeps_pool_idle(self):
         queues = [mkq((0, 1000)), mkq()]
-        used, _ = schedule_tti(0, queues, [2, 2], [25, 25], 10, [5, 5], share=False)
+        used, _ = schedule_tti(0, queues, [2, 2], 10, [5, 5], share=False)
         assert used == [2, 0]
+
+
+class TestWindowRbs:
+    """`window_rbs` keeps one window of counts on the queue and extends it."""
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [(0, 4), (2, 7), (2, 9), (5, 12)],  # each window overlaps the last
+            [(0, 3), (3, 6), (6, 12)],  # each starts where the last ended
+            [(0, 2), (5, 8), (10, 12)],  # each starts past the counts kept, as with t_out > t_obs
+        ],
+        ids=["overlapping", "disjoint", "past-kept"],
+    )
+    def test_matches_packet_rbs(self, bounds):
+        # 12 packets over 40 TTIs on a 3-RB cell at varying rates: most span TTIs
+        rng = np.random.default_rng(5)
+        n, horizon = 12, 40
+        q = PacketQueue(np.sort(rng.integers(0, 20, n)), rng.integers(1, 150, n), rng.integers(5, 30, horizon))
+        for t in range(horizon):
+            schedule_tti(t, [q], [1], 3, [5])
+        assert q.head == n
+        done = completion_ttis(np.asarray(q.sent_log), np.asarray(q.ends)[:-1])
+        for i, j in bounds:
+            tti = int(done[j - 1]) + 1  # the first TTI by which packets [i, j) have completed
+            assert window_rbs(q, i, j, tti).tolist() == packet_rbs(q, i, j, tti).tolist()
+            assert q.rbs_first == i and len(q.rbs) == j - i

@@ -134,29 +134,27 @@ def cells(draw, max_services=3):
 def test_step_matches_per_packet_queue(cell, share):
     horizon, tables, rates, allocs, n_cell, q_t = cell
     old = [OldQueue(a, s) for a, s in tables]
-    new = [PacketQueue(a, s, horizon) for a, s in tables]
+    new = [PacketQueue(a, s, r) for (a, s), r in zip(tables, rates)]
     for t in range(horizon):
         rates_t = [r[t] for r in rates]
         sent_before = [q.sent_bits for q in old]
         used_old, done_old = old_schedule(t, old, allocs[t], rates_t, n_cell, q_t, share)
-        used_new, done_new = schedule_tti(t, new, allocs[t], rates_t, n_cell, q_t, share)
+        used_new, done_new = schedule_tti(t, new, allocs[t], n_cell, q_t, share)
         assert used_new == used_old
         assert done_new == done_old
         for m, (o, q) in enumerate(zip(old, new)):
             assert q.sent_log[t] - (q.sent_log[t - 1] if t else 0) == o.sent_bits - sent_before[m]
             assert q.used_log[t] == used_old[m]
             assert q.head == o.head and q.head_wait(t) == o.head_wait(t)
-    for m, (o, q) in enumerate(zip(old, new)):
+    for o, q in zip(old, new):
         ends = np.asarray(q.ends)[:-1]
         assert completion_ttis(np.asarray(q.sent_log), ends).tolist() == list(o.done_tti)
         if q.head:
-            rbs = packet_rbs(q, np.asarray(rates[m], dtype=np.int64), 0, q.head, horizon)
+            rbs = packet_rbs(q, 0, q.head, horizon)
             assert rbs.tolist() == list(o.done_rbs)
             # any completed sub-range reads the same counts
             i = q.head // 2
-            assert packet_rbs(q, np.asarray(rates[m], dtype=np.int64), i, q.head, horizon).tolist() == list(
-                o.done_rbs[i:]
-            )
+            assert packet_rbs(q, i, q.head, horizon).tolist() == list(o.done_rbs[i:])
 
 
 @settings(max_examples=300)
@@ -168,16 +166,15 @@ def test_bulk_matches_step_on_decoupled_stretch(cell, split, data):
     horizon, tables, rates, allocs, n_cell, q_t = cell
     split = min(split, horizon - 1)
     guarantee = data.draw(st.lists(st.integers(0, 6), min_size=len(tables), max_size=len(tables)))
-    stepped = [PacketQueue(a, s, horizon) for a, s in tables]
-    bulk = [PacketQueue(a, s, horizon) for a, s in tables]
+    stepped = [PacketQueue(a, s, r) for (a, s), r in zip(tables, rates)]
+    bulk = [PacketQueue(a, s, r) for (a, s), r in zip(tables, rates)]
     for t in range(split):
-        rates_t = [r[t] for r in rates]
         for queues in (stepped, bulk):
-            schedule_tti(t, queues, allocs[t], rates_t, n_cell, q_t, True)
+            schedule_tti(t, queues, allocs[t], n_cell, q_t, True)
     for t in range(split, horizon):
-        schedule_tti(t, stepped, guarantee, [r[t] for r in rates], n_cell, q_t, False)
+        schedule_tti(t, stepped, guarantee, n_cell, q_t, False)
     for m, q in enumerate(bulk):
-        serve_guaranteed(q, split, horizon, guarantee[m], np.asarray(rates[m], dtype=np.int64)[split:])
+        serve_guaranteed(q, split, horizon, guarantee[m])
     for a, b in zip(stepped, bulk):
         assert list(a.sent_log) == list(b.sent_log)
         assert list(a.used_log) == list(b.used_log)
@@ -217,11 +214,11 @@ def test_clear_cell_empties_every_queue(cell):
     assert used == need
     assert all(q.arrival[q.head] > 1 and q.sent_bits == sum(s) for q, s in zip(old, sizes))
     # stepped and cleared in bulk, the new queue writes the same logs
-    stepped = [PacketQueue([1] * len(s), s, 2) for s in sizes]
-    assert schedule_tti(1, stepped, alloc, rates, n_cell, q_t, True)[0] == need
+    stepped = [PacketQueue([1] * len(s), s, [c, c]) for s, c in zip(sizes, rates)]
+    assert schedule_tti(1, stepped, alloc, n_cell, q_t, True)[0] == need
     for s, c, step in zip(sizes, rates, stepped):
-        q = PacketQueue([1] * len(s), s, 2)
-        assert clearing_rbs(q, 1, np.array([c])).tolist() == [-(-sum(s) // c)]
+        q = PacketQueue([1] * len(s), s, [c, c])
+        assert clearing_rbs(q, 1).tolist() == [-(-sum(s) // c)]
         serve_cleared(q, 1, 2)
         assert list(q.sent_log) == list(step.sent_log) == [0, sum(s)]
         assert list(q.used_log) == list(step.used_log)
