@@ -16,21 +16,29 @@ how often each occurs and how many there are, and none of these depends on
 n_min.  So each window keeps one read-only table over one contiguous range of
 group sizes lo..hi: each size's sorted unique values and counts, back to back
 with per-size offsets, and each size's sample count.  The samples themselves
-are never kept.  A build for n_min..n_cell extends the range at whichever
-ends it must, so a request that leaves a gap to the range also builds the
-sizes in the gap, and returns its sizes as a CapacitySampleSet over a slice
-of the table.
+are never kept.  A size of the range may be a hole, with no values and a
+sample count of 0: the bound weights region n by pi_n and reads nothing of a
+region with pi_n = 0, so a build given pi leaves unbuilt what it does not
+read.  A build for n_min..n_cell extends the range at whichever ends it must,
+so a request that leaves a gap to the range also plans the sizes in the gap,
+fills the holes it reads, and returns its sizes as a CapacitySampleSet over a
+slice of the table.
 
-New sizes are built in passes: consecutive sizes whose samples fit in
-PASS_SAMPLES share one gather of the prefix, one rounding and one
+New sizes are planned in passes, separately below the range, in each run of
+holes the request reads and above the range: consecutive sizes whose samples
+fit in PASS_SAMPLES share one gather of the prefix, one rounding and one
 distinct-value step over (size, sum) keys, which keeps numpy's per-call cost
 off the many short sizes of a packet window; a size with more samples, or
-longer than the window, is built alone.  A pass finds its distinct int64
-keys and their counts by counting them (np.bincount) when their span is
-within _COUNT_SPAN times its sample count, as with the near-constant sums of
-a whole-bit window, and by sorting them otherwise, as with the (size, sum)
-keys of a multi-size pass, which span the sizes times the window's total
-bits; only the distinct values are cast to float64.
+longer than the window, is planned alone.  A pass is built only when it holds
+a size the request reads, and otherwise left as holes.  So a long window,
+whose every size is alone in its pass, builds only the sizes read, and a
+short window, whose passes pack many sizes, stays without holes.  A pass
+finds its distinct int64 keys and their counts by counting them
+(np.bincount) when their span is within _COUNT_SPAN times its sample count,
+as with the near-constant sums of a whole-bit window, and by sorting them
+otherwise, as with the (size, sum) keys of a multi-size pass, which span the
+sizes times the window's total bits; only the distinct values are cast to
+float64.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ _COUNT_SPAN = 4
 # group sums and the (size index, sum) keys of a pass stay below this, so
 # they are exact in float64 too
 _KEY_LIMIT = 1 << 53
+# the values and counts of a hole
+_NO_VALUES = np.empty(0)
 
 
 class ConcatPerRbVector:
@@ -65,11 +75,13 @@ class ConcatPerRbVector:
     built on first use and kept with the window, and so is the
     table of group sizes _lo.._lo + len(t) - 1 built on it: (unique values,
     counts, offsets, t), where size g owns vals/counts over
-    offsets[g - _lo]:offsets[g - _lo + 1] and has t[g - _lo] samples.  Every
-    build on the window shares them.
+    offsets[g - _lo]:offsets[g - _lo + 1] and has t[g - _lo] samples.  A
+    size not built yet is a hole: t[g - _lo] is 0 and it owns no values;
+    _holes holds the sizes of the holes.  Every build on the window shares
+    them.
     """
 
-    __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_lo", "_table")
+    __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_lo", "_table", "_holes")
 
     def __init__(self, bits, rbs):
         self.bits = np.asarray(bits, dtype=np.int64)
@@ -83,6 +95,7 @@ class ConcatPerRbVector:
         self._prefix = None
         self._lo = 0
         self._table = None  # no size built yet
+        self._holes = set()
 
     def __len__(self) -> int:
         return self._length
@@ -209,15 +222,45 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     return vals, counts.astype(np.float64), np.bincount(which, minlength=len(gs)), t
 
 
-def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int) -> None:
-    """Extend the window's table to cover n_min..n_cell: the sizes below its
-    range and above it are built, and the three blocks joined once."""
+def _plan(x_con: ConcatPerRbVector, sizes: range, wanted: set[int], holes: set[int]) -> list[tuple]:
+    """Table blocks for the consecutive sizes: each pass of _passes that holds
+    a wanted size is built, and every run of other passes left as holes,
+    whose sizes join `holes`."""
+    blocks, skipped = [], 0
+    for gs in _passes(sizes, len(x_con), x_con._total):
+        if wanted.isdisjoint(gs):
+            holes.update(gs)
+            skipped += len(gs)
+            continue
+        if skipped:
+            blocks.append(_hole_block(skipped))
+            skipped = 0
+        blocks.append(_pass(x_con, gs))
+    if skipped:
+        blocks.append(_hole_block(skipped))
+    return blocks
+
+
+def _hole_block(k: int) -> tuple:
+    """Table block of k holes: no values, no samples."""
+    return _NO_VALUES, _NO_VALUES, np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+
+
+def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi) -> None:
+    """Extend the window's table to cover n_min..n_cell and to hold every size
+    n_min + n with pi_n != 0 (every size if pi is None): the sizes below its
+    range, each run of holes holding a read size and the sizes above it are
+    planned, and the blocks joined once."""
     if x_con._table is None:
-        lo, hi, old = n_min, n_min - 1, []
+        lo, hi = n_min, n_min - 1
     else:
-        vals, counts, offsets, t = x_con._table
-        lo, hi, old = x_con._lo, x_con._lo + len(t) - 1, [(vals, counts, np.diff(offsets), t)]
-    if lo <= n_min and n_cell <= hi:
+        lo, hi = x_con._lo, x_con._lo + len(x_con._table[3]) - 1
+    holes = x_con._holes
+    if lo <= n_min and n_cell <= hi and not holes:
+        return  # a table without holes holds every size of its range
+    wanted = set(range(n_min, n_cell + 1)) if pi is None else {n + n_min for n in np.flatnonzero(pi).tolist()}
+    fill = sorted(holes.intersection(wanted))
+    if lo <= n_min and n_cell <= hi and not fill:
         return
     length, total = len(x_con), x_con._total
     # a group inside the window sums to at most the total, and the scaled
@@ -227,24 +270,47 @@ def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int) -> None:
             "capacity window too large for exact float64 samples: a group sum "
             f"can reach 2^53 (total {total} bits over {length} RBs, groups up to {n_cell})"
         )
-    low = [_pass(x_con, gs) for gs in _passes(range(n_min, lo), length, total)]
-    high = [_pass(x_con, gs) for gs in _passes(range(hi + 1, n_cell + 1), length, total)]
-    vals, counts, val_sizes, t = (np.concatenate(part) for part in zip(*low, *old, *high))
+    left = set(holes)  # the holes after this build
+    blocks = _plan(x_con, range(n_min, lo), wanted, left)
+    if x_con._table is not None:
+        vals, counts, offsets, t = x_con._table
+        val_sizes, i = offsets[1:] - offsets[:-1], 0
+        for g in fill:
+            if g - lo < i:
+                continue  # in a run of holes already planned
+            # the maximal run of holes around g, planned afresh from its first size
+            first, last = g, g
+            while first - 1 in holes:
+                first -= 1
+            while last + 1 in holes:
+                last += 1
+            a, b = offsets[i], offsets[first - lo]
+            blocks.append((vals[a:b], counts[a:b], val_sizes[i : first - lo], t[i : first - lo]))
+            left.difference_update(range(first, last + 1))
+            blocks += _plan(x_con, range(first, last + 1), wanted, left)
+            i = last - lo + 1
+        a = offsets[i]
+        blocks.append((vals[a:], counts[a:], val_sizes[i:], t[i:]))
+    blocks += _plan(x_con, range(hi + 1, n_cell + 1), wanted, left)
+    vals, counts, val_sizes, t = (np.concatenate(part) for part in zip(*blocks))
     offsets = np.concatenate(([0], np.cumsum(val_sizes)))
     for arr in (vals, counts, offsets, t):
         arr.flags.writeable = False
-    x_con._lo, x_con._table = min(lo, n_min), (vals, counts, offsets, t)
+    x_con._lo, x_con._table, x_con._holes = min(lo, n_min), (vals, counts, offsets, t), left
 
 
-def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int) -> CapacitySampleSet:
-    """Group the per-RB stream into service samples for every region n.
+def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi=None) -> CapacitySampleSet:
+    """Group the per-RB stream into service samples for every region n that pi reads.
 
     Region n uses groups of n + n_min consecutive entries; trailing partial
     groups are discarded.  A window shorter than one group yields a single
-    linearly scaled sample (logged as degraded).  Group sizes already built on
-    this window are taken from its table; the table covers one range of
-    sizes, so a request that leaves a gap to it also builds the sizes in the
-    gap.  The result is the same whatever the order of the requests.
+    linearly scaled sample (logged as degraded).  pi, the region weights the
+    bound will use (n_cell - n_min + 1 entries), lets the build skip every
+    pass whose regions all have pi_n = 0, leaving their sizes holes: no
+    values and a sample count of 0.  None reads every region, which leaves no
+    hole in n_min..n_cell.  Group sizes already built on this window are
+    taken from its table, so nothing is built twice.  Every region the
+    request reads is the same whatever the order of the requests.
     """
     if n_min < 1:
         raise ValueError("n_min must be positive")
@@ -253,7 +319,9 @@ def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int) ->
     length = len(x_con)
     if length == 0:
         raise ValueError("capacity window is empty")
-    _extend(x_con, n_min, n_cell)
+    if pi is not None and len(pi) != n_cell - n_min + 1:
+        raise ValueError(f"pi must have n_cell - n_min + 1 = {n_cell - n_min + 1} entries, got {len(pi)}")
+    _extend(x_con, n_min, n_cell, pi)
     vals, counts, offsets, t = x_con._table
     # length // g only falls with g, so exactly the groups above the window length are scaled
     if n_cell > length:

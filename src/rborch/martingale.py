@@ -61,7 +61,9 @@ class CapacitySampleSet:
     Only what K'_s reads is kept.  The sorted unique values of every region
     and their float64 counts lie back to back in one table: region n's are
     vals and counts over val_offsets[n]:val_offsets[n + 1].  t_n[n] is region
-    n's number of samples.
+    n's number of samples.  A set sliced from a window's capacity table may
+    hold holes, regions with no values and t_n[n] = 0, where the build was
+    told pi_n = 0; K'_s rejects a pi that weights one.
     """
 
     __slots__ = ("n_min", "n_add", "t_n", "vals", "counts", "val_offsets")
@@ -105,7 +107,7 @@ class CapacitySampleSet:
         self.vals, self.counts, self.val_offsets = vals, counts, val_offsets
 
     def compressed(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted unique values, float64 counts) of region n."""
+        """(sorted unique values, float64 counts) of region n, both empty for a hole."""
         a, b = self.val_offsets[n], self.val_offsets[n + 1]
         return self.vals[a:b], self.counts[a:b]
 
@@ -194,19 +196,26 @@ def _arrival_rate(x_a: ArrivalSampleSet) -> _Rate:
 def _service_rate(x_s: CapacitySampleSet, pi) -> _Rate:
     """K'_s over the regions with pi_n != 0, read from the set's table without a loop.
 
-    Region means come from np.add.reduceat: the samples are whole bits below
-    2^53, so every partial sum is exact and equals a per-region dot product.
+    The regions with pi_n = 0 are dropped first, so they may hold nothing; a
+    region with pi_n != 0 and no samples is an error.  Region means come from
+    np.add.reduceat: the samples are whole bits below 2^53, so every partial
+    sum is exact and equals a per-region dot product.
     """
     pi = check_pmf(pi, x_s.n_add + 1)
-    t_n = x_s.t_n
-    per_val = np.diff(x_s.val_offsets)
+    t_n, per_val = x_s.t_n, x_s.val_offsets[1:] - x_s.val_offsets[:-1]
     vals, counts = x_s.vals, x_s.counts
-    means = np.add.reduceat(counts * vals, x_s.val_offsets[:-1]) / t_n
-    w = counts * np.repeat(pi / t_n, per_val)
     active = pi != 0.0
     if not active.all():
         keep = np.repeat(active, per_val)
-        vals, w, pi, means = vals[keep], w[keep], pi[active], means[active]
+        vals, counts, t_n, per_val = vals[keep], counts[keep], t_n[active], per_val[active]
+        pi = pi[active]
+    if not t_n.all():
+        k = int(np.argmin(t_n))  # the first active region without samples
+        n = int(np.flatnonzero(active)[k])
+        raise ValueError(f"capacity region {n} has pi_n = {float(pi[k])} but no samples")
+    starts = np.cumsum(per_val) - per_val
+    means = np.add.reduceat(counts * vals, starts) / t_n
+    w = counts * np.repeat(pi / t_n, per_val)
     return _Rate(-1.0, vals, w, (pi, means))
 
 

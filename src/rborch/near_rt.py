@@ -141,7 +141,7 @@ class _CandidateEvaluator:
         if got is not None:
             return got
         pi = self.pmf(m, n_min)
-        x_s = build_capacity_samples(self.windows[m].per_rb, n_min, self.n_cell)
+        x_s = build_capacity_samples(self.windows[m].per_rb, n_min, self.n_cell, pi.pi)
         res = delay_bound(
             self.windows[m].arrivals,
             x_s,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rborch.capacity
 from rborch.capacity import PASS_SAMPLES, ConcatPerRbVector, build_capacity_samples
-from rborch.martingale import ArrivalSampleSet
+from rborch.martingale import ArrivalSampleSet, delay_bound
 from rborch.near_rt import ServiceSpec, ServiceWindow, allocate, brute_force_allocate
 
 
@@ -243,6 +243,8 @@ class TestBuildCapacitySamples:
             build_capacity_samples(x, 5, 4)  # n_min > n_cell
         with pytest.raises(ValueError):
             build_capacity_samples(channel([]), 1, 1)
+        with pytest.raises(ValueError, match="2 entries"):
+            build_capacity_samples(x, 1, 2, [1.0])  # pi of the wrong length
 
 
 def packet_runs(max_size):
@@ -306,8 +308,40 @@ def test_groups_built_once_per_window(monkeypatch):
         built.extend((id(x_con), g) for g in gs)
         return build_pass(x_con, gs)
 
+    def new_sizes(x, n_min, n_cell, pi=None):
+        """Sizes the request builds; every region it reads holds its groups."""
+        done = len(built)
+        s = build_capacity_samples(x, n_min, n_cell, pi)
+        read = range(n_cell - n_min + 1) if pi is None else np.flatnonzero(pi)
+        assert all(s.t_n[n] == max(1, len(x) // (n_min + n)) for n in read)
+        return sorted(g for _, g in built[done:])
+
     monkeypatch.setattr(rborch.capacity, "_pass", counting)
     rng = np.random.default_rng(4)
+    # a long window: every size up to 40 has at least PASS_SAMPLES groups, so each is alone in its pass
+    x = channel(rng.integers(1, 60, 40 * PASS_SAMPLES))
+    # a pass whose sizes all have pi_n = 0 is not built: sizes 11, 12, 14 and 15 are holes
+    assert new_sizes(x, 10, 15, [0.5, 0, 0, 0.5, 0, 0]) == [10, 13]
+    s = build_capacity_samples(x, 10, 15, [0.5, 0, 0, 0.5, 0, 0])
+    assert s.t_n.tolist() == [len(x) // 10, 0, 0, len(x) // 13, 0, 0]
+    assert [len(s.compressed(n)[0]) == 0 for n in range(6)] == [False, True, True, False, True, True]
+    assert x._holes == {11, 12, 14, 15}
+    assert new_sizes(x, 10, 15, [1, 0, 0, 0, 0, 0]) == []  # reads only what is built
+    # a later request that reads holes builds them, and a size below the range that it does not read is a hole
+    assert new_sizes(x, 9, 15, [0, 0, 0.5, 0.5, 0, 0, 0]) == [11, 12]
+    assert x._lo == 9 and x._holes == {9, 14, 15}
+    assert new_sizes(x, 8, 17, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]) == [15]  # a hole, with sizes new at both ends
+    assert x._holes == {8, 9, 14, 16, 17}
+    assert new_sizes(x, 9, 16) == [9, 14, 16]  # no pi: every region is read
+    assert new_sizes(x, 8, 17, np.full(10, 0.1)) == [8, 17]
+    assert not x._holes and len(x._table[3]) == 10
+
+    # a short window: the sizes of one request fit in one pass, so the pass is built whole and leaves no hole
+    short = channel(rng.integers(1, 60, 200))
+    assert new_sizes(short, 10, 30, [1] + [0] * 20) == list(range(10, 31))
+    assert not short._holes and short._table[3].all()
+
+    # nothing is built twice, across allocate and brute_force_allocate on the same windows
     specs = [ServiceSpec(id=m, w_th_ms=5.0, epsilon=1e-3) for m in range(2)]
     windows = [
         ServiceWindow(
@@ -317,25 +351,19 @@ def test_groups_built_once_per_window(monkeypatch):
         )
         for _ in specs
     ]
+    done = len(built)
     allocate(specs, windows, 30)
-    # every candidate n_min of a service needs groups n_min..30, yet each is built once
-    assert len(built) == len(set(built))
+    assert len(built) - done < 2 * 30  # some passes read no size
     first = len(built)
     allocate(specs, windows, 30)
     assert len(built) == first
-    brute_force_allocate(specs, windows, 30)  # every n_min: builds only the groups not seen yet
-    assert len(built) == len(set(built)) == 2 * 30
-    brute_force_allocate(specs, windows, 24)  # smaller cell: every group is cached already
-    assert len(built) == 2 * 30
-    allocate(specs, windows, 32)  # larger cell: only groups 31 and 32 are new
-    assert sorted(g for _, g in built[2 * 30 :]) == [31, 31, 32, 32]
-    # a build that leaves a gap to the built sizes builds the gap as well, and still nothing twice
-    x = ConcatPerRbVector(rng.integers(300, 1500, 200), rng.integers(1, 60, 200))
-    for (n_min, n_cell), new in (((5, 10), range(5, 11)), ((20, 30), range(11, 31)), ((2, 14), range(2, 5)),
-                                 ((6, 25), range(0)), ((1, 32), [1, 31, 32])):
-        done = len(built)
-        build_capacity_samples(x, n_min, n_cell)
-        assert built[done:] == [(id(x), g) for g in new]
+    brute_force_allocate(specs, windows, 30)  # every n_min: builds only what it reads and is not built yet
+    assert len(built) - done == len(set(built[done:]))
+    brute_force_allocate(specs, windows, 24)  # smaller cell: every size it reads is built already
+    assert len(built) - done == len(set(built[done:]))
+    allocate(specs, windows, 32)
+    assert len(built) - done == len(set(built[done:]))
+    assert {g for _, g in built[done:]} <= set(range(1, 33))
 
 
 @st.composite
@@ -381,6 +409,47 @@ def test_table_builds_match_fraction_oracle(window, pairs):
     group = oracle_groups(bits, rbs)
     for n_min, n_cell in pairs:
         assert_build_matches_oracle(x, group, n_min, n_cell)
+
+
+@st.composite
+def read_requests(draw):
+    """(n_min, n_cell, pi): pi is None (every region read) or weights on a drawn support."""
+    n_min = draw(st.integers(1, 3) | st.integers(1, 120))
+    n_add = draw(st.integers(0, 60))
+    if draw(st.integers(0, 4)) == 0:
+        return n_min, n_min + n_add, None
+    support = draw(st.lists(st.integers(0, n_add), min_size=1, max_size=8, unique=True))
+    pi = np.zeros(n_add + 1)
+    pi[support] = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+    return n_min, n_min + n_add, pi / pi.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    packet_runs(30).map(lambda runs: [list(col) for col in zip(*runs)]) | long_windows(),
+    st.lists(read_requests(), min_size=1, max_size=6),
+    st.lists(st.integers(0, 200), min_size=1, max_size=20),
+)
+@example(([7, 9, 4] * 1000, [1] * 3000), [(2, 40, np.eye(39)[5]), (1, 3, np.eye(3)[0]), (2, 40, None)], [100])
+@example(([900, 1300, 450, 700] * 10, [31, 2, 57, 9] * 10), [(5, 30, np.eye(26)[0]), (4, 30, np.eye(27)[26])], [50])
+def test_sparse_builds_match_dense_builds(window, requests, load):
+    # one window serves every request with its pi, in the drawn order; each region a request reads
+    # matches a fresh dense build and the Fraction oracle, and so does the delay bound
+    bits, rbs = window
+    x = ConcatPerRbVector(bits, rbs)
+    group = oracle_groups(bits, rbs)
+    for n_min, n_cell, pi in requests:
+        sparse = build_capacity_samples(x, n_min, n_cell, pi)
+        dense = build_capacity_samples(ConcatPerRbVector(bits, rbs), n_min, n_cell)
+        read = range(n_cell - n_min + 1) if pi is None else np.flatnonzero(pi)
+        for n in read:
+            assert region(sparse, n) == region(dense, n) == summary(group(n_min + n))
+        for n in range(n_cell - n_min + 1):  # a region the request does not read is built or a hole
+            assert region(sparse, n) in (region(dense, n), ([], [], 0))
+        if pi is not None:
+            # arrivals of up to twice the mean group of n_min RBs
+            arrivals = ArrivalSampleSet([int(sum(bits)) * n_min * p // (100 * len(x)) for p in load])
+            assert repr(delay_bound(arrivals, sparse, pi, 1e-3)) == repr(delay_bound(arrivals, dense, pi, 1e-3))
 
 
 def test_pass_kinds_match_fraction_oracle(monkeypatch):

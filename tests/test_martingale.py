@@ -111,6 +111,19 @@ class TestServiceLogNegMgf:
         with pytest.raises(ValueError):
             service_log_neg_mgf(x, [0.5, 0.5], 0.1)
 
+    def test_hole_read_only_when_weighted(self):
+        # regions 1 and 3 are holes: no values, no samples
+        t_n = np.array([3, 0, 7, 0])
+        vals, counts = np.array([100.0, 200.0]), np.array([3.0, 7.0])
+        x = CapacitySampleSet._of_table(4, t_n, vals, counts, np.array([0, 1, 1, 2, 2]))
+        pi = [0.5, 0.0, 0.5, 0.0]
+        assert service_log_neg_mgf(x, pi, 0.01) == pytest.approx(KS_TWO_REGION, abs=1e-12)
+        for pi, n in (([0.5, 0.5, 0.0, 0.0], 1), ([0.5, 0.0, 0.25, 0.25], 3), ([0.0, 0.0, 0.0, 1.0], 3)):
+            with pytest.raises(ValueError, match=f"capacity region {n} has pi_n = {pi[n]} but no samples"):
+                service_log_neg_mgf(x, pi, 0.01)
+            with pytest.raises(ValueError, match=f"region {n}"):
+                delay_bound(ArrivalSampleSet([50]), x, pi, 1e-3)
+
 
 class TestFindThetaStar:
     def test_bernoulli_closed_form(self):
