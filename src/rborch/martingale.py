@@ -25,6 +25,8 @@ from typing import Optional
 
 import numpy as np
 
+from .utilization import UtilizationPmf, check_pmf
+
 # a search stops once its Newton step is at most this fraction of the bracket's upper end
 REL_TOL = 1e-9
 # bound on safeguarded steps: bisection alone narrows [1e-9, 64] to REL_TOL in about 60
@@ -137,19 +139,6 @@ class DelayBoundResult:
     k_prime_s_at_star: float
 
 
-def check_pmf(pi, size: int | None = None) -> np.ndarray:
-    """pi as a float64 vector of `size` (any positive number if None)
-    non-negative entries that sum to 1 within 1e-9; a NaN or an infinity fails."""
-    arr = np.asarray(pi, dtype=np.float64)
-    if arr.ndim != 1 or len(arr) == 0 or size not in (None, len(arr)):
-        raise ValueError(f"pi must be a non-empty vector of {size or 'any number of'} entries, got shape {arr.shape}")
-    if np.any(arr < 0):
-        raise ValueError("pi entries must be non-negative")
-    if not abs(float(arr.sum()) - 1.0) <= 1e-9:
-        raise ValueError("pi must sum to 1 within 1e-9")
-    return arr
-
-
 class _Rate:
     """R(theta) = sign * log(sum(w * exp(sign * theta * v))) - offset, for theta > 0.
 
@@ -196,12 +185,16 @@ def _arrival_rate(x_a: ArrivalSampleSet) -> _Rate:
 def _service_rate(x_s: CapacitySampleSet, pi) -> _Rate:
     """K'_s over the regions with pi_n != 0, read from the set's table without a loop.
 
-    The regions with pi_n = 0 are dropped first, so they may hold nothing; a
+    pi is a raw vector, checked here, or a UtilizationPmf, checked when it
+    was built, so each evaluation of the bound checks its pi once.  The
+    regions with pi_n = 0 are dropped first, so they may hold nothing; a
     region with pi_n != 0 and no samples is an error.  Region means come from
     np.add.reduceat: the samples are whole bits below 2^53, so every partial
     sum is exact and equals a per-region dot product.
     """
-    pi = check_pmf(pi, x_s.n_add + 1)
+    pi = pi.pi if isinstance(pi, UtilizationPmf) else check_pmf(pi)
+    if len(pi) != x_s.n_add + 1:
+        raise ValueError(f"pi must have n_add + 1 = {x_s.n_add + 1} entries, got {len(pi)}")
     t_n, per_val = x_s.t_n, x_s.val_offsets[1:] - x_s.val_offsets[:-1]
     vals, counts = x_s.vals, x_s.counts
     active = pi != 0.0
@@ -304,8 +297,10 @@ def delay_bound(
 ) -> DelayBoundResult:
     """Delay W (ms) with P[w >= W] <= epsilon under the fitted rate functions.
 
-    The raw bound counts TTIs; the returned value is scaled by the slot
-    duration.  Infinite W signals an under-provisioned service.
+    pi weights the capacity regions: a raw vector, which is checked, or a
+    UtilizationPmf, which was checked when it was built.  The raw bound
+    counts TTIs; the returned value is scaled by the slot duration.  Infinite
+    W signals an under-provisioned service.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")

@@ -145,7 +145,7 @@ class _CandidateEvaluator:
         res = delay_bound(
             self.windows[m].arrivals,
             x_s,
-            pi.pi,
+            pi,
             self.specs[m].epsilon,
             self.cfg.t_slot_ms,
         )

@@ -304,13 +304,16 @@ def lindley_sent(arrived: np.ndarray, offered: np.ndarray, sent0: int = 0) -> np
     the bits the queue may send in each TTI, and `sent0` the bits sent before
     the stretch.  This is Lindley's recursion Q_t = max(0, Q_(t-1) + a_t - s_t)
     in closed form: with y the backlog before reflection, sent = sent0 +
-    cumsum(offered) + min(0, running minimum of y).
+    cumsum(offered) + min(0, running minimum of y); clamping y[0] at 0 first
+    folds the min(0, .) into the running minimum.  The recursion is Markov in
+    the queue state, so a stream served in consecutive stretches, each started
+    from the bits sent by the end of the last, is sent exactly as in one pass.
     """
     sent = np.cumsum(offered)
     sent += sent0
     y = arrived - sent
+    np.minimum(y[:1], 0, out=y[:1])
     np.minimum.accumulate(y, out=y)
-    np.minimum(y, 0, out=y)
     sent += y
     return sent
 
@@ -352,10 +355,11 @@ def serve_cleared(queue: PacketQueue, t0: int, t1: int) -> None:
 
 def completion_ttis(sent_log: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Completion TTIs of the FIFO packets with cumulative ends `ends` that
-    completed within the log: for each, the first TTI whose cumulative sent
-    bits reach its end."""
-    comp = np.searchsorted(sent_log, ends, side="left")
-    return comp[: np.searchsorted(comp, len(sent_log))]
+    completed within the non-empty log: for each, the first TTI whose
+    cumulative sent bits reach its end.  Those packets are the ones whose end
+    is at most the log's last entry, so only they are searched."""
+    done = ends[: np.searchsorted(ends, sent_log[-1], side="right")]
+    return np.searchsorted(sent_log, done, side="left")
 
 
 def packet_rbs(queue: PacketQueue, i: int, j: int, tti: int) -> np.ndarray:

@@ -13,11 +13,10 @@ its bits per RB in every TTI, which every serving call reads from the queue.
 Serving a TTI writes the queue's two logs, cumulative bits sent and RBs used,
 and everything else is read from them: the near-RT window's packets and RB
 counts, the extra-RB usage and the QLDR queue bits, the utilization, and the
-delays, whose completion TTIs come from the same Lindley pass and completion
-search that `measure_fifo_delays` uses.  TTIs are stepped one at a time only
-where services interact.  Where they cannot -- warm-up for every controller,
-and each period between decisions for a controller that neither shares nor
-mitigates -- a stretch is served in one Lindley pass over each queue.
+delays.  TTIs are stepped one at a time only where services interact.  Where
+they cannot -- warm-up for every controller, and each period between
+decisions for a controller that neither shares nor mitigates -- a stretch is
+served in one Lindley pass over each queue.
 
 A controller that shares (marea, ref1, ref4) also skips the TTIs the cell
 clears.  A TTI that starts with every queue empty, and whose arrivals fit in
@@ -30,6 +29,18 @@ to the first TTI that does not fit or the next event.  With q_lower == 0 a
 record can stay in C over an empty queue; then marea steps.  QLDR (ref2)
 stays stepped, and ref3 keeps its bulk periods.  The controller kinds are
 rows of `ControllerStrategy` data.
+
+Delays are measured by one completion-and-delay step, `_complete`, shared by
+`run`'s end-of-run scoring and `measure_fifo_delays`: it searches the sent log
+for the TTI that completes each queued packet and writes the packet's delay
+into a float64 array preallocated with one entry per packet.  `run` feeds it
+its packet table in blocks of _FIFO_BLOCK packets against the whole sent log.
+`measure_fifo_delays` walks its stream in blocks of _FIFO_BLOCK TTIs, each
+through one Lindley pass started from the bits arrived and sent before the
+block (Lindley's recursion is Markov in the queue state, so the result does
+not depend on the block length).  Beyond the delays, the step holds only
+block-sized temporaries; `measure_fifo_delays` also holds the arrival TTI and
+cumulative end of each packet still queued.
 """
 
 from __future__ import annotations
@@ -66,6 +77,9 @@ from .traces import ArrivalTrace, ChannelTrace, SyntheticModel, extend_cyclicall
 log = logging.getLogger(__name__)
 
 CCDF_GRID = tuple((5 * i - 100) / 100.0 for i in range(81))
+# TTIs per block of measure_fifo_delays and packets per block of run's delay
+# scoring: about 1 MB per int64 temporary, so a block's passes stay in cache
+_FIFO_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -206,7 +220,8 @@ def ccdf(delays_ms: Sequence[float], w_th_ms: float) -> list[tuple[float, float]
         raise ValueError("ccdf needs at least one delay sample")
     if w_th_ms <= 0:
         raise ValueError("w_th_ms must be positive")
-    rel = (arr - w_th_ms) / w_th_ms
+    rel = np.subtract(arr, w_th_ms)
+    rel /= w_th_ms
     rel.sort()  # in place: a sorted copy would add to the run's peak memory
     if np.isnan(rel[-1]):  # NaN sorts last
         raise ValueError("ccdf delays must not be NaN")
@@ -251,25 +266,63 @@ def qldr_allocate(
 def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: float = 1.0):
     """Per-packet delays through one FIFO queue with per-TTI service capacity.
 
-    One packet per non-empty TTI.  Vectorized through the same Lindley pass
-    and completion search as `run`'s queues, so multi-million-TTI measurement
-    runs stay cheap.  Returns (delays_ms of completed packets, arrival TTIs of
-    packets still pending).
+    One packet per non-empty TTI; both inputs hold whole, non-negative bits,
+    one entry per TTI, in 1-d arrays of one length (anything else raises
+    ValueError).  Returns (delays_ms of completed packets, arrival TTIs of
+    packets still pending).  The stream is walked in blocks of _FIFO_BLOCK
+    TTIs through the same Lindley pass and completion step as `run`'s queues.
+    Besides its inputs a call holds one float64 per packet, the arrival TTI
+    and cumulative end of each packet still queued, and block-sized
+    temporaries, so multi-million-TTI measurement runs stay cheap.
     """
-    a = np.asarray(arr_bits, dtype=np.int64)
-    s = np.asarray(svc_bits, dtype=np.int64)
-    if a.shape != s.shape:
-        raise ValueError("arrival and service arrays must align per TTI")
-    a_cum = np.cumsum(a)
-    t_arr = np.nonzero(a > 0)[0]
-    return _fifo_delays(t_arr, completion_ttis(lindley_sent(a_cum, s), a_cum[t_arr]), t_slot_ms)
+    a_in, s_in = np.asarray(arr_bits), np.asarray(svc_bits)
+    if a_in.ndim != 1 or a_in.shape != s_in.shape:
+        raise ValueError(f"arrival and service bits must be 1-d and align per TTI, got {a_in.shape} and {s_in.shape}")
+    delays = np.empty(np.count_nonzero(a_in), dtype=np.float64)
+    queued: list = []
+    k = arrived = sent = 0
+    for t0 in range(0, len(a_in), _FIFO_BLOCK):
+        a = np.asarray(a_in[t0 : t0 + _FIFO_BLOCK], dtype=np.int64)
+        s = np.asarray(s_in[t0 : t0 + _FIFO_BLOCK], dtype=np.int64)
+        if a.min() < 0 or s.min() < 0:
+            raise ValueError(f"arrival and service bits must be non-negative, not so in TTIs [{t0}, {t0 + len(a)})")
+        a_cum = np.cumsum(a)
+        a_cum += arrived
+        new = np.flatnonzero(a > 0)  # faster than on the int64 bits themselves
+        if len(new):
+            queued.append((new + t0, a_cum[new]))
+        sent_block = lindley_sent(a_cum, s, sent)
+        k = _complete(queued, sent_block, t0, delays, k, t_slot_ms)
+        arrived, sent = int(a_cum[-1]), int(sent_block[-1])
+    pending = np.concatenate([arr for arr, _ in queued]) if queued else np.zeros(0, dtype=np.intp)
+    return delays[:k], pending
 
 
-def _fifo_delays(t_arr: np.ndarray, t_done: np.ndarray, t_slot_ms: float):
-    """(delays_ms, pending arrival TTIs) of FIFO packets arriving at t_arr,
-    the first len(t_done) of which completed at the TTIs t_done."""
-    k = len(t_done)
-    return (t_done - t_arr[:k] + 1).astype(np.float64) * t_slot_ms, t_arr[k:]
+def _complete(queued: list, sent: np.ndarray, t0: int, out: np.ndarray, k: int, t_slot_ms: float) -> int:
+    """Complete FIFO packets from the front of `queued` within `sent`, the
+    cumulative bits sent by the end of each TTI from t0 on (non-empty).
+
+    `queued` lists the packets not yet completed, in FIFO order, as chunks of
+    (arrival TTIs, cumulative ends).  The packets that complete leave it, and
+    their delays in ms are written to out[k], out[k + 1], ...  Returns the
+    index of out after the last delay written.
+    """
+    for i, (arr, ends) in enumerate(queued):
+        done = completion_ttis(sent, ends)
+        j = len(done)
+        # a packet arriving at TTI a and completing at TTI t waited t - a + 1 slots
+        done -= arr[:j]
+        done += t0 + 1
+        delays = out[k : k + j]
+        delays[:] = done
+        delays *= t_slot_ms
+        k += j
+        if j < len(ends):
+            queued[i] = (arr[j:], ends[j:])
+            del queued[:i]
+            return k
+    queued.clear()
+    return k
 
 
 def synthesize_window(
@@ -466,14 +519,17 @@ def run(cfg: ScenarioConfig) -> Metrics:
     measured_ttis = horizon - warmup_end
     for m, q in enumerate(queues):
         # packets arriving after warm-up are a suffix of the table (less its sentinel)
-        arrival = np.asarray(q.arrival)[:-1]
+        arrival, ends = np.asarray(q.arrival)[:-1], np.asarray(q.ends)[:-1]
         first = int(np.searchsorted(arrival, warmup_end))
-        done = completion_ttis(np.asarray(q.sent_log), np.asarray(q.ends)[first:-1])
-        darr, pending = _fifo_delays(arrival[first:], done, t_slot)
-        pending_viol = int(np.count_nonzero((horizon - pending) * t_slot > w_th[m]))
-        # pending packets already past their budget count as violations; with
-        # none, the delays are scored as they are, without a copy
-        scored = np.concatenate([darr, np.full(pending_viol, np.inf)]) if pending_viol else darr
+        blocks = range(first, len(arrival), _FIFO_BLOCK)
+        chunks = [(arrival[p : p + _FIFO_BLOCK], ends[p : p + _FIFO_BLOCK]) for p in blocks]
+        scored = np.empty(len(arrival) - first)
+        k = _complete(chunks, np.asarray(q.sent_log), 0, scored, 0, t_slot)
+        pending_viol = int(np.count_nonzero((horizon - arrival[first + k :]) * t_slot > w_th[m]))
+        # pending packets already past their budget count as violations: they
+        # are scored as infinite delays after the completed packets' delays
+        scored[k : k + pending_viol] = np.inf
+        darr, scored = scored[:k], scored[: k + pending_viol]
         total = len(scored)
         viol_prob = int(np.count_nonzero(scored > w_th[m])) / total if total else 0.0
         curve = ccdf(scored, w_th[m]) if total else []

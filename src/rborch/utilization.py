@@ -17,8 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .martingale import check_pmf
-
 SIGMA_FLOOR = 1e-3
 EM_ITERS = 200  # EM stops after this many iterations,
 EM_TOL = 1e-8  # or once an iteration gains less log-likelihood than this
@@ -51,6 +49,19 @@ class GmmMixture:
         object.__setattr__(self, "sigmas", sg)
 
 
+def check_pmf(pi) -> np.ndarray:
+    """pi as a non-empty float64 vector of non-negative entries that sum to 1
+    within 1e-9; a NaN or an infinity fails."""
+    arr = np.asarray(pi, dtype=np.float64)
+    if arr.ndim != 1 or len(arr) == 0:
+        raise ValueError(f"pi must be a non-empty vector, got shape {arr.shape}")
+    if np.any(arr < 0):
+        raise ValueError("pi entries must be non-negative")
+    if not abs(float(arr.sum()) - 1.0) <= 1e-9:
+        raise ValueError("pi must sum to 1 within 1e-9")
+    return arr
+
+
 @dataclass(frozen=True)
 class UtilizationPmf:
     """pi_n for n in [0, n_add]: probability of n extra RBs being available."""
@@ -58,7 +69,11 @@ class UtilizationPmf:
     pi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pi", check_pmf(self.pi))
+        # the bound functions take a UtilizationPmf without checking it again,
+        # so it keeps a checked copy that cannot be written
+        pi = check_pmf(np.array(self.pi, dtype=np.float64))
+        pi.flags.writeable = False
+        object.__setattr__(self, "pi", pi)
 
     @property
     def n_add(self) -> int:

@@ -264,3 +264,57 @@ class TestUsageValidation:
         assert usage.dtype == np.int64 and usage.tolist() == [2, 0, 5, 1]
         res = allocate([spec], [ServiceWindow(win.arrivals, win.per_rb, usage)], 10, AllocatorConfig(estimator=estimator))
         assert res.n_min == (10,)
+
+
+class TestPmfCheckedOnce:
+    @pytest.mark.parametrize("estimator", ["empirical", "gmm"])
+    def test_one_check_per_evaluation(self, monkeypatch, estimator):
+        import rborch.martingale
+        import rborch.utilization
+
+        calls = []
+        check = rborch.utilization.check_pmf
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(rborch.utilization, "check_pmf", counted)
+        monkeypatch.setattr(rborch.martingale, "check_pmf", counted)
+        specs = make_specs()
+        wins = [ServiceWindow(w.arrivals, w.per_rb, np.arange(200) % 5) for w in make_windows(specs, t_obs=200)]
+        ev = _CandidateEvaluator(specs, wins, 12, AllocatorConfig(estimator=estimator), np.random.default_rng(3))
+        for m, n_min in [(0, 4), (1, 3), (2, 6), (0, 12)]:
+            before = len(calls)
+            assert ev.w_est(m, n_min) > 0
+            assert len(calls) == before + 1
+
+    @pytest.mark.parametrize("pi", [[0.5, 0.6], [1.5, -0.5], [math.nan, 1.0], [[0.5, 0.5]], []])
+    def test_public_bound_functions_reject_raw_pi(self, pi):
+        from rborch.capacity import build_capacity_samples
+        from rborch.martingale import delay_bound, find_theta_star, service_log_neg_mgf
+
+        win = make_windows(make_specs(1), t_obs=200)[0]
+        x_s = build_capacity_samples(win.per_rb, 1, 2)
+        for call in (
+            lambda: delay_bound(win.arrivals, x_s, pi, 1e-3),
+            lambda: find_theta_star(win.arrivals, x_s, pi),
+            lambda: service_log_neg_mgf(x_s, pi, 0.1),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_pmf_object_and_raw_pi_give_one_bound(self):
+        from rborch.capacity import build_capacity_samples
+        from rborch.martingale import delay_bound
+        from rborch.utilization import empirical_pmf
+
+        win = make_windows(make_specs(1), t_obs=200)[0]
+        x_s = build_capacity_samples(win.per_rb, 2, 6)
+        pmf = empirical_pmf(np.arange(100) % 7, 4)
+        assert delay_bound(win.arrivals, x_s, pmf, 1e-3) == delay_bound(win.arrivals, x_s, pmf.pi.tolist(), 1e-3)
+        with pytest.raises(ValueError, match="4 entries, got 5"):
+            delay_bound(win.arrivals, build_capacity_samples(win.per_rb, 2, 5), pmf, 1e-3)
+        # a pmf stays as it was checked
+        with pytest.raises(ValueError):
+            pmf.pi[0] = 2.0

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rborch import sim
 from rborch.near_rt import ServiceSpec
@@ -267,6 +270,115 @@ class TestFifoFastPath:
         svc_bits = np.full(3, 100)
         delays, pending = measure_fifo_delays(arr, svc_bits)
         assert delays.size == 0 and pending.tolist() == [1]
+
+
+def fifo_loop(arr, svc, t_slot_ms):
+    """One FIFO queue stepped TTI by TTI: a packet of arr[t] bits arrives at
+    the start of TTI t when arr[t] > 0, and TTI t sends up to svc[t] bits from
+    the head packet on.  Returns (delays in ms, arrival TTIs still queued)."""
+    queue, delays = [], []
+    for t, (a, s) in enumerate(zip(arr, svc)):
+        if a:
+            queue.append([t, int(a)])
+        budget = int(s)
+        while queue and budget:
+            head = queue[0]
+            bits = min(budget, head[1])
+            head[1] -= bits
+            budget -= bits
+            if not head[1]:
+                delays.append((t - head[0] + 1) * t_slot_ms)
+                queue.pop(0)
+    return delays, [t for t, _ in queue]
+
+
+def fifo_streams():
+    """(arrival bits, service bits) per TTI: small and large packets, idle
+    stretches and TTIs without service, so packets stay queued over many
+    blocks, complete long after they arrived and whole blocks are zero."""
+    return st.integers(0, 120).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.one_of(st.just(0), st.integers(1, 40), st.integers(200, 2000)), min_size=n, max_size=n),
+            st.lists(st.one_of(st.just(0), st.integers(1, 60)), min_size=n, max_size=n),
+        )
+    )
+
+
+class TestBlockedFifo:
+    """measure_fifo_delays walks its stream in blocks of sim._FIFO_BLOCK TTIs;
+    the result must not depend on the block length."""
+
+    @given(
+        stream=fifo_streams(),
+        block=st.sampled_from([1, 2, 3, 64]),
+        dtype=st.sampled_from([np.int64, np.int32]),
+        t_slot_ms=st.sampled_from([1.0, 0.125]),
+    )
+    def test_matches_per_tti_loop(self, stream, block, dtype, t_slot_ms):
+        arr, svc = (np.asarray(x, dtype=dtype) for x in stream)
+        with mock.patch.object(sim, "_FIFO_BLOCK", block):
+            delays, pending = measure_fifo_delays(arr, svc, t_slot_ms)
+        want_delays, want_pending = fifo_loop(stream[0], stream[1], t_slot_ms)
+        assert delays.dtype == np.float64 and delays.tolist() == want_delays
+        assert pending.dtype == np.intp and pending.tolist() == want_pending
+
+    @given(stream=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40), block=st.sampled_from([1, 2, 3, 64]))
+    def test_bool_streams(self, stream, block):
+        arr = np.array([a for a, _ in stream], dtype=bool)
+        svc = np.array([s for _, s in stream], dtype=bool)
+        with mock.patch.object(sim, "_FIFO_BLOCK", block):
+            delays, pending = measure_fifo_delays(arr, svc)
+        assert (delays.tolist(), pending.tolist()) == fifo_loop(arr.tolist(), svc.tolist(), 1.0)
+
+    def test_packet_completing_many_blocks_later(self, monkeypatch):
+        monkeypatch.setattr(sim, "_FIFO_BLOCK", 2)
+        arr = np.array([50, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 1, 0, 0, 7])
+        # 50 bits at 5 per TTI end in TTI 9, five blocks on; the last packet is left queued
+        delays, pending = measure_fifo_delays(arr, np.full(15, 5), 0.125)
+        assert delays.tolist() == [1.25, 0.125, 0.125] and pending.tolist() == [14]
+
+    def test_empty_stream(self):
+        delays, pending = measure_fifo_delays(np.zeros(0, np.int64), np.zeros(0, np.int64))
+        assert delays.shape == pending.shape == (0,)
+        assert delays.dtype == np.float64 and pending.dtype == np.intp
+
+    @pytest.mark.parametrize(
+        "arr, svc",
+        [
+            (np.ones((2, 3), np.int64), np.ones((2, 3), np.int64)),
+            (np.int64(5), np.int64(5)),
+            (np.ones(3, np.int64), np.ones(4, np.int64)),
+            (np.array([5, 1, 3, 0, -1]), np.full(5, 10)),
+            (np.array([5, 1, 3, 0, 1]), np.array([10, 10, 10, 10, -10])),
+        ],
+        ids=["2d", "scalar", "lengths", "negative-arrival", "negative-service"],
+    )
+    def test_awkward_inputs_rejected(self, arr, svc, monkeypatch):
+        # the negative bits sit inside the second block, not at its start
+        monkeypatch.setattr(sim, "_FIFO_BLOCK", 3)
+        with pytest.raises(ValueError):
+            measure_fifo_delays(arr, svc)
+
+    def test_run_scoring_does_not_depend_on_block(self, monkeypatch):
+        cfg = small_config(
+            services=[
+                svc(0, 3.0, 1e-3, mk("two-point", (0, 400), (0.4, 0.6)), mk("constant", 25)),
+                svc(1, 5.0, 1e-3, mk("uniform", 0, 300), mk("constant", 25)),
+            ],
+            n_cell=12,
+            controller="ref3",
+            horizon=4000,
+            t_obs=2000,
+        )
+        want = run(cfg)
+        monkeypatch.setattr(sim, "_FIFO_BLOCK", 3)
+        got = run(cfg)
+        # the overloaded service ends with packets queued past their budget
+        assert want.services[0].pending_violations > 0
+        for g, w in zip(got.services, want.services):
+            assert np.array_equal(g.delays_ms, w.delays_ms)
+            g.delays_ms = w.delays_ms = None
+            assert repr(g) == repr(w)
 
 
 class TestMetricsShape:
