@@ -76,12 +76,12 @@ class ConcatPerRbVector:
     table of group sizes _lo.._lo + len(t) - 1 built on it: (unique values,
     counts, offsets, t), where size g owns vals/counts over
     offsets[g - _lo]:offsets[g - _lo + 1] and has t[g - _lo] samples.  A
-    size not built yet is a hole: t[g - _lo] is 0 and it owns no values;
-    _holes holds the sizes of the holes.  Every build on the window shares
-    them.
+    size not built yet is a hole: t[g - _lo] is 0 and it owns no values,
+    while every built size has one sample at least.  Every build on the
+    window shares them.
     """
 
-    __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_lo", "_table", "_holes")
+    __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_lo", "_table")
 
     def __init__(self, bits, rbs):
         self.bits = np.asarray(bits, dtype=np.int64)
@@ -95,7 +95,6 @@ class ConcatPerRbVector:
         self._prefix = None
         self._lo = 0
         self._table = None  # no size built yet
-        self._holes = set()
 
     def __len__(self) -> int:
         return self._length
@@ -222,14 +221,12 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     return vals, counts.astype(np.float64), np.bincount(which, minlength=len(gs)), t
 
 
-def _plan(x_con: ConcatPerRbVector, sizes: range, wanted: set[int], holes: set[int]) -> list[tuple]:
+def _plan(x_con: ConcatPerRbVector, sizes: range, wanted: set[int]) -> list[tuple]:
     """Table blocks for the consecutive sizes: each pass of _passes that holds
-    a wanted size is built, and every run of other passes left as holes,
-    whose sizes join `holes`."""
+    a wanted size is built, and every run of other passes left as holes."""
     blocks, skipped = [], 0
     for gs in _passes(sizes, len(x_con), x_con._total):
         if wanted.isdisjoint(gs):
-            holes.update(gs)
             skipped += len(gs)
             continue
         if skipped:
@@ -251,15 +248,13 @@ def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi) -> None:
     n_min + n with pi_n != 0 (every size if pi is None): the sizes below its
     range, each run of holes holding a read size and the sizes above it are
     planned, and the blocks joined once."""
-    if x_con._table is None:
-        lo, hi = n_min, n_min - 1
-    else:
-        lo, hi = x_con._lo, x_con._lo + len(x_con._table[3]) - 1
-    holes = x_con._holes
-    if lo <= n_min and n_cell <= hi and not holes:
+    # t[g - lo] samples of size g, 0 for a hole: every built size has one at least
+    lo, t = (n_min, ()) if x_con._table is None else (x_con._lo, x_con._table[3])
+    hi = lo + len(t) - 1
+    if lo <= n_min and n_cell <= hi and np.count_nonzero(t) == len(t):
         return  # a table without holes holds every size of its range
     wanted = set(range(n_min, n_cell + 1)) if pi is None else {n + n_min for n in np.flatnonzero(pi).tolist()}
-    fill = sorted(holes.intersection(wanted))
+    fill = sorted(g for g in wanted if lo <= g <= hi and not t[g - lo])
     if lo <= n_min and n_cell <= hi and not fill:
         return
     length, total = len(x_con), x_con._total
@@ -270,33 +265,31 @@ def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi) -> None:
             "capacity window too large for exact float64 samples: a group sum "
             f"can reach 2^53 (total {total} bits over {length} RBs, groups up to {n_cell})"
         )
-    left = set(holes)  # the holes after this build
-    blocks = _plan(x_con, range(n_min, lo), wanted, left)
+    blocks = _plan(x_con, range(n_min, lo), wanted)
     if x_con._table is not None:
         vals, counts, offsets, t = x_con._table
         val_sizes, i = offsets[1:] - offsets[:-1], 0
         for g in fill:
             if g - lo < i:
                 continue  # in a run of holes already planned
-            # the maximal run of holes around g, planned afresh from its first size
-            first, last = g, g
-            while first - 1 in holes:
+            # the maximal run of holes around g within the range, planned afresh from its first size
+            first, last = g - lo, g - lo
+            while first > 0 and not t[first - 1]:
                 first -= 1
-            while last + 1 in holes:
+            while last + 1 < len(t) and not t[last + 1]:
                 last += 1
-            a, b = offsets[i], offsets[first - lo]
-            blocks.append((vals[a:b], counts[a:b], val_sizes[i : first - lo], t[i : first - lo]))
-            left.difference_update(range(first, last + 1))
-            blocks += _plan(x_con, range(first, last + 1), wanted, left)
-            i = last - lo + 1
+            a, b = offsets[i], offsets[first]
+            blocks.append((vals[a:b], counts[a:b], val_sizes[i:first], t[i:first]))
+            blocks += _plan(x_con, range(lo + first, lo + last + 1), wanted)
+            i = last + 1
         a = offsets[i]
         blocks.append((vals[a:], counts[a:], val_sizes[i:], t[i:]))
-    blocks += _plan(x_con, range(hi + 1, n_cell + 1), wanted, left)
+    blocks += _plan(x_con, range(hi + 1, n_cell + 1), wanted)
     vals, counts, val_sizes, t = (np.concatenate(part) for part in zip(*blocks))
     offsets = np.concatenate(([0], np.cumsum(val_sizes)))
     for arr in (vals, counts, offsets, t):
         arr.flags.writeable = False
-    x_con._lo, x_con._table, x_con._holes = min(lo, n_min), (vals, counts, offsets, t), left
+    x_con._lo, x_con._table = min(lo, n_min), (vals, counts, offsets, t)
 
 
 def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi=None) -> CapacitySampleSet:

@@ -4,13 +4,12 @@ Starting from an equal split, the allocator repeatedly evaluates the bound
 ratio W_m / W_th_m per service and moves one RB toward the most stressed
 service, drawing first from any unassigned remainder and then from the least
 stressed donor; it commits only strict improvements and stops at the first
-non-improving move.  A brute-force enumerator over all positive compositions
-of the cell budget serves as the optimality oracle.
+non-improving move.  A min-max dynamic program over the W(m, n) table, exact
+over every positive composition of the cell budget, is the optimality oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,8 +19,6 @@ import numpy as np
 from .capacity import ConcatPerRbVector, build_capacity_samples
 from .martingale import ArrivalSampleSet, delay_bound
 from .utilization import UtilizationPmf, empirical_pmf, fit_gmm_em, region_probabilities
-
-BRUTE_FORCE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,6 +79,8 @@ class AllocatorConfig:
     def __post_init__(self):
         if self.estimator not in ("empirical", "gmm"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.gmm_components < 1:
+            raise ValueError("gmm_components must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -204,20 +203,25 @@ def allocate(
     return GuaranteedAllocation(tuple(best_n), tuple(best_w), best_g, tuple(history), evals)
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All positive integer compositions of `total` into `parts`, lexicographic.
-
-    Row i holds the parts between the cut points of the i-th (parts - 1)-subset
-    of 1..total-1; combinations yields those subsets in lexicographic order, and
-    so the compositions too.
+def _minmax_split(ratios: np.ndarray, n_cell: int) -> tuple[int, ...]:
+    """The lexicographically first composition of n_cell into positive parts
+    minimizing max_m ratios[m, n_m].  suf[m, s] is the least such max over
+    services m.. sharing s RBs (inf if none); each service but the last takes
+    the fewest RBs from which the rest still reach suf[0, n_cell].
     """
-    count = math.comb(total - 1, parts - 1)
-    cuts = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(1, total), parts - 1)),
-        dtype=np.int64,
-        count=count * (parts - 1),
-    ).reshape(count, parts - 1)
-    return np.diff(cuts, axis=1, prepend=0, append=total)
+    m_count = len(ratios)
+    suf = np.full((m_count + 1, n_cell + 1), np.inf)
+    suf[m_count, 0] = -np.inf
+    for m in range(m_count - 1, -1, -1):
+        for s in range(1, n_cell + 1):
+            # n = 1..s RBs to service m leave s - 1..0 to the services after it
+            suf[m, s] = np.maximum(ratios[m, 1 : s + 1], suf[m + 1, s - 1 :: -1]).min()
+    opt, left, split = suf[0, n_cell], n_cell, []
+    for m in range(m_count - 1):
+        n = 1 + int(np.argmax(np.maximum(ratios[m, 1 : left + 1], suf[m + 1, left - 1 :: -1]) <= opt))
+        split.append(n)
+        left -= n
+    return (*split, left)
 
 
 def brute_force_allocate(
@@ -227,31 +231,27 @@ def brute_force_allocate(
     cfg: AllocatorConfig | None = None,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[GuaranteedAllocation, int]:
-    """Exhaustive minimizer over all positive compositions of the cell budget.
+    """Exact minimizer over all positive compositions of the cell budget.
 
     W(m, n) is evaluated once for each n a composition can give service m;
-    every composition is then scored from that table, and the first minimum
-    in lexicographic order wins.
+    _minmax_split then finds the first minimum in lexicographic order.  The
+    count is the C(n_cell - 1, M - 1) compositions it decides over.
     """
     cfg = cfg or AllocatorConfig()
     m_count = len(specs)
     if n_cell < m_count:
         raise ValueError("cell budget smaller than the number of services")
     n_compositions = math.comb(n_cell - 1, m_count - 1)
-    if n_compositions > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"{n_compositions} compositions exceed the enumeration guard")
     ev = _CandidateEvaluator(specs, windows, n_cell, cfg, rng)
     w_th = [s.w_th_ms for s in specs]
 
     n_lo = n_cell if m_count == 1 else 1
     n_hi = n_cell - m_count + 1
-    ratios = np.empty((m_count, n_cell + 1))
+    ratios = np.full((m_count, n_cell + 1), np.inf)
     for m in range(m_count):
         for n in range(n_lo, n_hi + 1):
             ratios[m, n] = ev.w_est(m, n) / w_th[m]
-    comps = _compositions(n_cell, m_count)
-    scores = ratios[np.arange(m_count), comps].max(axis=1)
-    best = tuple(int(n) for n in comps[int(np.argmin(scores))])
+    best = _minmax_split(ratios, n_cell)
     w_z = tuple(ev.w_est(m, n) for m, n in enumerate(best))
     g_z = objective(w_z, w_th)
     alloc = GuaranteedAllocation(best, w_z, g_z, (g_z,), n_compositions)

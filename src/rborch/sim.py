@@ -166,8 +166,7 @@ class ScenarioConfig:
         if self.t_obs < self.t_out:
             log.warning("t_obs (%d) < t_out (%d); windows will be thin", self.t_obs, self.t_out)
         controller_for(self.controller)
-        if self.estimator not in ("empirical", "gmm"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+        AllocatorConfig(self.t_slot_ms, self.estimator, self.gmm_components)  # checks estimator, gmm_components
         if self.qldr_window < 1:
             raise ValueError("qldr_window must be positive")
         ids = [s.id for s in self.services]

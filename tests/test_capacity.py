@@ -316,6 +316,10 @@ def test_groups_built_once_per_window(monkeypatch):
         assert all(s.t_n[n] == max(1, len(x) // (n_min + n)) for n in read)
         return sorted(g for _, g in built[done:])
 
+    def holes(x):
+        """Sizes of the window's table with no samples: the ones not built."""
+        return set((x._lo + np.flatnonzero(x._table[3] == 0)).tolist())
+
     monkeypatch.setattr(rborch.capacity, "_pass", counting)
     rng = np.random.default_rng(4)
     # a long window: every size up to 40 has at least PASS_SAMPLES groups, so each is alone in its pass
@@ -325,21 +329,21 @@ def test_groups_built_once_per_window(monkeypatch):
     s = build_capacity_samples(x, 10, 15, [0.5, 0, 0, 0.5, 0, 0])
     assert s.t_n.tolist() == [len(x) // 10, 0, 0, len(x) // 13, 0, 0]
     assert [len(s.compressed(n)[0]) == 0 for n in range(6)] == [False, True, True, False, True, True]
-    assert x._holes == {11, 12, 14, 15}
+    assert holes(x) == {11, 12, 14, 15}
     assert new_sizes(x, 10, 15, [1, 0, 0, 0, 0, 0]) == []  # reads only what is built
     # a later request that reads holes builds them, and a size below the range that it does not read is a hole
     assert new_sizes(x, 9, 15, [0, 0, 0.5, 0.5, 0, 0, 0]) == [11, 12]
-    assert x._lo == 9 and x._holes == {9, 14, 15}
+    assert x._lo == 9 and holes(x) == {9, 14, 15}
     assert new_sizes(x, 8, 17, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]) == [15]  # a hole, with sizes new at both ends
-    assert x._holes == {8, 9, 14, 16, 17}
+    assert holes(x) == {8, 9, 14, 16, 17}
     assert new_sizes(x, 9, 16) == [9, 14, 16]  # no pi: every region is read
     assert new_sizes(x, 8, 17, np.full(10, 0.1)) == [8, 17]
-    assert not x._holes and len(x._table[3]) == 10
+    assert not holes(x) and len(x._table[3]) == 10
 
     # a short window: the sizes of one request fit in one pass, so the pass is built whole and leaves no hole
     short = channel(rng.integers(1, 60, 200))
     assert new_sizes(short, 10, 30, [1] + [0] * 20) == list(range(10, 31))
-    assert not short._holes and short._table[3].all()
+    assert not holes(short) and short._table[3].all()
 
     # nothing is built twice, across allocate and brute_force_allocate on the same windows
     specs = [ServiceSpec(id=m, w_th_ms=5.0, epsilon=1e-3) for m in range(2)]

@@ -134,6 +134,7 @@ BAD_VALUES = {
     "anomaly_start": ("seed = 5", "seed = 5\nanomaly_service = 0\nanomaly_start = five\n"
                                   "anomaly_end = 200\nanomaly_factor = 2"),
     "zero_channel": ("channel = constant 25", "channel = constant 0"),
+    "gmm_components": ("seed = 5", "seed = 5\nestimator = gmm\ngmm_components = 0"),
 }
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rborch.near_rt
 from rborch.martingale import ArrivalSampleSet
@@ -9,6 +11,7 @@ from rborch.capacity import ConcatPerRbVector
 from rborch.near_rt import (
     AllocatorConfig,
     _CandidateEvaluator,
+    _minmax_split,
     ServiceSpec,
     ServiceWindow,
     allocate,
@@ -129,11 +132,14 @@ class TestBruteForce:
             _, count = brute_force_allocate(specs, wins, n_cell)
             assert count == math.comb(n_cell - 1, 2) == expect
 
-    def test_guard_refuses_explosions(self):
+    def test_five_services_on_400_rbs(self):
+        # C(399, 4), about 1.04e9 compositions: beyond any enumeration
         specs = [make_specs(1)[0]] * 5
         wins = make_windows(make_specs(3)) + make_windows(make_specs(2))
-        with pytest.raises(ValueError):
-            brute_force_allocate(specs, wins, 400)
+        got, count = brute_force_allocate(specs, wins, 400)
+        assert sum(got.n_min) == 400 and min(got.n_min) >= 1
+        assert count == got.evaluations == math.comb(399, 4)
+        assert got.objective <= allocate(specs, wins, 400).objective
 
     def test_heuristic_never_beats_brute(self):
         specs = make_specs()
@@ -175,6 +181,27 @@ def ref_brute_force(specs, windows, n_cell, cfg=None, rng=None):
         if best is None or g_z < best[2]:
             best = (comp, w_z, g_z)
     return best[0], tuple(best[1]), best[2], count
+
+
+@st.composite
+def ratio_tables(draw):
+    """(ratios, n_cell): M = 1..4 rows over n = 0..n_cell drawn from a few values
+    and inf, so rows are not monotone and equal maxima are common."""
+    m_count = draw(st.integers(1, 4))
+    n_cell = draw(st.integers(m_count, 14))
+    values = st.sampled_from([0.25, 0.5, 1.0, 2.0, math.inf])
+    rows = draw(st.lists(st.lists(values, min_size=n_cell + 1, max_size=n_cell + 1),
+                         min_size=m_count, max_size=m_count))
+    return np.array(rows), n_cell
+
+
+@settings(max_examples=300)
+@given(ratio_tables())
+def test_minmax_split_is_first_enumerated_minimum(table):
+    ratios, n_cell = table
+    # min keeps the first of equal scores, so this is the first minimum in lexicographic order
+    expect = min(_ref_compositions(n_cell, len(ratios)), key=lambda c: max(ratios[m, n] for m, n in enumerate(c)))
+    assert _minmax_split(ratios, n_cell) == expect
 
 
 def assert_brute_matches_reference(specs, windows, n_cell, estimator="empirical", seed=0):
