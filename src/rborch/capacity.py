@@ -48,6 +48,7 @@ import logging
 import numpy as np
 
 from .martingale import CapacitySampleSet
+from .rt import whole_numbers
 
 log = logging.getLogger(__name__)
 
@@ -84,8 +85,8 @@ class ConcatPerRbVector:
     __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_lo", "_table")
 
     def __init__(self, bits, rbs):
-        self.bits = np.asarray(bits, dtype=np.int64)
-        self.rbs = np.asarray(rbs, dtype=np.int64)
+        self.bits = whole_numbers(bits, "run bits")
+        self.rbs = whole_numbers(rbs, "run RB counts")
         if len(self.bits) != len(self.rbs):
             raise ValueError("run arrays must have equal length")
         if len(self.bits) and (np.any(self.bits <= 0) or np.any(self.rbs <= 0)):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .capacity import ConcatPerRbVector, build_capacity_samples
 from .martingale import ArrivalSampleSet, delay_bound
+from .rt import whole_numbers
 from .utilization import UtilizationPmf, empirical_pmf, fit_gmm_em, region_probabilities
 
 
@@ -53,21 +54,14 @@ class ServiceWindow:
     def __post_init__(self):
         if len(self.per_rb) == 0:
             raise ValueError("capacity window is empty")
-        u = np.asarray(self.extra_rb_usage)
+        u = whole_numbers(self.extra_rb_usage, "extra-RB usage")
         if u.ndim != 1:
             raise ValueError(f"extra-RB usage must be 1-d, got {u.ndim} dimensions")
         if u.size == 0:
             raise ValueError("extra-RB usage window is empty")
-        if u.dtype.kind != "i":
-            f = u.astype(np.float64)
-            if not np.all(np.isfinite(f)):
-                raise ValueError("extra-RB usage must be finite")
-            if np.any(f != np.floor(f)) or np.any(f >= 2.0**63):
-                raise ValueError("extra-RB usage must be whole RB counts")
-            u = f
         if np.any(u < 0):
             raise ValueError("extra-RB usage cannot be negative")
-        self.extra_rb_usage = u.astype(np.int64)
+        self.extra_rb_usage = u.copy()
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ cumulative end, and the queue counts the bits it has sent, so the bits queued
 at TTI t are the bits arrived by t less the bits sent, and the head is the
 first packet whose end exceeds them.  Serving a TTI writes two int64 logs per
 service -- cumulative bits sent and RBs used -- and records nothing per
-packet: completion TTIs and RB counts are derived from the logs
-(`completion_ttis`, `packet_rbs`, `window_rbs`).  `schedule_tti` steps one TTI
+packet: `completion_ttis` derives completion TTIs from the sent log, and
+`packet_rbs` RB counts from the RB-time curve it traces (the RBs used to send
+the first x bits).  Both only read the logs.  `schedule_tti` steps one TTI
 for all services.  Where services cannot affect each other (fixed guarantees,
 no sharing, no mitigation), `serve_guaranteed` serves a whole stretch of TTIs
 in one Lindley pass (`lindley_sent`) that writes the same logs.  Where every
@@ -54,6 +55,19 @@ def slot_count(ms: float, t_slot_ms: float) -> int:
     if abs(ratio - slots) > _SLOT_TOL:
         raise ConfigError(f"{ms:g} ms is not a whole number of {t_slot_ms:g} ms slots")
     return slots
+
+
+def whole_numbers(values, what: str, error: type = ValueError) -> np.ndarray:
+    """`values` as an int64 array; raises `error` unless every entry is a finite
+    whole number within int64 (a NaN or 2.5 is refused, never truncated).  An
+    integer array passes on its dtype alone."""
+    arr = np.asarray(values)
+    if arr.dtype.kind != "i":
+        f = arr.astype(np.float64)
+        if not ((f == np.floor(f)) & (np.abs(f) < 2.0**63)).all():  # NaN and inf fail both
+            raise error(f"{what} must be finite whole numbers")
+        arr = f
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -162,15 +176,15 @@ class PacketQueue:
     `used_log` ahead of time), so whatever serves a TTI writes both of its
     entries for every queue.  The columns are int64 buffers, read per TTI as
     memoryviews and as whole arrays through `np.asarray` (`rate` read-only,
-    not copied).  `rbs` holds the RB counts of packets from `rbs_first` on.
+    not copied).
     """
 
-    __slots__ = ("arrival", "ends", "rate", "arrived", "sent_log", "used_log", "head", "sent", "rbs_first", "rbs")
+    __slots__ = ("arrival", "ends", "rate", "arrived", "sent_log", "used_log", "head", "sent")
 
     def __init__(self, arrival: Sequence[int], size: Sequence[int], rate: Sequence[int]):
-        arrival = np.asarray(arrival, dtype=np.int64)
-        size = np.asarray(size, dtype=np.int64)
-        rate = np.asarray(rate, dtype=np.int64)
+        arrival = whole_numbers(arrival, "packet arrival TTIs")
+        size = whole_numbers(size, "packet sizes")
+        rate = whole_numbers(rate, "bits per RB")
         if rate.ndim != 1 or not len(rate) or rate.min() < 1:
             raise ValueError("the rate column must be 1-d, non-empty and at least 1 bit per RB")
         horizon = len(rate)
@@ -193,8 +207,6 @@ class PacketQueue:
         self.used_log = memoryview(np.zeros(horizon, dtype=np.int64))
         self.head = 0
         self.sent = 0
-        self.rbs_first = 0
-        self.rbs = np.zeros(0, dtype=np.int64)
 
     def head_wait(self, tti: int) -> int:
         """TTIs the head packet has waited at `tti`; 0 for an empty queue."""
@@ -365,38 +377,26 @@ def completion_ttis(sent_log: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def packet_rbs(queue: PacketQueue, i: int, j: int, tti: int) -> np.ndarray:
     """RB counts of packets [i, j), all completed before `tti`, from the sent log.
 
-    A packet's count is its share sum(bits_tau / c_tau) over the TTIs that
-    carried it, then max(1, ceil(share - 1e-9)).  The packets' bits are cut
-    at every packet end and every TTI end; each piece belongs to one packet
-    and one TTI, and a packet's pieces are summed in TTI order.
+    A packet's share is sum(bits_tau / c_tau) over the TTIs that carried it,
+    and its count max(1, ceil(share - 1e-9)).  The RBs used to send the
+    queue's first x bits rise by 1/c per bit inside a TTI of rate c: a
+    piecewise-linear curve with a knot at the bits sent by the end of each TTI
+    (a TTI that sends nothing repeats its knot), so the shares are the curve's
+    rises over the packets' bits, read off by one interpolation.  Only the
+    log is read, so windows may come in any order.
     """
-    lo_bits = queue.ends[i - 1] if i else 0
-    hi_bits = queue.ends[j - 1]
     # the TTIs [t0, t1) carried the packets' bits
-    t0 = bisect_right(queue.sent_log, lo_bits, 0, tti)
-    t1 = bisect_left(queue.sent_log, hi_bits, 0, tti) + 1
-    tti_ends = np.asarray(queue.sent_log)[t0:t1].copy()
-    tti_ends[-1] = hi_bits  # the last TTI may carry bits of later packets
-    ends = np.asarray(queue.ends)[i:j]
-    cuts = np.concatenate((ends, tti_ends))
-    cuts.sort()
-    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
-    # a piece ending at a cut was carried by the first TTI, and belongs to the
-    # first packet, whose end reaches the cut
-    pieces = np.diff(cuts, prepend=lo_bits) / np.asarray(queue.rate)[t0:t1][np.searchsorted(tti_ends, cuts)]
-    share = np.bincount(np.searchsorted(ends, cuts), weights=pieces, minlength=j - i)
-    rbs = np.ceil(share - 1e-9).astype(np.int64)
-    return np.maximum(rbs, 1, out=rbs)
+    t0 = bisect_right(queue.sent_log, queue.ends[i - 1] if i else 0, 0, tti)
+    t1 = bisect_left(queue.sent_log, queue.ends[j - 1], 0, tti) + 1
+    # the curve's knots: bits sent and RBs used by the end of each TTI from t0 - 1 on
+    sent = _from_start(queue.sent_log, t0, t1)
+    rbs = np.zeros(len(sent))
+    np.cumsum(np.diff(sent) / np.asarray(queue.rate)[t0:t1], out=rbs[1:])
+    share = np.diff(np.interp(_from_start(queue.ends, i, j), sent, rbs))
+    counts = np.ceil(share - 1e-9).astype(np.int64)
+    return np.maximum(counts, 1, out=counts)
 
 
-def window_rbs(queue: PacketQueue, i: int, j: int, tti: int) -> np.ndarray:
-    """`packet_rbs` of packets [i, j) for windows whose i and j never fall
-    from one call on the queue to the next.  A packet's count is fixed once it
-    completes, so the queue keeps the last window's counts, and each call drops
-    those below i and derives only the packets it lacks."""
-    first, counts = queue.rbs_first, queue.rbs
-    start = max(i, first + len(counts))
-    kept = counts[i - first :]
-    queue.rbs = np.concatenate((kept, packet_rbs(queue, start, j, tti))) if start < j else kept
-    queue.rbs_first = i
-    return queue.rbs
+def _from_start(cum, lo: int, hi: int) -> np.ndarray:
+    """Entries [lo - 1, hi) of a cumulative column, entry -1 being 0."""
+    return np.asarray(cum)[lo - 1 : hi] if lo else np.append(0, cum[:hi])

@@ -59,6 +59,7 @@ from .capacity import ConcatPerRbVector
 from .near_rt import AllocatorConfig, ServiceSpec, ServiceWindow, allocate
 from .rt import (
     IDLE,
+    FsmRecord,
     PacketQueue,
     RtThresholds,
     clearing_rbs,
@@ -66,11 +67,12 @@ from .rt import (
     fsm_step,
     lindley_sent,
     mitigate,
+    packet_rbs,
     schedule_tti,
     serve_cleared,
     serve_guaranteed,
     slot_count,
-    window_rbs,
+    whole_numbers,
 )
 from .traces import ArrivalTrace, ChannelTrace, SyntheticModel, extend_cyclically, sample_many
 
@@ -281,8 +283,8 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
     queued: list = []
     k = arrived = sent = 0
     for t0 in range(0, len(a_in), _FIFO_BLOCK):
-        a = np.asarray(a_in[t0 : t0 + _FIFO_BLOCK], dtype=np.int64)
-        s = np.asarray(s_in[t0 : t0 + _FIFO_BLOCK], dtype=np.int64)
+        a = whole_numbers(a_in[t0 : t0 + _FIFO_BLOCK], "arrival bits")
+        s = whole_numbers(s_in[t0 : t0 + _FIFO_BLOCK], "service bits")
         if a.min() < 0 or s.min() < 0:
             raise ValueError(f"arrival and service bits must be non-negative, not so in TTIs [{t0}, {t0 + len(a)})")
         a_cum = np.cumsum(a)
@@ -429,7 +431,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
             else:
                 serve_guaranteed(q, t0, t1, alloc[m])
         if debug_rows is not None:
-            debug_rows.extend(_bulk_debug_rows(t0, t1, queues, alloc, sids))
+            debug_rows.extend(_debug_rows(t0, t1, queues, alloc, [IDLE] * m_count, sids))
         if check:
             _check_invariants(t0, t1, queues, n_cell)
 
@@ -500,15 +502,10 @@ def run(cfg: ScenarioConfig) -> Metrics:
             if any_active:
                 rt_alloc = mitigate(baseline, fsm)
 
-        rbs_used, _ = schedule_tti(t, queues, rt_alloc, n_cell, q_t, shares)
+        schedule_tti(t, queues, rt_alloc, n_cell, q_t, shares)
 
         if debug_rows is not None:
-            for m, q in enumerate(queues):
-                rec = fsm[m]
-                debug_rows.append((
-                    t, sids[m], rec.state, rec.n_req, rt_alloc[m], rbs_used[m],
-                    q.arrived[t] - q.sent, q.head_wait(t),
-                ))
+            debug_rows.extend(_debug_rows(t, t + 1, queues, rt_alloc, fsm, sids))
         if check:
             if mitigates and sum(rt_alloc) != sum(baseline):
                 raise AssertionError(f"mitigation broke conservation at tti {t}")
@@ -549,12 +546,13 @@ def _service_window(q: PacketQueue, lo: int, lo_extra: int, t: int, base: int) -
     """Observation window of one service for a decision at TTI t, read from its
     logs: arrivals over [lo, t), the packets completed in [lo, t) with their
     RB counts, and the extra-RB usage over [lo_extra, t) above `base`."""
-    # the packets completed in [lo, t) end after the bits sent by the end of lo - 1
+    # the packets completed in [lo, t) end after the bits sent by the end of
+    # lo - 1, and at most at the bits sent by the end of t - 1
     i = bisect_right(q.ends, q.sent_log[lo - 1]) if lo else 0
-    j = q.head
+    j = bisect_right(q.ends, q.sent_log[t - 1], i)
     if i < j:
         sizes = _increments(np.asarray(q.ends), i, j)
-        per_rb = ConcatPerRbVector(sizes, window_rbs(q, i, j, t))
+        per_rb = ConcatPerRbVector(sizes, packet_rbs(q, i, j, t))
     else:
         # no transmissions observed: fall back to raw channel rates
         rate_win = np.asarray(q.rate)[lo:t]
@@ -571,11 +569,12 @@ def _increments(cum: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.diff(cum[:hi], prepend=0)
 
 
-def _bulk_debug_rows(
-    t0: int, t1: int, queues: Sequence[PacketQueue], alloc: Sequence[int], sids: Sequence[int]
+def _debug_rows(
+    t0: int, t1: int, queues: Sequence[PacketQueue], alloc: Sequence[int], records: Sequence[FsmRecord],
+    sids: Sequence[int],
 ) -> list[tuple]:
-    """Debug rows of a stretch served in bulk, TTI by TTI: every FSM is idle,
-    and the queued bits and head wait follow from the logs."""
+    """Debug rows of the served TTIs [t0, t1) under one allocation and FSM record
+    per service: the RBs used, queued bits and head wait follow from the logs."""
     ttis = np.arange(t0, t1)
     columns = []
     for m, q in enumerate(queues):
@@ -583,7 +582,7 @@ def _bulk_debug_rows(
         head_arrival = np.asarray(q.arrival)[np.searchsorted(np.asarray(q.ends), sent, side="right")]
         wait = np.where(head_arrival <= ttis, ttis - head_arrival, 0)
         queued = np.asarray(q.arrived)[t0:t1] - sent
-        fixed = itertools.repeat((sids[m], IDLE.state, IDLE.n_req, alloc[m]))
+        fixed = itertools.repeat((sids[m], records[m].state, records[m].n_req, alloc[m]))
         used = np.asarray(q.used_log)[t0:t1]
         columns.append(zip(ttis.tolist(), fixed, used.tolist(), queued.tolist(), wait.tolist()))
     return [(t, *same, used, bits, wait) for rows in zip(*columns) for t, same, used, bits, wait in rows]

@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from .rt import whole_numbers
+
 log = logging.getLogger(__name__)
 
 ARRIVAL_HEADER = ("tti", "service_id", "bits")
@@ -55,7 +57,8 @@ class ArrivalTrace:
     length: int
 
     def __post_init__(self):
-        arrival, size = np.asarray(self.arrival, dtype=np.int64), np.asarray(self.size, dtype=np.int64)
+        arrival = whole_numbers(self.arrival, "packet arrival TTIs", TraceValidationError)
+        size = whole_numbers(self.size, "packet sizes", TraceValidationError)
         object.__setattr__(self, "arrival", arrival)
         object.__setattr__(self, "size", size)
         if self.length < 1 or arrival.ndim != 1 or arrival.shape != size.shape:
@@ -81,7 +84,7 @@ class ChannelTrace:
     bits_per_rb: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.bits_per_rb, dtype=np.int64)
+        vals = whole_numbers(self.bits_per_rb, "bits_per_rb", TraceValidationError)
         object.__setattr__(self, "bits_per_rb", vals)
         if vals.ndim != 1 or len(vals) == 0:
             raise TraceValidationError("channel trace must contain at least one TTI")

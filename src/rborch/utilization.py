@@ -75,10 +75,6 @@ class UtilizationPmf:
         pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
 
-    @property
-    def n_add(self) -> int:
-        return len(self.pi) - 1
-
 
 def empirical_pmf(extra_rb_usage: Sequence[int], n_add: int) -> UtilizationPmf:
     """Normalized histogram of observed extra-RB usage, clamped into [0, n_add]."""

@@ -1,9 +1,14 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rborch import rt
+from rborch.capacity import ConcatPerRbVector
 from rborch.rt import (
     IDLE,
     STATE_A,
@@ -20,8 +25,10 @@ from rborch.rt import (
     packet_rbs,
     schedule_tti,
     slot_count,
-    window_rbs,
 )
+from rborch.sim import measure_fifo_delays
+from rborch.traces import ArrivalTrace, ChannelTrace
+
 
 THR = RtThresholds(q_t=10, eta=0.75, tau=0.3)  # q_upper=7, q_lower=3
 
@@ -330,28 +337,104 @@ class TestScheduleTti:
         assert used == [2, 0]
 
 
-class TestWindowRbs:
-    """`window_rbs` keeps one window of counts on the queue and extends it."""
+@st.composite
+def served_tables(draw):
+    """A packet table served TTI by TTI on a one-queue cell: (queue, horizon).
+    Rates stay at most 16 bits per RB, so a share that is not whole is at
+    least 1 / lcm(1..16) (about 1.4e-6) above an integer, far beyond the
+    kernel's 1e-9 slack."""
+    horizon = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 12))
+    arrival = sorted(draw(st.lists(st.integers(0, horizon - 1), min_size=n, max_size=n)))
+    size = draw(st.lists(st.integers(1, 120), min_size=n, max_size=n))
+    rate = draw(st.lists(st.integers(1, 16), min_size=horizon, max_size=horizon))
+    n_cell = draw(st.integers(1, 6))
+    guarantee = draw(st.lists(st.integers(0, n_cell), min_size=horizon, max_size=horizon))
+    return table_served(arrival, size, rate, guarantee, n_cell, draw(st.booleans())), horizon
+
+
+def table_served(arrival, size, rate, guarantee, n_cell, share):
+    q = PacketQueue(arrival, size, rate)
+    for t, n in enumerate(guarantee):
+        schedule_tti(t, [q], [n], n_cell, [4], share)
+    return q
+
+
+def exact_rbs(q, i, j, horizon):
+    """max(1, ceil(sum over TTIs of (the packet's bits sent in the TTI) / rate)),
+    in exact arithmetic, for each packet of [i, j)."""
+    counts = []
+    for k in range(i, j):
+        lo, hi = (q.ends[k - 1] if k else 0), q.ends[k]
+        share = Fraction(0)
+        for t in range(horizon):
+            before = q.sent_log[t - 1] if t else 0
+            share += Fraction(max(0, min(hi, q.sent_log[t]) - max(lo, before)), q.rate[t])
+        counts.append(max(1, math.ceil(share)))
+    return counts
+
+
+# a packet ends exactly as a TTI ends: 2 RBs of 10 bits send 20 bits a TTI
+ON_TTI_END = (table_served([0, 0, 0], [20, 35, 5], [10] * 4, [2] * 4, 2, False), 4)
+# a packet carried by 6 TTIs, one of which sends nothing: a repeated knot
+ZERO_TTI_INSIDE = (table_served([0, 1], [40, 9], [7, 11, 5, 13, 3, 9, 10, 4], [1, 1, 0, 1, 1, 1, 1, 1], 1, False), 8)
+# packet 0 ends 5 bits into TTI 0, so packet 1 starts mid-TTI
+MID_TTI = (table_served([0, 0, 1], [15, 30, 10], [10] * 4, [2] * 4, 2, False), 4)
+
+
+class TestPacketRbs:
+    """`packet_rbs` against the RB shares summed exactly over the sent log."""
+
+    @settings(max_examples=500)
+    @given(served_tables(), st.integers(0, 12), st.integers(1, 12), st.integers(0, 24))
+    @example(ON_TTI_END, 0, 3, 0)
+    @example(ZERO_TTI_INSIDE, 0, 2, 0)
+    @example(ZERO_TTI_INSIDE, 1, 2, 0)
+    @example(MID_TTI, 1, 3, 0)
+    @example(MID_TTI, 0, 2, 5)
+    def test_matches_exact_shares(self, served, i, j, late):
+        q, horizon = served
+        assume(q.head)
+        j = min(j, q.head)
+        i = min(i, j - 1)
+        # any TTI after packet j - 1 completed bounds the search
+        done = completion_ttis(np.asarray(q.sent_log), np.asarray(q.ends)[: q.head])
+        tti = min(int(done[j - 1]) + 1 + late, horizon)
+        assert packet_rbs(q, i, j, tti).tolist() == exact_rbs(q, i, j, horizon)
+
+    def test_hand_counts(self):
+        q, _ = ON_TTI_END
+        assert packet_rbs(q, 0, 3, 3).tolist() == [2, 4, 1]  # 35 bits over 20 + 15: 2 + 1.5 RBs
+        q, _ = ZERO_TTI_INSIDE
+        # 7/7 + 11/11 + 0 + 13/13 + 3/3 + 6/9 RBs, then the 9-bit packet: 3/9 + 6/10
+        assert list(q.sent_log[:7]) == [7, 18, 18, 31, 34, 43, 49]
+        assert packet_rbs(q, 0, 2, 7).tolist() == [5, 1]
+
+
+
+class TestWholeNumbers:
+    """Counts of bits, TTIs and RBs are refused unless whole, never truncated."""
 
     @pytest.mark.parametrize(
-        "bounds",
+        "call",
         [
-            [(0, 4), (2, 7), (2, 9), (5, 12)],  # each window overlaps the last
-            [(0, 3), (3, 6), (6, 12)],  # each starts where the last ended
-            [(0, 2), (5, 8), (10, 12)],  # each starts past the counts kept, as with t_out > t_obs
+            lambda: measure_fifo_delays([100.7, 0, 0], [50.9, 50.9, 0.9]),
+            lambda: measure_fifo_delays([math.nan, 0], [10, 10]),
+            lambda: ConcatPerRbVector([10.9, 7.5], [1, 1]),
+            lambda: PacketQueue([0, 1], [20, 2.5], [10, 10]),
+            lambda: PacketQueue([0], [20], [10, math.inf]),
+            lambda: ArrivalTrace(0, [0.5], [20], 2),
+            lambda: ChannelTrace(0, [12, 12.5]),
         ],
-        ids=["overlapping", "disjoint", "past-kept"],
+        ids=["fifo-fractional", "fifo-nan", "capacity-runs", "queue-size", "queue-rate", "arrival-trace", "channel-trace"],
     )
-    def test_matches_packet_rbs(self, bounds):
-        # 12 packets over 40 TTIs on a 3-RB cell at varying rates: most span TTIs
-        rng = np.random.default_rng(5)
-        n, horizon = 12, 40
-        q = PacketQueue(np.sort(rng.integers(0, 20, n)), rng.integers(1, 150, n), rng.integers(5, 30, horizon))
-        for t in range(horizon):
-            schedule_tti(t, [q], [1], 3, [5])
-        assert q.head == n
-        done = completion_ttis(np.asarray(q.sent_log), np.asarray(q.ends)[:-1])
-        for i, j in bounds:
-            tti = int(done[j - 1]) + 1  # the first TTI by which packets [i, j) have completed
-            assert window_rbs(q, i, j, tti).tolist() == packet_rbs(q, i, j, tti).tolist()
-            assert q.rbs_first == i and len(q.rbs) == j - i
+    def test_refused(self, call):
+        with pytest.raises(ValueError, match="whole numbers"):
+            call()
+
+    def test_whole_values_read_as_integers(self):
+        ints = np.arange(4)
+        assert rt.whole_numbers(ints, "x") is ints  # an int64 array is neither checked nor copied
+        assert rt.whole_numbers([2.0, -3.0], "x").tolist() == [2, -3]
+        as_floats = measure_fifo_delays([100.0, 0.0, 0.0], [50.0, 50.0, 1.0])[0]
+        assert as_floats.tolist() == measure_fifo_delays([100, 0, 0], [50, 50, 1])[0].tolist() == [2.0]

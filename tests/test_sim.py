@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rborch import sim
+from rborch import rt, sim
 from rborch.near_rt import ServiceSpec
 from rborch.rt import STATE_C, ConfigError, FsmRecord, RtThresholds, fsm_step
 from rborch.sim import (
@@ -205,6 +205,57 @@ class TestRunBasics:
         assert len(m.debug_rows) == 3 * cfg.horizon
         tti, sid, state, n_req, n_min_i, rbs_used, queue_bits, head_wait = m.debug_rows[0]
         assert state in "ABC" and rbs_used >= 0
+
+
+
+def window_figures(w):
+    """Everything a decision reads from one service's window."""
+    return (w.arrivals.samples.tolist(), w.per_rb.bits.tolist(), w.per_rb.rbs.tolist(), w.extra_rb_usage.tolist())
+
+
+class TestDecisionWindows:
+    def test_any_order_reads_the_same_windows(self, monkeypatch):
+        # each window spans four decision periods, as in criterion 8, so
+        # consecutive windows share most of their packets
+        cfg = small_config(horizon=2400, t_obs=400, t_out=100)
+        queues, seen = [], []
+
+        def make_queue(*columns):
+            queues.append(rt.PacketQueue(*columns))
+            return queues[-1]
+
+        def allocate(specs, windows, *args):
+            seen.append([window_figures(w) for w in windows])
+            return real_allocate(specs, windows, *args)
+
+        real_allocate = sim.allocate
+        monkeypatch.setattr(sim, "PacketQueue", make_queue)
+        monkeypatch.setattr(sim, "allocate", allocate)
+        metrics = run(cfg)
+        n_min = [row[2] for row in metrics.alloc_rows]
+        m_count = len(queues)
+        bases = [[cfg.n_cell // m_count] * m_count] + [n_min[k : k + m_count] for k in range(0, len(n_min), m_count)]
+        decisions = range(cfg.t_obs, cfg.horizon, cfg.t_out)
+        assert len(seen) == len(decisions) > 4
+
+        def value(v):
+            return np.asarray(v).tolist() if isinstance(v, memoryview) else v
+
+        def state():
+            return [{slot: value(getattr(q, slot)) for slot in rt.PacketQueue.__slots__} for q in queues]
+
+        def windows(k):
+            t = decisions[k]
+            return [
+                window_figures(sim._service_window(q, t - cfg.t_obs, t - cfg.t_out, t, bases[k][m]))
+                for m, q in enumerate(queues)
+            ]
+
+        before = state()
+        forward = [windows(k) for k in range(len(decisions))]
+        backward = [windows(k) for k in reversed(range(len(decisions)))][::-1]
+        assert forward == backward == seen
+        assert state() == before
 
 
 class TestControllerRelations:
