@@ -44,6 +44,7 @@ from .traces import (
 )
 from .utilization import (
     GmmMixture,
+    UsageTable,
     UtilizationPmf,
     empirical_pmf,
     fit_gmm_em,

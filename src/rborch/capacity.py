@@ -13,26 +13,27 @@ is a plain difference, with no rounding.
 
 The delay bound reads a region's samples only through their distinct values,
 how often each occurs and how many there are, and none of these depends on
-n_min.  So each window keeps one read-only table over one contiguous range of
-group sizes lo..hi: each size's sorted unique values and counts, back to back
-with per-size offsets, and each size's sample count.  The samples themselves
-are never kept.  A size of the range may be a hole, with no values and a
-sample count of 0: the bound weights region n by pi_n and reads nothing of a
-region with pi_n = 0, so a build given pi leaves unbuilt what it does not
-read.  A build for n_min..n_cell extends the range at whichever ends it must,
-so a request that leaves a gap to the range also plans the sizes in the gap,
-fills the holes it reads, and returns its sizes as a CapacitySampleSet over a
+n_min.  So each window keeps one read-only table over the group sizes 1..hi:
+each size's sorted unique values and counts, back to back with per-size
+offsets, and each size's sample count.  The samples themselves are never
+kept.  A size may be a hole, with no values and a sample count of 0: the
+bound weights region n by pi_n and reads nothing of a region with pi_n = 0,
+so a build given pi leaves unbuilt what it does not read.  A build for
+n_min..n_cell grows the table with holes to cover n_cell, builds the sizes
+it reads that are holes, and returns its sizes as a CapacitySampleSet over a
 slice of the table.
 
-New sizes are planned in passes, separately below the range, in each run of
-holes the request reads and above the range: consecutive sizes whose samples
-fit in PASS_SAMPLES share one gather of the prefix, one rounding and one
-distinct-value step over (size, sum) keys, which keeps numpy's per-call cost
-off the many short sizes of a packet window; a size with more samples, or
-longer than the window, is planned alone.  A pass is built only when it holds
-a size the request reads, and otherwise left as holes.  So a long window,
-whose every size is alone in its pass, builds only the sizes read, and a
-short window, whose passes pack many sizes, stays without holes.  A pass
+Sizes are built in passes along one grid per window, _passes from size 1:
+consecutive sizes whose samples fit in PASS_SAMPLES share one gather of the
+prefix, one rounding and one distinct-value step over (size, sum) keys,
+which keeps numpy's per-call cost off the many short sizes of a packet
+window; a size with more samples, or longer than the window, is a pass of
+its own.  A request builds each grid pass that holds a size it reads, from
+the pass's first hole up to n_cell, and leaves the other passes holes.  The
+grid depends on the window only, so what a size holds does not depend on
+which requests came before.  A long window, whose every size is alone in its
+pass, builds only the sizes read; a short window, whose passes pack many
+sizes, builds them with few passes, sizes below n_min included.  A pass
 finds its distinct int64 keys and their counts by counting them
 (np.bincount) when their span is within _COUNT_SPAN times its sample count,
 as with the near-constant sums of a whole-bit window, and by sorting them
@@ -43,6 +44,7 @@ float64.
 
 from __future__ import annotations
 
+import bisect
 import logging
 
 import numpy as np
@@ -65,6 +67,8 @@ _COUNT_SPAN = 4
 _KEY_LIMIT = 1 << 53
 # the values and counts of a hole
 _NO_VALUES = np.empty(0)
+# the table of a window with no size built
+_EMPTY_TABLE = (_NO_VALUES, _NO_VALUES, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 class ConcatPerRbVector:
@@ -73,16 +77,15 @@ class ConcatPerRbVector:
     Run j spreads bits[j] evenly over rbs[j] consecutive RBs; it is whole-bit
     when bits[j] is a multiple of rbs[j].  The exact prefix (whole bits when
     every run is whole-bit, else over each run's reduced denominator) is
-    built on first use and kept with the window, and so is the
-    table of group sizes _lo.._lo + len(t) - 1 built on it: (unique values,
-    counts, offsets, t), where size g owns vals/counts over
-    offsets[g - _lo]:offsets[g - _lo + 1] and has t[g - _lo] samples.  A
-    size not built yet is a hole: t[g - _lo] is 0 and it owns no values,
-    while every built size has one sample at least.  Every build on the
-    window shares them.
+    built on first use and kept with the window, and so are the bounds of
+    its pass grid and the table of group sizes 1..len(t) built on it:
+    (unique values, counts, offsets, t), where size g owns vals/counts over
+    offsets[g - 1]:offsets[g] and has t[g - 1] samples.  A size not built
+    yet is a hole: t[g - 1] is 0 and it owns no values, while every built
+    size has one sample at least.  Every build on the window shares them.
     """
 
-    __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_lo", "_table")
+    __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_grid", "_table")
 
     def __init__(self, bits, rbs):
         self.bits = whole_numbers(bits, "run bits")
@@ -94,8 +97,8 @@ class ConcatPerRbVector:
         self._length = int(self.rbs.sum())
         self._total = int(self.bits.sum())
         self._prefix = None
-        self._lo = 0
-        self._table = None  # no size built yet
+        self._grid = [1]
+        self._table = _EMPTY_TABLE  # no size built yet
 
     def __len__(self) -> int:
         return self._length
@@ -164,24 +167,26 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[edges[:-1]], edges[1:] - edges[:-1]
 
 
-def _passes(sizes: range, length: int, total: int) -> list[list[int]]:
-    """Split a range of group sizes into passes of consecutive sizes.
+def _passes(x_con: ConcatPerRbVector, top: int) -> list[int]:
+    """The window's pass grid through the pass that holds size top: bounds
+    b with pass i over sizes b[i]..b[i + 1] - 1, from b[0] = 1.
 
-    A size joins the open pass while the pass's samples stay within
-    PASS_SAMPLES and its keys below _KEY_LIMIT (every sum is at most the
-    window's total bits); a size longer than the window always goes alone.
+    From size 1 up, a size joins the open pass while the pass's samples stay
+    within PASS_SAMPLES and its keys below _KEY_LIMIT (every sum is at most
+    the window's total bits); a size longer than the window always goes
+    alone.  The grid depends on the window only, and is kept on it.
     """
-    most = _KEY_LIMIT // (total + 1)
-    passes, room = [], 0
-    for g in sizes:
-        t = length // g
-        if 0 < t <= room and len(passes[-1]) < most:
-            passes[-1].append(g)
-            room -= t
-        else:
-            passes.append([g])
-            room = PASS_SAMPLES - t
-    return passes
+    bounds, length = x_con._grid, len(x_con)
+    most = _KEY_LIMIT // (x_con._total + 1)
+    while bounds[-1] <= top:
+        first = g = bounds[-1]
+        room = PASS_SAMPLES - length // g
+        g += 1
+        while g - first < most and 0 < length // g <= room:
+            room -= length // g
+            g += 1
+        bounds.append(g)
+    return bounds
 
 
 def _pass(x_con: ConcatPerRbVector, gs: list[int]):
@@ -222,75 +227,60 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     return vals, counts.astype(np.float64), np.bincount(which, minlength=len(gs)), t
 
 
-def _plan(x_con: ConcatPerRbVector, sizes: range, wanted: set[int]) -> list[tuple]:
-    """Table blocks for the consecutive sizes: each pass of _passes that holds
-    a wanted size is built, and every run of other passes left as holes."""
-    blocks, skipped = [], 0
-    for gs in _passes(sizes, len(x_con), x_con._total):
-        if wanted.isdisjoint(gs):
-            skipped += len(gs)
-            continue
-        if skipped:
-            blocks.append(_hole_block(skipped))
-            skipped = 0
-        blocks.append(_pass(x_con, gs))
-    if skipped:
-        blocks.append(_hole_block(skipped))
-    return blocks
-
-
-def _hole_block(k: int) -> tuple:
-    """Table block of k holes: no values, no samples."""
-    return _NO_VALUES, _NO_VALUES, np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
-
-
 def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi) -> None:
-    """Extend the window's table to cover n_min..n_cell and to hold every size
-    n_min + n with pi_n != 0 (every size if pi is None): the sizes below its
-    range, each run of holes holding a read size and the sizes above it are
-    planned, and the blocks joined once."""
-    # t[g - lo] samples of size g, 0 for a hole: every built size has one at least
-    lo, t = (n_min, ()) if x_con._table is None else (x_con._lo, x_con._table[3])
-    hi = lo + len(t) - 1
-    if lo <= n_min and n_cell <= hi and np.count_nonzero(t) == len(t):
-        return  # a table without holes holds every size of its range
-    wanted = set(range(n_min, n_cell + 1)) if pi is None else {n + n_min for n in np.flatnonzero(pi).tolist()}
-    fill = sorted(g for g in wanted if lo <= g <= hi and not t[g - lo])
-    if lo <= n_min and n_cell <= hi and not fill:
-        return
-    length, total = len(x_con), x_con._total
-    # a group inside the window sums to at most the total, and the scaled
-    # group of a size g above the length to total * g / length
-    if total * max(length, n_cell) >= _KEY_LIMIT * length:
-        raise ValueError(
-            "capacity window too large for exact float64 samples: a group sum "
-            f"can reach 2^53 (total {total} bits over {length} RBs, groups up to {n_cell})"
-        )
-    blocks = _plan(x_con, range(n_min, lo), wanted)
-    if x_con._table is not None:
-        vals, counts, offsets, t = x_con._table
-        val_sizes, i = offsets[1:] - offsets[:-1], 0
-        for g in fill:
-            if g - lo < i:
-                continue  # in a run of holes already planned
-            # the maximal run of holes around g within the range, planned afresh from its first size
-            first, last = g - lo, g - lo
-            while first > 0 and not t[first - 1]:
-                first -= 1
-            while last + 1 < len(t) and not t[last + 1]:
-                last += 1
-            a, b = offsets[i], offsets[first]
-            blocks.append((vals[a:b], counts[a:b], val_sizes[i:first], t[i:first]))
-            blocks += _plan(x_con, range(lo + first, lo + last + 1), wanted)
-            i = last + 1
-        a = offsets[i]
-        blocks.append((vals[a:], counts[a:], val_sizes[i:], t[i:]))
-    blocks += _plan(x_con, range(hi + 1, n_cell + 1), wanted)
+    """Build every size n_min + n with pi_n != 0 (every size of n_min..n_cell
+    if pi is None) that the window's table does not hold yet: each grid pass
+    holding one is built from its first hole up to n_cell, the table grows
+    with holes to cover n_cell, and the blocks are joined once."""
+    t = x_con._table[3]
+    if n_cell <= len(t):
+        # every size read is built: t_n * pi_n != 0 wherever pi_n != 0 (t_n >= 1 keeps a tiny pi_n)
+        read = t[n_min - 1 : n_cell]
+        n_read = len(read) if pi is None else np.count_nonzero(pi)
+        if np.count_nonzero(read if pi is None else read * pi) == n_read:
+            return
+    wanted = range(n_min, n_cell + 1) if pi is None else (n_min + np.flatnonzero(pi)).tolist()
+    built = t.tolist()
+    missing = [g for g in wanted if g > len(built) or not built[g - 1]]
+    blocks, done = [], 0  # the blocks so far hold sizes 1..done
+    if missing:
+        length, total = len(x_con), x_con._total
+        # a group inside the window sums to at most the total, and the scaled
+        # group of a size g above the length to total * g / length
+        if total * max(length, n_cell) >= _KEY_LIMIT * length:
+            raise ValueError(
+                "capacity window too large for exact float64 samples: a group sum "
+                f"can reach 2^53 (total {total} bits over {length} RBs, groups up to {n_cell})"
+            )
+        bounds = _passes(x_con, missing[-1])
+        for i in sorted({bisect.bisect_right(bounds, g) - 1 for g in missing}):
+            # the pass's sizes from its first hole (an earlier request may have
+            # built it up to a smaller n_cell) up to n_cell
+            first, end = bounds[i], min(bounds[i + 1], n_cell + 1)
+            while first <= len(built) and built[first - 1]:
+                first += 1
+            blocks += _copy(x_con._table, done, first - 1)
+            blocks.append(_pass(x_con, list(range(first, end))))
+            done = end - 1
+    blocks += _copy(x_con._table, done, max(len(t), n_cell))
     vals, counts, val_sizes, t = (np.concatenate(part) for part in zip(*blocks))
     offsets = np.concatenate(([0], np.cumsum(val_sizes)))
     for arr in (vals, counts, offsets, t):
         arr.flags.writeable = False
-    x_con._lo, x_con._table = min(lo, n_min), (vals, counts, offsets, t)
+    x_con._table = (vals, counts, offsets, t)
+
+
+def _copy(table, a: int, b: int) -> list[tuple]:
+    """Table blocks for sizes a + 1..b: the table's own, then holes past its end."""
+    vals, counts, offsets, t = table
+    blocks, mid = [], min(b, len(t))
+    if a < mid:
+        lo, hi = offsets[a], offsets[mid]
+        blocks.append((vals[lo:hi], counts[lo:hi], offsets[a + 1 : mid + 1] - offsets[a:mid], t[a:mid]))
+    if max(a, mid) < b:
+        k = b - max(a, mid)
+        blocks.append((_NO_VALUES, _NO_VALUES, np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)))
+    return blocks
 
 
 def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi=None) -> CapacitySampleSet:
@@ -300,11 +290,11 @@ def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi
     groups are discarded.  A window shorter than one group yields a single
     linearly scaled sample (logged as degraded).  pi, the region weights the
     bound will use (n_cell - n_min + 1 entries), lets the build skip every
-    pass whose regions all have pi_n = 0, leaving their sizes holes: no
-    values and a sample count of 0.  None reads every region, which leaves no
-    hole in n_min..n_cell.  Group sizes already built on this window are
-    taken from its table, so nothing is built twice.  Every region the
-    request reads is the same whatever the order of the requests.
+    grid pass that holds no size n_min + n with pi_n != 0, leaving its sizes
+    holes: no values and a sample count of 0.  None reads every region,
+    which leaves no hole in n_min..n_cell.  Group sizes already built on
+    this window are taken from its table, so nothing is built twice.  Every
+    region the request reads is the same whatever the order of the requests.
     """
     if n_min < 1:
         raise ValueError("n_min must be positive")
@@ -315,11 +305,11 @@ def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi
         raise ValueError("capacity window is empty")
     if pi is not None and len(pi) != n_cell - n_min + 1:
         raise ValueError(f"pi must have n_cell - n_min + 1 = {n_cell - n_min + 1} entries, got {len(pi)}")
-    _extend(x_con, n_min, n_cell, pi)
+    _extend(x_con, n_min, n_cell, None if pi is None else np.asarray(pi))
     vals, counts, offsets, t = x_con._table
     # length // g only falls with g, so exactly the groups above the window length are scaled
     if n_cell > length:
         log.info("capacity window of %d entries shorter than some group sizes; scaled fallback used", length)
-    a, b = n_min - x_con._lo, n_cell - x_con._lo + 1
+    a, b = n_min - 1, n_cell
     lo, hi = offsets[a], offsets[b]
     return CapacitySampleSet._of_table(n_min, t[a:b], vals[lo:hi], counts[lo:hi], offsets[a : b + 1] - lo)

@@ -5,16 +5,20 @@ side K'_s(theta) = -log of the availability-weighted mean of exp(-theta * s_i).
 K'_a is convex and K'_s concave, so the gap f = K'_s - K'_a is concave with
 f(0) = 0, and theta* = sup{theta : f(theta) >= 0} is its unique positive root.
 The search classifies the capped and infeasible cases from the samples alone,
-then runs a safeguarded Newton iteration on f from the right.  The delay bound
-follows as -log(eps) / K'_s(theta*) slots.
+then runs a safeguarded Newton iteration on f.  It starts at the root of f's
+second-order expansion, 2 (E[s] - E[a]) / (var s + var a), the heavy-traffic
+decay rate (Kingman 1962), which lies close to theta*, and converges from the
+right.  The delay bound follows as -log(eps) / K'_s(theta*) slots, with the
+K'_s the search evaluated at theta*.
 
 K'_s reads a region's samples only through their distinct values, how often
 each occurs and how many there are.  So a CapacitySampleSet keeps no samples:
 it holds the sorted unique values and counts of all its regions back to back
 in one table with per-region offsets, and each region's sample count, and
 K'_s is assembled from them with array operations and no loop over regions.
-An ArrivalSampleSet builds K'_a once; every candidate guarantee evaluated
-against the same arrivals reuses it.
+An ArrivalSampleSet builds K'_a once, with its asymptote and first two
+cumulants; every candidate guarantee evaluated against the same arrivals
+reuses it.
 """
 
 from __future__ import annotations
@@ -147,38 +151,47 @@ class _Rate:
     w * exp(sign * theta * v).  As theta grows, R approaches the line
     theta * edge + intercept, K'_a from above and K'_s from below.  groups
     holds the (weights, means) of the sample groups that (v, w) mixes: the
-    active regions for K'_s, the one window for K'_a.
+    active regions for K'_s, the one window for K'_a.  mean and var are the
+    mixture's, the first two cumulants, so R(theta) = theta * mean
+    + sign * theta^2 * var / 2 + O(theta^3).
     """
 
-    __slots__ = ("sign", "vals", "w", "wv", "edge", "offset", "groups")
+    __slots__ = ("sign", "vals", "w", "wv", "edge", "dev", "offset", "groups", "intercept", "mean", "var")
 
-    def __init__(self, sign: float, vals: np.ndarray, w: np.ndarray, groups, offset: float = 0.0):
+    def __init__(self, sign: float, vals: np.ndarray, w: np.ndarray, groups, edge: float, edge_w: float,
+                 offset: float = 0.0, total: float = 1.0):
+        """edge is the largest of vals if sign = +1, else the least; edge_w
+        is the weight on it, and total the sum of w."""
         self.sign = sign
         self.vals = vals
         self.w = w
         self.wv = w * vals
         self.groups = groups
-        # sign * theta * edge is the max of sign * theta * vals: theta > 0 keeps the rounded products in order
-        self.edge = float(vals.max() if sign > 0 else vals.min())
+        self.edge = edge
+        # sign * theta * dev <= 0 for theta > 0, so no exp overflows; dev is
+        # exact for samples of whole bits
+        self.dev = vals - edge
         self.offset = offset
+        self.intercept = sign * math.log(edge_w) - offset
+        self.mean = float(np.dot(*groups))
+        self.var = float(self.wv.dot(vals)) / total - self.mean * self.mean
 
     def __call__(self, theta: float) -> tuple[float, float]:
         t = self.sign * theta
-        m = t * self.edge
-        e = np.exp(t * self.vals - m)
-        z = float(np.dot(self.w, e))
-        return self.sign * (m + math.log(z)) - self.offset, float(np.dot(self.wv, e)) / z
-
-    def intercept(self) -> float:
-        return self.sign * math.log(float(self.w[self.vals == self.edge].sum())) - self.offset
+        e = self.dev * t
+        np.exp(e, out=e)
+        z = float(self.w.dot(e))
+        return self.sign * (t * self.edge + math.log(z)) - self.offset, float(self.wv.dot(e)) / z
 
 
 def _arrival_rate(x_a: ArrivalSampleSet) -> _Rate:
     """K'_a over one compression of the samples, built once per set."""
     if x_a._rate is None:
         vals, counts = unique_counts(x_a.samples)
-        mean = float(np.dot(counts, vals)) / len(x_a)
-        x_a._rate = _Rate(1.0, vals, counts, (np.ones(1), np.array([mean])), math.log(len(x_a)))
+        t = len(x_a)
+        mean = float(np.dot(counts, vals)) / t
+        x_a._rate = _Rate(1.0, vals, counts, (np.ones(1), np.array([mean])), float(vals[-1]), float(counts[-1]),
+                          math.log(t), t)
     return x_a._rate
 
 
@@ -190,26 +203,31 @@ def _service_rate(x_s: CapacitySampleSet, pi) -> _Rate:
     regions with pi_n = 0 are dropped first, so they may hold nothing; a
     region with pi_n != 0 and no samples is an error.  Region means come from
     np.add.reduceat: the samples are whole bits below 2^53, so every partial
-    sum is exact and equals a per-region dot product.
+    sum is exact and equals a per-region dot product.  Each region's values
+    are sorted, so the least sample is the least of the regions' first
+    values.  The array methods and ufuncs called here give what the numpy
+    functions of the same names do, at less cost per call on short arrays.
     """
     pi = pi.pi if isinstance(pi, UtilizationPmf) else check_pmf(pi)
     if len(pi) != x_s.n_add + 1:
         raise ValueError(f"pi must have n_add + 1 = {x_s.n_add + 1} entries, got {len(pi)}")
-    t_n, per_val = x_s.t_n, x_s.val_offsets[1:] - x_s.val_offsets[:-1]
-    vals, counts = x_s.vals, x_s.counts
-    active = pi != 0.0
-    if not active.all():
-        keep = np.repeat(active, per_val)
-        vals, counts, t_n, per_val = vals[keep], counts[keep], t_n[active], per_val[active]
-        pi = pi[active]
-    if not t_n.all():
-        k = int(np.argmin(t_n))  # the first active region without samples
-        n = int(np.flatnonzero(active)[k])
-        raise ValueError(f"capacity region {n} has pi_n = {float(pi[k])} but no samples")
-    starts = np.cumsum(per_val) - per_val
+    offsets = x_s.val_offsets
+    t_n, per_val, vals, counts = x_s.t_n, offsets[1:] - offsets[:-1], x_s.vals, x_s.counts
+    active = pi.nonzero()[0]
+    if len(active) < len(pi):
+        keep = (pi != 0.0).repeat(per_val).nonzero()[0]
+        vals, counts = vals.take(keep), counts.take(keep)
+        t_n, per_val, pi = t_n.take(active), per_val.take(active), pi.take(active)
+    if np.count_nonzero(t_n) < len(t_n):
+        k = int(t_n.argmin())  # the first active region without samples
+        raise ValueError(f"capacity region {int(active[k])} has pi_n = {float(pi[k])} but no samples")
+    starts = np.add.accumulate(per_val) - per_val
     means = np.add.reduceat(counts * vals, starts) / t_n
-    w = counts * np.repeat(pi / t_n, per_val)
-    return _Rate(-1.0, vals, w, (pi, means))
+    w = (pi / t_n).repeat(per_val)
+    w *= counts
+    firsts = vals.take(starts)
+    edge = firsts.min()
+    return _Rate(-1.0, vals, w, (pi, means), float(edge), float(w.take(starts)[firsts == edge].sum()))
 
 
 def arrival_log_mgf(x_a: ArrivalSampleSet, theta: float) -> float:
@@ -226,52 +244,60 @@ def service_log_neg_mgf(x_s: CapacitySampleSet, pi, theta: float) -> float:
     return _service_rate(x_s, pi)(float(theta))[0]
 
 
-def _search(ks: _Rate, ka: _Rate) -> Optional[float]:
-    """find_theta_star over the rates ks = K'_s and ka = K'_a."""
+def _search(ks: _Rate, ka: _Rate):
+    """find_theta_star over the rates ks = K'_s and ka = K'_a: (theta*, (K'_s, K'_a)
+    at theta*, or None when the samples decide theta* without an evaluation),
+    or None when theta* does not exist."""
     p = _PARAMS
     if ka.edge <= ks.edge:
         # max(a) <= min(s): f(theta) >= theta * (min(s) - max(a)) >= 0 everywhere (f = 0 included)
-        return p.theta_cap
+        return p.theta_cap, None
     # f'(0) = E_pi[s] - mean(a), summed over differences of means so that equal means cancel exactly
     p_s, m_s = ks.groups
-    if float(np.dot(p_s, m_s - ka.groups[1][0])) <= 0.0:
+    slope0 = float(p_s.dot(m_s - ka.groups[1][0]))
+    if slope0 <= 0.0:
         # a concave f with f(0) = 0 and f'(0) <= 0 has no positive root
         return None
     # f lies below the difference of the asymptotes, whose root therefore bounds theta* from above
-    hi = min(p.theta_cap, (ks.intercept() - ka.intercept()) / (ka.edge - ks.edge))
+    hi = min(p.theta_cap, (ks.intercept - ka.intercept) / (ka.edge - ks.edge))
     if hi < p.floor:
         return None
-
-    def gap(theta: float) -> tuple[float, float]:
-        (s, ds), (a, da) = ks(theta), ka(theta)
-        return s - a, ds - da
-
-    theta, lo = hi, p.floor
-    value, slope = gap(theta)
-    if value >= 0.0:
-        return theta  # the cap, or the asymptotes' root when it is theta* to rounding
+    lo, lo_at = p.floor, None
+    # the root of f's second-order expansion theta * f'(0) - theta^2 * (var s + var a) / 2
+    spread = ks.var + ka.var
+    theta = 2.0 * slope0 / spread if spread > 0.0 else hi
+    if not lo < theta < hi:
+        theta = hi
+    # hi is probed once an evaluated point holds it: until then the search may not converge below it
+    probed = theta == hi
     for _ in range(MAX_STEPS):
+        (s, ds), (a, da) = ks(theta), ka(theta)
+        value, slope = s - a, ds - da
         if value >= 0.0:
-            lo = theta
+            if theta == hi:
+                return theta, (s, a)  # the cap, or the asymptotes' root when it is theta* to rounding
+            lo, lo_at = theta, (s, a)
         else:
-            hi = theta
+            hi, probed = theta, True
         tol = REL_TOL * hi
         # right of theta* the tangent of the concave f lies above it, so its root is still >= theta*
         step = -value / slope if slope < 0.0 else math.nan
         nxt = theta + step
         if value < 0.0 and lo == p.floor and nxt <= lo:
             return None
-        if abs(step) <= tol:
+        if abs(step) <= tol and probed:
             if value >= 0.0:
-                return theta
+                return theta, (s, a)
             nxt -= 0.5 * tol  # converged from the right: step back onto the feasible side
         if not lo < nxt < hi:
-            if hi - lo <= tol:
-                return lo if lo > p.floor else None
-            nxt = 0.5 * (lo + hi)
+            if not probed:
+                nxt = hi
+            elif hi - lo <= tol:
+                return (lo, lo_at) if lo > p.floor else None
+            else:
+                nxt = 0.5 * (lo + hi)
         theta = nxt
-        value, slope = gap(theta)
-    return lo if lo > p.floor else None
+    return (lo, lo_at) if lo > p.floor else None
 
 
 def find_theta_star(x_a: ArrivalSampleSet, x_s: CapacitySampleSet, pi) -> Optional[float]:
@@ -280,12 +306,18 @@ def find_theta_star(x_a: ArrivalSampleSet, x_s: CapacitySampleSet, pi) -> Option
     Returns theta_cap when max(a) <= min(s) or the gap is still non-negative
     there, and None when f'(0) = E_pi[s] - mean(a) <= 0 or theta* lies below
     the floor (service cannot keep up); neither case evaluates an exp when
-    the samples decide it.  Otherwise Newton steps on the gap run from the
-    right, starting at the root of the rate functions' asymptotes (or the cap);
-    any step that leaves the bracket becomes a bisection step.  The result is
-    within REL_TOL of theta* relative, on the side where the gap is >= 0.
+    the samples decide it.  Otherwise Newton steps on the gap start at the
+    root of its second-order expansion, 2 f'(0) / (var s + var a) (Kingman's
+    heavy-traffic decay rate), when that lies below hi, the root of the rate
+    functions' asymptotes or the cap, whichever is less, and at hi otherwise.
+    A start on the feasible side steps right of theta*, along its tangent or
+    to hi itself, so hi is evaluated before the search converges below it;
+    from there the steps run from the right, and any step that leaves the
+    bracket becomes a bisection step.  The result is within REL_TOL of theta*
+    relative, on the side where the gap is >= 0.
     """
-    return _search(_service_rate(x_s, pi), _arrival_rate(x_a))
+    found = _search(_service_rate(x_s, pi), _arrival_rate(x_a))
+    return None if found is None else found[0]
 
 
 def delay_bound(
@@ -300,18 +332,19 @@ def delay_bound(
     pi weights the capacity regions: a raw vector, which is checked, or a
     UtilizationPmf, which was checked when it was built.  The raw bound
     counts TTIs; the returned value is scaled by the slot duration.  Infinite
-    W signals an under-provisioned service.
+    W signals an under-provisioned service.  K'_s and K'_a at theta* are the
+    values the search evaluated there.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
     if t_slot_ms <= 0:
         raise ValueError("t_slot_ms must be positive")
     ks_of, ka_of = _service_rate(x_s, pi), _arrival_rate(x_a)
-    theta = _search(ks_of, ka_of)
-    if theta is None:
+    found = _search(ks_of, ka_of)
+    if found is None:
         return DelayBoundResult(None, math.inf, math.nan, math.nan)
-    ks = ks_of(theta)[0]
-    ka = ka_of(theta)[0]
+    theta, at = found
+    ks, ka = at if at is not None else (ks_of(theta)[0], ka_of(theta)[0])
     if ks <= 0.0:
         # zero effective service rate: no finite decay, treat as infeasible
         return DelayBoundResult(None, math.inf, math.nan, math.nan)

@@ -6,6 +6,9 @@ service, drawing first from any unassigned remainder and then from the least
 stressed donor; it commits only strict improvements and stops at the first
 non-improving move.  A min-max dynamic program over the W(m, n) table, exact
 over every positive composition of the cell budget, is the optimality oracle.
+Each service's PMF is folded from one usage table per window and decision,
+and W(m, n) depends on the window and n alone, so the order in which
+candidates are evaluated changes nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .capacity import ConcatPerRbVector, build_capacity_samples
 from .martingale import ArrivalSampleSet, delay_bound
 from .rt import whole_numbers
-from .utilization import UtilizationPmf, empirical_pmf, fit_gmm_em, region_probabilities
+from .utilization import UsageTable, UtilizationPmf, empirical_pmf, fit_gmm_em, region_probabilities
 
 
 @dataclass(frozen=True)
@@ -110,23 +113,27 @@ class _CandidateEvaluator:
         self.n_cell = n_cell
         self.cfg = cfg
         self._cache: dict[tuple[int, int], float] = {}
-        self._gmms = None
+        # one usage table per window, folded for every candidate's n_add <= n_cell - 1
         if cfg.estimator == "gmm":
             rng = rng if rng is not None else np.random.default_rng(0)
-            self._gmms = [
-                fit_gmm_em(
-                    w.extra_rb_usage.astype(np.float64),
-                    min(cfg.gmm_components, len(w.extra_rb_usage)),
-                    rng=rng,
+            self._pmf = region_probabilities
+            self._usage = [
+                UsageTable.of_gmm(
+                    fit_gmm_em(
+                        w.extra_rb_usage.astype(np.float64),
+                        min(cfg.gmm_components, len(w.extra_rb_usage)),
+                        rng=rng,
+                    ),
+                    n_cell - 1,
                 )
                 for w in windows
             ]
+        else:
+            self._pmf = empirical_pmf
+            self._usage = [UsageTable.of_usage(w.extra_rb_usage, n_cell - 1) for w in windows]
 
     def pmf(self, m: int, n_min: int) -> UtilizationPmf:
-        n_add = self.n_cell - n_min
-        if self._gmms is not None:
-            return region_probabilities(self._gmms[m], n_add)
-        return empirical_pmf(self.windows[m].extra_rb_usage, n_add)
+        return self._pmf(self._usage[m], self.n_cell - n_min)
 
     def w_est(self, m: int, n_min: int) -> float:
         key = (m, n_min)
@@ -157,6 +164,8 @@ def allocate(
 
     Donors never drop below one RB; unassigned remainder RBs from the floor
     initialization are absorbed by plain +1 moves before any donor is tapped.
+    A candidate's donor is evaluated first: when its ratio alone reaches the
+    best objective, the descent stops without evaluating the receiver.
     """
     cfg = cfg or AllocatorConfig()
     m_count = len(specs)
@@ -171,10 +180,15 @@ def allocate(
     best_g = math.inf
     history: list[float] = []
     evals = 0
+    donor = None
     while True:
+        evals += 1
+        # the donor's W first: a donor ratio at best_g or above already keeps
+        # the candidate's objective from improving, whatever the receiver's
+        if donor is not None and ev.w_est(donor, cand[donor]) / w_th[donor] >= best_g:
+            break
         w_z = [ev.w_est(m, cand[m]) for m in range(m_count)]
         g_z = objective(w_z, w_th)
-        evals += 1
         if best_n is None or g_z < best_g:
             best_n, best_w, best_g = list(cand), w_z, g_z
             history.append(g_z)
@@ -186,6 +200,7 @@ def allocate(
         if spare > 0:
             cand = list(best_n)
             cand[receiver] += 1
+            donor = None
             continue
         donors = [m for m in range(m_count) if m != receiver and best_n[m] > 1]
         if not donors:

@@ -3,6 +3,11 @@
 Two paths: a plain normalized histogram of observed extra-RB usage, and a
 Gaussian mixture fitted by EM whose density is integrated over unit-wide
 regions centred on each integer RB count (tails absorbed at both ends).
+Both come from one UsageTable per window: the histogram's counts, or the
+mixture's normal CDFs at the inner region edges, up to the largest n_add a
+decision reads.  The PMF for any n_add is a fold of that table, and the
+public functions build a table for their n_add and fold it, so a decision
+builds each window's table once and both paths share one fold.
 
 Usage windows hold few distinct values, so EM runs over those values
 weighted by their counts (EM for grouped data): the same sums as over every
@@ -16,6 +21,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .rt import whole_numbers
 
 SIGMA_FLOOR = 1e-3
 EM_ITERS = 200  # EM stops after this many iterations,
@@ -55,7 +62,7 @@ def check_pmf(pi) -> np.ndarray:
     arr = np.asarray(pi, dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError(f"pi must be a non-empty vector, got shape {arr.shape}")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("pi entries must be non-negative")
     if not abs(float(arr.sum()) - 1.0) <= 1e-9:
         raise ValueError("pi must sum to 1 within 1e-9")
@@ -76,18 +83,82 @@ class UtilizationPmf:
         object.__setattr__(self, "pi", pi)
 
 
-def empirical_pmf(extra_rb_usage: Sequence[int], n_add: int) -> UtilizationPmf:
-    """Normalized histogram of observed extra-RB usage, clamped into [0, n_add]."""
-    usage = np.asarray(extra_rb_usage, dtype=np.int64)
-    if usage.size == 0:
-        raise ValueError("empirical PMF needs at least one observation")
-    if np.any(usage < 0):
-        raise ValueError("extra-RB usage cannot be negative")
+# the weights of the histogram's one component
+_ONE = np.ones(1)
+
+
+def _check_n_add(n_add: int) -> None:
     if n_add < 0:
         raise ValueError("n_add must be non-negative")
-    clamped = np.minimum(usage, n_add)
-    counts = np.bincount(clamped, minlength=n_add + 1).astype(np.float64)
-    return UtilizationPmf(counts / counts.sum())
+
+
+class UsageTable:
+    """One window's usage PMF for every n_add up to n_top, as one table.
+
+    The table holds each component's CDF at the inner region edges 1/2 ..
+    n_top - 1/2 and its whole mass: for the histogram one component of
+    weight 1 whose mass is the number of observations (its CDF counts the
+    observations at or below each edge), for a mixture its components'
+    normal CDFs, of mass 1.  It keeps them as mass[c, k], component c's mass
+    between the edges around k, and tail[c, k], its mass above k - 1/2.
+    pmf(n_add) folds regions 0..n_add out of them, so a decision builds the
+    table once per window and folds it for each candidate guarantee.
+    """
+
+    __slots__ = ("weights", "mass", "tail")
+
+    def __init__(self, weights: np.ndarray, cdf: np.ndarray, top: float):
+        self.weights = weights
+        # the outer edges are -inf and +inf
+        edges = np.empty((len(weights), cdf.shape[1] + 2))
+        edges[:, 0] = 0.0
+        edges[:, 1:-1] = cdf
+        edges[:, -1] = top
+        self.mass = np.diff(edges, axis=1)
+        self.tail = top - edges[:, :-1]
+
+    @classmethod
+    def of_usage(cls, extra_rb_usage: Sequence[int], n_top: int) -> UsageTable:
+        """The histogram of observed extra-RB usage, whole and non-negative."""
+        usage = whole_numbers(extra_rb_usage, "extra-RB usage")
+        if usage.size == 0:
+            raise ValueError("empirical PMF needs at least one observation")
+        if np.any(usage < 0):
+            raise ValueError("extra-RB usage cannot be negative")
+        _check_n_add(n_top)
+        counts = np.bincount(np.minimum(usage, n_top), minlength=n_top + 1)
+        return cls(_ONE, np.cumsum(counts[:n_top], dtype=np.float64)[None, :], float(usage.size))
+
+    @classmethod
+    def of_gmm(cls, gmm: GmmMixture, n_top: int) -> UsageTable:
+        """The mixture's normal CDFs at the inner region edges."""
+        _check_n_add(n_top)
+        edges = np.arange(n_top, dtype=np.float64) + 0.5
+        z = (edges[None, :] - gmm.means[:, None]) / gmm.sigmas[:, None]
+        cdf = np.array([[0.5 * math.erfc(-t / _SQRT2) for t in row] for row in z.tolist()]).reshape(z.shape)
+        return cls(gmm.weights, cdf, 1.0)
+
+    def pmf(self, n_add: int) -> UtilizationPmf:
+        """pi over regions 0..n_add: region 0 takes all mass below 1/2 and
+        region n_add all mass above n_add - 1/2, renormalized to a PMF."""
+        _check_n_add(n_add)
+        if n_add >= self.tail.shape[1]:
+            raise ValueError(f"n_add {n_add} exceeds the table's {self.tail.shape[1] - 1}")
+        mass = self.mass[:, : n_add + 1].copy()
+        mass[:, n_add] = self.tail[:, n_add]
+        pi = np.maximum(self.weights @ mass, 0.0)
+        return UtilizationPmf(pi / np.add.reduce(pi))
+
+
+def empirical_pmf(extra_rb_usage: Sequence[int] | UsageTable, n_add: int) -> UtilizationPmf:
+    """Normalized histogram of observed extra-RB usage, clamped into [0, n_add].
+
+    The usage must be whole and non-negative; 2.7, NaN or 1e30 is refused,
+    never truncated.  It may also be given as its UsageTable, built for
+    n_add or more, which is folded as it is.
+    """
+    table = extra_rb_usage if isinstance(extra_rb_usage, UsageTable) else UsageTable.of_usage(extra_rb_usage, n_add)
+    return table.pmf(n_add)
 
 
 def _kmeanspp_centers(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,22 +223,13 @@ def fit_gmm_em(
     return GmmMixture(w / w.sum(), mu, sigma, log_likelihoods=tuple(lls))
 
 
-def region_probabilities(gmm: GmmMixture, n_add: int) -> UtilizationPmf:
+def region_probabilities(gmm: GmmMixture | UsageTable, n_add: int) -> UtilizationPmf:
     """Integrate the mixture over unit regions around each n; tails absorbed.
 
     Region n covers (n - 0.5, n + 0.5); region 0 additionally takes all mass
     below and region n_add all mass above, then the vector is renormalized so
-    it is exactly a PMF.
+    it is exactly a PMF.  The mixture may also be given as its UsageTable,
+    built for n_add or more, which is folded as it is.
     """
-    if n_add < 0:
-        raise ValueError("n_add must be non-negative")
-    # Phi at the inner edges 0.5 .. n_add - 0.5; the outer edges are -inf and +inf
-    edges = np.arange(n_add, dtype=np.float64) + 0.5
-    z = (edges[None, :] - gmm.means[:, None]) / gmm.sigmas[:, None]
-    cdf = np.empty((len(gmm.means), n_add + 2))
-    cdf[:, 0] = 0.0
-    cdf[:, 1:-1] = [[0.5 * math.erfc(-t / _SQRT2) for t in row] for row in z.tolist()]
-    cdf[:, -1] = 1.0
-    pi = gmm.weights @ np.diff(cdf, axis=1)
-    pi = np.maximum(pi, 0.0)
-    return UtilizationPmf(pi / pi.sum())
+    table = gmm if isinstance(gmm, UsageTable) else UsageTable.of_gmm(gmm, n_add)
+    return table.pmf(n_add)

@@ -318,32 +318,36 @@ def test_groups_built_once_per_window(monkeypatch):
 
     def holes(x):
         """Sizes of the window's table with no samples: the ones not built."""
-        return set((x._lo + np.flatnonzero(x._table[3] == 0)).tolist())
+        return set((1 + np.flatnonzero(x._table[3] == 0)).tolist())
 
     monkeypatch.setattr(rborch.capacity, "_pass", counting)
     rng = np.random.default_rng(4)
-    # a long window: every size up to 40 has at least PASS_SAMPLES groups, so each is alone in its pass
+    # a long window: every size up to 40 has at least PASS_SAMPLES groups, so each is alone in its grid pass
     x = channel(rng.integers(1, 60, 40 * PASS_SAMPLES))
+    below = set(range(1, 8))  # sizes no request reads
     # a pass whose sizes all have pi_n = 0 is not built: sizes 11, 12, 14 and 15 are holes
     assert new_sizes(x, 10, 15, [0.5, 0, 0, 0.5, 0, 0]) == [10, 13]
     s = build_capacity_samples(x, 10, 15, [0.5, 0, 0, 0.5, 0, 0])
     assert s.t_n.tolist() == [len(x) // 10, 0, 0, len(x) // 13, 0, 0]
     assert [len(s.compressed(n)[0]) == 0 for n in range(6)] == [False, True, True, False, True, True]
-    assert holes(x) == {11, 12, 14, 15}
+    assert holes(x) == below | {8, 9, 11, 12, 14, 15}
     assert new_sizes(x, 10, 15, [1, 0, 0, 0, 0, 0]) == []  # reads only what is built
     # a later request that reads holes builds them, and a size below the range that it does not read is a hole
     assert new_sizes(x, 9, 15, [0, 0, 0.5, 0.5, 0, 0, 0]) == [11, 12]
-    assert x._lo == 9 and holes(x) == {9, 14, 15}
-    assert new_sizes(x, 8, 17, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]) == [15]  # a hole, with sizes new at both ends
-    assert holes(x) == {8, 9, 14, 16, 17}
+    assert holes(x) == below | {8, 9, 14, 15}
+    assert new_sizes(x, 8, 17, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]) == [15]  # a hole, with sizes new at the top
+    assert holes(x) == below | {8, 9, 14, 16, 17}
     assert new_sizes(x, 9, 16) == [9, 14, 16]  # no pi: every region is read
     assert new_sizes(x, 8, 17, np.full(10, 0.1)) == [8, 17]
-    assert not holes(x) and len(x._table[3]) == 10
+    assert holes(x) == below and len(x._table[3]) == 17
 
-    # a short window: the sizes of one request fit in one pass, so the pass is built whole and leaves no hole
+    # a short window: its grid pass from size 1 holds every size of the request, so the
+    # request builds the pass whole up to n_cell, sizes below n_min included, and leaves no hole
     short = channel(rng.integers(1, 60, 200))
-    assert new_sizes(short, 10, 30, [1] + [0] * 20) == list(range(10, 31))
+    assert new_sizes(short, 10, 30, [1] + [0] * 20) == list(range(1, 31))
     assert not holes(short) and short._table[3].all()
+    # a larger n_cell reading a size of the same pass builds the rest of the pass only
+    assert new_sizes(short, 10, 40, np.eye(31)[25]) == list(range(31, 41))
 
     # nothing is built twice, across allocate and brute_force_allocate on the same windows
     specs = [ServiceSpec(id=m, w_th_ms=5.0, epsilon=1e-3) for m in range(2)]
@@ -489,3 +493,31 @@ def test_pass_kinds_match_fraction_oracle(monkeypatch):
         else:
             kinds.add("scaled" if t[0] == 0 else "over budget" if t[0] > PASS_SAMPLES else "single")
     assert kinds == {"multi", "single", "scaled", "over budget", "counted", "sorted"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    packet_runs(30).map(lambda runs: [list(col) for col in zip(*runs)]) | long_windows(),
+    st.lists(read_requests(), max_size=5),
+    read_requests(),
+)
+@example(([900, 1300, 450, 700] * 10, [31, 2, 57, 9] * 10), [(5, 20, None)], (3, 40, np.eye(38)[20]))
+@example(([7, 9, 4] * 1000, [1] * 3000), [(2, 40, np.eye(39)[30])], (20, 40, np.eye(21)[10]))
+def test_request_reads_the_same_whatever_was_built_before(window, before, request):
+    # the set a request gets does not depend on which grid passes earlier requests built:
+    # every region it reads, and the bound over them, equals a fresh window's, bit for bit
+    bits, rbs = window
+    x = ConcatPerRbVector(bits, rbs)
+    for n_min, n_cell, pi in before:
+        build_capacity_samples(x, n_min, n_cell, pi)
+    n_min, n_cell, pi = request
+    got = build_capacity_samples(x, n_min, n_cell, pi)
+    fresh = build_capacity_samples(ConcatPerRbVector(bits, rbs), n_min, n_cell, pi)
+    read = range(n_cell - n_min + 1) if pi is None else np.flatnonzero(pi)
+    for n in read:
+        for mine, theirs in zip(got.compressed(n), fresh.compressed(n)):
+            assert mine.tobytes() == theirs.tobytes()
+        assert got.t_n[n] == fresh.t_n[n] > 0
+    if pi is not None:
+        arrivals = ArrivalSampleSet([int(sum(bits)) * n_min // len(x), 0])
+        assert repr(delay_bound(arrivals, got, pi, 1e-3)) == repr(delay_bound(arrivals, fresh, pi, 1e-3))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import table_specs, table_windows
 from test_capacity import oracle_samples
+from test_near_rt import PACKET_SPECS, packet_windows
 
 from rborch import martingale, near_rt
 from rborch.capacity import ConcatPerRbVector, build_capacity_samples
@@ -22,7 +23,7 @@ from rborch.martingale import (
     violation_bound,
 )
 from rborch.near_rt import AllocatorConfig, brute_force_allocate
-from rborch.utilization import GmmMixture, UtilizationPmf
+from rborch.utilization import GmmMixture, UtilizationPmf, empirical_pmf
 
 # real root of u^3 = u^2 + u + 1, from mpmath.polyroots at 50 digits
 U_ROOT = 1.8392867552141612
@@ -378,7 +379,8 @@ def test_theta_star_against_mpmath_root(inputs):
 @pytest.fixture
 def gap_evals(monkeypatch):
     """Counts calls of every arrival rate function: one per gap evaluation,
-    plus one for the value of K'_a at theta* in delay_bound."""
+    plus one in delay_bound for K'_a at the cap when max(a) <= min(s)
+    decided theta* without an evaluation."""
     box = [0]
     make = martingale._arrival_rate
 
@@ -493,3 +495,112 @@ def test_service_rate_matches_per_region_loop(inputs):
     for got, want in ((rate.vals, vals), (rate.w, w), (rate.wv, w * vals), *zip(rate.groups, (ps, means))):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert rate.edge == float(vals.min())
+
+
+def test_packet_windows_average_evaluations(gap_evals, monkeypatch):
+    # short packet-run windows at n_cell 100, as a trace-driven cell's decisions read them: the
+    # search starts at the second-order root, so it needs few gap evaluations (8.26 from the asymptotes' root)
+    calls = [0]
+    bound = near_rt.delay_bound
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return bound(*args, **kwargs)
+
+    monkeypatch.setattr(near_rt, "delay_bound", counted)
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        near_rt.allocate(PACKET_SPECS, packet_windows(rng), 100)
+    assert calls[0] > 400
+    assert gap_evals[0] / calls[0] <= 6
+
+
+class Recording:
+    """A rate function that records the thetas it is evaluated at."""
+
+    def __init__(self, rate, seen):
+        self._rate, self._seen = rate, seen
+
+    def __call__(self, theta):
+        self._seen.append(theta)
+        return self._rate(theta)
+
+    def __getattr__(self, name):
+        return getattr(self._rate, name)
+
+
+def second_order_root(ks, ka):
+    return 2.0 * (ks.mean - ka.mean) / (ks.var + ka.var)
+
+
+def test_capped_from_a_feasible_start():
+    # the second-order root 0.08 is feasible and far below the cap, and so is the cap itself: the
+    # search evaluates the cap before it converges below it, and returns it exactly
+    x_a = ArrivalSampleSet([0, 100])
+    x_s = CapacitySampleSet([np.array([150]), np.array([99])], 1, 1)
+    pi = [1.0, 1e-30]  # min(s) = 99 < max(a) = 100, but weighted by 1e-30
+    ks, ka = martingale._service_rate(x_s, pi), martingale._arrival_rate(x_a)
+    cap = ThetaSearchParams().theta_cap
+    start = second_order_root(ks, ka)
+    assert 0 < start < cap
+    assert ks(start)[0] >= ka(start)[0] and ks(cap)[0] >= ka(cap)[0]
+    seen = []
+    assert martingale._search(Recording(ks, seen), ka)[0] == cap
+    assert seen == [start, cap]
+    assert find_theta_star(x_a, x_s, pi) == cap
+    assert delay_bound(x_a, x_s, pi, 1e-3).theta_star == cap
+
+
+def test_feasible_starts_evaluate_an_infeasible_point_above_the_result():
+    # a search that starts where the gap is >= 0 returns only after it has seen the gap < 0 above its result
+    rng = np.random.default_rng(8)
+    feasible = 0
+    for _ in range(40):
+        for w in packet_windows(rng):
+            n_min = int(rng.integers(20, 80))
+            pi = empirical_pmf(w.extra_rb_usage, 100 - n_min)
+            ks = martingale._service_rate(build_capacity_samples(w.per_rb, n_min, 100, pi.pi), pi)
+            ka = martingale._arrival_rate(w.arrivals)
+            seen = []
+            found = martingale._search(Recording(ks, seen), ka)
+            if found is None or not seen or ks(seen[0])[0] < ka(seen[0])[0]:
+                continue
+            feasible += 1
+            theta = found[0]
+            assert any(t > theta and ks(t)[0] < ka(t)[0] for t in seen)
+    assert feasible >= 10
+
+
+@pytest.mark.parametrize("arrivals, service", [([40, 886], 463.2119084344541), ([226, 534, 226, 534], 380.0446103524517)])
+def test_feasible_start_converges_to_rel_tol(arrivals, service):
+    # near-critical cells: the second-order root lies just left of theta* (~2e-6), far below hi,
+    # so a Newton step from it is below REL_TOL * hi yet far above REL_TOL * theta*
+    x_a, x_s = ArrivalSampleSet(arrivals), CapacitySampleSet([np.array([service])], 1, 0)
+    ks, ka = martingale._service_rate(x_s, [1.0]), martingale._arrival_rate(x_a)
+    start = second_order_root(ks, ka)
+    assert ks(start)[0] >= ka(start)[0]
+    s = mp.mpf(service)
+    root = mp.findroot(lambda t: s * t - mp.log(mp.fsum(mp.exp(t * a) for a in arrivals) / len(arrivals)), start)
+    theta = find_theta_star(x_a, x_s, [1.0])
+    assert abs(mp.mpf(theta) - root) <= 1e-9 * root
+
+
+class FakeRate:
+    """A rate function given as (value, slope) callables, with the attributes the search reads."""
+
+    def __init__(self, fn, edge, intercept, mean, var, groups):
+        self.fn, self.edge, self.intercept, self.mean, self.var, self.groups = fn, edge, intercept, mean, var, groups
+
+    def __call__(self, theta):
+        return self.fn(theta)
+
+
+def test_search_returns_the_rates_at_its_result():
+    # f = t - t^2 with no slope reported: every step is a bisection of [floor, 2] (the start, below
+    # the asymptotes' root 3), and the search ends on its bracket, returning its feasible end with
+    # the rates at it
+    ka = FakeRate(lambda t: (t * t, 0.0), 2.0, -3.0, 0.0, 1.0, (np.ones(1), np.array([0.0])))
+    ks = FakeRate(lambda t: (t, 0.0), 1.0, 0.0, 1.0, 0.0, (np.ones(1), np.array([1.0])))
+    theta, (s, a) = martingale._search(ks, ka)
+    assert 1.0 - 2e-9 <= theta <= 1.0
+    assert (s, a) == (ks(theta)[0], ka(theta)[0])

@@ -43,6 +43,23 @@ def make_windows(specs, seed=99, t_obs=1000, rbs_per_tti=8):
     return out
 
 
+def packet_windows(rng, services=2, ttis=50):
+    """Short packet-run windows with live extra-RB usage, like a trace-driven cell's:
+    0-2 packets of 300-1500 bits per TTI, each sent over its own 15-30 bits/RB."""
+    windows = []
+    for _ in range(services):
+        counts = rng.integers(0, 3, ttis)
+        sizes = rng.integers(300, 1501, int(counts.sum()))
+        arrivals = np.bincount(np.repeat(np.arange(ttis), counts), weights=sizes, minlength=ttis)
+        rbs = -(-sizes // rng.integers(15, 31, len(sizes)))
+        usage = np.where(rng.random(ttis) < 0.3, rng.integers(1, 60, ttis), 0)
+        windows.append(ServiceWindow(ArrivalSampleSet(arrivals), ConcatPerRbVector(sizes, rbs), usage))
+    return windows
+
+
+PACKET_SPECS = [ServiceSpec(0, 5.0, 1e-3), ServiceSpec(1, 10.0, 1e-3)]
+
+
 class TestObjective:
     def test_equal_ratios(self):
         assert objective([5, 10, 15], [5, 10, 15]) == 1.0
@@ -345,3 +362,35 @@ class TestPmfCheckedOnce:
         # a pmf stays as it was checked
         with pytest.raises(ValueError):
             pmf.pi[0] = 2.0
+
+
+@pytest.mark.parametrize("estimator", ["empirical", "gmm"])
+def test_w_does_not_depend_on_evaluation_order(monkeypatch, estimator):
+    # W(m, n) is a pure function of the window and n: allocate's order, then the rest;
+    # ascending (the oracle's); descending.  Each order starts from fresh windows, with no group built.
+    n_cell, cfg = 100, AllocatorConfig(estimator=estimator)
+    pairs = [(m, n) for m in range(len(PACKET_SPECS)) for n in range(1, n_cell)]
+
+    def evaluator():
+        windows = packet_windows(np.random.default_rng(21))
+        return _CandidateEvaluator(PACKET_SPECS, windows, n_cell, cfg, np.random.default_rng(4))
+
+    made = []
+
+    class Recorded(_CandidateEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(rborch.near_rt, "_CandidateEvaluator", Recorded)
+    windows = packet_windows(np.random.default_rng(21))
+    allocate(PACKET_SPECS, windows, n_cell, cfg, np.random.default_rng(4))
+    first = dict(made[0]._cache)
+    assert 0 < len(first) < len(pairs)
+    runs = [{p: made[0].w_est(*p) for p in pairs}]
+    for order in (pairs, pairs[::-1]):
+        ev = evaluator()
+        runs.append({p: ev.w_est(*p) for p in order})
+    assert all(runs[0][p] == w for p, w in first.items())
+    assert runs[0] == runs[1] == runs[2]
+    assert any(math.isfinite(w) for w in runs[0].values())

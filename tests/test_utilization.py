@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rborch.utilization import (
     SIGMA_FLOOR,
     GmmMixture,
+    UsageTable,
     UtilizationPmf,
     empirical_pmf,
     fit_gmm_em,
@@ -163,6 +164,48 @@ def test_region_probabilities_match_mpmath_oracle():
                 exact = mpmath.fsum(mpmath.mpf(float(w)) * (row[n + 1] - row[n]) for w, row in zip(gmm.weights, cdf))
                 worst = max(worst, abs(float(got[n]) - float(exact / total)))
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("usage", [[2.7, 0.5, 1.9], [1.0, math.nan], [1e30, 2.0], [3, math.inf]])
+def test_empirical_pmf_refuses_non_whole_usage(usage):
+    # at the parent 2.7 read as 2, NaN failed in numpy's cast and 1e30 overflowed
+    with pytest.raises(ValueError, match="extra-RB usage must be finite whole numbers"):
+        empirical_pmf(usage, 3)
+
+
+def direct_histogram(usage, n_add):
+    """The clamped histogram over its sum, as one formula."""
+    counts = np.bincount(np.minimum(np.asarray(usage, dtype=np.int64), n_add), minlength=n_add + 1)
+    counts = counts.astype(np.float64)
+    return counts / counts.sum()
+
+
+def direct_regions(gmm, n_add):
+    """The mixture's mass per unit region, tails absorbed, as one formula."""
+    z = (np.arange(n_add, dtype=np.float64)[None, :] + 0.5 - gmm.means[:, None]) / gmm.sigmas[:, None]
+    cdf = np.empty((len(gmm.means), n_add + 2))
+    cdf[:, 0], cdf[:, -1] = 0.0, 1.0
+    cdf[:, 1:-1] = [[0.5 * math.erfc(-t / math.sqrt(2.0)) for t in row] for row in z.tolist()]
+    pi = np.maximum(gmm.weights @ np.diff(cdf, axis=1), 0.0)
+    return pi / pi.sum()
+
+
+def test_table_folds_match_direct_formulas_bit_for_bit():
+    # one table per window, folded for every n_add, gives the PMF each formula gives for that n_add alone
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n_top = int(rng.integers(0, 60))
+        usage = np.where(rng.random(300) < 0.3, rng.integers(0, 80, 300), rng.integers(0, 3, 300))
+        c = int(rng.integers(1, 5))
+        gmm = GmmMixture(rng.dirichlet(np.ones(c)), rng.uniform(-5, 70, c), rng.uniform(0.01, 20, c))
+        hist, mix = UsageTable.of_usage(usage, n_top), UsageTable.of_gmm(gmm, n_top)
+        for n_add in range(n_top + 1):
+            want = direct_histogram(usage, n_add).tobytes()
+            assert empirical_pmf(hist, n_add).pi.tobytes() == empirical_pmf(usage, n_add).pi.tobytes() == want
+            want = direct_regions(gmm, n_add).tobytes()
+            assert region_probabilities(mix, n_add).pi.tobytes() == region_probabilities(gmm, n_add).pi.tobytes() == want
+        with pytest.raises(ValueError, match="exceeds"):
+            hist.pmf(n_top + 1)
 
 
 def _ref_log_pdf_matrix(x, mix_w, mu, sigma):
