@@ -65,10 +65,8 @@ _COUNT_SPAN = 4
 # group sums and the (size index, sum) keys of a pass stay below this, so
 # they are exact in float64 too
 _KEY_LIMIT = 1 << 53
-# the values and counts of a hole
-_NO_VALUES = np.empty(0)
 # the table of a window with no size built
-_EMPTY_TABLE = (_NO_VALUES, _NO_VALUES, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+_EMPTY_TABLE = (np.empty(0), np.empty(0), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 class ConcatPerRbVector:
@@ -227,22 +225,23 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     return vals, counts.astype(np.float64), np.bincount(which, minlength=len(gs)), t
 
 
-def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi) -> None:
-    """Build every size n_min + n with pi_n != 0 (every size of n_min..n_cell
-    if pi is None) that the window's table does not hold yet: each grid pass
-    holding one is built from its first hole up to n_cell, the table grows
-    with holes to cover n_cell, and the blocks are joined once."""
-    t = x_con._table[3]
+def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi: np.ndarray) -> None:
+    """Build every size n_min + n with pi_n != 0 that the window's table does
+    not hold yet: the table first grows with holes to cover n_cell, then each
+    grid pass holding such a size is built from its first hole up to n_cell,
+    and the kept slices and the new blocks are joined once."""
+    vals, counts, offsets, t = x_con._table
     if n_cell <= len(t):
         # every size read is built: t_n * pi_n != 0 wherever pi_n != 0 (t_n >= 1 keeps a tiny pi_n)
-        read = t[n_min - 1 : n_cell]
-        n_read = len(read) if pi is None else np.count_nonzero(pi)
-        if np.count_nonzero(read if pi is None else read * pi) == n_read:
+        if np.count_nonzero(t[n_min - 1 : n_cell] * pi) == np.count_nonzero(pi):
             return
-    wanted = range(n_min, n_cell + 1) if pi is None else (n_min + np.flatnonzero(pi)).tolist()
+    holes = max(n_cell - len(t), 0)
+    offsets = np.concatenate((offsets, offsets[-1:].repeat(holes)))
+    t = np.concatenate((t, np.zeros(holes, dtype=np.int64)))
     built = t.tolist()
-    missing = [g for g in wanted if g > len(built) or not built[g - 1]]
-    blocks, done = [], 0  # the blocks so far hold sizes 1..done
+    missing = [g for g in (n_min + np.flatnonzero(pi)).tolist() if not built[g - 1]]
+    # the new passes, as the sizes first..end - 1 that each builds
+    spans = []
     if missing:
         length, total = len(x_con), x_con._total
         # a group inside the window sums to at most the total, and the scaled
@@ -256,31 +255,24 @@ def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi) -> None:
         for i in sorted({bisect.bisect_right(bounds, g) - 1 for g in missing}):
             # the pass's sizes from its first hole (an earlier request may have
             # built it up to a smaller n_cell) up to n_cell
-            first, end = bounds[i], min(bounds[i + 1], n_cell + 1)
-            while first <= len(built) and built[first - 1]:
+            first = bounds[i]
+            while built[first - 1]:
                 first += 1
-            blocks += _copy(x_con._table, done, first - 1)
+            spans.append((first, min(bounds[i + 1], n_cell + 1)))
+    per_size = offsets[1:] - offsets[:-1]
+    blocks, done = [], 0  # the blocks so far hold sizes 1..done
+    for first, end in spans + [(len(t) + 1, None)]:
+        # the table's own sizes done + 1..first - 1, then the pass
+        lo, hi = offsets[done], offsets[first - 1]
+        blocks.append((vals[lo:hi], counts[lo:hi], per_size[done : first - 1], t[done : first - 1]))
+        if end is not None:
             blocks.append(_pass(x_con, list(range(first, end))))
             done = end - 1
-    blocks += _copy(x_con._table, done, max(len(t), n_cell))
     vals, counts, val_sizes, t = (np.concatenate(part) for part in zip(*blocks))
     offsets = np.concatenate(([0], np.cumsum(val_sizes)))
     for arr in (vals, counts, offsets, t):
         arr.flags.writeable = False
     x_con._table = (vals, counts, offsets, t)
-
-
-def _copy(table, a: int, b: int) -> list[tuple]:
-    """Table blocks for sizes a + 1..b: the table's own, then holes past its end."""
-    vals, counts, offsets, t = table
-    blocks, mid = [], min(b, len(t))
-    if a < mid:
-        lo, hi = offsets[a], offsets[mid]
-        blocks.append((vals[lo:hi], counts[lo:hi], offsets[a + 1 : mid + 1] - offsets[a:mid], t[a:mid]))
-    if max(a, mid) < b:
-        k = b - max(a, mid)
-        blocks.append((_NO_VALUES, _NO_VALUES, np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)))
-    return blocks
 
 
 def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi=None) -> CapacitySampleSet:
@@ -291,8 +283,8 @@ def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi
     linearly scaled sample (logged as degraded).  pi, the region weights the
     bound will use (n_cell - n_min + 1 entries), lets the build skip every
     grid pass that holds no size n_min + n with pi_n != 0, leaving its sizes
-    holes: no values and a sample count of 0.  None reads every region,
-    which leaves no hole in n_min..n_cell.  Group sizes already built on
+    holes: no values and a sample count of 0.  None stands for a pi of
+    ones, which leaves no hole in n_min..n_cell.  Group sizes already built on
     this window are taken from its table, so nothing is built twice.  Every
     region the request reads is the same whatever the order of the requests.
     """
@@ -303,9 +295,10 @@ def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi
     length = len(x_con)
     if length == 0:
         raise ValueError("capacity window is empty")
-    if pi is not None and len(pi) != n_cell - n_min + 1:
+    pi = np.ones(n_cell - n_min + 1) if pi is None else np.asarray(pi)
+    if len(pi) != n_cell - n_min + 1:
         raise ValueError(f"pi must have n_cell - n_min + 1 = {n_cell - n_min + 1} entries, got {len(pi)}")
-    _extend(x_con, n_min, n_cell, None if pi is None else np.asarray(pi))
+    _extend(x_con, n_min, n_cell, pi)
     vals, counts, offsets, t = x_con._table
     # length // g only falls with g, so exactly the groups above the window length are scaled
     if n_cell > length:

@@ -118,19 +118,11 @@ class CapacitySampleSet:
         return self.vals[a:b], self.counts[a:b]
 
 
-@dataclass(frozen=True)
 class ThetaSearchParams:
-    """theta* below floor counts as infeasible; theta_cap is the largest value returned."""
+    """The search's constants: theta* below floor counts as infeasible; theta_cap is the largest value returned."""
 
-    floor: float = 1e-9
-    theta_cap: float = 64.0
-
-    def __post_init__(self):
-        if not (0.0 < self.floor < self.theta_cap):
-            raise ValueError("need 0 < floor < theta_cap")
-
-
-_PARAMS = ThetaSearchParams()
+    floor = 1e-9
+    theta_cap = 64.0
 
 
 @dataclass(frozen=True)
@@ -248,7 +240,7 @@ def _search(ks: _Rate, ka: _Rate):
     """find_theta_star over the rates ks = K'_s and ka = K'_a: (theta*, (K'_s, K'_a)
     at theta*, or None when the samples decide theta* without an evaluation),
     or None when theta* does not exist."""
-    p = _PARAMS
+    p = ThetaSearchParams
     if ka.edge <= ks.edge:
         # max(a) <= min(s): f(theta) >= theta * (min(s) - max(a)) >= 0 everywhere (f = 0 included)
         return p.theta_cap, None
@@ -313,8 +305,9 @@ def find_theta_star(x_a: ArrivalSampleSet, x_s: CapacitySampleSet, pi) -> Option
     A start on the feasible side steps right of theta*, along its tangent or
     to hi itself, so hi is evaluated before the search converges below it;
     from there the steps run from the right, and any step that leaves the
-    bracket becomes a bisection step.  The result is within REL_TOL of theta*
-    relative, on the side where the gap is >= 0.
+    bracket becomes a bisection step.  The result is on the side where the
+    gap reads >= 0, within REL_TOL of theta* relative unless the float noise
+    of the gap over |f'(theta*)| is larger, as it can be near a critical load.
     """
     found = _search(_service_rate(x_s, pi), _arrival_rate(x_a))
     return None if found is None else found[0]

@@ -62,6 +62,7 @@ from .rt import (
     FsmRecord,
     PacketQueue,
     RtThresholds,
+    _from_start,
     clearing_rbs,
     completion_ttis,
     fsm_step,
@@ -512,7 +513,6 @@ def run(cfg: ScenarioConfig) -> Metrics:
             _check_invariants(t, t + 1, queues, n_cell)
 
     services_out = []
-    measured_ttis = horizon - warmup_end
     for m, q in enumerate(queues):
         # packets arriving after warm-up are a suffix of the table (less its sentinel)
         arrival, ends = np.asarray(q.arrival)[:-1], np.asarray(q.ends)[:-1]
@@ -538,7 +538,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
             ServiceMetrics(sids[m], total, len(darr), pending_viol, viol_prob, *stats, curve, darr)
         )
     rbs_used_measured = sum(int(np.asarray(q.used_log)[warmup_end:].sum()) for q in queues)
-    util = rbs_used_measured / (n_cell * measured_ttis) if measured_ttis else 0.0
+    util = rbs_used_measured / (n_cell * (horizon - warmup_end))
     return Metrics(services_out, util, alloc_rows, debug_rows)
 
 
@@ -551,22 +551,15 @@ def _service_window(q: PacketQueue, lo: int, lo_extra: int, t: int, base: int) -
     i = bisect_right(q.ends, q.sent_log[lo - 1]) if lo else 0
     j = bisect_right(q.ends, q.sent_log[t - 1], i)
     if i < j:
-        sizes = _increments(np.asarray(q.ends), i, j)
+        sizes = np.diff(_from_start(q.ends, i, j))
         per_rb = ConcatPerRbVector(sizes, packet_rbs(q, i, j, t))
     else:
         # no transmissions observed: fall back to raw channel rates
         rate_win = np.asarray(q.rate)[lo:t]
         per_rb = ConcatPerRbVector(rate_win, np.ones(len(rate_win), dtype=np.int64))
-    arrivals = _increments(np.asarray(q.arrived), lo, t)
+    arrivals = np.diff(_from_start(q.arrived, lo, t))
     extra = np.asarray(q.used_log)[lo_extra:t] - base
     return ServiceWindow(ArrivalSampleSet(arrivals), per_rb, np.maximum(extra, 0, out=extra))
-
-
-def _increments(cum: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Items [lo, hi) of a cumulative column: each entry less the one before it."""
-    if lo:
-        return cum[lo:hi] - cum[lo - 1 : hi - 1]
-    return np.diff(cum[:hi], prepend=0)
 
 
 def _debug_rows(
@@ -597,7 +590,7 @@ def _check_invariants(t0: int, t1: int, queues: Sequence[PacketQueue], n_cell: i
         raise AssertionError(f"RB ledger violated at tti {t}: {int(total.max())} > {n_cell}")
     for m, q in enumerate(queues):
         sent = np.asarray(q.sent_log)[t0:t1]
-        step = _increments(np.asarray(q.sent_log), t0, t1)
+        step = np.diff(_from_start(q.sent_log, t0, t1))
         # the bits sent never fall, fit in the RBs used and never run ahead of
         # the bits arrived; the head is the first packet not wholly sent
         if (

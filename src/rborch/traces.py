@@ -91,9 +91,6 @@ class ChannelTrace:
         if np.any(vals <= 0):
             raise TraceValidationError("bits_per_rb must be strictly positive")
 
-    def __len__(self) -> int:
-        return len(self.bits_per_rb)
-
 
 @dataclass(frozen=True)
 class SyntheticModel:

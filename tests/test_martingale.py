@@ -142,6 +142,8 @@ class TestFindThetaStar:
         x_a = ArrivalSampleSet([50] * 8)
         x_s = CapacitySampleSet([np.full(8, 150)], 6, 0)
         assert find_theta_star(x_a, x_s, [1.0]) == 64.0
+        # the constants, read as the benchmark's tracer reads them
+        assert ThetaSearchParams().theta_cap == 64.0 and ThetaSearchParams.floor == 1e-9
 
     def test_balanced_means_infeasible(self):
         # E_pi[s] == mean(a) exactly: f'(0) = 0, so no positive root, even with weights 1/7
@@ -168,14 +170,6 @@ class TestFindThetaStar:
         ka = arrival_log_mgf(x_a, theta)
         ks = service_log_neg_mgf(x_s, [1.0], theta)
         assert abs(ks - ka) <= 1e-6 * max(1.0, ka)
-
-    def test_custom_params_validation(self):
-        with pytest.raises(ValueError):
-            ThetaSearchParams(floor=0.0)
-        with pytest.raises(ValueError):
-            ThetaSearchParams(floor=64.0)
-        with pytest.raises(ValueError):
-            ThetaSearchParams(floor=2.0, theta_cap=1.0)
 
 
 class TestDelayBound:
@@ -405,6 +399,27 @@ def test_under_provisioned_without_evaluation(gap_evals):
     assert find_theta_star(x_a, x_s, [1.0]) is None
     assert delay_bound(x_a, x_s, [1.0], 1e-3).theta_star is None
     assert gap_evals[0] == 0
+
+
+@pytest.mark.parametrize(
+    "arrivals, vecs, pi, evaluated",
+    [
+        # the asymptotes' root, about 2e-12, is below the floor: decided without an evaluation
+        ([150], [[100], [1e12]], [1.0 - 1e-10, 1e-10], False),
+        # f'(0) = 2.5e-7 and theta* is about 3.6e-11: the Newton steps from hi fall below the floor
+        ([150 - 5e-7, 150 - 5e-7, 0, 300], [[100, 200]], [1.0], True),
+    ],
+    ids=["asymptote-root", "newton-step"],
+)
+def test_root_below_the_floor_is_infeasible(gap_evals, arrivals, vecs, pi, evaluated):
+    x_a, x_s = ArrivalSampleSet(arrivals), CapacitySampleSet([np.array(v) for v in vecs], 1, len(vecs) - 1)
+    rates, slope0, dominated = mp_gap(arrivals, vecs, pi)
+    assert not dominated and slope0 > 0
+    assert mp_root(rates, ThetaSearchParams.theta_cap) < ThetaSearchParams.floor
+    assert find_theta_star(x_a, x_s, pi) is None
+    assert (gap_evals[0] > 0) == evaluated
+    res = delay_bound(x_a, x_s, pi, 1e-3)
+    assert res.theta_star is None and res.w_ms == math.inf
 
 
 def test_dominated_arrivals_capped_without_evaluation(gap_evals):

@@ -48,6 +48,20 @@ def test_malformed_row_reports_line():
     assert ei.value.line == 3
 
 
+def test_blank_row_skipped_but_counted():
+    csv = "tti,service_id,bits\n0,0,100\n\n2,0,50\n"
+    assert load_arrival_trace(io.StringIO(csv), 0).bits_per_tti.tolist() == [100, 0, 50]
+    with pytest.raises(TraceParseError, match="^line 4: tti is not an integer: 'x'$"):
+        load_arrival_trace(io.StringIO("tti,service_id,bits\n0,0,100\n\nx,0,1\n"), 0)
+
+
+@pytest.mark.parametrize("rows, line", [("-1,0,5\n", 2), ("0,0,100\n-1,0,5\n", 3)])
+@pytest.mark.parametrize("load, header", [(load_arrival_trace, "bits"), (load_channel_trace, "bits_per_rb")])
+def test_negative_tti_rejected_at_its_line(rows, line, load, header):
+    with pytest.raises(TraceParseError, match=f"^line {line}: tti must be non-negative$"):
+        load(io.StringIO(f"tti,service_id,{header}\n{rows}"), 0)
+
+
 def test_non_increasing_tti_rejected():
     csv = "tti,service_id,bits\n2,0,100\n1,0,50\n"
     with pytest.raises(TraceParseError):
