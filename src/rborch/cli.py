@@ -202,8 +202,7 @@ def validate_point(spec, seed: int, n_min: int, t_obs: int, runs: int, run_ttis:
 
     W_model_ms is the bound from a t_obs-TTI window plus the transmitting slot,
     which measured delays count; the delays come from `runs` FIFO runs of
-    run_ttis TTIs at n_min RBs per TTI, or from one run for a service of two
-    traces, which every run would replay: the quantile of copies is that of one.
+    run_ttis TTIs at n_min RBs per TTI.
     """
     ss = np.random.SeedSequence([seed, 10, n_min, t_obs])
     r_arr, r_ch = (np.random.default_rng(s) for s in ss.spawn(2))
@@ -214,8 +213,6 @@ def validate_point(spec, seed: int, n_min: int, t_obs: int, runs: int, run_ttis:
     res = delay_bound(ArrivalSampleSet(arr_win), x_s, [1.0], spec.epsilon, t_slot_ms)
     w_model = res.w_ms + t_slot_ms
 
-    if not any(isinstance(src, SyntheticModel) for src in (spec.arrival, spec.channel)):
-        runs = 1
     delays = []
     for r in range(runs):
         rr = np.random.default_rng(np.random.SeedSequence([seed, 11, n_min, t_obs, r]))
