@@ -9,7 +9,11 @@ is reduced to lowest terms num/den, and the prefix sum at RB boundary b is
 pn[b] / pd[b], where pd[b] is the den of the run holding b.  In a whole-bit
 window, where every run's bits are a multiple of its RBs (a channel-rate
 window among them), every den is 1: the prefix is whole bits and a group sum
-is a plain difference, with no rounding.
+is a plain difference, with no rounding.  In a uniform window, where every
+RB carries the same value bits[0]/rbs[0] (a constant channel, or packets
+whose sizes are multiples of a constant rate), every group of g RBs sums to
+g * bits[0]/rbs[0], so size g has one value in closed form and needs no
+prefix at all.
 
 The delay bound reads a region's samples only through their distinct values,
 how often each occurs and how many there are, and none of these depends on
@@ -39,7 +43,9 @@ finds its distinct int64 keys and their counts by counting them
 as with the near-constant sums of a whole-bit window, and by sorting them
 otherwise, as with the (size, sum) keys of a multi-size pass, which span the
 sizes times the window's total bits; only the distinct values are cast to
-float64.
+float64.  A uniform window, decided once on its first build, has no passes:
+a request that reads a hole fills every hole up to n_cell in closed form,
+one value each, with no prefix, gather or distinct-value step.
 """
 
 from __future__ import annotations
@@ -81,9 +87,15 @@ class ConcatPerRbVector:
     offsets[g - 1]:offsets[g] and has t[g - 1] samples.  A size not built
     yet is a hole: t[g - 1] is 0 and it owns no values, while every built
     size has one sample at least.  Every build on the window shares them.
+
+    Whether the window is uniform, every run at the per-RB value bits[0] /
+    rbs[0], is decided once on its first build.  A uniform window builds no
+    prefix and no grid: a build that reads a hole fills every hole up to its
+    n_cell in closed form (_uniform_sizes), so its built sizes are always
+    1..some g.
     """
 
-    __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_grid", "_table")
+    __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_uniform", "_grid", "_table")
 
     def __init__(self, bits, rbs):
         self.bits = whole_numbers(bits, "run bits")
@@ -95,11 +107,31 @@ class ConcatPerRbVector:
         self._length = int(self.rbs.sum())
         self._total = int(self.bits.sum())
         self._prefix = None
+        self._uniform = None  # decided on the first build
         self._grid = [1]
         self._table = _EMPTY_TABLE  # no size built yet
 
     def __len__(self) -> int:
         return self._length
+
+    def _rb_max(self) -> int:
+        """max(rbs), once sum(bits) * max(rbs)^2 is checked below 2^62: every
+        product of a prefix numerator and a denominator then fits in int64."""
+        rb_max = int(self.rbs.max())
+        if float(self.bits.sum(dtype=np.float64)) * rb_max * rb_max >= _INT64_LIMIT:
+            raise ValueError(
+                f"capacity window too large for exact int64 grouping: "
+                f"sum(bits) * max(rbs)^2 must stay below 2^62 (max rbs {rb_max})"
+            )
+        return rb_max
+
+    def uniform(self) -> bool:
+        """Whether every RB carries one value, bits[0] / rbs[0]: bits[j] * rbs[0]
+        == bits[0] * rbs[j] for every run j, decided once in exact int64."""
+        if self._uniform is None:
+            self._rb_max()
+            self._uniform = bool(np.all(self.bits * self.rbs[0] == self.bits[0] * self.rbs))
+        return self._uniform
 
     def prefix(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(pn, pd): the exact sum of the first b entries is pn[b] / pd[b], b = 0..len.
@@ -111,12 +143,7 @@ class ConcatPerRbVector:
         """
         if self._prefix is None:
             bits, rbs = self.bits, self.rbs
-            rb_max = int(rbs.max())
-            if float(bits.sum(dtype=np.float64)) * rb_max * rb_max >= _INT64_LIMIT:
-                raise ValueError(
-                    f"capacity window too large for exact int64 grouping: "
-                    f"sum(bits) * max(rbs)^2 must stay below 2^62 (max rbs {rb_max})"
-                )
+            rb_max = self._rb_max()
             if rb_max == 1:
                 per_rb = bits  # unit runs: whole bits as they are
             else:
@@ -225,11 +252,23 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     return vals, counts.astype(np.float64), np.bincount(which, minlength=len(gs)), t
 
 
+def _uniform_sizes(x_con: ConcatPerRbVector, gs: list[int]):
+    """_pass for a window whose every RB carries bits[0] / rbs[0]: every group
+    of g RBs, and the scaled group of a g above the length, sums to g * bits[0]
+    / rbs[0], so size g holds the one value max(1, round_half_even(g * bits[0],
+    rbs[0])) in max(1, length // g) samples."""
+    bits, rbs = int(x_con.bits[0]), int(x_con.rbs[0])
+    vals = np.array([max(1, _round_half_even_div(g * bits, rbs)) for g in gs], dtype=np.float64)
+    t = np.maximum(len(x_con) // np.array(gs), 1)
+    return vals, t.astype(np.float64), np.ones(len(gs), dtype=np.int64), t
+
+
 def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi: np.ndarray) -> None:
     """Build every size n_min + n with pi_n != 0 that the window's table does
     not hold yet: the table first grows with holes to cover n_cell, then each
-    grid pass holding such a size is built from its first hole up to n_cell,
-    and the kept slices and the new blocks are joined once."""
+    grid pass holding such a size is built from its first hole up to n_cell
+    (a uniform window's holes up to n_cell in closed form instead), and the kept
+    slices and the new blocks are joined once."""
     vals, counts, offsets, t = x_con._table
     if n_cell <= len(t):
         # every size read is built: t_n * pi_n != 0 wherever pi_n != 0 (t_n >= 1 keeps a tiny pi_n)
@@ -251,14 +290,18 @@ def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi: np.ndarray) -
                 "capacity window too large for exact float64 samples: a group sum "
                 f"can reach 2^53 (total {total} bits over {length} RBs, groups up to {n_cell})"
             )
-        bounds = _passes(x_con, missing[-1])
-        for i in sorted({bisect.bisect_right(bounds, g) - 1 for g in missing}):
-            # the pass's sizes from its first hole (an earlier request may have
-            # built it up to a smaller n_cell) up to n_cell
-            first = bounds[i]
-            while built[first - 1]:
-                first += 1
-            spans.append((first, min(bounds[i + 1], n_cell + 1)))
+        if x_con.uniform():
+            # its sizes are built from 1 up to its first hole; build the rest up to n_cell
+            spans.append((built.index(0) + 1, n_cell + 1))
+        else:
+            bounds = _passes(x_con, missing[-1])
+            for i in sorted({bisect.bisect_right(bounds, g) - 1 for g in missing}):
+                # the pass's sizes from its first hole (an earlier request may have
+                # built it up to a smaller n_cell) up to n_cell
+                first = bounds[i]
+                while built[first - 1]:
+                    first += 1
+                spans.append((first, min(bounds[i + 1], n_cell + 1)))
     per_size = offsets[1:] - offsets[:-1]
     blocks, done = [], 0  # the blocks so far hold sizes 1..done
     for first, end in spans + [(len(t) + 1, None)]:
@@ -266,7 +309,7 @@ def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi: np.ndarray) -
         lo, hi = offsets[done], offsets[first - 1]
         blocks.append((vals[lo:hi], counts[lo:hi], per_size[done : first - 1], t[done : first - 1]))
         if end is not None:
-            blocks.append(_pass(x_con, list(range(first, end))))
+            blocks.append((_uniform_sizes if x_con._uniform else _pass)(x_con, list(range(first, end))))
             done = end - 1
     vals, counts, val_sizes, t = (np.concatenate(part) for part in zip(*blocks))
     offsets = np.concatenate(([0], np.cumsum(val_sizes)))
@@ -285,8 +328,12 @@ def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi
     grid pass that holds no size n_min + n with pi_n != 0, leaving its sizes
     holes: no values and a sample count of 0.  None stands for a pi of
     ones, which leaves no hole in n_min..n_cell.  Group sizes already built on
-    this window are taken from its table, so nothing is built twice.  Every
-    region the request reads is the same whatever the order of the requests.
+    this window are taken from its table, so nothing is built twice.  A
+    window whose every RB carries one value v (ConcatPerRbVector.uniform)
+    builds no prefix: size g has the one value max(1, round_half_even(g * v))
+    in max(1, length // g) samples, and a request that reads a hole fills
+    every hole up to n_cell so.  Every region the request reads is the same
+    whatever the order of the requests.
     """
     if n_min < 1:
         raise ValueError("n_min must be positive")

@@ -249,15 +249,25 @@ class TestBuildCapacitySamples:
 
 def packet_runs(max_size):
     """Lists of (bits, rbs) runs of one kind: channel-rate windows (unit runs),
-    packet windows, and whole-bit packet windows (bits = rbs * k, rbs > 1)."""
+    packet windows, whole-bit packet windows (bits = rbs * k, rbs > 1), and
+    uniform windows, every run a multiple of one drawn (bits, rbs) ratio."""
     unit = st.tuples(st.integers(1, 5000), st.just(1))
     packet = st.tuples(st.integers(1, 5000), st.integers(1, 200))
     whole = st.tuples(st.integers(1, 50), st.integers(2, 200)).map(lambda p: (p[0] * p[1], p[1]))
-    return st.sampled_from([unit, packet, whole]).flatmap(lambda run: st.lists(run, min_size=1, max_size=max_size))
+    uniform = st.tuples(st.integers(1, 300), st.integers(1, 12)).map(
+        lambda p: st.integers(1, 20).map(lambda k: (k * p[0], k * p[1]))
+    )
+    kinds = st.sampled_from([unit, packet, whole]) | uniform
+    return kinds.flatmap(lambda run: st.lists(run, min_size=1, max_size=max_size))
 
 
 def is_whole_bit(bits, rbs):
     return all(b % r == 0 for b, r in zip(bits, rbs))
+
+
+def is_uniform(bits, rbs):
+    """Every RB carries one value: every run at the first run's bits / rbs."""
+    return all(Fraction(b, r) == Fraction(bits[0], rbs[0]) for b, r in zip(bits, rbs))
 
 
 @st.composite
@@ -409,14 +419,25 @@ def assert_build_matches_oracle(x, group, n_min, n_cell):
 @example(([900, 1300, 450, 700] * 10, [31, 2, 57, 9] * 10), [(5, 10), (20, 30)])  # a gap to the built sizes
 @example(([900, 1300, 450, 700] * 10, [31, 2, 57, 9] * 10), [(5, 10), (2, 14)])  # new sizes at both ends
 @example(([200, 150, 600, 400] * 90, [8, 6, 24, 10] * 90), [(1, 30), (3, 45)])  # whole-bit packet runs
+# uniform windows: 25 bits on every RB in unit runs and in runs of 3, 6 and 9 RBs
+@example(([25] * 3000, [1] * 3000), [(10, 40), (2, 5), (30, 60)])
+@example(([75, 150, 225] * 40, [3, 6, 9] * 40), [(20, 30), (1, 8), (15, 70)])
+# 137 bits over 6 RBs, a ratio with no whole per-RB value, in runs of 6, 12 and 18 RBs
+@example(([137] * 500, [6] * 500), [(5, 9), (40, 45), (1, 3)])
+@example(([137, 274, 411] * 40, [6, 12, 18] * 40), [(3, 40), (2, 12), (50, 60)])
+# uniform windows shorter than n_cell: the scaled groups
+@example(([137, 274], [6, 12]), [(5, 40), (1, 3), (20, 60)])
+@example(([25, 50], [1, 2]), [(4, 6), (1, 2)])
 def test_table_builds_match_fraction_oracle(window, pairs):
     # one window serves every build in turn; each build is checked whole against the oracle
     bits, rbs = window
     x = ConcatPerRbVector(bits, rbs)
-    assert (x.prefix()[1] is None) == is_whole_bit(bits, rbs)
     group = oracle_groups(bits, rbs)
     for n_min, n_cell in pairs:
         assert_build_matches_oracle(x, group, n_min, n_cell)
+    # a uniform window builds no prefix: its sizes are in closed form
+    assert x.uniform() == is_uniform(bits, rbs) == (x._prefix is None)
+    assert (x.prefix()[1] is None) == is_whole_bit(bits, rbs)
 
 
 @st.composite
@@ -440,6 +461,10 @@ def read_requests(draw):
 )
 @example(([7, 9, 4] * 1000, [1] * 3000), [(2, 40, np.eye(39)[5]), (1, 3, np.eye(3)[0]), (2, 40, None)], [100])
 @example(([900, 1300, 450, 700] * 10, [31, 2, 57, 9] * 10), [(5, 30, np.eye(26)[0]), (4, 30, np.eye(27)[26])], [50])
+# uniform windows, read with pi zeros in any order: 25 bits/RB in runs of 3, 6 and 9, and 137 bits over 6 RBs
+@example(([75, 150, 225] * 40, [3, 6, 9] * 40), [(20, 40, np.eye(21)[20]), (5, 30, None), (1, 50, np.eye(50)[0])], [100])
+@example(([137] * 300, [6] * 300), [(30, 40, np.eye(11)[[0, 7]].sum(0) / 2), (2, 12, np.eye(11)[3])], [120, 0])
+@example(([137, 274], [6, 12]), [(10, 30, np.eye(21)[20]), (1, 20, np.eye(20)[0]), (12, 25, None)], [80])
 def test_sparse_builds_match_dense_builds(window, requests, load):
     # one window serves every request with its pi, in the drawn order; each region a request reads
     # matches a fresh dense build and the Fraction oracle, and so does the delay bound
@@ -458,6 +483,50 @@ def test_sparse_builds_match_dense_builds(window, requests, load):
             # arrivals of up to twice the mean group of n_min RBs
             arrivals = ArrivalSampleSet([int(sum(bits)) * n_min * p // (100 * len(x)) for p in load])
             assert repr(delay_bound(arrivals, sparse, pi, 1e-3)) == repr(delay_bound(arrivals, dense, pi, 1e-3))
+
+
+def uniform_windows(rng):
+    """Windows of three services whose every RB carries one value: a constant channel of 25 bits
+    per RB, packets of 20 bits per RB over 1-10 RBs, and packets of 137 bits per 6 RBs."""
+    rbs = rng.integers(1, 11, 600)
+    k = rng.integers(1, 4, 300)
+    per_rb = [channel([25] * 4000), ConcatPerRbVector(20 * rbs, rbs), ConcatPerRbVector(137 * k, 6 * k)]
+    return [ServiceWindow(ArrivalSampleSet(rng.integers(0, 400, 500)), x, rng.integers(0, 4, 500)) for x in per_rb]
+
+
+def test_uniform_windows_build_no_prefix(monkeypatch):
+    passes = []
+    build_pass = rborch.capacity._pass
+    monkeypatch.setattr(rborch.capacity, "_pass", lambda x_con, gs: passes.append(gs) or build_pass(x_con, gs))
+    specs = [ServiceSpec(id=m, w_th_ms=5.0 + 5 * m, epsilon=1e-3) for m in range(3)]
+    windows = uniform_windows(np.random.default_rng(6))
+    decisions = [allocate(specs, windows, 30), brute_force_allocate(specs, windows, 30), allocate(specs, windows, 36)]
+    assert [w.per_rb._prefix for w in windows] == [None] * 3 and passes == []
+    assert all(w.per_rb.uniform() for w in windows)
+    # the prefix path, made to take the same windows, decides the same
+    monkeypatch.setattr(ConcatPerRbVector, "uniform", lambda self: False)
+    windows = uniform_windows(np.random.default_rng(6))
+    assert [allocate(specs, windows, 30), brute_force_allocate(specs, windows, 30), allocate(specs, windows, 36)] == decisions
+    assert passes and all(w.per_rb._prefix is not None for w in windows)
+
+
+def test_last_run_off_the_ratio_takes_the_prefix_path():
+    # 25 bits per RB in every run but the last, which carries 226 bits over 9 RBs
+    bits, rbs = [75, 150, 225] * 30 + [226], [3, 6, 9] * 30 + [9]
+    x = ConcatPerRbVector(bits, rbs)
+    assert_build_matches_oracle(x, oracle_groups(bits, rbs), 4, 40)
+    assert not x.uniform() and x._prefix is not None
+
+
+def test_overflow_guard_raises_on_uniform_and_mixed_windows():
+    # the window of test_overflow_guard_raises is uniform; the guard runs before the uniform check
+    for bits in ([1 << 40] * 4, [1 << 40, (1 << 40) + 1] * 2):
+        x = ConcatPerRbVector(bits, [1 << 11] * 4)
+        with pytest.raises(ValueError, match="2\\^62"):
+            build_capacity_samples(x, 1, 3, [0, 0, 1])
+        with pytest.raises(ValueError, match="2\\^62"):
+            x.uniform()
+        assert x._uniform is None and x._prefix is None and len(x._table[3]) == 0
 
 
 def test_pass_kinds_match_fraction_oracle(monkeypatch):
@@ -503,6 +572,8 @@ def test_pass_kinds_match_fraction_oracle(monkeypatch):
 )
 @example(([900, 1300, 450, 700] * 10, [31, 2, 57, 9] * 10), [(5, 20, None)], (3, 40, np.eye(38)[20]))
 @example(([7, 9, 4] * 1000, [1] * 3000), [(2, 40, np.eye(39)[30])], (20, 40, np.eye(21)[10]))
+# a uniform window filled up to a smaller n_cell, then read above and below it
+@example(([137, 274, 411] * 40, [6, 12, 18] * 40), [(30, 50, np.eye(21)[3]), (5, 20, None)], (3, 60, np.eye(58)[50]))
 def test_request_reads_the_same_whatever_was_built_before(window, before, request):
     # the set a request gets does not depend on which grid passes earlier requests built:
     # every region it reads, and the bound over them, equals a fresh window's, bit for bit
