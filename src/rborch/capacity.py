@@ -4,16 +4,17 @@ A transmitted packet of `bits` bits that consumed `rbs` RBs spreads bits/rbs
 over each of its RBs; in a channel-rate window every run has rbs = 1.
 Region n regroups that per-RB stream into consecutive groups of g = n + n_min
 RBs, and each group's exact rational sum, rounded half-even to whole bits, is
-one service sample.  All arithmetic is exact int64: each run's per-RB value
-is reduced to lowest terms num/den, and the prefix sum at RB boundary b is
-pn[b] / pd[b], where pd[b] is the den of the run holding b.  In a whole-bit
-window, where every run's bits are a multiple of its RBs (a channel-rate
-window among them), every den is 1: the prefix is whole bits and a group sum
-is a plain difference, with no rounding.  In a uniform window, where every
-RB carries the same value bits[0]/rbs[0] (a constant channel, or packets
-whose sizes are multiples of a constant rate), every group of g RBs sums to
-g * bits[0]/rbs[0], so size g has one value in closed form and needs no
-prefix at all.
+one service sample.  A window is of one of two kinds.  In a uniform window
+every RB carries one value, total / length (a constant channel, or packets
+whose sizes are multiples of a constant rate), so every group of g RBs sums
+to g * total / length.  Any other window groups a size within its length over
+the exact rational prefix, in int64: each run's per-RB value is reduced to
+lowest terms num/den, and the prefix sum at RB boundary b is pn[b] / pd[b],
+where pd[b] is the den of the run holding b.  One closed form serves every
+size of a uniform window and, in a window of either kind, the scaled group
+of a size longer than the window: size g holds the one value max(1,
+round_half_even(g * total, length)) in max(1, length // g) samples, with no
+prefix.
 
 The delay bound reads a region's samples only through their distinct values,
 how often each occurs and how many there are, and none of these depends on
@@ -32,20 +33,18 @@ consecutive sizes whose samples fit in PASS_SAMPLES share one gather of the
 prefix, one rounding and one distinct-value step over (size, sum) keys,
 which keeps numpy's per-call cost off the many short sizes of a packet
 window; a size with more samples, or longer than the window, is a pass of
-its own.  A request builds each grid pass that holds a size it reads, from
-the pass's first hole up to n_cell, and leaves the other passes holes.  The
-grid depends on the window only, so what a size holds does not depend on
-which requests came before.  A long window, whose every size is alone in its
-pass, builds only the sizes read; a short window, whose passes pack many
-sizes, builds them with few passes, sizes below n_min included.  A pass
-finds its distinct int64 keys and their counts by counting them
-(np.bincount) when their span is within _COUNT_SPAN times its sample count,
-as with the near-constant sums of a whole-bit window, and by sorting them
-otherwise, as with the (size, sum) keys of a multi-size pass, which span the
-sizes times the window's total bits; only the distinct values are cast to
-float64.  A uniform window, decided once on its first build, has no passes:
-a request that reads a hole fills every hole up to n_cell in closed form,
-one value each, with no prefix, gather or distinct-value step.
+its own.  A uniform window's grid is one pass over every size.  A request
+builds each grid pass that holds a size it reads, from the pass's first hole
+up to n_cell, and leaves the other passes holes.  The grid depends on the
+window only, so what a size holds does not depend on which requests came
+before.  A long window, whose every size is alone in its pass, builds only
+the sizes read; a short window, whose passes pack many sizes, builds them
+with few passes, sizes below n_min included.  A pass finds its distinct
+int64 keys and their counts by counting them (np.bincount) when their span
+is within _COUNT_SPAN times its sample count, as with the sums of one size
+over near-constant RB values, and by sorting them otherwise, as with the
+(size, sum) keys of a multi-size pass, which span the sizes times the
+window's total bits; only the distinct values are cast to float64.
 """
 
 from __future__ import annotations
@@ -78,21 +77,17 @@ _EMPTY_TABLE = (np.empty(0), np.empty(0), np.zeros(1, dtype=np.int64), np.zeros(
 class ConcatPerRbVector:
     """Per-RB capacity stream of one window, run-length encoded as packet runs.
 
-    Run j spreads bits[j] evenly over rbs[j] consecutive RBs; it is whole-bit
-    when bits[j] is a multiple of rbs[j].  The exact prefix (whole bits when
-    every run is whole-bit, else over each run's reduced denominator) is
-    built on first use and kept with the window, and so are the bounds of
-    its pass grid and the table of group sizes 1..len(t) built on it:
-    (unique values, counts, offsets, t), where size g owns vals/counts over
-    offsets[g - 1]:offsets[g] and has t[g - 1] samples.  A size not built
-    yet is a hole: t[g - 1] is 0 and it owns no values, while every built
-    size has one sample at least.  Every build on the window shares them.
-
-    Whether the window is uniform, every run at the per-RB value bits[0] /
-    rbs[0], is decided once on its first build.  A uniform window builds no
-    prefix and no grid: a build that reads a hole fills every hole up to its
-    n_cell in closed form (_uniform_sizes), so its built sizes are always
-    1..some g.
+    Run j spreads bits[j] evenly over rbs[j] consecutive RBs.  Whether the
+    window is uniform, every run at the per-RB value bits[0] / rbs[0], is
+    decided once on its first build; a uniform window's sizes are in closed
+    form, and it never builds a prefix.  Any other window's exact rational
+    prefix is built on first use and kept with the window, and so are the
+    bounds of its pass grid and the table of group sizes 1..len(t) built on
+    it: (unique values, counts, offsets, t), where size g owns vals/counts
+    over offsets[g - 1]:offsets[g] and has t[g - 1] samples.  A size not
+    built yet is a hole: t[g - 1] is 0 and it owns no values, while every
+    built size has one sample at least.  Every build on the window shares
+    them.
     """
 
     __slots__ = ("bits", "rbs", "_length", "_total", "_prefix", "_uniform", "_grid", "_table")
@@ -100,6 +95,8 @@ class ConcatPerRbVector:
     def __init__(self, bits, rbs):
         self.bits = whole_numbers(bits, "run bits")
         self.rbs = whole_numbers(rbs, "run RB counts")
+        if self.bits.ndim != 1 or self.rbs.ndim != 1:
+            raise ValueError("run arrays must be 1-d")
         if len(self.bits) != len(self.rbs):
             raise ValueError("run arrays must have equal length")
         if len(self.bits) and (np.any(self.bits <= 0) or np.any(self.rbs <= 0)):
@@ -114,59 +111,49 @@ class ConcatPerRbVector:
     def __len__(self) -> int:
         return self._length
 
-    def _rb_max(self) -> int:
-        """max(rbs), once sum(bits) * max(rbs)^2 is checked below 2^62: every
-        product of a prefix numerator and a denominator then fits in int64."""
+    def _check_int64(self) -> None:
+        """Refuse a window with sum(bits) * max(rbs)^2 at 2^62 or more: below it,
+        every product of a prefix numerator and a denominator fits in int64."""
         rb_max = int(self.rbs.max())
         if float(self.bits.sum(dtype=np.float64)) * rb_max * rb_max >= _INT64_LIMIT:
             raise ValueError(
                 f"capacity window too large for exact int64 grouping: "
                 f"sum(bits) * max(rbs)^2 must stay below 2^62 (max rbs {rb_max})"
             )
-        return rb_max
 
     def uniform(self) -> bool:
         """Whether every RB carries one value, bits[0] / rbs[0]: bits[j] * rbs[0]
         == bits[0] * rbs[j] for every run j, decided once in exact int64."""
         if self._uniform is None:
-            self._rb_max()
+            self._check_int64()
             self._uniform = bool(np.all(self.bits * self.rbs[0] == self.bits[0] * self.rbs))
         return self._uniform
 
-    def prefix(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def prefix(self) -> tuple[np.ndarray, np.ndarray]:
         """(pn, pd): the exact sum of the first b entries is pn[b] / pd[b], b = 0..len.
 
         Run j's per-RB value bits[j] / rbs[j] is taken in lowest terms num / den,
-        and pd[b] is the den of the run holding boundary b.  pd is None when every
-        run is whole-bit (its bits a multiple of its RBs, as every single-RB run
-        is): the prefix is then whole bits.
+        and pd[b] is the den of the run holding boundary b: 1 in a run whose
+        bits are a multiple of its RBs, as in every single-RB run.
         """
         if self._prefix is None:
+            self._check_int64()
             bits, rbs = self.bits, self.rbs
-            rb_max = self._rb_max()
-            if rb_max == 1:
-                per_rb = bits  # unit runs: whole bits as they are
-            else:
-                # run j's per-RB value bits[j] / rbs[j] in lowest terms num[j] / den[j]
-                common = np.gcd(bits, rbs)
-                num, den = bits // common, rbs // common
-                per_rb = np.repeat(num, rbs) if den.max() == 1 else None
-            if per_rb is not None:
-                pn, pd = np.zeros(len(per_rb) + 1, dtype=np.int64), None
-                np.cumsum(per_rb, out=pn[1:])
-            else:
-                # boundary b at offset k of run j: pn = B[j]*den[j] + k*num[j], pd = den[j],
-                # with B the bits before run j; the end boundary is offset rbs[-1] of the last run
-                counts = rbs.copy()
-                counts[-1] += 1
-                pd = np.repeat(den, counts)
-                # pn steps by num[j] inside run j and jumps to B[j]*den[j] where run j starts
-                pn = np.repeat(num, counts)
-                first = (np.cumsum(bits) - bits) * den
-                last = first + (rbs - 1) * num
-                pn[0] = 0
-                pn[np.cumsum(rbs[:-1])] = first[1:] - last[:-1]
-                np.cumsum(pn, out=pn)
+            # run j's per-RB value bits[j] / rbs[j] in lowest terms num[j] / den[j]
+            common = np.gcd(bits, rbs)
+            num, den = bits // common, rbs // common
+            # boundary b at offset k of run j: pn = B[j]*den[j] + k*num[j], pd = den[j],
+            # with B the bits before run j; the end boundary is offset rbs[-1] of the last run
+            counts = rbs.copy()
+            counts[-1] += 1
+            pd = np.repeat(den, counts)
+            # pn steps by num[j] inside run j and jumps to B[j]*den[j] where run j starts
+            pn = np.repeat(num, counts)
+            first = (np.cumsum(bits) - bits) * den
+            last = first + (rbs - 1) * num
+            pn[0] = 0
+            pn[np.cumsum(rbs[:-1])] = first[1:] - last[:-1]
+            np.cumsum(pn, out=pn)
             self._prefix = (pn, pd)
         return self._prefix
 
@@ -196,11 +183,14 @@ def _passes(x_con: ConcatPerRbVector, top: int) -> list[int]:
     """The window's pass grid through the pass that holds size top: bounds
     b with pass i over sizes b[i]..b[i + 1] - 1, from b[0] = 1.
 
-    From size 1 up, a size joins the open pass while the pass's samples stay
-    within PASS_SAMPLES and its keys below _KEY_LIMIT (every sum is at most
-    the window's total bits); a size longer than the window always goes
-    alone.  The grid depends on the window only, and is kept on it.
+    A uniform window's grid is one pass over every size, [1, _INT64_LIMIT].
+    Otherwise, from size 1 up, a size joins the open pass while the pass's
+    samples stay within PASS_SAMPLES and its keys below _KEY_LIMIT (every sum
+    is at most the window's total bits); a size longer than the window always
+    goes alone.  The grid depends on the window only, and is kept on it.
     """
+    if x_con.uniform():
+        return [1, _INT64_LIMIT]
     bounds, length = x_con._grid, len(x_con)
     most = _KEY_LIMIT // (x_con._total + 1)
     while bounds[-1] <= top:
@@ -216,21 +206,25 @@ def _passes(x_con: ConcatPerRbVector, top: int) -> list[int]:
 
 def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     """Build the consecutive group sizes gs: (unique values, counts, unique
-    values per size, samples per size), in order of size."""
-    pn, pd = x_con.prefix()
+    values per size, samples per size), in order of size.
+
+    In a uniform window, and for a size longer than the window (alone in its
+    pass), size g holds the one value max(1, round_half_even(g * total,
+    length)) in max(1, length // g) samples: the sum of every group of g RBs
+    when every RB carries total / length, and the scaled group otherwise.
+    Every other size sums its groups over the exact prefix.
+    """
     length, total = len(x_con), x_con._total
+    if x_con.uniform() or length // gs[0] == 0:
+        vals = np.array([max(1, _round_half_even_div(g * total, length)) for g in gs], dtype=np.float64)
+        t = np.maximum(length // np.array(gs), 1)
+        return vals, t.astype(np.float64), np.ones(len(gs), dtype=np.int64), t
+    pn, pd = x_con.prefix()
     if len(gs) == 1:
         g = gs[0]
         t = length // g
-        if t == 0:
-            sums = np.array([_round_half_even_div(total * g, length)], dtype=np.int64)
-        else:
-            a = pn[0 : t * g + 1 : g]
-            if pd is None:
-                sums = a[1:] - a[:-1]
-            else:
-                d = pd[0 : t * g + 1 : g]
-                sums = _round_half_even_div(a[1:] * d[:-1] - a[:-1] * d[1:], d[:-1] * d[1:])
+        a, d = pn[0 : t * g + 1 : g], pd[0 : t * g + 1 : g]
+        sums = _round_half_even_div(a[1:] * d[:-1] - a[:-1] * d[1:], d[:-1] * d[1:])
         vals, counts = _distinct(np.maximum(sums, 1))
         return vals.astype(np.float64), counts.astype(np.float64), [len(vals)], [len(sums)]
     sizes = np.array(gs)
@@ -239,11 +233,8 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     # group k of size g spans prefix boundaries k*g and (k + 1)*g
     left = (np.arange(len(step)) - np.repeat(np.cumsum(t) - t, t)) * step
     right = left + step
-    if pd is None:
-        sums = pn[right] - pn[left]
-    else:
-        d0, d1 = pd[left], pd[right]
-        sums = _round_half_even_div(pn[right] * d0 - pn[left] * d1, d0 * d1)
+    d0, d1 = pd[left], pd[right]
+    sums = _round_half_even_div(pn[right] * d0 - pn[left] * d1, d0 * d1)
     # key i*k + sum orders by size index i, then sum
     k = total + 1
     keys, counts = _distinct(np.repeat(np.arange(len(gs)) * k, t) + np.maximum(sums, 1))
@@ -252,23 +243,11 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     return vals, counts.astype(np.float64), np.bincount(which, minlength=len(gs)), t
 
 
-def _uniform_sizes(x_con: ConcatPerRbVector, gs: list[int]):
-    """_pass for a window whose every RB carries bits[0] / rbs[0]: every group
-    of g RBs, and the scaled group of a g above the length, sums to g * bits[0]
-    / rbs[0], so size g holds the one value max(1, round_half_even(g * bits[0],
-    rbs[0])) in max(1, length // g) samples."""
-    bits, rbs = int(x_con.bits[0]), int(x_con.rbs[0])
-    vals = np.array([max(1, _round_half_even_div(g * bits, rbs)) for g in gs], dtype=np.float64)
-    t = np.maximum(len(x_con) // np.array(gs), 1)
-    return vals, t.astype(np.float64), np.ones(len(gs), dtype=np.int64), t
-
-
 def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi: np.ndarray) -> None:
     """Build every size n_min + n with pi_n != 0 that the window's table does
     not hold yet: the table first grows with holes to cover n_cell, then each
-    grid pass holding such a size is built from its first hole up to n_cell
-    (a uniform window's holes up to n_cell in closed form instead), and the kept
-    slices and the new blocks are joined once."""
+    grid pass holding such a size is built from its first hole up to n_cell,
+    and the kept slices and the new blocks are joined once."""
     vals, counts, offsets, t = x_con._table
     if n_cell <= len(t):
         # every size read is built: t_n * pi_n != 0 wherever pi_n != 0 (t_n >= 1 keeps a tiny pi_n)
@@ -282,26 +261,14 @@ def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi: np.ndarray) -
     # the new passes, as the sizes first..end - 1 that each builds
     spans = []
     if missing:
-        length, total = len(x_con), x_con._total
-        # a group inside the window sums to at most the total, and the scaled
-        # group of a size g above the length to total * g / length
-        if total * max(length, n_cell) >= _KEY_LIMIT * length:
-            raise ValueError(
-                "capacity window too large for exact float64 samples: a group sum "
-                f"can reach 2^53 (total {total} bits over {length} RBs, groups up to {n_cell})"
-            )
-        if x_con.uniform():
-            # its sizes are built from 1 up to its first hole; build the rest up to n_cell
-            spans.append((built.index(0) + 1, n_cell + 1))
-        else:
-            bounds = _passes(x_con, missing[-1])
-            for i in sorted({bisect.bisect_right(bounds, g) - 1 for g in missing}):
-                # the pass's sizes from its first hole (an earlier request may have
-                # built it up to a smaller n_cell) up to n_cell
-                first = bounds[i]
-                while built[first - 1]:
-                    first += 1
-                spans.append((first, min(bounds[i + 1], n_cell + 1)))
+        bounds = _passes(x_con, missing[-1])
+        for i in sorted({bisect.bisect_right(bounds, g) - 1 for g in missing}):
+            # the pass's sizes from its first hole (an earlier request may have
+            # built it up to a smaller n_cell) up to n_cell
+            first = bounds[i]
+            while built[first - 1]:
+                first += 1
+            spans.append((first, min(bounds[i + 1], n_cell + 1)))
     per_size = offsets[1:] - offsets[:-1]
     blocks, done = [], 0  # the blocks so far hold sizes 1..done
     for first, end in spans + [(len(t) + 1, None)]:
@@ -309,7 +276,7 @@ def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi: np.ndarray) -
         lo, hi = offsets[done], offsets[first - 1]
         blocks.append((vals[lo:hi], counts[lo:hi], per_size[done : first - 1], t[done : first - 1]))
         if end is not None:
-            blocks.append((_uniform_sizes if x_con._uniform else _pass)(x_con, list(range(first, end))))
+            blocks.append(_pass(x_con, list(range(first, end))))
             done = end - 1
     vals, counts, val_sizes, t = (np.concatenate(part) for part in zip(*blocks))
     offsets = np.concatenate(([0], np.cumsum(val_sizes)))
@@ -329,22 +296,28 @@ def build_capacity_samples(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi
     holes: no values and a sample count of 0.  None stands for a pi of
     ones, which leaves no hole in n_min..n_cell.  Group sizes already built on
     this window are taken from its table, so nothing is built twice.  A
-    window whose every RB carries one value v (ConcatPerRbVector.uniform)
-    builds no prefix: size g has the one value max(1, round_half_even(g * v))
-    in max(1, length // g) samples, and a request that reads a hole fills
-    every hole up to n_cell so.  Every region the request reads is the same
-    whatever the order of the requests.
+    uniform window (ConcatPerRbVector.uniform) builds no prefix: a request
+    that reads a hole fills every hole up to n_cell in closed form.  Every
+    region the request reads, and whether the request is refused, is the
+    same whatever the order of the requests.
     """
     if n_min < 1:
         raise ValueError("n_min must be positive")
     if n_min > n_cell:
         raise ValueError("n_min must not exceed n_cell")
-    length = len(x_con)
+    length, total = len(x_con), x_con._total
     if length == 0:
         raise ValueError("capacity window is empty")
     pi = np.ones(n_cell - n_min + 1) if pi is None else np.asarray(pi)
     if len(pi) != n_cell - n_min + 1:
         raise ValueError(f"pi must have n_cell - n_min + 1 = {n_cell - n_min + 1} entries, got {len(pi)}")
+    # a group inside the window sums to at most the total, and the scaled
+    # group of a size g above the length to total * g / length
+    if total * max(length, n_cell) >= _KEY_LIMIT * length:
+        raise ValueError(
+            "capacity window too large for exact float64 samples: a group sum "
+            f"can reach 2^53 (total {total} bits over {length} RBs, groups up to {n_cell})"
+        )
     _extend(x_con, n_min, n_cell, pi)
     vals, counts, offsets, t = x_con._table
     # length // g only falls with g, so exactly the groups above the window length are scaled

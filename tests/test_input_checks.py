@@ -33,6 +33,8 @@ def window():
 
 CASES = {
     "unequal run arrays": (lambda: ConcatPerRbVector([10, 20], [1]), "run arrays must have equal length"),
+    "2-d run arrays": (lambda: ConcatPerRbVector([[100, 200]], [[2, 4]]), "run arrays must be 1-d"),
+    "scalar runs": (lambda: ConcatPerRbVector(100, 2), "run arrays must be 1-d"),
     "n_min above n_cell": (
         lambda: build_capacity_samples(ConcatPerRbVector([10], [1]), 3, 2),
         "n_min must not exceed n_cell",
