@@ -91,30 +91,15 @@ def _write_metrics(metrics, out_dir: str) -> None:
         )
 
 
-def _load(path: str, seed):
-    """The scenario config at `path`, with the --seed override applied when given."""
-    cfg = load_config(path)
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
-
-
 def _run_to(cfg, out_dir: str, overwrite: bool) -> None:
-    """Run a validated scenario and write its CSVs to `out_dir`."""
+    """Run a scenario and write its CSVs to `out_dir`."""
     files = ["summary.csv", "ccdf.csv", "alloc.csv"] + (["debug.csv"] if cfg.debug_log else [])
     _prepare_out(out_dir, files, overwrite)
     _write_metrics(run(cfg), out_dir)
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args.config, args.seed)
-    if args.controller is not None:
-        cfg.controller = args.controller
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _run_to(cfg, args.out, args.overwrite)
+    _run_to(load_config(args.config, seed=args.seed, controller=args.controller), args.out, args.overwrite)
     return 0
 
 
@@ -122,11 +107,7 @@ def _sweep_one(task) -> tuple[str, str]:
     """One sweep run; returns (status, error text) instead of raising."""
     config_path, seed, overrides, out_dir, overwrite = task
     try:
-        cfg = _load(config_path, seed)
-        for name, value in overrides.items():
-            setattr(cfg, name, value)
-        cfg.validate()
-        _run_to(cfg, out_dir, overwrite)
+        _run_to(load_config(config_path, **{"seed": seed, **overrides}), out_dir, overwrite)  # an axis beats --seed
     except Exception as exc:  # noqa: BLE001 - one failed run must not abort the sweep
         log.exception("sweep run %s failed", out_dir)
         return "failed", f"{type(exc).__name__}: {exc}"
@@ -231,7 +212,7 @@ def validate_point(spec, seed: int, n_min: int, t_obs: int, runs: int, run_ttis:
 
 
 def cmd_validate_model(args) -> int:
-    cfg = _load(args.config, args.seed)
+    cfg = load_config(args.config, seed=args.seed)
     if len(cfg.services) != 1:
         raise ConfigError("validate-model needs a single-service config")
     spec = cfg.services[0]
@@ -265,7 +246,7 @@ def table1_windows(specs, entropy, t_obs: int, rbs_per_tti: int) -> list:
 
 
 def cmd_table1(args) -> int:
-    cfg = _load(args.config, args.seed)
+    cfg = load_config(args.config, seed=args.seed)
     grid = _parse_grid(args.n_cell_grid, "--n-cell-grid")
     rbs_per_tti = _at_least_one(args.rbs_per_tti, "--rbs-per-tti")
     if min(grid) < len(cfg.services):

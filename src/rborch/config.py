@@ -90,11 +90,14 @@ def _convert(name: str, raw: str, typ):
         raise ConfigError(f"option {name!r}: cannot parse {raw!r} as {typ.__name__}") from None
 
 
-def load_config(path) -> ScenarioConfig:
+def load_config(path, **overrides) -> ScenarioConfig:
     """Read and validate a scenario file (str or os.PathLike).
 
-    Every value that cannot be parsed or fails a check of the scenario, its
-    services, anomaly, models or traces raises ConfigError naming the file.
+    `overrides` are typed [scenario] values that replace the file's before
+    the config is made (None keeps the file's value), so they are checked
+    as file values are.  Every value that cannot be parsed or fails a check
+    of the scenario, its services, anomaly, models or traces raises
+    ConfigError naming the file.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -109,6 +112,7 @@ def load_config(path) -> ScenarioConfig:
             raise ConfigError("missing [scenario] section")
         sc = parser["scenario"]
         kwargs = {name: _convert(name, sc[name], typ) for name, typ in _SCALAR_FIELDS.items() if name in sc}
+        kwargs.update((name, value) for name, value in overrides.items() if value is not None)
         for required in ("n_cell", "horizon"):
             if required not in kwargs:
                 raise ConfigError(f"[scenario] must set {required}")
@@ -146,9 +150,7 @@ def load_config(path) -> ScenarioConfig:
             raise ConfigError("no [service.N] sections")
         services.sort(key=lambda s: s.id)
 
-        cfg = ScenarioConfig(services=services, anomaly=anomaly, **kwargs)
-        cfg.validate()
+        return ScenarioConfig(services=services, anomaly=anomaly, **kwargs)
     except ValueError as exc:  # ConfigError included: each message gains the file name once
         raise ConfigError(f"{path}: {exc}") from exc
-    return cfg
 

@@ -136,11 +136,13 @@ class AnomalyConfig:
             raise ValueError("anomaly range must be non-empty and non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario, checked when it is made; derive a variant with `dataclasses.replace`."""
+
     n_cell: int
     horizon: int
-    services: list[ServiceSpec]
+    services: tuple[ServiceSpec, ...]
     controller: str = "marea"
     estimator: str = "empirical"
     t_slot_ms: float = 1.0
@@ -155,7 +157,8 @@ class ScenarioConfig:
     debug_log: bool = False
     check_invariants: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        object.__setattr__(self, "services", tuple(self.services))
         if self.n_cell < 1:
             raise ValueError("n_cell must be positive")
         if not self.services:
@@ -166,8 +169,6 @@ class ScenarioConfig:
             raise ValueError("t_slot_ms, t_obs and t_out must be positive")
         if self.horizon < self.t_obs + self.t_out:
             raise ValueError("horizon must cover at least t_obs + t_out TTIs")
-        if self.t_obs < self.t_out:
-            log.warning("t_obs (%d) < t_out (%d); windows will be thin", self.t_obs, self.t_out)
         controller_for(self.controller)
         AllocatorConfig(self.t_slot_ms, self.estimator, self.gmm_components)  # checks estimator, gmm_components
         if self.qldr_window < 1:
@@ -394,7 +395,8 @@ def _gen_service_streams(cfg: ScenarioConfig, m: int):
 
 def run(cfg: ScenarioConfig) -> Metrics:
     """Execute one scenario and collect per-service delay metrics."""
-    cfg.validate()
+    if cfg.t_obs < cfg.t_out:
+        log.warning("t_obs (%d) < t_out (%d); windows will be thin", cfg.t_obs, cfg.t_out)
     strat = controller_for(cfg.controller)
     m_count = len(cfg.services)
     horizon = cfg.horizon

@@ -4,6 +4,7 @@ Run with `pytest -v -s tests/test_acceptance.py`; the full module takes a few
 minutes (bound-validity measurements and the million-TTI benchmark dominate).
 """
 
+import dataclasses
 import math
 import time
 
@@ -202,7 +203,7 @@ def _random_sim_configs(rng):
             debug_log=True,
         )
         if int(rng.integers(0, 2)):
-            cfg.anomaly = rb.AnomalyConfig(0, 1400, 1900, float(rng.uniform(1.5, 4.0)))
+            cfg = dataclasses.replace(cfg, anomaly=rb.AnomalyConfig(0, 1400, 1900, float(rng.uniform(1.5, 4.0))))
         yield cfg
 
 

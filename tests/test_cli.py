@@ -1,6 +1,8 @@
 import csv
+import logging
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -68,18 +70,33 @@ class TestConfig:
         assert cfg.n_cell == 20 and cfg.controller == "ref4"
         assert cfg.estimator == "gmm" and cfg.eta == 0.6 and cfg.tau == 0.2
         assert cfg.anomaly == AnomalyConfig(1, 4500, 5000, 2.5)
-        assert cfg.services == [
+        assert cfg.services == (
             ServiceSpec(0, 5.0, 1e-4,
                         SyntheticModel("empirical-table", (0, 10, 500), (0.25, 0.5, 0.25)),
                         SyntheticModel("uniform-integer", (20, 30))),
             ServiceSpec(1, 12.0, 1e-3,
                         SyntheticModel("constant", (90,)),
                         SyntheticModel("constant", (25,))),
-        ]
+        )
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/nope.cfg")
+
+    @pytest.mark.parametrize("field,value,written", [
+        ("seed", 11, "11"), ("eta", 0.6, "0.6"), ("controller", "ref3", "ref3"), ("debug_log", True, "true"),
+    ])
+    def test_override_equals_file_value(self, cfg_file, tmp_path, field, value, written):
+        lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{field} =")]
+        lines.insert(lines.index("[scenario]") + 1, f"{field} = {written}")
+        p = tmp_path / "written.cfg"
+        p.write_text("\n".join(lines))
+        assert load_config(cfg_file, **{field: value}) == load_config(p)
+        assert load_config(p, **{field: None}) == load_config(p)  # None keeps the file's value
+
+    def test_override_checked_as_file_value(self, cfg_file):
+        with pytest.raises(ConfigError, match=f"^{re.escape(cfg_file)}: horizon must cover"):
+            load_config(cfg_file, t_obs=5000)
 
     def test_source_parsing(self):
         m = parse_source("two-point 0:0.25 100:0.75")
@@ -196,8 +213,18 @@ class TestRunCommand:
         # ref1 never invokes the allocator, so alloc.csv holds only a header
         assert read(os.path.join(out, "alloc.csv")).splitlines() == [b"period,service_id,n_min,w_est_ms,objective"]
 
-    def test_bad_controller_flag(self, cfg_file, tmp_path):
+    def test_bad_controller_flag(self, cfg_file, tmp_path, capsys):
         assert main(["run", "--config", cfg_file, "--out", str(tmp_path / "o"), "--controller", "x"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg_file}: unknown controller 'x'; ")
+
+    def test_thin_window_warning_logged_once(self, tmp_path, caplog):
+        p = tmp_path / "thin.cfg"
+        p.write_text(BASE_CFG.replace("t_obs = 1500", "t_obs = 500"))
+        with caplog.at_level(logging.WARNING):
+            assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert [r.getMessage() for r in caplog.records if "thin" in r.getMessage()] == [
+            "t_obs (500) < t_out (1000); windows will be thin"
+        ]
 
 
 class TestSweepCommand:
@@ -223,7 +250,7 @@ class TestSweepCommand:
         assert rows[0] == ["run_id", "controller", "out_dir", "status", "error"]
         assert rows[1][1:] == ["marea", str(out / "run_000"), "ok", ""]
         assert rows[2][1] == "ref9" and rows[2][3] == "failed"
-        assert "unknown controller 'ref9'" in rows[2][4]
+        assert rows[2][4].startswith(f"ConfigError: {cfg_file}: unknown controller 'ref9'; ")
         assert (out / "run_000" / "summary.csv").exists()
         assert "1 of 2 sweep runs failed" in capsys.readouterr().err
 
@@ -240,6 +267,13 @@ class TestSweepCommand:
         assert main(["run", "--config", cfg_file, "--seed", "9", "--out", str(ran)]) == 0
         assert main(["sweep", "--config", cfg_file, "--seed", "9", "--out", str(swept),
                      "--axis", "controller=marea"]) == 0
+        for f in ("summary.csv", "ccdf.csv", "alloc.csv"):
+            assert read(swept / "run_000" / f) == read(ran / f)
+
+    def test_seed_axis_beats_seed_flag(self, cfg_file, tmp_path):
+        ran, swept = tmp_path / "run", tmp_path / "sweep"
+        assert main(["run", "--config", cfg_file, "--seed", "3", "--out", str(ran)]) == 0
+        assert main(["sweep", "--config", cfg_file, "--seed", "9", "--out", str(swept), "--axis", "seed=3"]) == 0
         for f in ("summary.csv", "ccdf.csv", "alloc.csv"):
             assert read(swept / "run_000" / f) == read(ran / f)
 

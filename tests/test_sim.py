@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -167,24 +168,24 @@ class TestRunBasics:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
-            small_config(horizon=100).validate()
+            small_config(horizon=100)
         with pytest.raises(ValueError):
-            small_config(n_cell=2).validate()
+            small_config(n_cell=2)
         with pytest.raises(ValueError):
-            small_config(controller="nope").validate()
+            small_config(controller="nope")
         cfg = small_config()
-        cfg.services[0] = svc(0, 0.5, 1e-3, mk("constant", 0), mk("constant", 25))
         with pytest.raises(ValueError):
-            cfg.validate()
+            dataclasses.replace(
+                cfg, services=(svc(0, 0.5, 1e-3, mk("constant", 0), mk("constant", 25)), *cfg.services[1:])
+            )
 
     def test_budget_off_slot_grid_rejected(self):
         for kind in ("marea", "ref2"):
             cfg = small_config(controller=kind, t_slot_ms=0.1)
-            cfg.services[0] = svc(0, 0.75, 1e-3, mk("constant", 0), mk("constant", 25))
+            rest = cfg.services[1:]
             with pytest.raises(ConfigError):
-                cfg.validate()
-            cfg.services[0] = svc(0, 0.7, 1e-3, mk("constant", 0), mk("constant", 25))
-            cfg.validate()
+                dataclasses.replace(cfg, services=(svc(0, 0.75, 1e-3, mk("constant", 0), mk("constant", 25)), *rest))
+            dataclasses.replace(cfg, services=(svc(0, 0.7, 1e-3, mk("constant", 0), mk("constant", 25)), *rest))
 
     def test_all_controllers_run_clean(self):
         for kind in ("marea", "ref1", "ref2", "ref3", "ref4"):
@@ -457,14 +458,8 @@ class TestMetricsShape:
         assert saw_violations  # scenario must actually stress the queues
 
     def test_gmm_estimator_path(self):
-        cfg = self.congested(controller="marea")
-        cfg.estimator = "gmm"
-        cfg.gmm_components = 2
-        a = run(cfg)
-        cfg2 = self.congested(controller="marea")
-        cfg2.estimator = "gmm"
-        cfg2.gmm_components = 2
-        b = run(cfg2)
+        a = run(dataclasses.replace(self.congested(controller="marea"), estimator="gmm", gmm_components=2))
+        b = run(dataclasses.replace(self.congested(controller="marea"), estimator="gmm", gmm_components=2))
         assert len(a.alloc_rows) > 0
         assert a.alloc_rows == b.alloc_rows  # EM seeding keeps decisions reproducible
 
