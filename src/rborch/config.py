@@ -17,7 +17,8 @@ Example::
 Sources are single-line descriptors: ``constant V``, ``two-point V:P V:P``,
 ``uniform-integer LO HI``, ``empirical-table V:P [V:P ...]`` or
 ``trace PATH`` (a CSV file of any name, resolved relative to the config
-file).  Every invalid value raises ConfigError from `load_config` (CLI exit 1).
+file); each takes exactly its values.  An unknown section or option and
+every invalid value raise ConfigError from `load_config` (CLI exit 1).
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .sim import AnomalyConfig, ScenarioConfig
 from .traces import SyntheticModel, load_arrival_trace, load_channel_trace
 
 
+# the descriptor kinds of a fixed value count; SyntheticModel counts the V:P pairs
+_ARITY = {"trace": (1, "one path"), "constant": (1, "one value"), "uniform-integer": (2, "two values")}
+
+
 def parse_source(text: str, base_dir: str = ".", channel: bool = False, service_id: int = 0, tables=None):
     """Turn a one-line source descriptor into a model or a loaded trace.
 
@@ -41,17 +46,15 @@ def parse_source(text: str, base_dir: str = ".", channel: bool = False, service_
     if not toks:
         raise ConfigError("empty source descriptor")
     kind, args = toks[0], toks[1:]
+    if kind in _ARITY and len(args) != _ARITY[kind][0]:
+        raise ConfigError(f"{kind} source takes exactly {_ARITY[kind][1]}")
     try:
         if kind == "trace":
-            if len(args) != 1:
-                raise ConfigError("trace source takes exactly one path")
             path = os.path.join(base_dir, args[0])
             loader = load_channel_trace if channel else load_arrival_trace
             return loader(path, service_id, tables)
-        if kind == "constant":
-            return SyntheticModel("constant", (int(args[0]),))
-        if kind == "uniform-integer":
-            return SyntheticModel("uniform-integer", (int(args[0]), int(args[1])))
+        if kind in ("constant", "uniform-integer"):
+            return SyntheticModel(kind, tuple(int(a) for a in args))
         if kind in ("two-point", "empirical-table"):
             values, probs = [], []
             for pair in args:
@@ -74,6 +77,8 @@ _SCALAR_FIELDS = {
 _ANOMALY_FIELDS = (
     ("anomaly_service", int), ("anomaly_start", int), ("anomaly_end", int), ("anomaly_factor", float),
 )
+_SCENARIO_OPTIONS = {*_SCALAR_FIELDS, *(name for name, _ in _ANOMALY_FIELDS)}
+_SERVICE_OPTIONS = ("w_th_ms", "epsilon", "arrival", "channel")
 
 
 def _convert(name: str, raw: str, typ):
@@ -110,6 +115,18 @@ def load_config(path, **overrides) -> ScenarioConfig:
     try:
         if "scenario" not in parser:
             raise ConfigError("missing [scenario] section")
+        if parser.defaults():  # configparser copies [DEFAULT] into every section
+            raise ConfigError("unknown section [DEFAULT]")
+        for section in parser.sections():
+            if section == "scenario":
+                known = _SCENARIO_OPTIONS
+            elif section.startswith("service."):
+                known = _SERVICE_OPTIONS
+            else:
+                raise ConfigError(f"unknown section [{section}]")
+            for option in parser[section]:
+                if option not in known:
+                    raise ConfigError(f"[{section}] has unknown option {option!r}")
         sc = parser["scenario"]
         kwargs = {name: _convert(name, sc[name], typ) for name, typ in _SCALAR_FIELDS.items() if name in sc}
         kwargs.update((name, value) for name, value in overrides.items() if value is not None)
@@ -134,7 +151,7 @@ def load_config(path, **overrides) -> ScenarioConfig:
             except ValueError:
                 raise ConfigError(f"bad service section name [{section}]") from None
             svc = parser[section]
-            for required in ("w_th_ms", "epsilon", "arrival", "channel"):
+            for required in _SERVICE_OPTIONS:
                 if required not in svc:
                     raise ConfigError(f"[{section}] must set {required}")
             services.append(

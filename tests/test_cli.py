@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +179,60 @@ class TestBadScenarioValues:
     def test_zero_channel_table1(self, tmp_path, capsys):
         self.check_exit_1(tmp_path, capsys, TRIPLE_CFG, *BAD_VALUES["zero_channel"],
                           ["table1", "--n-cell-grid", "20"])
+
+
+# a misspelt option, an unknown section or a descriptor with the wrong count
+# of values: (text replaced in BASE_CFG, its replacement, the error after the path)
+STRICT_CASES = {
+    "scenario option": ("t_out = 1000", "tout = 500", "[scenario] has unknown option 'tout'"),
+    "scenario option beside a known one": (
+        "controller = marea", "controller = marea\ncontroler = ref3", "[scenario] has unknown option 'controler'"
+    ),
+    "service option": ("epsilon = 1e-3", "epsilon = 1e-3\nepsilonn = 0.5", "[service.0] has unknown option 'epsilonn'"),
+    "section": ("[service.1]", "[scenery]\nseed = 4\n\n[service.1]", "unknown section [scenery]"),
+    "default section": ("[scenario]", "[DEFAULT]\nseed = 4\n\n[scenario]", "unknown section [DEFAULT]"),
+    "constant with two values": (
+        "channel = constant 25", "channel = constant 25 30", "constant source takes exactly one value"
+    ),
+    "bare constant": ("arrival = constant 60", "arrival = constant", "constant source takes exactly one value"),
+    "uniform-integer with three values": (
+        "arrival = constant 60", "arrival = uniform-integer 0 300 500", "uniform-integer source takes exactly two values"
+    ),
+    "uniform-integer with one value": (
+        "arrival = constant 60", "arrival = uniform-integer 300", "uniform-integer source takes exactly two values"
+    ),
+    "trace with two paths": ("arrival = constant 60", "arrival = trace a.csv b.csv", "trace source takes exactly one path"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_strict_scenario_file_exit_1(case, tmp_path, capsys):
+    old, new, message = STRICT_CASES[case]
+    p = tmp_path / "strict.cfg"
+    p.write_text(BASE_CFG.replace(old, new, 1))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
+
+def test_empty_default_section_loads(cfg_file, tmp_path):
+    p = tmp_path / "default.cfg"
+    p.write_text("[DEFAULT]\n" + BASE_CFG)
+    assert load_config(p) == load_config(cfg_file)
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    p = tmp_path / "readme.cfg"
+    p.write_text(blocks[0])
+    cfg = load_config(p)
+    assert (cfg.n_cell, cfg.horizon, cfg.t_obs, cfg.t_out, cfg.seed) == (30, 100000, 4000, 1000, 7)
+    assert (cfg.controller, cfg.estimator, cfg.eta, cfg.tau) == ("marea", "empirical", 0.75, 0.3)
+    assert cfg.anomaly == AnomalyConfig(0, 8000, 16000, 3.5)
+    assert cfg.services == (
+        ServiceSpec(0, 5.0, 1e-3, SyntheticModel("two-point", (0, 200), (0.5, 0.5)), SyntheticModel("constant", (25,))),
+    )
 
 
 class TestRunCommand:
