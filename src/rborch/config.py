@@ -135,7 +135,7 @@ def load_config(path, **overrides) -> ScenarioConfig:
                 raise ConfigError(f"[scenario] must set {required}")
 
         anomaly = None
-        if "anomaly_service" in sc:
+        if any(name in sc for name, _ in _ANOMALY_FIELDS):
             try:
                 anomaly = AnomalyConfig(*(_convert(name, sc[name], typ) for name, typ in _ANOMALY_FIELDS))
             except KeyError as exc:

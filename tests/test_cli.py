@@ -181,8 +181,9 @@ class TestBadScenarioValues:
                           ["table1", "--n-cell-grid", "20"])
 
 
-# a misspelt option, an unknown section or a descriptor with the wrong count
-# of values: (text replaced in BASE_CFG, its replacement, the error after the path)
+# a misspelt option, an unknown section, a descriptor with the wrong count of
+# values or a partial anomaly block: (text replaced in BASE_CFG, its
+# replacement, the error after the path)
 STRICT_CASES = {
     "scenario option": ("t_out = 1000", "tout = 500", "[scenario] has unknown option 'tout'"),
     "scenario option beside a known one": (
@@ -200,6 +201,10 @@ STRICT_CASES = {
     ),
     "uniform-integer with one value": (
         "arrival = constant 60", "arrival = uniform-integer 300", "uniform-integer source takes exactly two values"
+    ),
+    "anomaly block without its service": (
+        "seed = 5", "seed = 5\nanomaly_start = 100\nanomaly_end = 200\nanomaly_factor = 2",
+        "incomplete anomaly block ('anomaly_service' missing)",
     ),
     "trace with two paths": ("arrival = constant 60", "arrival = trace a.csv b.csv", "trace source takes exactly one path"),
 }
