@@ -117,7 +117,7 @@ def _sweep_one(task) -> tuple[str, str]:
 def cmd_sweep(args) -> int:
     load_config(args.config)  # fail fast on a broken base config
     jobs = _at_least_one(args.jobs, "--jobs")
-    axes: list[tuple[str, list]] = []
+    axes: dict[str, list] = {}
     for spec in args.axis or []:
         if "=" not in spec:
             raise ConfigError(f"bad --axis {spec!r}, expected name=v1,v2,...")
@@ -125,13 +125,16 @@ def cmd_sweep(args) -> int:
         name = name.strip()
         if name not in _SCALAR_FIELDS:
             raise ConfigError(f"--axis {name!r} is not a sweepable scenario field")
-        typ = _SCALAR_FIELDS[name]
-        axes.append((name, [_convert(name, tok, typ) for tok in raw.split(",") if tok]))
+        if name in axes:
+            raise ConfigError(f"--axis {name!r} is given more than once")
+        axes[name] = [_convert(name, tok, _SCALAR_FIELDS[name]) for tok in raw.split(",") if tok]
+        if not axes[name]:
+            raise ConfigError(f"--axis {name!r} has no values")
     if not axes:
         raise ConfigError("sweep needs at least one --axis")
 
-    names = [a[0] for a in axes]
-    combos = list(itertools.product(*(a[1] for a in axes)))
+    names = list(axes)
+    combos = list(itertools.product(*axes.values()))
     os.makedirs(args.out, exist_ok=True)
     index_path = os.path.join(args.out, "index.csv")
     if os.path.exists(index_path) and not args.overwrite:

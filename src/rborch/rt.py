@@ -18,12 +18,13 @@ service -- cumulative bits sent and RBs used -- and records nothing per
 packet: `completion_ttis` derives completion TTIs from the sent log, and
 `packet_rbs` RB counts from the RB-time curve it traces (the RBs used to send
 the first x bits).  Both only read the logs.  `schedule_tti` steps one TTI
-for all services.  Where services cannot affect each other (fixed guarantees,
-no sharing, no mitigation), `serve_guaranteed` serves a whole stretch of TTIs
-in one Lindley pass (`lindley_sent`) that writes the same logs.  Where every
-queue starts a TTI empty and its arrivals fit in the cell, sharing empties
-every queue in ceil(a / c) RBs each, whatever the guarantees: `clearing_rbs`
-writes those RBs ahead of time and `serve_cleared` serves such a stretch.
+for all services, both of its phases sending through `drain_queue`.  Where
+services cannot affect each other (fixed guarantees, no sharing, no
+mitigation), `serve_guaranteed` serves a whole stretch of TTIs in one Lindley
+pass (`lindley_sent`) that writes the same logs.  Where every queue starts a
+TTI empty and its arrivals fit in the cell, sharing empties every queue in
+ceil(a / c) RBs each, whatever the guarantees: `clearing_rbs` writes those
+RBs ahead of time and `serve_cleared` serves such a stretch.
 """
 
 from __future__ import annotations
@@ -246,54 +247,34 @@ def schedule_tti(
 ):
     """Serve all queues for one TTI: guaranteed phase then deadline sharing.
 
-    Phase 1 sends min(queued bits, guaranteed RBs x bits per RB) from each
-    queue, using ceil(sent / c) RBs at the queue's rate c.  Phase 2 hands the
+    Phase 1 drains each queue in index order with a budget of its guaranteed
+    RBs x its bits per RB c, using ceil(sent / c) RBs.  Phase 2 hands the
     unused guaranteed RBs plus the unguaranteed pool to the backlogged service
     whose head packet has the least slack to its budget (ties to the lowest
     service index), granting the RBs that finish its head at once; it is
-    skipped when phase 1 leaves no backlog.  Writes both logs of every queue at `tti` and returns
-    (rbs_used, completed).
+    skipped when phase 1 leaves no backlog.  Writes both logs of every queue
+    at `tti` and returns (rbs_used, completed).
     """
     rbs_used = [0] * len(queues)
     completed: list = []
     backlog = []
+    m = 0
+    for q in queues:  # a plain counter: enumerate's tuples cost more in this per-TTI loop
+        c = q.rate[tti]
+        q.used_log[tti] = rbs_used[m] = -(-drain_queue(q, alloc[m] * c, tti, m, completed) // c)
+        if share and q.sent != q.arrived[tti]:
+            backlog.append(m)
+        m += 1
 
-    for m, q in enumerate(queues):
-        s = q.sent
-        owed = q.arrived[tti] - s
-        used = 0
-        if owed:
-            n = alloc[m]
-            if n > 0:
-                # drain_queue inlined: this runs for every queue in every stepped TTI
-                c = q.rate[tti]
-                sent = n * c
-                if sent >= owed:
-                    sent = owed
-                else:
-                    backlog.append(m)
-                s += sent
-                q.sent = s
-                used = rbs_used[m] = -(-sent // c)
-                ends, head = q.ends, q.head
-                while ends[head] <= s:
-                    completed.append((m, head))
-                    head += 1
-                q.head = head
-            else:
-                backlog.append(m)
-        q.sent_log[tti] = s
-        q.used_log[tti] = used
-
-    if share and backlog:
+    if backlog:
         pool = n_cell - sum(rbs_used)
         while pool > 0 and backlog:
-            if len(backlog) == 1:
-                best = backlog[0]
-            else:
-                # slack q_t - (tti - arrival) less the common tti; backlog ascends, and
-                # min keeps the first of equal keys, so ties go to the lowest index
-                best = min(backlog, key=lambda m: q_t[m] + queues[m].arrival[queues[m].head])
+            # slack q_t - (tti - arrival) less the common tti; the first least key wins ties
+            least = _NEVER
+            for m in backlog:
+                key = q_t[m] + queues[m].arrival[queues[m].head]
+                if key < least:
+                    least, best = key, m
             q = queues[best]
             c = q.rate[tti]
             # the winner keeps winning until its head packet changes, so grant

@@ -498,8 +498,7 @@ def run(cfg: ScenarioConfig) -> Metrics:
         if mitigates:
             any_active = False
             for m, q in enumerate(queues):
-                a = q.arrival[q.head]  # q.head_wait(t), inlined
-                rec = fsm[m] = fsm_step(t - a if a <= t else 0, fsm[m], thresholds[m])
+                rec = fsm[m] = fsm_step(q.head_wait(t), fsm[m], thresholds[m])
                 if rec is not IDLE:
                     any_active = True
             if any_active:

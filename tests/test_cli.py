@@ -322,6 +322,20 @@ class TestSweepCommand:
                    "--axis", "bogus=1,2"])
         assert rc == 1
 
+    @pytest.mark.parametrize("axis", ["seed=", "seed=,"])
+    def test_sweep_empty_axis_rejected(self, cfg_file, tmp_path, capsys, axis):
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg_file, "--out", str(out), "--axis", axis]) == 1
+        assert capsys.readouterr().err == "error: --axis 'seed' has no values\n"
+        assert not out.exists()  # nothing run, no index.csv
+
+    def test_sweep_repeated_axis_rejected(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "s"
+        rc = main(["sweep", "--config", cfg_file, "--out", str(out), "--axis", "seed=1", "--axis", "seed=2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --axis 'seed' is given more than once\n"
+        assert not out.exists()
+
     def test_sweep_applies_seed_flag(self, cfg_file, tmp_path):
         ran, swept = tmp_path / "run", tmp_path / "sweep"
         assert main(["run", "--config", cfg_file, "--seed", "9", "--out", str(ran)]) == 0

@@ -213,6 +213,18 @@ class TestPacketQueue:
         used, done = schedule_tti(2, [q], [5], 5, [5])
         assert used == [0] and done == [] and q.sent == 10
 
+    def test_zero_budget_and_empty_queue_send_nothing(self):
+        # the guaranteed phase drains every queue, so both cases must only
+        # write the bits sent so far to the sent log
+        q = mkq((0, 30), (3, 20), rate=10)
+        done = []
+        assert drain_queue(q, 100, 0, 4, done) == 30 and done == [(4, 0)]
+        for tti, budget in ((1, 100), (2, 0), (3, 0)):  # empty, empty, 20 bits queued
+            q.sent_log[tti] = -1
+            assert drain_queue(q, budget, tti, 4, done) == 0
+            assert q.sent_log[tti] == q.sent == 30 and q.head == 1 and done == [(4, 0)]
+        assert queued(q, 3) == (1, 20)
+
     def test_table_checked(self):
         rate = [25] * H
         with pytest.raises(ValueError):
@@ -309,17 +321,25 @@ class TestScheduleTti:
     def test_sharing_skipped_without_backlog(self, monkeypatch):
         calls = []
         real = rt.drain_queue
-        monkeypatch.setattr(rt, "drain_queue", lambda q, *a: calls.append(a[2]) or real(q, *a))
+
+        def logged(q, budget, t, m, done):
+            calls.append((m, budget))
+            return real(q, budget, t, m, done)
+
+        monkeypatch.setattr(rt, "drain_queue", logged)
         queues = [mkq((0, 50)), mkq((0, 20)), mkq((3, 10))]
         used, done = schedule_tti(0, queues, [2, 1, 4], 10, [5, 5, 5])
         assert used == [2, 1, 0] and len(done) == 2
-        # phase 1 sends without drain_queue; service 2 has nothing queued and
-        # no queue is left to share with, so no grant is made
-        assert calls == []
-        # a backlog left by phase 1 is shared out through drain_queue grants
+        # phase 1 drains every queue once, in index order, with its guaranteed
+        # RBs x 25 bits; service 2 has nothing queued and no queue is left to
+        # share with, so no grant is made
+        assert calls == [(0, 50), (1, 25), (2, 100)]
+        # a backlog left by phase 1 is shared out: service 0's head owes 10
+        # bits, so it is granted one RB of 25 bits
+        calls.clear()
         queues = [mkq((0, 60)), mkq((0, 20))]
         used, done = schedule_tti(0, queues, [2, 1], 10, [5, 5])
-        assert used == [3, 1] and len(done) == 2 and calls == [0]
+        assert used == [3, 1] and len(done) == 2 and calls == [(0, 50), (1, 25), (0, 25)]
 
     def test_grant_ends_at_head_on_whole_rbs(self):
         # service 0's head owes 20 bits, exactly 2 RBs, and its next packet

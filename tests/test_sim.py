@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from rborch import rt, sim
 from rborch.near_rt import ServiceSpec
-from rborch.rt import STATE_C, ConfigError, FsmRecord, RtThresholds, fsm_step
+from rborch.rt import STATE_A, STATE_C, ConfigError, FsmRecord, RtThresholds, fsm_step
 from rborch.sim import (
     CCDF_GRID,
     AnomalyConfig,
     ScenarioConfig,
+    _gen_service_streams,
     ccdf,
     controller_for,
     measure_fifo_delays,
@@ -560,3 +561,48 @@ class TestInvariantChecks:
         with pytest.raises(AssertionError, match="RB ledger violated at tti") as err:
             run(small_config(controller="marea", n_cell=16))
         assert err.value.args[0].startswith(f"RB ledger violated at tti {hit[0]}:")
+
+
+class TestSteppedTtis:
+    """A sharing controller steps a post-warm-up TTI exactly when the cell may
+    not clear it: its arrivals do not fit in the cell, or the TTI before it
+    ended with queued bits or, for marea, a record outside A.  Every other TTI
+    is served in bulk, so stepping more of them would go unseen by the CSVs."""
+
+    @pytest.mark.parametrize("controller", ["marea", "ref1", "ref4"])
+    def test_stepped_ttis_are_the_ones_that_may_not_clear(self, controller, monkeypatch):
+        # service 0's 2-slot budget puts q_lower at 0, so after the burst its
+        # marea record is held in C over an empty queue
+        cfg = small_config(
+            controller=controller, n_cell=16, debug_log=True,
+            services=[
+                svc(0, 2.0, 1e-3, mk("two-point", (0, 200), (0.5, 0.5)), mk("constant", 25)),
+                svc(1, 10.0, 1e-3, mk("constant", 100), mk("constant", 25)),
+                svc(2, 15.0, 1e-2, mk("uniform", 0, 160), mk("two-point", (20, 30), (0.5, 0.5))),
+            ],
+            anomaly=AnomalyConfig(0, 2500, 2600, 3.5),
+        )
+        stepped = []
+        real = sim.schedule_tti
+        monkeypatch.setattr(sim, "schedule_tti", lambda t, *a: stepped.append(t) or real(t, *a))
+        metrics = run(cfg)
+
+        need = np.zeros(cfg.horizon, dtype=np.int64)  # sum over services of ceil(a / c)
+        for m in range(len(cfg.services)):
+            t_arr, sizes, rates = _gen_service_streams(cfg, m)
+            bits = np.zeros(cfg.horizon, dtype=np.int64)
+            np.add.at(bits, t_arr, sizes)
+            need += -(-bits // rates)
+        queued = np.zeros(cfg.horizon + 1, dtype=bool)  # queued[t + 1]: TTI t ended with queued bits
+        stressed = np.zeros(cfg.horizon + 1, dtype=bool)  # stressed[t + 1]: TTI t ended outside A
+        for t, _, state, _, _, _, bits, _ in metrics.debug_rows:
+            queued[t + 1] |= bits > 0
+            stressed[t + 1] |= state != STATE_A
+        ttis = np.arange(cfg.t_obs, cfg.horizon)
+        blocked = need[ttis] > cfg.n_cell
+        carried, held = queued[ttis], stressed[ttis]
+        assert stepped == ttis[blocked | carried | held].tolist()
+        # each reason to step shows up on its own, and some TTIs clear
+        assert (blocked & ~carried).any() and (carried & ~blocked).any()
+        assert (held & ~blocked & ~carried).any() == (controller == "marea")
+        assert len(stepped) < len(ttis)
