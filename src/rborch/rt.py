@@ -269,7 +269,7 @@ def schedule_tti(
     if backlog:
         pool = n_cell - sum(rbs_used)
         while pool > 0 and backlog:
-            # slack q_t - (tti - arrival) less the common tti; the first least key wins ties
+            # slack q_t - (tti - arrival) less the common tti; backlog ascends and < keeps the first
             least = _NEVER
             for m in backlog:
                 key = q_t[m] + queues[m].arrival[queues[m].head]
