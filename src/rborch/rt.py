@@ -24,7 +24,8 @@ mitigation), `serve_guaranteed` serves a whole stretch of TTIs in one Lindley
 pass (`lindley_sent`) that writes the same logs.  Where every queue starts a
 TTI empty and its arrivals fit in the cell, sharing empties every queue in
 ceil(a / c) RBs each, whatever the guarantees: `clearing_rbs` writes those
-RBs ahead of time and `serve_cleared` serves such a stretch.
+RBs ahead of time and `serve_cleared` serves such a stretch.  A packet table
+carries fewer than 2^62 bits, so every cumulative column stays within int64.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ STATE_C = "C"
 
 # a duration this close to a whole number of slots is taken as that number
 _SLOT_TOL = 1e-9
-# arrival TTI of the sentinel packet that ends every packet table: never queued
+# arrival TTI and cumulative end of the sentinel packet that ends every packet
+# table: never queued, and above every real end (a table carries under 2^62 bits)
 _NEVER = 1 << 62
 
 
@@ -167,12 +169,14 @@ class PacketQueue:
     every serving call reads it, so a queue is served only over its channel.
     The table lists every packet's arrival TTI and its cumulative end (the
     bits of the table up to and including it) in FIFO order, and ends in a
-    sentinel packet that never arrives.  `arrived[t]` counts the bits arrived
-    by the end of TTI t and `sent` the bits sent so far: the bits queued at t
-    are arrived[t] - sent, the packets whose end is at most `sent` have
-    completed, and `head` is the first that has not.  Serving TTI t writes
-    the cumulative bits sent by its end to `sent_log[t]` and the RBs it used
-    to `used_log[t]`; every per-packet figure is derived from these two logs.
+    sentinel packet that never arrives; a table of 2^62 bits or more is
+    refused, since its ends would reach the sentinel's.  `arrived[t]` counts
+    the bits arrived by the end of TTI t and `sent` the bits sent so far: the
+    bits queued at t are arrived[t] - sent, the packets whose end is at most
+    `sent` have completed, and `head` is the first that has not.  Serving TTI
+    t writes the cumulative bits sent by its end to `sent_log[t]` and the RBs
+    it used to `used_log[t]`; every per-packet figure is derived from these
+    two logs.
     An entry of a TTI not yet served may hold anything (`clearing_rbs` fills
     `used_log` ahead of time), so whatever serves a TTI writes both of its
     entries for every queue.  The columns are int64 buffers, read per TTI as
@@ -197,6 +201,9 @@ class PacketQueue:
         table = np.empty((2, n + 1), dtype=np.int64)
         table[0, :n] = arrival
         np.cumsum(size, out=table[1, :n])
+        # sizes below 2^62 make the first cumulative end at or above 2^62 exact, even if later ones wrap
+        if n and (size.max() >= _NEVER or table[1, :n].max() >= _NEVER):
+            raise ValueError("a packet table must carry fewer than 2^62 bits in total")
         table[:, n] = _NEVER
         arrived = np.zeros(horizon, dtype=np.int64)
         np.add.at(arrived, arrival, size)
@@ -294,18 +301,25 @@ def lindley_sent(arrived: np.ndarray, offered: np.ndarray, sent0: int = 0) -> np
     """Cumulative bits a FIFO queue has sent by the end of each TTI of a stretch.
 
     `arrived` is the cumulative bits arrived by the end of each TTI, `offered`
-    the bits the queue may send in each TTI, and `sent0` the bits sent before
-    the stretch.  This is Lindley's recursion Q_t = max(0, Q_(t-1) + a_t - s_t)
-    in closed form: with y the backlog before reflection, sent = sent0 +
-    cumsum(offered) + min(0, running minimum of y); clamping y[0] at 0 first
-    folds the min(0, .) into the running minimum.  The recursion is Markov in
-    the queue state, so a stream served in consecutive stretches, each started
-    from the bits sent by the end of the last, is sent exactly as in one pass.
+    the bits the queue may send in each TTI, or one value that it may send in
+    every TTI, and `sent0` the bits sent before the stretch.  This is
+    Lindley's recursion Q_t = max(0, Q_(t-1) + a_t - s_t) in closed form: with
+    y the backlog before reflection, sent = sent0 + cumsum(offered) + min(0,
+    running minimum of y); clamping y[0] at 0 first folds the min(0, .) into
+    the running minimum.  One offered value s builds cumsum(offered) as
+    s * (1, 2, ..., T) instead.  The recursion is Markov in the queue state,
+    so a stream served in consecutive stretches, each started from the bits
+    sent by the end of the last, is sent exactly as in one pass.
     """
-    sent = np.cumsum(offered)
+    if np.ndim(offered):
+        sent = np.cumsum(offered)
+    else:
+        sent = np.arange(1, len(arrived) + 1, dtype=np.int64)
+        sent *= offered
     sent += sent0
     y = arrived - sent
-    np.minimum(y[:1], 0, out=y[:1])
+    if len(y) and y[0] > 0:
+        y[0] = 0
     np.minimum.accumulate(y, out=y)
     sent += y
     return sent
@@ -351,8 +365,8 @@ def completion_ttis(sent_log: np.ndarray, ends: np.ndarray) -> np.ndarray:
     completed within the non-empty log: for each, the first TTI whose
     cumulative sent bits reach its end.  Those packets are the ones whose end
     is at most the log's last entry, so only they are searched."""
-    done = ends[: np.searchsorted(ends, sent_log[-1], side="right")]
-    return np.searchsorted(sent_log, done, side="left")
+    done = ends[: ends.searchsorted(sent_log[-1], side="right")]
+    return sent_log.searchsorted(done, side="left")
 
 
 def packet_rbs(queue: PacketQueue, i: int, j: int, tti: int) -> np.ndarray:

@@ -27,20 +27,28 @@ whose event (a near-RT decision) is handled, whose queues are
 empty and, for marea, whose FSM records are all idle, `run` serves in bulk up
 to the first TTI that does not fit or the next event.  With q_lower == 0 a
 record can stay in C over an empty queue; then marea steps.  QLDR (ref2)
-stays stepped, and ref3 keeps its bulk periods.  The controller kinds are
-rows of `ControllerStrategy` data.
+stays stepped although its services are decoupled between its updates:
+serving a qldr_window of 10 TTIs with `serve_guaranteed` costs about 19 us
+per queue, while stepping costs about 1.7 us per TTI for three queues, so
+bulk windows would be about 3x slower.  ref3 keeps its bulk periods.  The
+controller kinds are rows of `ControllerStrategy` data.
 
 Delays are measured by one completion-and-delay step, `_complete`, shared by
-`run`'s end-of-run scoring and `measure_fifo_delays`: it searches the sent log
-for the TTI that completes each queued packet and writes the packet's delay
-into a float64 array preallocated with one entry per packet.  `run` feeds it
-its packet table in blocks of _FIFO_BLOCK packets against the whole sent log.
-`measure_fifo_delays` walks its stream in blocks of _FIFO_BLOCK TTIs, each
-through one Lindley pass started from the bits arrived and sent before the
-block (Lindley's recursion is Markov in the queue state, so the result does
-not depend on the block length).  Beyond the delays, the step holds only
-block-sized temporaries; `measure_fifo_delays` also holds the arrival TTI and
-cumulative end of each packet still queued.
+`run`'s end-of-run scoring and `measure_fifo_delays`: it finds the TTI that
+completes each queued packet and writes the packet's delay into a float64
+array preallocated with one entry per packet.  It searches the sent log for
+that TTI, except where every TTI of the log offers the same s > 0 bits: a
+packet queued from TTI b on is then sent s bits in every TTI until it
+completes, at TTI b - 1 + ceil((its end - bits sent by the end of b - 1) / s).
+`run` feeds it its packet table in blocks of _FIFO_BLOCK packets against the
+whole sent log, always searched.  `measure_fifo_delays` walks its stream in
+blocks of _FIFO_BLOCK TTIs, each through one Lindley pass started from the
+bits arrived and sent before the block (Lindley's recursion is Markov in the
+queue state, so the result does not depend on the block length), and takes
+the closed form for each block whose service bits are one positive value.
+Beyond the delays, the step holds only block-sized temporaries;
+`measure_fifo_delays` also holds the arrival TTI and cumulative end of each
+packet still queued.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ from .capacity import ConcatPerRbVector
 from .near_rt import AllocatorConfig, ServiceSpec, ServiceWindow, allocate
 from .rt import (
     IDLE,
+    _NEVER,
     FsmRecord,
     PacketQueue,
     RtThresholds,
@@ -270,52 +279,93 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
     """Per-packet delays through one FIFO queue with per-TTI service capacity.
 
     One packet per non-empty TTI; both inputs hold whole, non-negative bits,
-    one entry per TTI, in 1-d arrays of one length (anything else raises
-    ValueError).  Returns (delays_ms of completed packets, arrival TTIs of
-    packets still pending).  The stream is walked in blocks of _FIFO_BLOCK
-    TTIs through the same Lindley pass and completion step as `run`'s queues.
-    Besides its inputs a call holds one float64 per packet, the arrival TTI
-    and cumulative end of each packet still queued, and block-sized
-    temporaries, so multi-million-TTI measurement runs stay cheap.
+    one entry per TTI, in 1-d arrays of one length, and each sums to less
+    than 2^62 bits (anything else raises ValueError).  Returns (delays_ms of
+    completed packets, arrival TTIs of packets still pending).  The stream is
+    walked in blocks of _FIFO_BLOCK TTIs through the same Lindley pass and
+    completion step as `run`'s queues; a block whose every TTI offers the
+    same bits, s > 0, builds its offered bits as s * (1..T) and completes its
+    packets in closed form instead of searching the sent bits.  Besides its
+    inputs a call holds one float64 per packet, the arrival TTI and
+    cumulative end of each packet still queued, and block-sized temporaries,
+    so multi-million-TTI measurement runs stay cheap.
     """
     a_in, s_in = np.asarray(arr_bits), np.asarray(svc_bits)
     if a_in.ndim != 1 or a_in.shape != s_in.shape:
         raise ValueError(f"arrival and service bits must be 1-d and align per TTI, got {a_in.shape} and {s_in.shape}")
     delays = np.empty(np.count_nonzero(a_in), dtype=np.float64)
     queued: list = []
-    k = arrived = sent = 0
+    k = arrived = sent = offered = 0
+    exact = False  # whether `offered` counts the service bits so far, or bounds them by len x max per block
     for t0 in range(0, len(a_in), _FIFO_BLOCK):
         a = whole_numbers(a_in[t0 : t0 + _FIFO_BLOCK], "arrival bits")
         s = whole_numbers(s_in[t0 : t0 + _FIFO_BLOCK], "service bits")
-        if a.min() < 0 or s.min() < 0:
+        # read as unsigned, a negative entry is the largest, so one pass checks the sign and finds the largest
+        a_max, s_max = int(a.view(np.uint64).max()), int(s.view(np.uint64).max())
+        if (a_max | s_max) >> 63:
             raise ValueError(f"arrival and service bits must be non-negative, not so in TTIs [{t0}, {t0 + len(a)})")
+        # the bits every TTI of the block offers, or 0 when they differ (its ends tell most such blocks)
+        rate = s_max if s[0] == s_max == s[-1] and s.min() == s_max else 0
+        # the bits offered and arrived must stay below 2^62; a block counts as
+        # len x its largest entry until that bound reaches 2^62, then exactly
+        offered += len(s) * s_max if rate or not exact else _bits_in(s, s_max)
+        if offered >= _NEVER and not exact:
+            offered, exact = sum(whole_numbers(s_in[: t0 + len(s)], "service bits").tolist()), True
+        if offered >= _NEVER or (arrived + len(a) * a_max >= _NEVER and arrived + _bits_in(a, a_max) >= _NEVER):
+            raise ValueError(f"arrival and service bits must each sum to less than 2^62, not so by TTI {t0 + len(a)}")
         a_cum = np.cumsum(a)
         a_cum += arrived
-        new = np.flatnonzero(a > 0)  # faster than on the int64 bits themselves
+        new = (a > 0).nonzero()[0]  # faster than on the int64 bits themselves
         if len(new):
             queued.append((new + t0, a_cum[new]))
-        sent_block = lindley_sent(a_cum, s, sent)
-        k = _complete(queued, sent_block, t0, delays, k, t_slot_ms)
+        sent_block = lindley_sent(a_cum, rate or s, sent)
+        k = _complete(queued, sent_block, t0, delays, k, t_slot_ms, rate, sent)
         arrived, sent = int(a_cum[-1]), int(sent_block[-1])
     pending = np.concatenate([arr for arr, _ in queued]) if queued else np.zeros(0, dtype=np.intp)
     return delays[:k], pending
 
 
-def _complete(queued: list, sent: np.ndarray, t0: int, out: np.ndarray, k: int, t_slot_ms: float) -> int:
+def _bits_in(x: np.ndarray, top: int) -> int:
+    """Exact sum of a block of non-negative int64 bits whose largest entry is `top`."""
+    return int(x.sum()) if len(x) * top < _NEVER else sum(x.tolist())
+
+
+def _complete(
+    queued: list, sent: np.ndarray, t0: int, out: np.ndarray, k: int, t_slot_ms: float, rate: int = 0, sent0: int = 0
+) -> int:
     """Complete FIFO packets from the front of `queued` within `sent`, the
     cumulative bits sent by the end of each TTI from t0 on (non-empty).
 
     `queued` lists the packets not yet completed, in FIFO order, as chunks of
     (arrival TTIs, cumulative ends).  The packets that complete leave it, and
     their delays in ms are written to out[k], out[k + 1], ...  Returns the
-    index of out after the last delay written.
+    index of out after the last delay written.  A packet completes in the
+    first TTI whose sent bits reach its end E, found by searching `sent`;
+    with `rate` > 0 every TTI of the log offers `rate` bits and `sent0` bits
+    were sent before t0, and the completion is found in closed form instead:
+    a packet queued from TTI b = max(arrival, t0) on is sent `rate` bits in
+    every TTI until E is, so it completes at TTI b - 1 + ceil((E - bits sent
+    by the end of b - 1) / rate).
     """
     for i, (arr, ends) in enumerate(queued):
-        done = completion_ttis(sent, ends)
-        j = len(done)
-        # a packet arriving at TTI a and completing at TTI t waited t - a + 1 slots
-        done -= arr[:j]
-        done += t0 + 1
+        if rate:
+            j = int(ends.searchsorted(sent[-1], side="right"))
+            # the first c packets are queued from t0 on, after sent0 bits
+            c = min(int(arr.searchsorted(t0, side="right")), j)
+            before = np.empty(j, dtype=np.int64)
+            before[:c] = sent0
+            sent.take(arr[c:j] - (t0 + 1), out=before[c:], mode="clip")  # in range: b - 1 lies in the log
+            # the slots waited are the TTIs from b to completion, plus b - arrival
+            done = np.subtract(ends[:j], before, out=before)
+            done += rate - 1
+            done //= rate
+            done[:c] += t0 - arr[:c]
+        else:
+            done = completion_ttis(sent, ends)
+            j = len(done)
+            # a packet arriving at TTI a and completing at TTI t waited t - a + 1 slots
+            done -= arr[:j]
+            done += t0 + 1
         delays = out[k : k + j]
         delays[:] = done
         delays *= t_slot_ms

@@ -432,6 +432,43 @@ class TestPacketRbs:
 
 
 
+
+class TestBitLimits:
+    """Cumulative bits are int64: a packet table or FIFO stream whose total
+    reaches 2^62 (the sentinel packet's end) is refused, not wrapped."""
+
+    def test_packet_table_total(self):
+        # the ends would be [2^62, -2^63], the first equal to the sentinel's
+        with pytest.raises(ValueError, match="fewer than 2\\^62 bits"):
+            PacketQueue([0, 1], [2**62, 2**62], [1, 1, 1])
+        PacketQueue([0, 1], [2**61, 2**61 - 1], [1, 1, 1])  # one bit less is a table
+
+    def test_fifo_stream_totals(self):
+        # the cumulative arrivals would wrap, giving the delays [5, 0, -1]
+        with pytest.raises(ValueError, match="less than 2\\^62"):
+            measure_fifo_delays([2**62] * 3 + [0], [1] * 4)
+        with pytest.raises(ValueError, match="less than 2\\^62"):
+            measure_fifo_delays([1, 0], [2**61, 2**61])
+        # one TTI may offer far more than the rest, as long as the total stays below 2^62
+        delays, pending = measure_fifo_delays([1, 0, 3], [2**61, 2**61 - 2, 1])
+        assert delays.tolist() == [1.0] and pending.tolist() == [2]
+
+
+class TestLindleySent:
+    @given(
+        st.lists(st.integers(0, 50), min_size=1, max_size=40),
+        st.integers(0, 30),
+        st.integers(0, 100),
+        st.integers(0, 100),
+    )
+    def test_one_offered_value_equals_it_repeated(self, arrivals, offered, sent0, backlog):
+        # a stretch that starts with `backlog` bits queued after `sent0` were sent
+        arrived = np.cumsum(arrivals) + sent0 + backlog
+        got = rt.lindley_sent(arrived, offered, sent0)
+        want = rt.lindley_sent(arrived, np.full(len(arrivals), offered), sent0)
+        assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
+
+
 class TestWholeNumbers:
     """Counts of bits, TTIs and RBs are refused unless whole, never truncated."""
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rborch import rt, sim
@@ -432,6 +432,65 @@ class TestBlockedFifo:
             assert np.array_equal(g.delays_ms, w.delays_ms)
             g.delays_ms = w.delays_ms = None
             assert repr(g) == repr(w)
+
+
+
+def blocked_streams():
+    """(block length, arrival bits, service bits) over 3 to 8 blocks of that
+    length, the last one maybe short.  The capacity is one value in every
+    TTI, or one value per block (zero included) changing between blocks, or,
+    now and then, varying inside a block; packets of up to 2000 bits are
+    carried over several blocks."""
+
+    def streams(block, n_blocks, per_block):
+        n = st.integers((n_blocks - 1) * block + 1, n_blocks * block)
+        return n.flatmap(
+            lambda n: st.tuples(
+                st.just(block),
+                st.lists(st.one_of(st.just(0), st.integers(1, 40), st.integers(200, 2000)), min_size=n, max_size=n),
+                per_block.map(lambda caps: np.repeat(caps, block)[:n].tolist()) if per_block is not None
+                else st.lists(st.integers(0, 60), min_size=n, max_size=n),
+            )
+        )
+
+    capacity = st.one_of(st.just(0), st.integers(1, 60))
+    return st.tuples(st.integers(1, 6), st.integers(3, 8)).flatmap(
+        lambda bn: st.one_of(
+            streams(*bn, capacity.map(lambda c: [c] * bn[1])),
+            streams(*bn, st.lists(capacity, min_size=bn[1], max_size=bn[1])),
+            streams(*bn, None),
+        )
+    )
+
+
+class TestConstantCapacityFifo:
+    """A block whose every TTI offers the same bits completes its packets in
+    closed form; the result must equal the search of the sent bits on the
+    same blocks, and the per-TTI loop."""
+
+    @given(stream=blocked_streams(), t_slot_ms=st.sampled_from([1.0, 0.125]))
+    # a packet in the first TTI of the second block, carried into the third;
+    # then a block of zero capacity between two of 7 bits
+    @example(stream=(3, [5, 0, 0, 40, 0, 0, 3, 0, 0], [10] * 9), t_slot_ms=0.125)
+    @example(stream=(2, [9, 0, 30, 4, 0, 1, 0], [7, 7, 0, 0, 7, 7, 7]), t_slot_ms=1.0)
+    def test_equals_search_path(self, stream, t_slot_ms):
+        block, arr, svc = stream
+        complete = sim._complete
+        rates = []
+
+        def searched(queued, sent, t0, out, k, t_slot_ms, rate=0, sent0=0):
+            rates.append(rate)
+            return complete(queued, sent, t0, out, k, t_slot_ms)
+
+        with mock.patch.object(sim, "_FIFO_BLOCK", block):
+            got = measure_fifo_delays(np.array(arr), np.array(svc), t_slot_ms)
+            with mock.patch.object(sim, "_complete", searched):
+                want = measure_fifo_delays(np.array(arr), np.array(svc), t_slot_ms)
+        assert (got[0].tolist(), got[1].tolist()) == (want[0].tolist(), want[1].tolist())
+        assert (got[0].tolist(), got[1].tolist()) == fifo_loop(arr, svc, t_slot_ms)
+        # the closed form was asked for in every block whose TTIs all offer the same positive bits
+        offered = [svc[t0 : t0 + block] for t0 in range(0, len(svc), block)]
+        assert rates == [b[0] if len(set(b)) == 1 else 0 for b in offered]
 
 
 class TestMetricsShape:
