@@ -13,25 +13,26 @@ its bits per RB in every TTI, which every serving call reads from the queue.
 Serving a TTI writes the queue's two logs, cumulative bits sent and RBs used,
 and everything else is read from them: the near-RT window's packets and RB
 counts, the extra-RB usage and the QLDR queue bits, the utilization, and the
-delays.  TTIs are stepped one at a time only where services interact.  Where
-they cannot -- warm-up for every controller, and each period between
-decisions for a controller that neither shares nor mitigates -- a stretch is
-served in one Lindley pass over each queue.
+delays.  Warm-up is served in one Lindley pass over each queue.
 
-A controller that shares (marea, ref1, ref4) also skips the TTIs the cell
-clears.  A TTI that starts with every queue empty, and whose arrivals fit in
-the cell (sum over services of ceil(a / c) <= n_cell), sends every bit that
-arrived in it in ceil(a / c) RBs per service, whatever the guarantees, the
-mitigation and the EDF order, and leaves a state-A FSM idle.  So from a TTI
-whose event (a near-RT decision) is handled, whose queues are
-empty and, for marea, whose FSM records are all idle, `run` serves in bulk up
-to the first TTI that does not fit or the next event.  With q_lower == 0 a
-record can stay in C over an empty queue; then marea steps.  QLDR (ref2)
-stays stepped although its services are decoupled between its updates:
-serving a qldr_window of 10 TTIs with `serve_guaranteed` costs about 19 us
-per queue, while stepping costs about 1.7 us per TTI for three queues, so
-bulk windows would be about 3x slower.  ref3 keeps its bulk periods.  The
-controller kinds are rows of `ControllerStrategy` data.
+After it `run` walks served ranges, not TTIs: each pass handles the event due
+at its first TTI t (a near-RT decision every t_out TTIs, or a QLDR update
+every qldr_window), serves the one range that starts at t, writes its debug
+rows and invariant checks in one record step, and moves t to the range's end.
+ref3, which neither shares nor mitigates, leaves its services decoupled, so
+its range is the period up to the next decision, in one Lindley pass.  A TTI
+that starts with every queue empty, and whose arrivals fit in the cell (sum
+over services of ceil(a / c) <= n_cell), sends every bit that arrived in it
+in ceil(a / c) RBs per service, whatever the guarantees, the mitigation and
+the EDF order, and leaves a state-A FSM idle.  So for a controller that
+shares (marea, ref1, ref4), a TTI whose queues are empty and, for marea,
+whose FSM records are all idle starts a clear-cell stretch up to the first
+TTI that does not fit or the next event.  With q_lower == 0 a record can stay
+in C over an empty queue; then marea steps.  Any other range is one stepped
+TTI: FSM, mitigation, then `schedule_tti`.  QLDR (ref2) steps although its
+services are decoupled between updates: bulk windows of 10 TTIs would be
+about 3x slower (about 19 us per queue, against 1.7 us per stepped TTI of
+three queues).  The controller kinds are rows of `ControllerStrategy` data.
 
 Delays are measured by one completion-and-delay step, `_complete`, shared by
 `run`'s end-of-run scoring and `measure_fifo_delays`: it finds the TTI that
@@ -444,7 +445,7 @@ def _gen_service_streams(cfg: ScenarioConfig, m: int):
 
 
 def run(cfg: ScenarioConfig) -> Metrics:
-    """Execute one scenario and collect per-service delay metrics."""
+    """Execute one scenario: warm up, walk the served ranges, then score the delays."""
     if cfg.t_obs < cfg.t_out:
         log.warning("t_obs (%d) < t_out (%d); windows will be thin", cfg.t_obs, cfg.t_out)
     strat = controller_for(cfg.controller)
@@ -465,32 +466,31 @@ def run(cfg: ScenarioConfig) -> Metrics:
     fsm = [IDLE] * m_count
     model = strat.guarantee == "model"
     qldr = strat.guarantee == "qldr"
-    # between decisions a model-guarantee controller that neither shares nor
-    # mitigates leaves the services decoupled: each period is served in bulk
+    # a model-guarantee controller that neither shares nor mitigates serves each period in bulk
     shares, mitigates = strat.shares, strat.mitigates
     bulk_periods = model and not shares and not mitigates
     alloc_rows: list[tuple] = []
     debug_rows: list[tuple] = [] if cfg.debug_log else None
-    period = 0
     t_out, qldr_window = cfg.t_out, cfg.qldr_window
     check = cfg.check_invariants
     w_th = [s.w_th_ms for s in cfg.services]
     sids = [s.id for s in cfg.services]
 
-    def serve_bulk(t0: int, t1: int, alloc: Sequence[int], cleared: bool = False) -> None:
-        for m, q in enumerate(queues):
-            if cleared:
-                serve_cleared(q, t0, t1)
-            else:
-                serve_guaranteed(q, t0, t1, alloc[m])
+    def record(t0: int, t1: int, alloc: Sequence[int]) -> None:
+        """Debug rows and invariant checks of the served TTIs [t0, t1)."""
         if debug_rows is not None:
-            debug_rows.extend(_debug_rows(t0, t1, queues, alloc, [IDLE] * m_count, sids))
+            debug_rows.extend(_debug_rows(t0, t1, queues, alloc, fsm, sids))
         if check:
+            if sum(alloc) != sum(baseline):
+                raise AssertionError(f"mitigation broke conservation at tti {t0}")
             _check_invariants(t0, t1, queues, n_cell)
 
     # static equal split while warming up: no sharing, no mitigation
     baseline = [n_cell // m_count] * m_count
-    serve_bulk(0, warmup_end, baseline)
+    for m, q in enumerate(queues):
+        serve_guaranteed(q, 0, warmup_end, baseline[m])
+    if debug_rows is not None or check:
+        record(0, warmup_end, baseline)
     if strat.guarantee == "none":  # no guarantee after warm-up
         baseline = [0] * m_count
     if shares:
@@ -500,68 +500,55 @@ def run(cfg: ScenarioConfig) -> Metrics:
         need = sum(clearing_rbs(q, warmup_end) for q in queues)
         blocked = memoryview(np.append(np.flatnonzero(need > n_cell) + warmup_end, horizon))
         del need
-    next_block, next_event = -1, horizon
-    any_active = False
-    served = warmup_end
-    for t in range(warmup_end, horizon):
-        if t < served:
-            continue
+    t, next_block, next_event, any_active = warmup_end, -1, horizon, False
+    while t < horizon:
         since = t - warmup_end
         if model and since % t_out == 0:
-            windows = [
-                _service_window(q, t - cfg.t_obs, max(0, t - t_out), t, baseline[m]) for m, q in enumerate(queues)
-            ]
+            windows = [_service_window(q, since, max(0, t - t_out), t, baseline[m]) for m, q in enumerate(queues)]
             decision = allocate(cfg.services, windows, n_cell, alloc_cfg, em_rng)
             del windows  # frees the capacity prefixes built for this decision
             baseline = list(decision.n_min)
-            for m in range(m_count):
-                alloc_rows.append((period, sids[m], decision.n_min[m], decision.w_est[m], decision.objective))
-            period += 1
-            next_event = t + t_out
-            if bulk_periods:
-                served = min(next_event, horizon)
-                serve_bulk(t, served, baseline)
-                continue
+            rows = zip(sids, decision.n_min, decision.w_est)
+            alloc_rows.extend((since // t_out, *row, decision.objective) for row in rows)
+            next_event = min(t + t_out, horizon)
         elif qldr and since and since % qldr_window == 0:
             lo = t - qldr_window
-            # mean queued bits and mean bits per RB over the last window, as
-            # exact whole-bit sums over its length
+            # mean queued bits and bits per RB over the last window, from exact whole-bit sums
             avg_q = [(sum(q.arrived[lo:t]) - sum(q.sent_log[lo:t])) / (t - lo) for q in queues]
             avg_c = [sum(q.rate[lo:t]) / (t - lo) for q in queues]
             baseline = qldr_allocate(avg_q, avg_c, w_th, n_cell)
 
-        if shares:
+        rt_alloc, end = baseline, t  # end stays t until a range is served
+        if bulk_periods:
+            end = next_event
+            for m, q in enumerate(queues):
+                serve_guaranteed(q, t, end, baseline[m])
+        elif shares and not any_active:
             if next_block < t:
                 next_block = blocked[bisect_left(blocked, t)]
-            if next_block != t and not any_active:
+            if next_block != t:
                 for q in queues:
                     if q.sent != q.arrived[t - 1]:
                         break
                 else:
-                    # a clear cell: serve up to the next TTI that does not
-                    # fit or the next event, whichever comes first
-                    served = min(next_block, next_event)
-                    serve_bulk(t, served, baseline, cleared=True)
-                    continue
-
-        rt_alloc = baseline
-        if mitigates:
-            any_active = False
-            for m, q in enumerate(queues):
-                rec = fsm[m] = fsm_step(q.head_wait(t), fsm[m], thresholds[m])
-                if rec is not IDLE:
-                    any_active = True
-            if any_active:
-                rt_alloc = mitigate(baseline, fsm)
-
-        schedule_tti(t, queues, rt_alloc, n_cell, q_t, shares)
-
-        if debug_rows is not None:
-            debug_rows.extend(_debug_rows(t, t + 1, queues, rt_alloc, fsm, sids))
-        if check:
-            if mitigates and sum(rt_alloc) != sum(baseline):
-                raise AssertionError(f"mitigation broke conservation at tti {t}")
-            _check_invariants(t, t + 1, queues, n_cell)
+                    # a clear cell, up to the next TTI that does not fit or the next event
+                    end = min(next_block, next_event)
+                    for q in queues:
+                        serve_cleared(q, t, end)
+        if end == t:  # one stepped TTI
+            end = t + 1
+            if mitigates:
+                any_active = False
+                for m, q in enumerate(queues):
+                    rec = fsm[m] = fsm_step(q.head_wait(t), fsm[m], thresholds[m])
+                    if rec is not IDLE:
+                        any_active = True
+                if any_active:
+                    rt_alloc = mitigate(baseline, fsm)
+            schedule_tti(t, queues, rt_alloc, n_cell, q_t, shares)
+        if debug_rows is not None or check:
+            record(t, end, rt_alloc)
+        t = end
 
     services_out = []
     for m, q in enumerate(queues):
