@@ -62,8 +62,6 @@ def parse_source(text: str, base_dir: str = ".", channel: bool = False, service_
                 values.append(int(v))
                 probs.append(float(p))
             return SyntheticModel(kind, tuple(values), tuple(probs))
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(f"bad source descriptor {text!r}: {exc}") from exc
     raise ConfigError(f"unknown source kind {kind!r}")

@@ -250,8 +250,8 @@ def brute_force_allocate(
     m_count = len(specs)
     if n_cell < m_count:
         raise ValueError("cell budget smaller than the number of services")
-    n_compositions = math.comb(n_cell - 1, m_count - 1)
     ev = _CandidateEvaluator(specs, windows, n_cell, cfg, rng)
+    n_compositions = math.comb(n_cell - 1, m_count - 1)
     w_th = [s.w_th_ms for s in specs]
 
     n_lo = n_cell if m_count == 1 else 1

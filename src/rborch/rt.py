@@ -328,8 +328,11 @@ def lindley_sent(arrived: np.ndarray, offered: np.ndarray, sent0: int = 0) -> np
 def serve_guaranteed(queue: PacketQueue, t0: int, t1: int, n: int) -> None:
     """Serve TTIs [t0, t1) with n guaranteed RBs each and nothing shared, in
     one Lindley pass.  Writes the same logs, head and sent count as stepping
-    schedule_tti through them."""
+    schedule_tti through them.  A stretch whose cumulative offered bits could
+    reach 2^62 is refused: they would wrap in int64."""
     bits_per_rb = np.asarray(queue.rate)[t0:t1]
+    if queue.sent + n * (t1 - t0) * int(bits_per_rb.max()) >= _NEVER:
+        raise ValueError(f"the bits offered in TTIs [{t0}, {t1}) could reach 2^62")
     sent = lindley_sent(np.asarray(queue.arrived)[t0:t1], n * bits_per_rb, queue.sent)
     np.asarray(queue.sent_log)[t0:t1] = sent
     np.asarray(queue.used_log)[t0:t1] = -(-np.diff(sent, prepend=queue.sent) // bits_per_rb)

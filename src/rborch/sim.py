@@ -91,7 +91,7 @@ log = logging.getLogger(__name__)
 
 CCDF_GRID = tuple((5 * i - 100) / 100.0 for i in range(81))
 # TTIs per block of measure_fifo_delays and packets per block of run's delay
-# scoring: about 1 MB per int64 temporary, so a block's passes stay in cache
+# scoring: 256 KiB per int64 temporary, so a block's passes stay in cache
 _FIFO_BLOCK = 1 << 15
 
 
@@ -187,10 +187,17 @@ class ScenarioConfig:
         if len(set(ids)) != len(ids):
             raise ValueError("service ids must be unique")
         for s in self.services:
-            if s.arrival is None or s.channel is None:
-                raise ValueError(f"service {s.id} is missing a traffic or channel source")
+            if not isinstance(s.arrival, (SyntheticModel, ArrivalTrace)):
+                raise ValueError(f"service {s.id}: arrival source must be a SyntheticModel or ArrivalTrace")
+            if not isinstance(s.channel, (SyntheticModel, ChannelTrace)):
+                raise ValueError(f"service {s.id}: channel source must be a SyntheticModel or ChannelTrace")
             if isinstance(s.channel, SyntheticModel) and s.channel.min_value <= 0:
                 raise ValueError(f"service {s.id}: channel support must be positive")
+            # a queue is offered at most n_cell x top bits per TTI; kept below 2^62 over the
+            # horizon, no int64 column of the RT loop can wrap
+            top = max(s.channel.values) if isinstance(s.channel, SyntheticModel) else int(s.channel.bits_per_rb.max())
+            if self.n_cell * top * self.horizon >= _NEVER:
+                raise ValueError(f"service {s.id}: n_cell x largest bits per RB x horizon must be below 2^62")
             if s.w_th_ms < self.t_slot_ms:
                 raise ValueError(f"service {s.id}: delay budget below one slot")
             slot_count(s.w_th_ms, self.t_slot_ms)  # the budget must be a whole number of slots
@@ -413,7 +420,7 @@ def _gen_service_streams(cfg: ScenarioConfig, m: int):
     Returns the columns of its `PacketQueue`: the packet table -- arrival TTI
     and size of every packet, in FIFO order -- and the per-TTI bits per RB.  A
     synthetic source gives one packet per non-empty TTI; a trace repeats its
-    per-TTI packet counts and sizes.
+    per-TTI packet counts and sizes (`ScenarioConfig` admits no other source).
     """
     spec = cfg.services[m]
     src = spec.arrival
@@ -422,19 +429,15 @@ def _gen_service_streams(cfg: ScenarioConfig, m: int):
         bits = sample_many(src, _source_rng(cfg.seed, 0, m), horizon)
         t_arr = np.flatnonzero(bits)
         sizes = bits[t_arr]
-    elif isinstance(src, ArrivalTrace):
+    else:
         counts = np.bincount(src.arrival, minlength=src.length)
         t_arr = np.repeat(np.arange(horizon), extend_cyclically(counts, horizon, f"arrival trace {spec.id}"))
         sizes = np.resize(src.size, len(t_arr))
-    else:
-        raise ValueError(f"service {spec.id}: unsupported arrival source {type(src)}")
 
     if isinstance(spec.channel, SyntheticModel):
         rates = sample_many(spec.channel, _source_rng(cfg.seed, 1, m), horizon)
-    elif isinstance(spec.channel, ChannelTrace):
-        rates = extend_cyclically(spec.channel.bits_per_rb, horizon, f"channel trace {spec.id}")
     else:
-        raise ValueError(f"service {spec.id}: unsupported channel source {type(spec.channel)}")
+        rates = extend_cyclically(spec.channel.bits_per_rb, horizon, f"channel trace {spec.id}")
 
     anom = cfg.anomaly
     if anom is not None and anom.service_id == spec.id:
@@ -504,7 +507,9 @@ def run(cfg: ScenarioConfig) -> Metrics:
     while t < horizon:
         since = t - warmup_end
         if model and since % t_out == 0:
-            windows = [_service_window(q, since, max(0, t - t_out), t, baseline[m]) for m, q in enumerate(queues)]
+            windows = [
+                _service_window(q, t - cfg.t_obs, max(0, t - t_out), t, baseline[m]) for m, q in enumerate(queues)
+            ]
             decision = allocate(cfg.services, windows, n_cell, alloc_cfg, em_rng)
             del windows  # frees the capacity prefixes built for this decision
             baseline = list(decision.n_min)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import logging
 import math
 import os
@@ -207,6 +208,18 @@ STRICT_CASES = {
         "incomplete anomaly block ('anomaly_service' missing)",
     ),
     "trace with two paths": ("arrival = constant 60", "arrival = trace a.csv b.csv", "trace source takes exactly one path"),
+    "empty descriptor": ("arrival = constant 60", "arrival =", "empty source descriptor"),
+    "bool value": ("seed = 5", "seed = 5\ndebug_log = maybe", "option 'debug_log': cannot parse 'maybe' as bool"),
+    "service section name": ("[service.1]", "[service.x]", "bad service section name [service.x]"),
+    "no n_cell": ("n_cell = 12\n", "", "[scenario] must set n_cell"),
+    "service without channel": ("channel = constant 25\n\n[service.1]", "\n[service.1]", "[service.0] must set channel"),
+    "no service sections": (BASE_CFG[BASE_CFG.index("[service.0]") :], "", "no [service.N] sections"),
+    "no [scenario]": (BASE_CFG[: BASE_CFG.index("[service.0]")], "", "missing [scenario] section"),
+    # 12 RBs of 2^61 bits over 2600 TTIs: the warm-up's offered bits would wrap in int64
+    "offered bits reach 2^62": (
+        "channel = constant 25", "channel = constant 2305843009213693952",
+        "service 0: n_cell x largest bits per RB x horizon must be below 2^62",
+    ),
 }
 
 
@@ -217,6 +230,15 @@ def test_strict_scenario_file_exit_1(case, tmp_path, capsys):
     p.write_text(BASE_CFG.replace(old, new, 1))
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
+
+def test_unparsable_file_exit_1(tmp_path, capsys):
+    p = tmp_path / "garbled.cfg"
+    p.write_text("[scenario]\nn_cell 12\n")
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot parse {p}: Source contains parsing errors: {str(p)!r}\n\t[line  2]: 'n_cell 12\\n'\n"
+    )
 
 
 def test_empty_default_section_loads(cfg_file, tmp_path):
@@ -260,6 +282,12 @@ class TestRunCommand:
         rc = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "nope.cfg" in capsys.readouterr().err
+
+    def test_runtime_error_exit_2(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")  # a file where the output directory should go
+        assert main(["run", "--config", cfg_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"runtime error: [Errno {errno.EEXIST}] File exists: {str(out)!r}\n"
 
     def test_no_silent_overwrite(self, cfg_file, tmp_path):
         out = str(tmp_path / "out")
@@ -539,6 +567,29 @@ def test_sweep_jobs_below_one_exit_1(jobs, tmp_path, capsys):
     assert not out.exists()
 
 
+# option checks of the commands: (the command and its options besides --config
+# and --out, the error after "error: "); the --out directory holds an index.csv
+CLI_CASES = {
+    "axis without =": (["sweep", "--axis", "seed"], "bad --axis 'seed', expected name=v1,v2,..."),
+    "index.csv kept": (["sweep", "--axis", "seed=1"], "refusing to overwrite {out}/index.csv (use --overwrite)"),
+    "grid of a word": (["table1", "--n-cell-grid", "20,x"], "bad --n-cell-grid '20,x'"),
+    "grid of no values": (["validate-model", "--n-min-grid", ","], "--n-min-grid is empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_command_option_exit_1(case, tmp_path, capsys):
+    argv, message = CLI_CASES[case]
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(SINGLE_CFG if argv[0] == "validate-model" else TRIPLE_CFG)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "index.csv").write_text("")
+    assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
+    assert os.listdir(out) == ["index.csv"]  # nothing run
+
+
 TRIPLE_CFG = """
 [scenario]
 n_cell = 30
@@ -599,6 +650,13 @@ class TestTable1:
         assert main(["table1", "--config", str(path), "--out", out, "--n-cell-grid", "4,6"]) == 0
         rows = [l.split(",") for l in read(os.path.join(out, "table1.csv")).decode().splitlines()[1:]]
         assert [r[:4] for r in rows] == [["4", "inf", "inf", "0"], ["6", "inf", "inf", "0"]]
+
+    def test_trace_sources_rejected(self, tmp_path, capsys):
+        (tmp_path / "ch.csv").write_text("tti,service_id,bits_per_rb\n0,0,25\n")
+        p = tmp_path / "traced.cfg"
+        p.write_text(TRIPLE_CFG.replace("channel = constant 25", "channel = trace ch.csv"))
+        assert main(["table1", "--config", str(p), "--out", str(tmp_path / "t"), "--n-cell-grid", "20"]) == 1
+        assert capsys.readouterr().err == "error: table1 expects synthetic sources\n"
 
     def test_small_cell_rejected(self, triple_cfg, tmp_path):
         rc = main(["table1", "--config", triple_cfg, "--out", str(tmp_path / "t"), "--n-cell-grid", "2"])

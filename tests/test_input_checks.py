@@ -1,5 +1,7 @@
-"""Input checks of the capacity, bound and allocator layers, each reached by one bad input."""
+"""Input checks of every layer below the configuration file, each reached by one bad input."""
 
+import dataclasses
+import io
 import re
 
 import numpy as np
@@ -18,9 +20,14 @@ from rborch.near_rt import (
     AllocatorConfig,
     ServiceSpec,
     ServiceWindow,
+    allocate,
     brute_force_allocate,
     objective,
 )
+from rborch.rt import FsmRecord, RtThresholds, mitigate
+from rborch.sim import AnomalyConfig, ScenarioConfig, ccdf, qldr_allocate
+from rborch.traces import ChannelTrace, SyntheticModel, load_arrival_trace, sample_many
+from rborch.utilization import GmmMixture, empirical_pmf, fit_gmm_em
 
 
 def samples():
@@ -29,6 +36,16 @@ def samples():
 
 def window():
     return ServiceWindow(ArrivalSampleSet([5, 7]), ConcatPerRbVector([40, 60], [2, 3]), [0, 1])
+
+
+def spec(sid=0, arrival=SyntheticModel("constant", (100,)), channel=SyntheticModel("constant", (25,))):
+    return ServiceSpec(sid, 5.0, 1e-3, arrival, channel)
+
+
+def scenario(**changes):
+    """A valid two-service scenario with `changes` applied."""
+    return dataclasses.replace(ScenarioConfig(n_cell=4, horizon=300, services=(spec(0), spec(1)), t_obs=100,
+                                              t_out=100), **changes)
 
 
 CASES = {
@@ -72,6 +89,77 @@ CASES = {
         lambda: brute_force_allocate([ServiceSpec(id=m, w_th_ms=5.0, epsilon=1e-3) for m in range(3)], [window()] * 3, 2),
         "cell budget smaller than the number of services",
     ),
+    "allocator windows of another count": (lambda: allocate([spec(0)], [window()] * 2, 4), "specs and windows lengths differ"),
+    "allocator of no services": (lambda: allocate([], [], 4), "at least one service required"),
+    "oracle of no services": (lambda: brute_force_allocate([], [], 4), "at least one service required"),
+    "capacity n_min below 1": (
+        lambda: build_capacity_samples(ConcatPerRbVector([10], [1]), 0, 2), "n_min must be positive"
+    ),
+    # the scenario
+    "n_cell below 1": (lambda: scenario(n_cell=0), "n_cell must be positive"),
+    "no services": (lambda: scenario(services=()), "at least one service required"),
+    "slot of 0 ms": (lambda: scenario(t_slot_ms=0.0), "t_slot_ms, t_obs and t_out must be positive"),
+    "t_obs of 0": (lambda: scenario(t_obs=0), "t_slot_ms, t_obs and t_out must be positive"),
+    "t_out of 0": (lambda: scenario(t_out=0), "t_slot_ms, t_obs and t_out must be positive"),
+    "qldr_window below 1": (lambda: scenario(qldr_window=0), "qldr_window must be positive"),
+    "duplicate service ids": (lambda: scenario(services=(spec(3), spec(3))), "service ids must be unique"),
+    "no arrival source": (
+        lambda: scenario(services=(spec(0), spec(1, arrival=None))),
+        "service 1: arrival source must be a SyntheticModel or ArrivalTrace",
+    ),
+    "arrival source of another type": (
+        lambda: scenario(services=(spec(0, arrival=[100, 0]), spec(1))),
+        "service 0: arrival source must be a SyntheticModel or ArrivalTrace",
+    ),
+    "no channel source": (
+        lambda: scenario(services=(spec(0, channel=None), spec(1))),
+        "service 0: channel source must be a SyntheticModel or ChannelTrace",
+    ),
+    "anomaly of an unknown service": (
+        lambda: scenario(anomaly=AnomalyConfig(7, 100, 200, 2.0)), "anomaly references an unknown service id"
+    ),
+    "negative anomaly factor": (lambda: AnomalyConfig(0, 100, 200, -0.5), "anomaly factor must be non-negative"),
+    # the per-TTI loop and its metrics
+    "ccdf budget 0": (lambda: ccdf([1.0, 2.0], 0.0), "w_th_ms must be positive"),
+    "qldr stats of two lengths": (lambda: qldr_allocate([10.0, 20.0], [25.0], [5.0, 10.0], 8), "window stat lengths differ"),
+    "qldr rate 0": (lambda: qldr_allocate([10.0], [0.0], [5.0], 8), "rates and budgets must be positive"),
+    "FSM state D": (lambda: FsmRecord("D"), "unknown state 'D'"),
+    "FSM request below 0": (lambda: FsmRecord("B", -1), "n_req must be non-negative"),
+    "threshold q_t 0": (lambda: RtThresholds(0), "q_t must be a positive TTI count"),
+    "threshold eta above 1": (lambda: RtThresholds(10, eta=1.5), "eta and tau must lie in (0, 1]"),
+    "threshold tau 0": (lambda: RtThresholds(10, tau=0.0), "eta and tau must lie in (0, 1]"),
+    "mitigation of another length": (lambda: mitigate([3, 3], [FsmRecord()]), "allocation and FSM record lengths differ"),
+    # utilization estimators
+    "mixture shapes": (
+        lambda: GmmMixture(np.array([0.5, 0.5]), np.array([1.0]), np.array([1.0, 1.0])),
+        "weights, means and sigmas must share a positive length",
+    ),
+    "empty mixture": (
+        lambda: GmmMixture(np.array([]), np.array([]), np.array([])),
+        "weights, means and sigmas must share a positive length",
+    ),
+    "usage table n_add below 0": (lambda: empirical_pmf([1, 2], -1), "n_add must be non-negative"),
+    "EM of no samples": (lambda: fit_gmm_em([], 2), "samples must be a non-empty 1-d sequence"),
+    "EM of 2-d samples": (lambda: fit_gmm_em([[1.0, 2.0]], 1), "samples must be a non-empty 1-d sequence"),
+    "EM of no components": (lambda: fit_gmm_em([1.0, 2.0], 0), "component count must be positive"),
+    # sources and traces
+    "constant of two values": (lambda: SyntheticModel("constant", (1, 2)), "constant model takes exactly one value"),
+    "two-point of three values": (
+        lambda: SyntheticModel("two-point", (1, 2, 3), (0.2, 0.3, 0.5)), "two-point model takes exactly two values"
+    ),
+    "empty table": (lambda: SyntheticModel("empirical-table", (), ()), "empirical-table model needs at least one entry"),
+    "table without probabilities": (
+        lambda: SyntheticModel("empirical-table", (1, 2)), "probabilities required, one per support value"
+    ),
+    "table of fewer probabilities": (
+        lambda: SyntheticModel("empirical-table", (1, 2), (1.0,)), "probabilities required, one per support value"
+    ),
+    "negative sample count": (
+        lambda: sample_many(SyntheticModel("constant", (1,)), np.random.default_rng(0), -1), "size must be non-negative"
+    ),
+    "empty channel trace": (lambda: ChannelTrace(0, []), "channel trace must contain at least one TTI"),
+    "channel trace of 0 bits per RB": (lambda: ChannelTrace(0, [25, 0]), "bits_per_rb must be strictly positive"),
+    "empty trace file": (lambda: load_arrival_trace(io.StringIO(""), 0), "line 1: empty file, header row required"),
 }
 
 

@@ -24,6 +24,7 @@ from rborch.rt import (
     mitigate,
     packet_rbs,
     schedule_tti,
+    serve_guaranteed,
     slot_count,
 )
 from rborch.sim import measure_fifo_delays
@@ -452,6 +453,21 @@ class TestBitLimits:
         # one TTI may offer far more than the rest, as long as the total stays below 2^62
         delays, pending = measure_fifo_delays([1, 0, 3], [2**61, 2**61 - 2, 1])
         assert delays.tolist() == [1.0] and pending.tolist() == [2]
+
+    def test_guaranteed_stretch_offered_bits(self):
+        # 4 RBs of 2^62 bits offer 2^64 bits per TTI, which wraps to 0 in int64:
+        # the stretch would send nothing where schedule_tti sends the 10 bits
+        with pytest.raises(ValueError) as err:
+            serve_guaranteed(PacketQueue([0], [10], [2**62] * 3), 0, 3, 4)
+        assert err.value.args[0] == "the bits offered in TTIs [0, 3) could reach 2^62"
+        # the bound counts the bits sent before the stretch: 3 x 2^60 + 2^60 reaches 2^62
+        q = PacketQueue([0, 1], [2**60, 10], [2**60, 2**60, 1, 1])
+        serve_guaranteed(q, 0, 1, 1)
+        with pytest.raises(ValueError, match="could reach 2\\^62"):
+            serve_guaranteed(q, 1, 4, 1)
+        serve_guaranteed(q, 1, 3, 1)  # 2^60 + 2 x 2^60 stays below
+        assert list(q.sent_log[:3]) == [2**60, 2**60 + 10, 2**60 + 10]
+        assert list(q.used_log[:3]) == [1, 1, 0]
 
 
 class TestLindleySent:

@@ -21,7 +21,7 @@ from rborch.sim import (
     qldr_allocate,
     run,
 )
-from rborch.traces import ArrivalTrace, SyntheticModel
+from rborch.traces import ArrivalTrace, ChannelTrace, SyntheticModel
 
 
 def svc(sid, w_th, eps, arrival, channel):
@@ -179,6 +179,18 @@ class TestRunBasics:
             dataclasses.replace(
                 cfg, services=(svc(0, 0.5, 1e-3, mk("constant", 0), mk("constant", 25)), *cfg.services[1:])
             )
+
+    def test_offered_bits_bound(self):
+        # n_cell x largest bits per RB x horizon bounds every queue's offered
+        # bits; at 2^62 a guaranteed stretch of the warm-up would wrap in int64
+        cfg = small_config(n_cell=4)
+        top = (2**62 - 1) // (cfg.n_cell * cfg.horizon)
+        for channel in (mk("constant", top), ChannelTrace(0, [25, top])):
+            dataclasses.replace(cfg, services=(svc(0, 5.0, 1e-3, mk("constant", 100), channel),))
+        for channel in (mk("two-point", (1, top + 1), (0.5, 0.5)), ChannelTrace(0, [25, top + 1])):
+            with pytest.raises(ValueError) as err:
+                dataclasses.replace(cfg, services=(svc(0, 5.0, 1e-3, mk("constant", 100), channel),))
+            assert err.value.args[0] == "service 0: n_cell x largest bits per RB x horizon must be below 2^62"
 
     def test_budget_off_slot_grid_rejected(self):
         for kind in ("marea", "ref2"):
@@ -665,3 +677,16 @@ class TestSteppedTtis:
         assert (blocked & ~carried).any() and (carried & ~blocked).any()
         assert (held & ~blocked & ~carried).any() == (controller == "marea")
         assert len(stepped) < len(ttis)
+
+
+def test_mitigation_conservation_checked(monkeypatch):
+    # a mitigation that hands out one more RB per service than the guarantees
+    # hold; the record step of the first TTI it runs in refuses it
+    stepped = []
+    schedule_tti = sim.schedule_tti
+    monkeypatch.setattr(sim, "mitigate", lambda n_min, records: [n + 1 for n in n_min])
+    monkeypatch.setattr(sim, "schedule_tti", lambda t, *a: stepped.append(t) or schedule_tti(t, *a))
+    with pytest.raises(AssertionError) as err:
+        run(small_config(controller="marea", n_cell=16, anomaly=AnomalyConfig(0, 2500, 2600, 3.5)))
+    assert err.value.args[0] == f"mitigation broke conservation at tti {stepped[-1]}"
+    assert stepped[-1] >= 2000
