@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from .rt import check_slot
 from .utilization import UtilizationPmf, check_pmf
 
 # a search stops once its Newton step is at most this fraction of the bracket's upper end
@@ -324,14 +325,13 @@ def delay_bound(
 
     pi weights the capacity regions: a raw vector, which is checked, or a
     UtilizationPmf, which was checked when it was built.  The raw bound
-    counts TTIs; the returned value is scaled by the slot duration.  Infinite
-    W signals an under-provisioned service.  K'_s and K'_a at theta* are the
-    values the search evaluated there.
+    counts TTIs; the returned value is scaled by the slot duration, which must
+    be finite and positive.  Infinite W signals an under-provisioned service.
+    K'_s and K'_a at theta* are the values the search evaluated there.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
-    if t_slot_ms <= 0:
-        raise ValueError("t_slot_ms must be positive")
+    check_slot(t_slot_ms)
     ks_of, ka_of = _service_rate(x_s, pi), _arrival_rate(x_a)
     found = _search(ks_of, ka_of)
     if found is None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .capacity import ConcatPerRbVector, build_capacity_samples
 from .martingale import ArrivalSampleSet, delay_bound
-from .rt import whole_numbers
+from .rt import check_slot, whole_numbers
 from .utilization import UsageTable, UtilizationPmf, empirical_pmf, fit_gmm_em, region_probabilities
 
 
@@ -74,6 +74,7 @@ class AllocatorConfig:
     gmm_components: int = 3
 
     def __post_init__(self):
+        check_slot(self.t_slot_ms)
         if self.estimator not in ("empirical", "gmm"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.gmm_components < 1:

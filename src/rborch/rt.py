@@ -21,18 +21,22 @@ the first x bits).  Both only read the logs.  `schedule_tti` steps one TTI
 for all services, both of its phases sending through `drain_queue`.  Where
 services cannot affect each other (fixed guarantees, no sharing, no
 mitigation), `serve_guaranteed` serves a whole stretch of TTIs in one Lindley
-pass (`lindley_sent`) that writes the same logs.  Where every queue starts a
-TTI empty and its arrivals fit in the cell, sharing empties every queue in
-ceil(a / c) RBs each, whatever the guarantees: `clearing_rbs` writes those
-RBs ahead of time and `serve_cleared` serves such a stretch.  A packet table
-carries fewer than 2^62 bits, so every cumulative column stays within int64.
+pass (`lindley_sent`, here over every TTI) that writes the same logs.  The
+pass is exact at any increasing set of TTIs that holds the TTI before every
+arrival, which `measure_fifo_delays` uses for constant service.  Where every
+queue starts a TTI empty and its arrivals fit in the cell, sharing empties
+every queue in ceil(a / c) RBs each, whatever the guarantees: `clearing_rbs`
+writes those RBs ahead of time and `serve_cleared` serves such a stretch.  A
+packet table carries fewer than 2^62 bits, so every cumulative column stays
+within int64.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +53,12 @@ _NEVER = 1 << 62
 
 class ConfigError(ValueError):
     """Unusable configuration file or option value."""
+
+
+def check_slot(t_slot_ms: float) -> None:
+    """Refuse a slot length that is not a finite, positive number of ms."""
+    if not 0.0 < t_slot_ms < math.inf:  # NaN fails both
+        raise ValueError(f"t_slot_ms must be finite and positive, not {t_slot_ms:g}")
 
 
 def slot_count(ms: float, t_slot_ms: float) -> int:
@@ -297,43 +307,55 @@ def schedule_tti(
     return rbs_used, completed
 
 
-def lindley_sent(arrived: np.ndarray, offered: np.ndarray, sent0: int = 0) -> np.ndarray:
-    """Cumulative bits a FIFO queue has sent by the end of each TTI of a stretch.
+def lindley_sent(
+    arrived: np.ndarray, offered: np.ndarray, sent0: int = 0, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Cumulative bits a FIFO queue has sent by each of an increasing set of
+    TTIs of a stretch, its points.
 
-    `arrived` is the cumulative bits arrived by the end of each TTI, `offered`
-    the bits the queue may send in each TTI, or one value that it may send in
-    every TTI, and `sent0` the bits sent before the stretch.  This is
-    Lindley's recursion Q_t = max(0, Q_(t-1) + a_t - s_t) in closed form: with
-    y the backlog before reflection, sent = sent0 + cumsum(offered) + min(0,
-    running minimum of y); clamping y[0] at 0 first folds the min(0, .) into
-    the running minimum.  One offered value s builds cumsum(offered) as
-    s * (1, 2, ..., T) instead.  The recursion is Markov in the queue state,
-    so a stream served in consecutive stretches, each started from the bits
-    sent by the end of the last, is sent exactly as in one pass.
+    `arrived` and `offered` are the cumulative bits that arrived and that the
+    queue may send by the end of each point, counted from the stretch's start,
+    and `sent0` the bits sent before it; the result goes to `out` if given.
+    This is Lindley's recursion Q_t = max(0, Q_(t-1) + a_t - s_t) in closed
+    form: with y = arrived - offered, sent = offered + min(sent0, running
+    minimum of y); clamping y[0] at sent0 first folds the min(sent0, .) into
+    the running minimum.  Between arrivals y only falls, so its running
+    minimum is exact wherever the points hold the TTI before every arrival of
+    the stretch up to them: every TTI, or the TTI before each arrival and the
+    last TTI.  A point may also be the stretch's start, with nothing offered.
+    The recursion is Markov in the queue state, so a stream served in
+    consecutive stretches, each started from the bits sent by the end of the
+    last, is sent exactly as in one pass.
     """
-    if np.ndim(offered):
-        sent = np.cumsum(offered)
-    else:
-        sent = np.arange(1, len(arrived) + 1, dtype=np.int64)
-        sent *= offered
-    sent += sent0
-    y = arrived - sent
-    if len(y) and y[0] > 0:
-        y[0] = 0
-    np.minimum.accumulate(y, out=y)
-    sent += y
+    sent = np.subtract(arrived, offered, out=out)
+    if len(sent) and sent[0] > sent0:
+        sent[0] = sent0
+    np.minimum.accumulate(sent, out=sent)
+    sent += offered
     return sent
+
+
+def _empty_stretch(t0: int, t1: int) -> bool:
+    """Whether the stretch of TTIs [t0, t1) is empty; one that ends before it starts is refused."""
+    if t1 < t0:
+        raise ValueError(f"the stretch of TTIs [{t0}, {t1}) ends before it starts")
+    return t1 == t0
 
 
 def serve_guaranteed(queue: PacketQueue, t0: int, t1: int, n: int) -> None:
     """Serve TTIs [t0, t1) with n guaranteed RBs each and nothing shared, in
-    one Lindley pass.  Writes the same logs, head and sent count as stepping
-    schedule_tti through them.  A stretch whose cumulative offered bits could
-    reach 2^62 is refused: they would wrap in int64."""
+    one Lindley pass over every TTI.  Writes the same logs, head and sent
+    count as stepping schedule_tti through them; an empty stretch changes
+    nothing.  A stretch whose cumulative offered bits could reach 2^62 is
+    refused: they would wrap in int64."""
+    if _empty_stretch(t0, t1):
+        return
     bits_per_rb = np.asarray(queue.rate)[t0:t1]
     if queue.sent + n * (t1 - t0) * int(bits_per_rb.max()) >= _NEVER:
         raise ValueError(f"the bits offered in TTIs [{t0}, {t1}) could reach 2^62")
-    sent = lindley_sent(np.asarray(queue.arrived)[t0:t1], n * bits_per_rb, queue.sent)
+    offered = np.cumsum(bits_per_rb)
+    offered *= n
+    sent = lindley_sent(np.asarray(queue.arrived)[t0:t1], offered, queue.sent)
     np.asarray(queue.sent_log)[t0:t1] = sent
     np.asarray(queue.used_log)[t0:t1] = -(-np.diff(sent, prepend=queue.sent) // bits_per_rb)
     queue.sent = int(sent[-1])
@@ -357,7 +379,10 @@ def clearing_rbs(queue: PacketQueue, t0: int) -> np.ndarray:
 def serve_cleared(queue: PacketQueue, t0: int, t1: int) -> None:
     """Serve TTIs [t0, t1) of an empty queue in a cell that clears each of
     them: every TTI sends the bits it got, in the RBs `clearing_rbs` wrote.
-    Writes the same sent log, head and sent count as stepping schedule_tti."""
+    Writes the same sent log, head and sent count as stepping schedule_tti;
+    an empty stretch changes nothing."""
+    if _empty_stretch(t0, t1):
+        return
     queue.sent_log[t0:t1] = queue.arrived[t0:t1]
     queue.sent = queue.arrived[t1 - 1]
     queue.head = bisect_right(queue.ends, queue.sent, queue.head)

@@ -37,19 +37,23 @@ three queues).  The controller kinds are rows of `ControllerStrategy` data.
 Delays are measured by one completion-and-delay step, `_complete`, shared by
 `run`'s end-of-run scoring and `measure_fifo_delays`: it finds the TTI that
 completes each queued packet and writes the packet's delay into a float64
-array preallocated with one entry per packet.  It searches the sent log for
-that TTI, except where every TTI of the log offers the same s > 0 bits: a
-packet queued from TTI b on is then sent s bits in every TTI until it
-completes, at TTI b - 1 + ceil((its end - bits sent by the end of b - 1) / s).
+array preallocated with one entry per packet.  It searches a sent log of
+every TTI for that TTI, except in a block whose every TTI offers the same
+s > 0 bits: a packet queued from TTI b on is then sent s bits in every TTI
+until it completes, at TTI b - 1 + ceil((its end - bits sent before b) / s).
 `run` feeds it its packet table in blocks of _FIFO_BLOCK packets against the
 whole sent log, always searched.  `measure_fifo_delays` walks its stream in
 blocks of _FIFO_BLOCK TTIs, each through one Lindley pass started from the
 bits arrived and sent before the block (Lindley's recursion is Markov in the
-queue state, so the result does not depend on the block length), and takes
-the closed form for each block whose service bits are one positive value.
-Beyond the delays, the step holds only block-sized temporaries;
-`measure_fifo_delays` also holds the arrival TTI and cumulative end of each
-packet still queued.
+queue state, so the result does not depend on the block length).  A block
+whose service bits vary is passed over every TTI and searched.  A block
+whose service bits are one positive value is passed only at its points, the
+TTI before each of its packets and its last TTI: between arrivals the
+backlog before reflection only falls, so the recursion's running minimum is
+exact there (the chain embedded at arrival epochs), and the pass gives each
+packet's bits sent before b for the closed form.  Beyond the delays, the
+step holds only block-sized temporaries; `measure_fifo_delays` also holds
+the arrival TTI and cumulative end of each packet still queued.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from .rt import (
     PacketQueue,
     RtThresholds,
     _from_start,
+    check_slot,
     clearing_rbs,
     completion_ttis,
     fsm_step,
@@ -175,8 +180,9 @@ class ScenarioConfig:
             raise ValueError("at least one service required")
         if self.n_cell < len(self.services):
             raise ValueError("n_cell must be at least the number of services")
-        if self.t_slot_ms <= 0 or self.t_obs < 1 or self.t_out < 1:
-            raise ValueError("t_slot_ms, t_obs and t_out must be positive")
+        check_slot(self.t_slot_ms)
+        if self.t_obs < 1 or self.t_out < 1:
+            raise ValueError("t_obs and t_out must be positive")
         if self.horizon < self.t_obs + self.t_out:
             raise ValueError("horizon must cover at least t_obs + t_out TTIs")
         controller_for(self.controller)
@@ -288,16 +294,20 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
 
     One packet per non-empty TTI; both inputs hold whole, non-negative bits,
     one entry per TTI, in 1-d arrays of one length, and each sums to less
-    than 2^62 bits (anything else raises ValueError).  Returns (delays_ms of
-    completed packets, arrival TTIs of packets still pending).  The stream is
-    walked in blocks of _FIFO_BLOCK TTIs through the same Lindley pass and
-    completion step as `run`'s queues; a block whose every TTI offers the
-    same bits, s > 0, builds its offered bits as s * (1..T) and completes its
-    packets in closed form instead of searching the sent bits.  Besides its
-    inputs a call holds one float64 per packet, the arrival TTI and
-    cumulative end of each packet still queued, and block-sized temporaries,
-    so multi-million-TTI measurement runs stay cheap.
+    than 2^62 bits, and the slot length is finite and positive (anything
+    else raises ValueError).  Returns (delays_ms of completed packets,
+    arrival TTIs of packets still pending).  The stream is walked in blocks
+    of _FIFO_BLOCK TTIs through the same Lindley pass and completion step as
+    `run`'s queues.  A block whose every TTI offers the same bits, s > 0,
+    takes the pass only at the TTI before each of its packets and at its last
+    TTI, with s x the TTIs up to each as its offered bits, and completes its
+    packets in closed form from it; any other block takes the pass over every
+    TTI and searches the sent bits.  Besides its inputs a call holds one
+    float64 per packet, the arrival TTI and cumulative end of each packet
+    still queued, and block-sized temporaries, so multi-million-TTI
+    measurement runs stay cheap.
     """
+    check_slot(t_slot_ms)
     a_in, s_in = np.asarray(arr_bits), np.asarray(svc_bits)
     if a_in.ndim != 1 or a_in.shape != s_in.shape:
         raise ValueError(f"arrival and service bits must be 1-d and align per TTI, got {a_in.shape} and {s_in.shape}")
@@ -312,8 +322,7 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
         a_max, s_max = int(a.view(np.uint64).max()), int(s.view(np.uint64).max())
         if (a_max | s_max) >> 63:
             raise ValueError(f"arrival and service bits must be non-negative, not so in TTIs [{t0}, {t0 + len(a)})")
-        # the bits every TTI of the block offers, or 0 when they differ (its ends tell most such blocks)
-        rate = s_max if s[0] == s_max == s[-1] and s.min() == s_max else 0
+        rate = _block_rate(s, s_max)
         # the bits offered and arrived must stay below 2^62; a block counts as
         # len x its largest entry until that bound reaches 2^62, then exactly
         offered += len(s) * s_max if rate or not exact else _bits_in(s, s_max)
@@ -321,12 +330,32 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
             offered, exact = sum(whole_numbers(s_in[: t0 + len(s)], "service bits").tolist()), True
         if offered >= _NEVER or (arrived + len(a) * a_max >= _NEVER and arrived + _bits_in(a, a_max) >= _NEVER):
             raise ValueError(f"arrival and service bits must each sum to less than 2^62, not so by TTI {t0 + len(a)}")
-        a_cum = np.cumsum(a)
-        a_cum += arrived
         new = (a > 0).nonzero()[0]  # faster than on the int64 bits themselves
+        if rate:
+            # Lindley's points: the TTI before each packet (t0 - 1, the block's
+            # start, for one at t0) and the block's last TTI; by them arrived
+            # the bits before each packet, then all of the block's.  The bits
+            # arrived, offered and sent by each share one buffer sized by the
+            # block, not its packet count, so each block's buffer fits where an
+            # earlier one was freed: buffers of varying size left holes in the
+            # heap that raised the peak RSS of a process making repeated
+            # 2M-TTI calls by about 8 MB
+            a_cum, offered_by, sent_block = np.empty((3, len(a) + 1), dtype=np.int64)[:, : len(new) + 1]
+            a_cum[0] = arrived
+            np.cumsum(a[new], out=a_cum[1:])
+            a_cum[1:] += arrived
+            ends = a_cum[1:]
+            offered_by[:-1] = new
+            offered_by[-1] = len(a)
+            offered_by *= rate
+            lindley_sent(a_cum, offered_by, sent, out=sent_block)
+        else:
+            a_cum = np.cumsum(a)
+            a_cum += arrived
+            ends = a_cum[new]
+            sent_block = lindley_sent(a_cum, np.cumsum(s), sent)
         if len(new):
-            queued.append((new + t0, a_cum[new]))
-        sent_block = lindley_sent(a_cum, rate or s, sent)
+            queued.append((new + t0, ends))
         k = _complete(queued, sent_block, t0, delays, k, t_slot_ms, rate, sent)
         arrived, sent = int(a_cum[-1]), int(sent_block[-1])
     pending = np.concatenate([arr for arr, _ in queued]) if queued else np.zeros(0, dtype=np.intp)
@@ -338,36 +367,45 @@ def _bits_in(x: np.ndarray, top: int) -> int:
     return int(x.sum()) if len(x) * top < _NEVER else sum(x.tolist())
 
 
+def _block_rate(s: np.ndarray, s_max: int) -> int:
+    """The bits every TTI of a block of service bits offers, or 0 when they
+    differ (its ends tell most such blocks); `s_max` is its largest entry."""
+    return s_max if s[0] == s_max == s[-1] and s.min() == s_max else 0
+
+
 def _complete(
     queued: list, sent: np.ndarray, t0: int, out: np.ndarray, k: int, t_slot_ms: float, rate: int = 0, sent0: int = 0
 ) -> int:
-    """Complete FIFO packets from the front of `queued` within `sent`, the
-    cumulative bits sent by the end of each TTI from t0 on (non-empty).
+    """Complete FIFO packets from the front of `queued` within a block of TTIs
+    from t0 on, whose bits sent by its end are sent[-1].
 
     `queued` lists the packets not yet completed, in FIFO order, as chunks of
     (arrival TTIs, cumulative ends).  The packets that complete leave it, and
     their delays in ms are written to out[k], out[k + 1], ...  Returns the
     index of out after the last delay written.  A packet completes in the
-    first TTI whose sent bits reach its end E, found by searching `sent`;
-    with `rate` > 0 every TTI of the log offers `rate` bits and `sent0` bits
-    were sent before t0, and the completion is found in closed form instead:
-    a packet queued from TTI b = max(arrival, t0) on is sent `rate` bits in
-    every TTI until E is, so it completes at TTI b - 1 + ceil((E - bits sent
-    by the end of b - 1) / rate).
+    first TTI whose sent bits reach its end E.  With `rate` 0, `sent` holds
+    the cumulative bits sent by the end of every TTI of the block, and that
+    TTI is found by searching it.  With `rate` > 0 every TTI of the block
+    offers `rate` bits, `sent0` bits were sent before t0, and `sent` holds
+    Lindley's points of the block (`measure_fifo_delays`): the bits sent
+    before each of its packets arrived, then by its end.  A packet queued
+    from TTI b = max(arrival, t0) on is sent `rate` bits in every TTI until E
+    is, so it completes at TTI b - 1 + ceil((E - bits sent before b) / rate),
+    with the bits sent before b read from `sent` for the block's packets and
+    `sent0` for those carried into it.
     """
     for i, (arr, ends) in enumerate(queued):
         if rate:
             j = int(ends.searchsorted(sent[-1], side="right"))
-            # the first c packets are queued from t0 on, after sent0 bits
-            c = min(int(arr.searchsorted(t0, side="right")), j)
-            before = np.empty(j, dtype=np.int64)
-            before[:c] = sent0
-            sent.take(arr[c:j] - (t0 + 1), out=before[c:], mode="clip")  # in range: b - 1 lies in the log
+            # a chunk holds either packets carried into the block or the block's own
+            carried = arr[0] < t0
+            done = np.subtract(ends[:j], sent0 if carried else sent[:j])
             # the slots waited are the TTIs from b to completion, plus b - arrival
-            done = np.subtract(ends[:j], before, out=before)
             done += rate - 1
             done //= rate
-            done[:c] += t0 - arr[:c]
+            if carried:
+                done += t0
+                done -= arr[:j]
         else:
             done = completion_ttis(sent, ends)
             j = len(done)

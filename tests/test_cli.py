@@ -211,6 +211,8 @@ STRICT_CASES = {
     "empty descriptor": ("arrival = constant 60", "arrival =", "empty source descriptor"),
     "bool value": ("seed = 5", "seed = 5\ndebug_log = maybe", "option 'debug_log': cannot parse 'maybe' as bool"),
     "service section name": ("[service.1]", "[service.x]", "bad service section name [service.x]"),
+    # float("nan") parses; the slot check refuses it before any slot count is taken
+    "slot of NaN ms": ("t_out = 1000", "t_out = 1000\nt_slot_ms = nan", "t_slot_ms must be finite and positive, not nan"),
     "no n_cell": ("n_cell = 12\n", "", "[scenario] must set n_cell"),
     "service without channel": ("channel = constant 25\n\n[service.1]", "\n[service.1]", "[service.0] must set channel"),
     "no service sections": (BASE_CFG[BASE_CFG.index("[service.0]") :], "", "no [service.N] sections"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import math
 import re
 
 import numpy as np
@@ -25,7 +26,7 @@ from rborch.near_rt import (
     objective,
 )
 from rborch.rt import FsmRecord, RtThresholds, mitigate
-from rborch.sim import AnomalyConfig, ScenarioConfig, ccdf, qldr_allocate
+from rborch.sim import AnomalyConfig, ScenarioConfig, ccdf, measure_fifo_delays, qldr_allocate
 from rborch.traces import ChannelTrace, SyntheticModel, load_arrival_trace, sample_many
 from rborch.utilization import GmmMixture, empirical_pmf, fit_gmm_em
 
@@ -67,10 +68,23 @@ CASES = {
         "sample vector for region 1 is empty",
     ),
     "K'_s at theta 0": (lambda: service_log_neg_mgf(samples(), [0.5, 0.5], 0.0), "theta must be positive"),
+    # every slot length is checked by rt.check_slot
     "delay bound slot 0": (
         lambda: delay_bound(ArrivalSampleSet([5]), samples(), [0.5, 0.5], 1e-3, t_slot_ms=0.0),
-        "t_slot_ms must be positive",
+        "t_slot_ms must be finite and positive, not 0",
     ),
+    "delay bound slot NaN": (
+        lambda: delay_bound(ArrivalSampleSet([5]), samples(), [0.5, 0.5], 1e-3, t_slot_ms=math.nan),
+        "t_slot_ms must be finite and positive, not nan",
+    ),
+    # an infinite slot would read as an infeasible service (W = inf)
+    "delay bound slot inf": (
+        lambda: delay_bound(ArrivalSampleSet([5]), samples(), [0.5, 0.5], 1e-3, t_slot_ms=math.inf),
+        "t_slot_ms must be finite and positive, not inf",
+    ),
+    "allocator slot -1 ms": (lambda: AllocatorConfig(t_slot_ms=-1.0), "t_slot_ms must be finite and positive, not -1"),
+    "FIFO slot -1 ms": (lambda: measure_fifo_delays([5], [10], -1.0), "t_slot_ms must be finite and positive, not -1"),
+    "FIFO slot NaN": (lambda: measure_fifo_delays([5], [10], math.nan), "t_slot_ms must be finite and positive, not nan"),
     "violation bound negative query": (
         lambda: violation_bound(DelayBoundResult(0.1, 30.0, 0.2, 0.3), -1.0),
         "w_query_ms must be non-negative",
@@ -98,9 +112,10 @@ CASES = {
     # the scenario
     "n_cell below 1": (lambda: scenario(n_cell=0), "n_cell must be positive"),
     "no services": (lambda: scenario(services=()), "at least one service required"),
-    "slot of 0 ms": (lambda: scenario(t_slot_ms=0.0), "t_slot_ms, t_obs and t_out must be positive"),
-    "t_obs of 0": (lambda: scenario(t_obs=0), "t_slot_ms, t_obs and t_out must be positive"),
-    "t_out of 0": (lambda: scenario(t_out=0), "t_slot_ms, t_obs and t_out must be positive"),
+    "slot of 0 ms": (lambda: scenario(t_slot_ms=0.0), "t_slot_ms must be finite and positive, not 0"),
+    "slot of NaN ms": (lambda: scenario(t_slot_ms=math.nan), "t_slot_ms must be finite and positive, not nan"),
+    "t_obs of 0": (lambda: scenario(t_obs=0), "t_obs and t_out must be positive"),
+    "t_out of 0": (lambda: scenario(t_out=0), "t_obs and t_out must be positive"),
     "qldr_window below 1": (lambda: scenario(qldr_window=0), "qldr_window must be positive"),
     "duplicate service ids": (lambda: scenario(services=(spec(3), spec(3))), "service ids must be unique"),
     "no arrival source": (

@@ -24,6 +24,7 @@ from rborch.rt import (
     mitigate,
     packet_rbs,
     schedule_tti,
+    serve_cleared,
     serve_guaranteed,
     slot_count,
 )
@@ -470,19 +471,52 @@ class TestBitLimits:
         assert list(q.used_log[:3]) == [1, 1, 0]
 
 
+class TestEmptyStretch:
+    """Serving TTIs [t0, t0) changes nothing; a stretch that ends before it starts is refused."""
+
+    @staticmethod
+    def unserved(q):
+        return q.sent == q.head == 0 and not any(q.sent_log) and not any(q.used_log)
+
+    def test_serve_guaranteed(self):
+        q = PacketQueue([0], [10], [25] * 3)
+        serve_guaranteed(q, 1, 1, 2)
+        assert self.unserved(q)
+        with pytest.raises(ValueError) as err:
+            serve_guaranteed(q, 2, 1, 2)
+        assert err.value.args[0] == "the stretch of TTIs [2, 1) ends before it starts"
+        assert self.unserved(q)
+
+    def test_serve_cleared(self):
+        q = PacketQueue([0], [10], [25] * 3)
+        serve_cleared(q, 1, 1)
+        assert self.unserved(q)
+        with pytest.raises(ValueError) as err:
+            serve_cleared(q, 2, 1)
+        assert err.value.args[0] == "the stretch of TTIs [2, 1) ends before it starts"
+        assert self.unserved(q)
+
+
 class TestLindleySent:
     @given(
-        st.lists(st.integers(0, 50), min_size=1, max_size=40),
-        st.integers(0, 30),
+        st.lists(st.tuples(st.one_of(st.just(0), st.integers(1, 50)), st.integers(0, 30)), min_size=1, max_size=40),
         st.integers(0, 100),
         st.integers(0, 100),
+        st.data(),
     )
-    def test_one_offered_value_equals_it_repeated(self, arrivals, offered, sent0, backlog):
+    def test_points_before_arrivals_equal_every_tti(self, ttis, sent0, backlog, data):
         # a stretch that starts with `backlog` bits queued after `sent0` were sent
-        arrived = np.cumsum(arrivals) + sent0 + backlog
-        got = rt.lindley_sent(arrived, offered, sent0)
-        want = rt.lindley_sent(arrived, np.full(len(arrivals), offered), sent0)
-        assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
+        arrivals, offered = (np.array(column, dtype=np.int64) for column in zip(*ttis))
+        arrived, offered = np.cumsum(arrivals) + sent0 + backlog, np.cumsum(offered)
+        every = rt.lindley_sent(arrived, offered, sent0)
+        # the TTI before each arrival and the last TTI, and any others
+        needed = {t - 1 for t in np.flatnonzero(arrivals).tolist() if t} | {len(ttis) - 1}
+        points = sorted(needed | data.draw(st.sets(st.integers(0, len(ttis) - 1))))
+        got = rt.lindley_sent(arrived[points], offered[points], sent0)
+        assert got.dtype == every.dtype == np.int64 and got.tolist() == every[points].tolist()
+        # the stretch's start as a point of its own: nothing offered, the backlog arrived
+        start = rt.lindley_sent(np.append(sent0 + backlog, arrived[points]), np.append(0, offered[points]), sent0)
+        assert start.tolist() == [sent0, *got.tolist()]
 
 
 class TestWholeNumbers:

@@ -487,22 +487,91 @@ class TestConstantCapacityFifo:
     @example(stream=(2, [9, 0, 30, 4, 0, 1, 0], [7, 7, 0, 0, 7, 7, 7]), t_slot_ms=1.0)
     def test_equals_search_path(self, stream, t_slot_ms):
         block, arr, svc = stream
-        complete = sim._complete
+        block_rate = sim._block_rate
         rates = []
 
-        def searched(queued, sent, t0, out, k, t_slot_ms, rate=0, sent0=0):
-            rates.append(rate)
-            return complete(queued, sent, t0, out, k, t_slot_ms)
+        def recorded(s, s_max):
+            rates.append(block_rate(s, s_max))
+            return rates[-1]
 
         with mock.patch.object(sim, "_FIFO_BLOCK", block):
-            got = measure_fifo_delays(np.array(arr), np.array(svc), t_slot_ms)
-            with mock.patch.object(sim, "_complete", searched):
+            with mock.patch.object(sim, "_block_rate", recorded):
+                got = measure_fifo_delays(np.array(arr), np.array(svc), t_slot_ms)
+            # rate 0 in every block: one Lindley pass over every TTI and a search of the sent bits
+            with mock.patch.object(sim, "_block_rate", lambda s, s_max: 0):
                 want = measure_fifo_delays(np.array(arr), np.array(svc), t_slot_ms)
         assert (got[0].tolist(), got[1].tolist()) == (want[0].tolist(), want[1].tolist())
         assert (got[0].tolist(), got[1].tolist()) == fifo_loop(arr, svc, t_slot_ms)
-        # the closed form was asked for in every block whose TTIs all offer the same positive bits
+        # the closed form was taken in every block whose TTIs all offer the same positive bits
         offered = [svc[t0 : t0 + block] for t0 in range(0, len(svc), block)]
         assert rates == [b[0] if len(set(b)) == 1 else 0 for b in offered]
+
+
+def block_streams(arrival, capacity, sizes=st.integers(1, 6)):
+    """(block length, arrival bits, service bits) over 2 to 8 blocks: each
+    block's TTIs drawn by arrival(length) and capacity(length)."""
+    def streams(block):
+        one = st.tuples(arrival(block), capacity(block))
+        return st.lists(one, min_size=2, max_size=8).map(
+            lambda blocks: (block, [b for a, _ in blocks for b in a], [c for _, s in blocks for c in s])
+        )
+
+    return sizes.flatmap(streams)
+
+
+def packets(block):
+    return st.lists(st.one_of(st.just(0), st.integers(1, 40), st.integers(200, 2000)), min_size=block, max_size=block)
+
+
+def constant(block):
+    return st.integers(1, 60).map(lambda c: [c] * block)
+
+
+def varying(block):
+    return st.lists(st.integers(0, 60), min_size=block, max_size=block)
+
+
+class TestLindleyPoints:
+    """A block whose every TTI offers the same bits evaluates Lindley's
+    recursion only at the TTI before each of its packets and at its last TTI;
+    the delays must equal the per-TTI loop's."""
+
+    @staticmethod
+    def check(stream, t_slot_ms=1.0):
+        block, arr, svc = stream
+        with mock.patch.object(sim, "_FIFO_BLOCK", block):
+            delays, pending = measure_fifo_delays(np.array(arr), np.array(svc), t_slot_ms)
+        assert (delays.tolist(), pending.tolist()) == fifo_loop(arr, svc, t_slot_ms)
+
+    @given(block_streams(lambda b: st.lists(st.integers(1, 400), min_size=b, max_size=b), constant))
+    def test_dense(self, stream):
+        # a packet in every TTI: as many points as TTIs
+        self.check(stream)
+
+    @given(block_streams(lambda b: st.one_of(st.just([0] * b), packets(b)), constant))
+    @example((2, [0, 0, 30, 0, 0, 0, 4, 0], [7] * 8))
+    def test_blocks_without_packets(self, stream):
+        # such a block has its last TTI as its one point
+        self.check(stream)
+
+    @given(block_streams(lambda b: st.tuples(st.integers(1, 2000), packets(b - 1)).map(lambda x: [x[0], *x[1]]), constant),
+           st.sampled_from([1.0, 0.125]))
+    def test_packet_in_first_tti(self, stream, t_slot_ms):
+        # the point before it is the block's start, where the bits sent are those sent before the block
+        self.check(stream, t_slot_ms)
+
+    @given(block_streams(lambda b: st.one_of(st.just([0] * b), packets(b)),
+                         lambda b: st.integers(1, 8).map(lambda c: [c] * b), st.integers(1, 3)))
+    # 900 bits at 100 per TTI end in TTI 8, four blocks on, and hold the 5-bit packet back to TTI 9
+    @example((2, [900, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 7], [100] * 12))
+    def test_carried_over_constant_blocks(self, stream):
+        # packets of up to 2000 bits at up to 8 bits per TTI stay queued over many blocks
+        self.check(stream)
+
+    @given(block_streams(packets, lambda b: st.one_of(constant(b), varying(b))))
+    @example((2, [50, 0, 3, 0, 9, 1], [5, 5, 0, 7, 5, 5]))
+    def test_constant_and_varying_blocks(self, stream):
+        self.check(stream)
 
 
 class TestMetricsShape:
