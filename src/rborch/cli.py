@@ -186,13 +186,14 @@ def validate_point(spec, seed: int, n_min: int, t_obs: int, runs: int, run_ttis:
 
     W_model_ms is the bound from a t_obs-TTI window plus the transmitting slot,
     which measured delays count; the delays come from `runs` FIFO runs of
-    run_ttis TTIs at n_min RBs per TTI.
+    run_ttis TTIs at n_min RBs per TTI.  Both sides see the service they
+    measure: one channel value c per TTI, so n_min * c bits per TTI.
     """
     ss = np.random.SeedSequence([seed, 10, n_min, t_obs])
     r_arr, r_ch = (np.random.default_rng(s) for s in ss.spawn(2))
     arr_win = _window(spec.arrival, "bits_per_tti", t_obs, r_arr)
-    rb_stream = _window(spec.channel, "bits_per_rb", t_obs * n_min, r_ch)
-    per_rb = ConcatPerRbVector(rb_stream, np.ones(len(rb_stream), dtype=np.int64))
+    c = _window(spec.channel, "bits_per_rb", t_obs, r_ch)
+    per_rb = ConcatPerRbVector(n_min * c, np.full(t_obs, n_min))
     x_s = build_capacity_samples(per_rb, n_min, n_min)
     res = delay_bound(ArrivalSampleSet(arr_win), x_s, [1.0], spec.epsilon, t_slot_ms)
     w_model = res.w_ms + t_slot_ms

@@ -104,7 +104,10 @@ def objective(w_est: Sequence[float], w_th: Sequence[float]) -> float:
 class _CandidateEvaluator:
     """Caches W(service, n_min) so repeated candidates cost nothing."""
 
-    def __init__(self, specs, windows, n_cell, cfg: AllocatorConfig, rng=None):
+    def __init__(self, specs, windows, n_cell, cfg: AllocatorConfig | None = None, rng=None):
+        if n_cell < len(specs):
+            raise ValueError("cell budget smaller than the number of services")
+        cfg = cfg or AllocatorConfig()
         if len(specs) != len(windows):
             raise ValueError("specs and windows lengths differ")
         if not specs:
@@ -168,11 +171,8 @@ def allocate(
     A candidate's donor is evaluated first: when its ratio alone reaches the
     best objective, the descent stops without evaluating the receiver.
     """
-    cfg = cfg or AllocatorConfig()
-    m_count = len(specs)
-    if n_cell < m_count:
-        raise ValueError("cell budget smaller than the number of services")
     ev = _CandidateEvaluator(specs, windows, n_cell, cfg, rng)
+    m_count = len(specs)
     w_th = [s.w_th_ms for s in specs]
 
     cand = [n_cell // m_count] * m_count
@@ -247,11 +247,8 @@ def brute_force_allocate(
     _minmax_split then finds the first minimum in lexicographic order.  The
     count is the C(n_cell - 1, M - 1) compositions it decides over.
     """
-    cfg = cfg or AllocatorConfig()
-    m_count = len(specs)
-    if n_cell < m_count:
-        raise ValueError("cell budget smaller than the number of services")
     ev = _CandidateEvaluator(specs, windows, n_cell, cfg, rng)
+    m_count = len(specs)
     n_compositions = math.comb(n_cell - 1, m_count - 1)
     w_th = [s.w_th_ms for s in specs]
 

@@ -21,14 +21,12 @@ the first x bits).  Both only read the logs.  `schedule_tti` steps one TTI
 for all services, both of its phases sending through `drain_queue`.  Where
 services cannot affect each other (fixed guarantees, no sharing, no
 mitigation), `serve_guaranteed` serves a whole stretch of TTIs in one Lindley
-pass (`lindley_sent`, here over every TTI) that writes the same logs.  The
-pass is exact at any increasing set of TTIs that holds the TTI before every
-arrival, which `measure_fifo_delays` uses for constant service.  Where every
-queue starts a TTI empty and its arrivals fit in the cell, sharing empties
-every queue in ceil(a / c) RBs each, whatever the guarantees: `clearing_rbs`
-writes those RBs ahead of time and `serve_cleared` serves such a stretch.  A
-packet table carries fewer than 2^62 bits, so every cumulative column stays
-within int64.
+pass over every TTI (`lindley_sent`, which says where else it is exact) that
+writes the same logs.  Where every queue starts a TTI empty and its arrivals
+fit in the cell, sharing empties every queue in ceil(a / c) RBs each,
+whatever the guarantees: `clearing_rbs` writes those RBs ahead of time and
+`serve_cleared` serves such a stretch.  A packet table carries fewer than
+2^62 bits, so every cumulative column stays within int64.
 """
 
 from __future__ import annotations

@@ -34,26 +34,10 @@ services are decoupled between updates: bulk windows of 10 TTIs would be
 about 3x slower (about 19 us per queue, against 1.7 us per stepped TTI of
 three queues).  The controller kinds are rows of `ControllerStrategy` data.
 
-Delays are measured by one completion-and-delay step, `_complete`, shared by
-`run`'s end-of-run scoring and `measure_fifo_delays`: it finds the TTI that
-completes each queued packet and writes the packet's delay into a float64
-array preallocated with one entry per packet.  It searches a sent log of
-every TTI for that TTI, except in a block whose every TTI offers the same
-s > 0 bits: a packet queued from TTI b on is then sent s bits in every TTI
-until it completes, at TTI b - 1 + ceil((its end - bits sent before b) / s).
-`run` feeds it its packet table in blocks of _FIFO_BLOCK packets against the
-whole sent log, always searched.  `measure_fifo_delays` walks its stream in
-blocks of _FIFO_BLOCK TTIs, each through one Lindley pass started from the
-bits arrived and sent before the block (Lindley's recursion is Markov in the
-queue state, so the result does not depend on the block length).  A block
-whose service bits vary is passed over every TTI and searched.  A block
-whose service bits are one positive value is passed only at its points, the
-TTI before each of its packets and its last TTI: between arrivals the
-backlog before reflection only falls, so the recursion's running minimum is
-exact there (the chain embedded at arrival epochs), and the pass gives each
-packet's bits sent before b for the closed form.  Beyond the delays, the
-step holds only block-sized temporaries; `measure_fifo_delays` also holds
-the arrival TTI and cumulative end of each packet still queued.
+Delays are scored by one completion-and-delay step, `_complete`, shared by
+`run`'s end-of-run scoring and `measure_fifo_delays`; their docstrings and
+`rt.lindley_sent`'s give the closed form, Lindley's points and the memory
+each holds.
 """
 
 from __future__ import annotations
@@ -297,15 +281,15 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
     than 2^62 bits, and the slot length is finite and positive (anything
     else raises ValueError).  Returns (delays_ms of completed packets,
     arrival TTIs of packets still pending).  The stream is walked in blocks
-    of _FIFO_BLOCK TTIs through the same Lindley pass and completion step as
-    `run`'s queues.  A block whose every TTI offers the same bits, s > 0,
-    takes the pass only at the TTI before each of its packets and at its last
-    TTI, with s x the TTIs up to each as its offered bits, and completes its
-    packets in closed form from it; any other block takes the pass over every
-    TTI and searches the sent bits.  Besides its inputs a call holds one
-    float64 per packet, the arrival TTI and cumulative end of each packet
-    still queued, and block-sized temporaries, so multi-million-TTI
-    measurement runs stay cheap.
+    of _FIFO_BLOCK TTIs, each through one Lindley pass (`rt.lindley_sent`)
+    started from the bits arrived and sent before it, and `_complete`.  A
+    block whose every TTI offers the same bits s > 0 is passed only at its
+    points, the TTI before each of its packets and its last TTI, and
+    completes its packets in closed form; any other block is passed over
+    every TTI and searched.  Besides its inputs a call holds one float64 per
+    packet, the arrival TTI and cumulative end of each packet still queued,
+    and block-sized temporaries, so multi-million-TTI measurement runs stay
+    cheap.
     """
     check_slot(t_slot_ms)
     a_in, s_in = np.asarray(arr_bits), np.asarray(svc_bits)
@@ -314,7 +298,6 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
     delays = np.empty(np.count_nonzero(a_in), dtype=np.float64)
     queued: list = []
     k = arrived = sent = offered = 0
-    exact = False  # whether `offered` counts the service bits so far, or bounds them by len x max per block
     for t0 in range(0, len(a_in), _FIFO_BLOCK):
         a = whole_numbers(a_in[t0 : t0 + _FIFO_BLOCK], "arrival bits")
         s = whole_numbers(s_in[t0 : t0 + _FIFO_BLOCK], "service bits")
@@ -323,23 +306,18 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
         if (a_max | s_max) >> 63:
             raise ValueError(f"arrival and service bits must be non-negative, not so in TTIs [{t0}, {t0 + len(a)})")
         rate = _block_rate(s, s_max)
-        # the bits offered and arrived must stay below 2^62; a block counts as
-        # len x its largest entry until that bound reaches 2^62, then exactly
-        offered += len(s) * s_max if rate or not exact else _bits_in(s, s_max)
-        if offered >= _NEVER and not exact:
-            offered, exact = sum(whole_numbers(s_in[: t0 + len(s)], "service bits").tolist()), True
+        # the bits offered and arrived, counted exactly, must stay below 2^62
+        offered += len(s) * rate if rate else _bits_in(s, s_max)
         if offered >= _NEVER or (arrived + len(a) * a_max >= _NEVER and arrived + _bits_in(a, a_max) >= _NEVER):
             raise ValueError(f"arrival and service bits must each sum to less than 2^62, not so by TTI {t0 + len(a)}")
         new = (a > 0).nonzero()[0]  # faster than on the int64 bits themselves
         if rate:
             # Lindley's points: the TTI before each packet (t0 - 1, the block's
-            # start, for one at t0) and the block's last TTI; by them arrived
-            # the bits before each packet, then all of the block's.  The bits
-            # arrived, offered and sent by each share one buffer sized by the
-            # block, not its packet count, so each block's buffer fits where an
-            # earlier one was freed: buffers of varying size left holes in the
-            # heap that raised the peak RSS of a process making repeated
-            # 2M-TTI calls by about 8 MB
+            # start, for one at t0) and the block's last TTI.  Their bits
+            # arrived, offered and sent share one buffer sized by the block, not
+            # its packet count, so it fits where an earlier block's was freed
+            # (buffers of varying size raised the peak RSS of repeated 2M-TTI
+            # calls by about 8 MB)
             a_cum, offered_by, sent_block = np.empty((3, len(a) + 1), dtype=np.int64)[:, : len(new) + 1]
             a_cum[0] = arrived
             np.cumsum(a[new], out=a_cum[1:])

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rborch.cli import main
+from rborch.cli import main, validate_point
 from rborch.config import ConfigError, load_config, parse_source
 from rborch.near_rt import ServiceSpec
 from rborch.sim import AnomalyConfig
@@ -490,6 +490,17 @@ class TestValidateModel:
         for line in lines:
             cells = line.split(",")
             assert float(cells[4]) <= 1e-2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_bound_models_one_channel_value_per_tti(self, seed):
+        # 11 RBs of 5 or 17 bits, one value per TTI, as the FIFO runs serve them:
+        # a window of 11 independent per-RB draws per TTI understates the spread
+        # of the service, and its bound then read P[w >= W_model] above 1e-2
+        spec = ServiceSpec(0, 10.0, 1e-3, SyntheticModel("two-point", (0, 200), (0.5, 0.5)),
+                           SyntheticModel("two-point", (5, 17), (0.5, 0.5)))
+        w_model, _, rel, delays = validate_point(spec, seed, 11, 20_000, 2, 250_000, 1.0)
+        assert float(np.mean(delays >= w_model)) <= 3 * spec.epsilon
+        assert rel <= 0.1
 
     def test_traces_match_constant_sources(self, tmp_path):
         # 120 bits and 25 bits/RB in every TTI, as traces and as constant sources

@@ -424,6 +424,35 @@ class TestBlockedFifo:
         with pytest.raises(ValueError):
             measure_fifo_delays(arr, svc)
 
+    def test_huge_service_tti_in_a_varying_block(self):
+        # three full blocks of 90 or 110 bits per TTI; the second also offers
+        # 2^47 bits in one TTI, just after a packet of 2^46 + 5 bits, so its
+        # len x max reaches 2^62 while the exact total stays far below
+        block = sim._FIFO_BLOCK
+        rng = np.random.default_rng(7)
+        arr = rng.choice([0, 200], 3 * block)
+        svc = rng.choice([90, 110], 3 * block)
+        arr[block + 500], svc[block + 1000] = 2**46 + 5, 2**47
+        delays, pending = measure_fifo_delays(arr, svc)
+        want_delays, want_pending = fifo_loop(arr.tolist(), svc.tolist(), 1.0)
+        assert delays.tolist() == want_delays and pending.tolist() == want_pending
+        assert max(want_delays) > 500  # the huge packet waited for the huge TTI
+
+    def test_service_total_reaching_2_62_in_the_third_block(self):
+        # 2^61, 2^60 and 2^60 bits in one TTI of each block, 1 bit in every
+        # other TTI: the exact total first reaches 2^62 in the third block
+        block = sim._FIFO_BLOCK
+        svc = np.ones(3 * block, dtype=np.int64)
+        svc[[5, block + 5, 2 * block + 5]] = [2**61, 2**60, 2**60]
+        arr = np.zeros(3 * block, dtype=np.int64)
+        arr[::7] = 3
+        with pytest.raises(ValueError, match=f"less than 2\\^62, not so by TTI {3 * block}$"):
+            measure_fifo_delays(arr, svc)
+        svc[2 * block + 5] -= 3 * block - 2  # one bit short of 2^62 in all
+        assert svc.sum(dtype=object) == 2**62 - 1
+        delays, pending = measure_fifo_delays(arr, svc)
+        assert (delays.tolist(), pending.tolist()) == fifo_loop(arr.tolist(), svc.tolist(), 1.0)
+
     def test_run_scoring_does_not_depend_on_block(self, monkeypatch):
         cfg = small_config(
             services=[
