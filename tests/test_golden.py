@@ -1,6 +1,13 @@
-"""Golden outputs: `rborch run`'s summary.csv, ccdf.csv and alloc.csv for every
-controller on one small anomaly scenario (tests/golden/scenario.ini, 6000
-TTIs), compared cell by cell with the files committed under tests/golden/.
+"""Golden outputs, compared cell by cell with the files committed under
+tests/golden/:
+
+- `rborch run`'s summary.csv, ccdf.csv and alloc.csv for every controller on
+  one small anomaly scenario (tests/golden/scenario.ini, 6000 TTIs);
+- the same for `marea` under the gmm estimator (gmm.ini) and for one
+  trace-driven run (trace.ini, a packet trace with packet_sizes and a channel
+  trace), whose debug.csv is kept as its SHA-256 digest only;
+- `rborch validate-model`'s validate.csv on a small grid over a constant and
+  a two-point channel, and `rborch table1`'s table1.csv on a small grid.
 
 A change that moves an output on purpose regenerates the files with
 
@@ -12,6 +19,7 @@ under in tests/golden/numpy-version.txt, and a mismatch names both versions.
 """
 
 import csv
+import hashlib
 import pathlib
 
 import numpy as np
@@ -20,17 +28,35 @@ from rborch.cli import main
 from rborch.sim import CONTROLLER_KINDS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-SCENARIO = GOLDEN / "scenario.ini"
-FILES = ("summary.csv", "ccdf.csv", "alloc.csv")
+RUN_FILES = ("summary.csv", "ccdf.csv", "alloc.csv")
 NUMPY_VERSION = GOLDEN / "numpy-version.txt"
+# a run whose config sets debug_log keeps its debug.csv's digest in this file
+DEBUG_DIGEST = "debug.csv.sha256"
+_VALIDATE_GRID = ["--n-min-grid", "5,7", "--t-obs-grid", "500,1000", "--runs", "2", "--run-ttis", "20000"]
+# each golden run: its directory under tests/golden/ -> (command, config under
+# tests/golden/, further options, the CSVs compared cell by cell)
+RUNS = {
+    **{kind: ("run", "scenario.ini", ["--controller", kind], RUN_FILES) for kind in CONTROLLER_KINDS},
+    "gmm": ("run", "gmm.ini", [], RUN_FILES),
+    "trace": ("run", "trace.ini", [], RUN_FILES),
+    "validate-constant": ("validate-model", "validate-constant.ini", _VALIDATE_GRID, ("validate.csv",)),
+    "validate-two-point": ("validate-model", "validate-two-point.ini", _VALIDATE_GRID, ("validate.csv",)),
+    "table1": ("table1", "table1.ini", ["--n-cell-grid", "14,18,22"], ("table1.csv",)),
+}
 
 
 def write_outputs(out: pathlib.Path) -> None:
-    """Run the golden scenario under every controller into out/<controller>/."""
-    for kind in CONTROLLER_KINDS:
-        argv = ["run", "--config", str(SCENARIO), "--controller", kind, "--out", str(out / kind), "--overwrite"]
+    """Run every golden run into out/<its directory>/."""
+    for name, (command, config, options, _) in RUNS.items():
+        argv = [command, "--config", str(GOLDEN / config), *options, "--out", str(out / name), "--overwrite"]
         if main(argv) != 0:
             raise RuntimeError(f"rborch {' '.join(argv)} failed")
+
+
+def debug_digest(run_dir: pathlib.Path):
+    """SHA-256 hex digest of run_dir/debug.csv, or None where the run wrote none."""
+    path = run_dir / "debug.csv"
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
 def differences(name: str, want_path: pathlib.Path, got_path: pathlib.Path) -> list[str]:
@@ -53,9 +79,14 @@ def differences(name: str, want_path: pathlib.Path, got_path: pathlib.Path) -> l
 def test_outputs_match_golden(tmp_path):
     write_outputs(tmp_path)
     problems = []
-    for kind in CONTROLLER_KINDS:
-        for name in FILES:
-            problems += differences(f"{kind}/{name}", GOLDEN / kind / name, tmp_path / kind / name)
+    for name, (*_, files) in RUNS.items():
+        for file in files:
+            problems += differences(f"{name}/{file}", GOLDEN / name / file, tmp_path / name / file)
+        kept = GOLDEN / name / DEBUG_DIGEST
+        want = kept.read_text().strip() if kept.exists() else None
+        got = debug_digest(tmp_path / name)
+        if want != got:
+            problems.append(f"{name}/debug.csv sha256: {want} -> {got}")
     recorded = NUMPY_VERSION.read_text().strip()
     assert not problems, (
         f"{len(problems)} cells differ from tests/golden/ (written under numpy {recorded}, "
