@@ -10,11 +10,12 @@ whose sizes are multiples of a constant rate), so every group of g RBs sums
 to g * total / length.  Any other window groups a size within its length over
 the exact rational prefix, in int64: each run's per-RB value is reduced to
 lowest terms num/den, and the prefix sum at RB boundary b is pn[b] / pd[b],
-where pd[b] is the den of the run holding b.  One closed form serves every
-size of a uniform window and, in a window of either kind, the scaled group
-of a size longer than the window: size g holds the one value max(1,
-round_half_even(g * total, length)) in max(1, length // g) samples, with no
-prefix.
+where pd[b] is the den of the run holding b.  Each exact form refuses a window
+whose int64 products could reach 2^62, and the total is summed exactly, also
+beyond int64.  One closed form serves every size of a uniform window and, in
+a window of either kind, the scaled group of a size longer than the window:
+size g holds the one value max(1, round_half_even(g * total, length)) in
+max(1, length // g) samples, with no prefix.
 
 The delay bound reads a region's samples only through their distinct values,
 how often each occurs and how many there are, and none of these depends on
@@ -55,13 +56,10 @@ import logging
 import numpy as np
 
 from .martingale import CapacitySampleSet
-from .rt import whole_numbers
+from .rt import _NEVER, exact_sum, whole_numbers
 
 log = logging.getLogger(__name__)
 
-# cross products of prefix numerators and denominators stay below this; half
-# the int64 range, so checking it in float64 leaves ample margin
-_INT64_LIMIT = 1 << 62
 # a pass packs consecutive group sizes while their samples stay within this many
 PASS_SAMPLES = 1024
 # a pass counts its distinct sums when their span is within this many times
@@ -102,7 +100,7 @@ class ConcatPerRbVector:
         if len(self.bits) and (np.any(self.bits <= 0) or np.any(self.rbs <= 0)):
             raise ValueError("per-RB values must be positive")
         self._length = int(self.rbs.sum())
-        self._total = int(self.bits.sum())
+        self._total = exact_sum(self.bits, int(self.bits.max(initial=0)))
         self._prefix = None
         self._uniform = None  # decided on the first build
         self._grid = [1]
@@ -111,21 +109,12 @@ class ConcatPerRbVector:
     def __len__(self) -> int:
         return self._length
 
-    def _check_int64(self) -> None:
-        """Refuse a window with sum(bits) * max(rbs)^2 at 2^62 or more: below it,
-        every product of a prefix numerator and a denominator fits in int64."""
-        rb_max = int(self.rbs.max())
-        if float(self.bits.sum(dtype=np.float64)) * rb_max * rb_max >= _INT64_LIMIT:
-            raise ValueError(
-                f"capacity window too large for exact int64 grouping: "
-                f"sum(bits) * max(rbs)^2 must stay below 2^62 (max rbs {rb_max})"
-            )
-
     def uniform(self) -> bool:
         """Whether every RB carries one value, bits[0] / rbs[0]: bits[j] * rbs[0]
         == bits[0] * rbs[j] for every run j, decided once in exact int64."""
         if self._uniform is None:
-            self._check_int64()
+            if int(self.bits.max()) * int(self.rbs.max()) >= _NEVER:
+                raise ValueError("capacity window too large for int64: max(bits) * max(rbs) must stay below 2^62")
             self._uniform = bool(np.all(self.bits * self.rbs[0] == self.bits[0] * self.rbs))
         return self._uniform
 
@@ -134,14 +123,16 @@ class ConcatPerRbVector:
 
         Run j's per-RB value bits[j] / rbs[j] is taken in lowest terms num / den,
         and pd[b] is the den of the run holding boundary b: 1 in a run whose
-        bits are a multiple of its RBs, as in every single-RB run.
+        bits are a multiple of its RBs, as in every single-RB run.  _pass
+        multiplies a numerator, at most sum(bits) * max(den), by a den.
         """
         if self._prefix is None:
-            self._check_int64()
             bits, rbs = self.bits, self.rbs
             # run j's per-RB value bits[j] / rbs[j] in lowest terms num[j] / den[j]
             common = np.gcd(bits, rbs)
             num, den = bits // common, rbs // common
+            if self._total * int(den.max()) ** 2 >= _NEVER:
+                raise ValueError("capacity window too large for int64: sum(bits) * max(den)^2 must stay below 2^62")
             # boundary b at offset k of run j: pn = B[j]*den[j] + k*num[j], pd = den[j],
             # with B the bits before run j; the end boundary is offset rbs[-1] of the last run
             counts = rbs.copy()
@@ -183,14 +174,14 @@ def _passes(x_con: ConcatPerRbVector, top: int) -> list[int]:
     """The window's pass grid through the pass that holds size top: bounds
     b with pass i over sizes b[i]..b[i + 1] - 1, from b[0] = 1.
 
-    A uniform window's grid is one pass over every size, [1, _INT64_LIMIT].
+    A uniform window's grid is one pass over every size, [1, 2^62].
     Otherwise, from size 1 up, a size joins the open pass while the pass's
     samples stay within PASS_SAMPLES and its keys below _KEY_LIMIT (every sum
     is at most the window's total bits); a size longer than the window always
     goes alone.  The grid depends on the window only, and is kept on it.
     """
     if x_con.uniform():
-        return [1, _INT64_LIMIT]
+        return [1, _NEVER]
     bounds, length = x_con._grid, len(x_con)
     most = _KEY_LIMIT // (x_con._total + 1)
     while bounds[-1] <= top:

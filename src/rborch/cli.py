@@ -22,7 +22,8 @@ from .capacity import ConcatPerRbVector, build_capacity_samples
 from .config import ConfigError, _SCALAR_FIELDS, _convert, load_config
 from .martingale import ArrivalSampleSet, delay_bound
 from .near_rt import AllocatorConfig, allocate, brute_force_allocate
-from .sim import measure_fifo_delays, run, synthesize_window
+from .rt import _NEVER
+from .sim import measure_fifo_delays, peak_bits_per_rb, run, synthesize_window
 from .traces import SyntheticModel, extend_cyclically, sample_many
 
 log = logging.getLogger(__name__)
@@ -187,8 +188,12 @@ def validate_point(spec, seed: int, n_min: int, t_obs: int, runs: int, run_ttis:
     W_model_ms is the bound from a t_obs-TTI window plus the transmitting slot,
     which measured delays count; the delays come from `runs` FIFO runs of
     run_ttis TTIs at n_min RBs per TTI.  Both sides see the service they
-    measure: one channel value c per TTI, so n_min * c bits per TTI.
+    measure: one channel value c per TTI, so n_min * c bits per TTI, which
+    must not reach 2^62 over max(t_obs, run_ttis) TTIs (ConfigError).
     """
+    top, ttis = peak_bits_per_rb(spec.channel), max(t_obs, run_ttis)
+    if n_min * top * ttis >= _NEVER:
+        raise ConfigError(f"validate-model: n_min {n_min} x {top} bits per RB x {ttis} TTIs must be below 2^62")
     ss = np.random.SeedSequence([seed, 10, n_min, t_obs])
     r_arr, r_ch = (np.random.default_rng(s) for s in ss.spawn(2))
     arr_win = _window(spec.arrival, "bits_per_tti", t_obs, r_arr)

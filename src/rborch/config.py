@@ -82,14 +82,9 @@ _SERVICE_OPTIONS = ("w_th_ms", "epsilon", "arrival", "channel")
 def _convert(name: str, raw: str, typ):
     try:
         if typ is bool:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return typ(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"option {name!r}: cannot parse {raw!r} as {typ.__name__}") from None
 
 

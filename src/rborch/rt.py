@@ -81,6 +81,11 @@ def whole_numbers(values, what: str, error: type = ValueError) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def exact_sum(x: np.ndarray, top: int) -> int:
+    """Exact sum of non-negative int64 values whose largest entry is `top`, also beyond int64."""
+    return int(x.sum()) if len(x) * top < _NEVER else sum(x.tolist())
+
+
 @dataclass(frozen=True)
 class FsmRecord:
     state: str = STATE_A

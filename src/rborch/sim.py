@@ -64,6 +64,7 @@ from .rt import (
     check_slot,
     clearing_rbs,
     completion_ttis,
+    exact_sum,
     fsm_step,
     lindley_sent,
     mitigate,
@@ -135,6 +136,11 @@ class AnomalyConfig:
             raise ValueError("anomaly range must be non-empty and non-negative")
 
 
+def peak_bits_per_rb(channel) -> int:
+    """The most bits one RB carries in a TTI of a channel source."""
+    return max(channel.values) if isinstance(channel, SyntheticModel) else int(channel.bits_per_rb.max())
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario, checked when it is made; derive a variant with `dataclasses.replace`."""
@@ -183,10 +189,8 @@ class ScenarioConfig:
                 raise ValueError(f"service {s.id}: channel source must be a SyntheticModel or ChannelTrace")
             if isinstance(s.channel, SyntheticModel) and s.channel.min_value <= 0:
                 raise ValueError(f"service {s.id}: channel support must be positive")
-            # a queue is offered at most n_cell x top bits per TTI; kept below 2^62 over the
-            # horizon, no int64 column of the RT loop can wrap
-            top = max(s.channel.values) if isinstance(s.channel, SyntheticModel) else int(s.channel.bits_per_rb.max())
-            if self.n_cell * top * self.horizon >= _NEVER:
+            # a queue's offered bits, kept below 2^62 over the horizon, wrap no int64 column of the RT loop
+            if self.n_cell * peak_bits_per_rb(s.channel) * self.horizon >= _NEVER:
                 raise ValueError(f"service {s.id}: n_cell x largest bits per RB x horizon must be below 2^62")
             if s.w_th_ms < self.t_slot_ms:
                 raise ValueError(f"service {s.id}: delay budget below one slot")
@@ -307,8 +311,8 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
             raise ValueError(f"arrival and service bits must be non-negative, not so in TTIs [{t0}, {t0 + len(a)})")
         rate = _block_rate(s, s_max)
         # the bits offered and arrived, counted exactly, must stay below 2^62
-        offered += len(s) * rate if rate else _bits_in(s, s_max)
-        if offered >= _NEVER or (arrived + len(a) * a_max >= _NEVER and arrived + _bits_in(a, a_max) >= _NEVER):
+        offered += len(s) * rate if rate else exact_sum(s, s_max)
+        if offered >= _NEVER or (arrived + len(a) * a_max >= _NEVER and arrived + exact_sum(a, a_max) >= _NEVER):
             raise ValueError(f"arrival and service bits must each sum to less than 2^62, not so by TTI {t0 + len(a)}")
         new = (a > 0).nonzero()[0]  # faster than on the int64 bits themselves
         if rate:
@@ -338,11 +342,6 @@ def measure_fifo_delays(arr_bits: np.ndarray, svc_bits: np.ndarray, t_slot_ms: f
         arrived, sent = int(a_cum[-1]), int(sent_block[-1])
     pending = np.concatenate([arr for arr, _ in queued]) if queued else np.zeros(0, dtype=np.intp)
     return delays[:k], pending
-
-
-def _bits_in(x: np.ndarray, top: int) -> int:
-    """Exact sum of a block of non-negative int64 bits whose largest entry is `top`."""
-    return int(x.sum()) if len(x) * top < _NEVER else sum(x.tolist())
 
 
 def _block_rate(s: np.ndarray, s_max: int) -> int:

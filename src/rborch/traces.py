@@ -144,11 +144,19 @@ def sample_many(model: SyntheticModel, rng: np.random.Generator, size: int) -> n
     return vals[idx]
 
 
+def _int64(raw: str) -> int:
+    """`raw` as an integer, refused with ValueError outside int64."""
+    value = int(raw)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{raw!r} is outside int64")
+    return value
+
+
 def _parse_int(raw: str, name: str, line: int) -> int:
     try:
-        return int(raw)
+        return _int64(raw)
     except ValueError:
-        raise TraceParseError(line, f"{name} is not an integer: {raw!r}") from None
+        raise TraceParseError(line, f"{name} is not an int64 integer: {raw!r}") from None
 
 
 def _read_rows(source, headers: tuple[tuple[str, ...], ...]):
@@ -216,17 +224,17 @@ def _service_rows(source, service_id: int, headers: tuple[tuple[str, ...], ...],
 
 
 def _ints(tokens: list[str], locate) -> np.ndarray:
-    """`tokens` as int64 in one conversion; if one is not an integer, `locate()` raises its row's error."""
+    """`tokens` as int64 in one conversion; if one is not an int64 integer, `locate()` raises its row's error."""
     try:
         return np.array(list(map(int, tokens)), dtype=np.int64)
-    except ValueError:
+    except (ValueError, OverflowError):
         locate()
         raise
 
 
 def _packet_sizes(line: int, raw: str) -> list[int]:
     try:
-        return [int(tok) for tok in raw.split(";")]
+        return [_int64(tok) for tok in raw.split(";")]
     except ValueError:
         raise TraceParseError(line, f"bad packet_sizes: {raw!r}") from None
 
@@ -269,18 +277,16 @@ def load_channel_trace(source, service_id: int, tables: Optional[dict] = None) -
 
     `source` is a path or an open text stream (`tables` as for
     `load_arrival_trace`); the service's rows must cover every TTI from 0
-    with a positive rate.
+    with a positive rate, parsed in one conversion.
     """
     _, rows = _service_rows(source, service_id, (CHANNEL_HEADER,), tables)
-    vals = []
-    for line, _, row in rows:
-        c = _parse_int(row[2], "bits_per_rb", line)
-        if c <= 0:
-            raise TraceValidationError(f"line {line}: bits_per_rb must be positive")
-        vals.append(c)
+    cells = [row[2] for _, _, row in rows]
+    vals = _ints(cells, lambda: [_parse_int(c, "bits_per_rb", line) for (line, _, _), c in zip(rows, cells)])
+    if np.any(vals <= 0):
+        raise TraceValidationError(f"line {rows[np.argmax(vals <= 0)][0]}: bits_per_rb must be positive")
     if rows[-1][1] + 1 != len(rows):
         raise TraceValidationError("channel trace has TTI gaps; capacity must be defined per TTI")
-    return ChannelTrace(service_id, np.array(vals, dtype=np.int64))
+    return ChannelTrace(service_id, vals)
 
 
 def extend_cyclically(values: np.ndarray, horizon: int, what: str = "trace") -> np.ndarray:

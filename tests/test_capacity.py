@@ -215,9 +215,27 @@ class TestBuildCapacitySamples:
         assert region(build_capacity_samples(x, 1, 3), 0) == summary([25] * 4 + [30, 30, 7])
 
     def test_overflow_guard_raises(self):
-        # sum(bits) * max(rbs)^2 = 2^42 * 2^22 >= 2^62
+        # (2^40 + 1) / 2^11 is in lowest terms, so sum(bits) * max(den)^2 = (2^42 + 2) * 2^22 >= 2^62
+        x = ConcatPerRbVector([1 << 40, (1 << 40) + 1] * 2, [1 << 11] * 4)
+        with pytest.raises(ValueError, match=r"sum\(bits\) \* max\(den\)\^2 must stay below 2\^62"):
+            build_capacity_samples(x, 1, 1)
+        # a uniform window builds no prefix: its products reach max(bits) * max(rbs) = 2^51 only
         x = ConcatPerRbVector([1 << 40] * 4, [1 << 11] * 4)
-        with pytest.raises(ValueError, match="2\\^62"):
+        assert region(build_capacity_samples(x, 1, 2), 1) == summary([1 << 30] * (1 << 12))
+        assert x._prefix is None
+
+    def test_uniform_guard_raises(self):
+        # max(bits) * max(rbs) = 2^62 bounds the products of the uniform test itself
+        with pytest.raises(ValueError, match=r"max\(bits\) \* max\(rbs\) must stay below 2\^62"):
+            build_capacity_samples(ConcatPerRbVector([1 << 50] * 2, [1 << 12] * 2), 1, 1)
+        x = ConcatPerRbVector([1 << 50] * 2, [(1 << 12) - 1] * 2)
+        assert region(build_capacity_samples(x, 1, 1), 0) == summary([round(Fraction(1 << 50, (1 << 12) - 1))] * 8190)
+
+    def test_window_summing_beyond_int64_is_refused(self):
+        # the bits sum to 2^63, where an int64 sum wraps to -2^63; the exact total meets the float64 guard
+        x = channel([2**61] * 4)
+        assert x._total == 2**63
+        with pytest.raises(ValueError, match="too large for exact float64 samples"):
             build_capacity_samples(x, 1, 1)
 
     def test_float64_guard_raises(self):
@@ -523,14 +541,23 @@ def test_last_run_off_the_ratio_takes_the_prefix_path():
 
 
 def test_overflow_guard_raises_on_uniform_and_mixed_windows():
-    # the window of test_overflow_guard_raises is uniform; the guard runs before the uniform check
-    for bits in ([1 << 40] * 4, [1 << 40, (1 << 40) + 1] * 2):
-        x = ConcatPerRbVector(bits, [1 << 11] * 4)
-        with pytest.raises(ValueError, match="2\\^62"):
-            build_capacity_samples(x, 1, 3, [0, 0, 1])
-        with pytest.raises(ValueError, match="2\\^62"):
-            x.uniform()
-        assert x._uniform is None and x._prefix is None and len(x._table[3]) == 0
+    # each exact form refuses the window whose own int64 products could reach
+    # 2^62, and a refused request keeps no size; the uniform test is first
+    uniform = ConcatPerRbVector([1 << 50] * 4, [1 << 12] * 4)
+    for call in (lambda: build_capacity_samples(uniform, 1, 3, [0, 0, 1]), uniform.uniform):
+        with pytest.raises(ValueError, match=r"max\(bits\) \* max\(rbs\)"):
+            call()
+    assert uniform._uniform is None and uniform._prefix is None and len(uniform._table[3]) == 0
+    # the mixed window passes the uniform test, and its prefix is refused
+    mixed = ConcatPerRbVector([1 << 40, (1 << 40) + 1] * 2, [1 << 11] * 4)
+    for call in (lambda: build_capacity_samples(mixed, 1, 3, [0, 0, 1]), mixed.prefix):
+        with pytest.raises(ValueError, match=r"sum\(bits\) \* max\(den\)\^2"):
+            call()
+    assert mixed._uniform is False and mixed._prefix is None and len(mixed._table[3]) == 0
+    # a size longer than the window takes the scaled closed form, with no prefix
+    g = (1 << 13) + 1
+    assert region(build_capacity_samples(mixed, g, g), 0) == summary([round(Fraction(((1 << 42) + 2) * g, 1 << 13))])
+    assert mixed._prefix is None
 
 
 def test_pass_kinds_match_fraction_oracle(monkeypatch):

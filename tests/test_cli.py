@@ -96,6 +96,15 @@ class TestConfig:
         assert load_config(cfg_file, **{field: value}) == load_config(p)
         assert load_config(p, **{field: None}) == load_config(p)  # None keeps the file's value
 
+    @pytest.mark.parametrize("written, value", [
+        ("1", True), ("yes", True), ("True", True), (" on", True), ("0", False), ("NO", False), ("false", False),
+        ("off ", False),
+    ])
+    def test_bool_spellings(self, tmp_path, written, value):
+        p = tmp_path / "bool.cfg"
+        p.write_text(BASE_CFG.replace("seed = 5", f"seed = 5\ndebug_log = {written}"))
+        assert load_config(p).debug_log is value
+
     def test_override_checked_as_file_value(self, cfg_file):
         with pytest.raises(ConfigError, match=f"^{re.escape(cfg_file)}: horizon must cover"):
             load_config(cfg_file, t_obs=5000)
@@ -290,6 +299,29 @@ class TestRunCommand:
         out.write_text("")  # a file where the output directory should go
         assert main(["run", "--config", cfg_file, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"runtime error: [Errno {errno.EEXIST}] File exists: {str(out)!r}\n"
+
+    def test_uniform_big_packet_windows_run(self, tmp_path):
+        # 2.5e11-bit packets take 250 RBs of a constant 10^9-bit channel, so every
+        # capacity window is uniform; the int64 guard on sum(bits) * max(rbs)^2
+        # refused them (exit 2), though a uniform window forms no prefix
+        p = tmp_path / "big.cfg"
+        p.write_text(SINGLE_CFG.replace("n_cell = 10", "n_cell = 30").replace("horizon = 2600", "horizon = 5000")
+                     .replace("t_obs = 1500", "t_obs = 4000").replace("w_th_ms = 8", "w_th_ms = 50")
+                     .replace("two-point 0:0.5 150:0.5", "empirical-table 0:0.9 250000000000:0.1")
+                     .replace("constant 25", "constant 1000000000"))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        rows = read(tmp_path / "out" / "summary.csv").decode().splitlines()
+        assert len(rows) == 2 and int(rows[1].split(",")[2]) > 0  # packets completed
+
+    def test_trace_cell_beyond_int64_names_its_line(self, tmp_path, capsys):
+        (tmp_path / "big.csv").write_text(f"tti,service_id,bits_per_rb\n0,0,25\n1,0,{1 << 63}\n")
+        p = tmp_path / "trace.cfg"
+        p.write_text(SINGLE_CFG.replace("channel = constant 25", "channel = trace big.csv"))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {p}: bad source descriptor 'trace big.csv': line 3: bits_per_rb is not an int64 integer: "
+            f"'{1 << 63}'\n"
+        )
 
     def test_no_silent_overwrite(self, cfg_file, tmp_path):
         out = str(tmp_path / "out")
@@ -527,6 +559,13 @@ class TestValidateModel:
         rc = main(["validate-model", "--config", cfg_file, "--out", str(tmp_path / "v")])
         assert rc == 1
 
+    def test_large_service_bits_give_a_finite_bound(self):
+        # 10^12 bits per TTI over 4000 TTIs: the window's int64 guard refused it while uniform windows form no prefix
+        spec = ServiceSpec(0, 8.0, 1e-3, SyntheticModel("two-point", (0, 150), (0.5, 0.5)),
+                           SyntheticModel("constant", (10**10,)))
+        w_model, w_meas, _, _ = validate_point(spec, 5, 100, 4000, 1, 1000, 1.0)
+        assert math.isfinite(w_model) and w_meas == 1.0
+
     def test_zero_traffic_rel_err_inf(self, tmp_path, caplog):
         p = tmp_path / "idle.cfg"
         p.write_text(SINGLE_CFG.replace("two-point 0:0.5 150:0.5", "constant 0"))
@@ -587,6 +626,10 @@ CLI_CASES = {
     "index.csv kept": (["sweep", "--axis", "seed=1"], "refusing to overwrite {out}/index.csv (use --overwrite)"),
     "grid of a word": (["table1", "--n-cell-grid", "20,x"], "bad --n-cell-grid '20,x'"),
     "grid of no values": (["validate-model", "--n-min-grid", ","], "--n-min-grid is empty"),
+    # n_min x 25 bits per RB per TTI wrapped int64 before any check saw it
+    "service bits beyond int64": (["validate-model", "--n-min-grid", "400000000000000000"],
+                                  "validate-model: n_min 400000000000000000 x 25 bits per RB x 200000 TTIs "
+                                  "must be below 2^62"),
 }
 
 

@@ -51,7 +51,7 @@ def test_malformed_row_reports_line():
 def test_blank_row_skipped_but_counted():
     csv = "tti,service_id,bits\n0,0,100\n\n2,0,50\n"
     assert load_arrival_trace(io.StringIO(csv), 0).bits_per_tti.tolist() == [100, 0, 50]
-    with pytest.raises(TraceParseError, match="^line 4: tti is not an integer: 'x'$"):
+    with pytest.raises(TraceParseError, match="^line 4: tti is not an int64 integer: 'x'$"):
         load_arrival_trace(io.StringIO("tti,service_id,bits\n0,0,100\n\nx,0,1\n"), 0)
 
 
@@ -113,7 +113,7 @@ def test_packet_row_errors_name_their_line():
         ("1,0,50,20;x\n", TraceParseError, "line 3: bad packet_sizes: '20;x'"),
         ("1,0,50,50;0\n", TraceValidationError, "line 3: non-positive packet size"),
         ("1,0,50,20;20\n", TraceValidationError, "line 3: packet sizes sum to 40, bits say 50"),
-        ("1,0,b,\n", TraceParseError, "line 3: bits is not an integer: 'b'"),
+        ("1,0,b,\n", TraceParseError, "line 3: bits is not an int64 integer: 'b'"),
     ]
     for row, exc, msg in cases:
         with pytest.raises(exc) as ei:
@@ -121,12 +121,32 @@ def test_packet_row_errors_name_their_line():
         assert str(ei.value) == msg
 
 
+BEYOND = str(1 << 63)  # one past int64's largest value
+
+
+@pytest.mark.parametrize("loader, text, message", [
+    (load_arrival_trace, f"tti,service_id,bits\n0,0,5\n{BEYOND},0,5\n", f"tti is not an int64 integer: '{BEYOND}'"),
+    (load_arrival_trace, f"tti,service_id,bits\n0,0,5\n1,{BEYOND},5\n",
+     f"service_id is not an int64 integer: '{BEYOND}'"),
+    (load_arrival_trace, f"tti,service_id,bits\n0,0,5\n1,0,-{BEYOND}1\n", f"bits is not an int64 integer: '-{BEYOND}1'"),
+    (load_arrival_trace, f"tti,service_id,bits,packet_sizes\n0,0,5,5\n1,0,5,2;{BEYOND}\n",
+     f"bad packet_sizes: '2;{BEYOND}'"),
+    (load_channel_trace, f"tti,service_id,bits_per_rb\n0,0,5\n1,0,{BEYOND}\n",
+     f"bits_per_rb is not an int64 integer: '{BEYOND}'"),
+], ids=["tti", "service_id", "bits", "packet_sizes", "bits_per_rb"])
+def test_cells_beyond_int64_name_their_line(loader, text, message):
+    # numpy's conversion raised a bare OverflowError for these, naming no line
+    with pytest.raises(TraceParseError) as ei:
+        loader(io.StringIO(text), 0)
+    assert str(ei.value) == f"line 3: {message}"
+
+
 def test_channel_load_and_positivity():
     tr = load_channel_trace(io.StringIO("tti,service_id,bits_per_rb\n0,1,25\n1,1,30\n2,1,25\n"), 1)
     assert tr.service_id == 1
     assert tr.bits_per_rb.tolist() == [25, 30, 25]
-    with pytest.raises(TraceValidationError):
-        load_channel_trace(io.StringIO("tti,service_id,bits_per_rb\n0,1,0\n"), 1)
+    with pytest.raises(TraceValidationError, match="^line 3: bits_per_rb must be positive$"):
+        load_channel_trace(io.StringIO("tti,service_id,bits_per_rb\n0,1,25\n1,1,-4\n2,1,0\n"), 1)
 
 
 def write_traces(tmp_path, arr_name, ch_name):
