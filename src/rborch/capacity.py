@@ -41,11 +41,8 @@ window only, so what a size holds does not depend on which requests came
 before.  A long window, whose every size is alone in its pass, builds only
 the sizes read; a short window, whose passes pack many sizes, builds them
 with few passes, sizes below n_min included.  A pass finds its distinct
-int64 keys and their counts by counting them (np.bincount) when their span
-is within _COUNT_SPAN times its sample count, as with the sums of one size
-over near-constant RB values, and by sorting them otherwise, as with the
-(size, sum) keys of a multi-size pass, which span the sizes times the
-window's total bits; only the distinct values are cast to float64.
+int64 sums or (size, sum) keys and their counts with
+utilization.unique_counts; only the distinct values are cast to float64.
 """
 
 from __future__ import annotations
@@ -57,16 +54,14 @@ import numpy as np
 
 from .martingale import CapacitySampleSet
 from .rt import _NEVER, exact_sum, whole_numbers
+from .utilization import unique_counts
 
 log = logging.getLogger(__name__)
 
 # a pass packs consecutive group sizes while their samples stay within this many
 PASS_SAMPLES = 1024
-# a pass counts its distinct sums when their span is within this many times
-# its sample count, and sorts them otherwise
-_COUNT_SPAN = 4
-# group sums and the (size index, sum) keys of a pass stay below this, so
-# they are exact in float64 too
+# group sums stay below this, so their float64 values are exact; the int64
+# (size index, sum) keys of a pass, never cast, are held below it too
 _KEY_LIMIT = 1 << 53
 # the table of a window with no size built
 _EMPTY_TABLE = (np.empty(0), np.empty(0), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -156,20 +151,6 @@ def _round_half_even_div(num, den):
     return q + (2 * r + (q & 1) > den)
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted distinct values, their counts) of int64 keys: counted over their
-    span when it is within _COUNT_SPAN times the number of keys, else sorted."""
-    lo = keys.min()
-    if keys.max() - lo < _COUNT_SPAN * len(keys):
-        counts = np.bincount(keys - lo)
-        vals = np.flatnonzero(counts)
-        return vals + lo, counts[vals]
-    keys = np.sort(keys)
-    # starts of the runs of equal keys, and the end of the last run
-    edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
-    return keys[edges[:-1]], edges[1:] - edges[:-1]
-
-
 def _passes(x_con: ConcatPerRbVector, top: int) -> list[int]:
     """The window's pass grid through the pass that holds size top: bounds
     b with pass i over sizes b[i]..b[i + 1] - 1, from b[0] = 1.
@@ -216,8 +197,8 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
         t = length // g
         a, d = pn[0 : t * g + 1 : g], pd[0 : t * g + 1 : g]
         sums = _round_half_even_div(a[1:] * d[:-1] - a[:-1] * d[1:], d[:-1] * d[1:])
-        vals, counts = _distinct(np.maximum(sums, 1))
-        return vals.astype(np.float64), counts.astype(np.float64), [len(vals)], [len(sums)]
+        vals, counts = unique_counts(np.maximum(sums, 1))
+        return vals.astype(np.float64), counts, [len(vals)], [len(sums)]
     sizes = np.array(gs)
     t = length // sizes
     step = np.repeat(sizes, t)
@@ -228,10 +209,10 @@ def _pass(x_con: ConcatPerRbVector, gs: list[int]):
     sums = _round_half_even_div(pn[right] * d0 - pn[left] * d1, d0 * d1)
     # key i*k + sum orders by size index i, then sum
     k = total + 1
-    keys, counts = _distinct(np.repeat(np.arange(len(gs)) * k, t) + np.maximum(sums, 1))
+    keys, counts = unique_counts(np.repeat(np.arange(len(gs)) * k, t) + np.maximum(sums, 1))
     which = keys // k
     vals = (keys - which * k).astype(np.float64)
-    return vals, counts.astype(np.float64), np.bincount(which, minlength=len(gs)), t
+    return vals, counts, np.bincount(which, minlength=len(gs)), t
 
 
 def _extend(x_con: ConcatPerRbVector, n_min: int, n_cell: int, pi: np.ndarray) -> None:

@@ -59,25 +59,20 @@ def _prepare_out(out_dir: str, files: list[str], overwrite: bool) -> None:
             )
 
 
+# the ServiceMetrics fields of a summary.csv row, which ends with rb_utilization
+_SUMMARY_FIELDS = (
+    "service_id", "packets", "completed", "pending_violations", "violation_prob",
+    "mean_ms", "p50_ms", "p95_ms", "p99_ms", "p999_ms", "max_ms",
+)
+
+
 def _write_metrics(metrics, out_dir: str) -> None:
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
-        [
-            "service_id", "packets", "completed", "pending_violations", "violation_prob",
-            "mean_ms", "p50_ms", "p95_ms", "p99_ms", "p999_ms", "max_ms", "rb_utilization",
-        ],
-        [
-            (
-                s.service_id, s.packets, s.completed, s.pending_violations, s.violation_prob,
-                s.mean_ms, s.p50_ms, s.p95_ms, s.p99_ms, s.p999_ms, s.max_ms, metrics.rb_utilization,
-            )
-            for s in metrics.services
-        ],
+        [*_SUMMARY_FIELDS, "rb_utilization"],
+        [[getattr(s, f) for f in _SUMMARY_FIELDS] + [metrics.rb_utilization] for s in metrics.services],
     )
-    ccdf_rows = []
-    for s in metrics.services:
-        for x, p in s.ccdf:
-            ccdf_rows.append((s.service_id, x, p))
+    ccdf_rows = [(s.service_id, x, p) for s in metrics.services for x, p in s.ccdf]
     _write_csv(os.path.join(out_dir, "ccdf.csv"), ["service_id", "x", "ccdf"], ccdf_rows)
     _write_csv(
         os.path.join(out_dir, "alloc.csv"),

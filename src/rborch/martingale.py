@@ -30,18 +30,12 @@ from typing import Optional
 import numpy as np
 
 from .rt import check_slot
-from .utilization import UtilizationPmf, check_pmf
+from .utilization import UtilizationPmf, check_pmf, unique_counts
 
 # a search stops once its Newton step is at most this fraction of the bracket's upper end
 REL_TOL = 1e-9
 # bound on safeguarded steps: bisection alone narrows [1e-9, 64] to REL_TOL in about 60
 MAX_STEPS = 100
-
-
-def unique_counts(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted unique values, float64 counts); duplicates are frequent in sample windows."""
-    vals, counts = np.unique(samples, return_counts=True)
-    return vals, counts.astype(np.float64)
 
 
 class ArrivalSampleSet:

@@ -28,6 +28,9 @@ SIGMA_FLOOR = 1e-3
 EM_ITERS = 200  # EM stops after this many iterations,
 EM_TOL = 1e-8  # or once an iteration gains less log-likelihood than this
 _SQRT2 = math.sqrt(2.0)
+# unique_counts counts int64 values when their span is within this many
+# times their number, and sorts them otherwise
+_COUNT_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,21 @@ class GmmMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "sigmas", sg)
+
+
+def unique_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct values, float64 counts) of a non-empty 1-d array: int64
+    values are counted over their span when it is within _COUNT_SPAN times
+    their number, any others sorted once and read as runs of equal values."""
+    lo = values.min()
+    if values.dtype == np.int64 and values.max() - lo < _COUNT_SPAN * len(values):
+        counts = np.bincount(values - lo)
+        vals = np.flatnonzero(counts)
+        return vals + lo, counts[vals].astype(np.float64)
+    values = np.sort(values)
+    # starts of the runs of equal values, and the end of the last run
+    edges = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1], [True])))
+    return values[edges[:-1]], (edges[1:] - edges[:-1]).astype(np.float64)
 
 
 def check_pmf(pi) -> np.ndarray:
@@ -197,8 +215,7 @@ def fit_gmm_em(
     sigma = np.full(c, max(float(np.std(x)), SIGMA_FLOOR))
     w = np.full(c, 1.0 / c)
 
-    v, k = np.unique(x, return_counts=True)
-    k = k.astype(np.float64)
+    v, k = unique_counts(x)
     log_norm = 0.5 * math.log(2 * math.pi)
     lls: list[float] = []
     prev_ll = -math.inf

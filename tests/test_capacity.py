@@ -562,19 +562,20 @@ def test_overflow_guard_raises_on_uniform_and_mixed_windows():
 
 def test_pass_kinds_match_fraction_oracle(monkeypatch):
     passes, kinds = [], set()
-    build_pass, distinct = rborch.capacity._pass, rborch.capacity._distinct
+    build_pass, distinct = rborch.capacity._pass, rborch.capacity.unique_counts
 
     def recording(x_con, gs):
         passes.append((len(x_con), list(gs)))
         return build_pass(x_con, gs)
 
     def recording_distinct(keys):
-        # distinct sums are counted over a span within _COUNT_SPAN times the sample count, else sorted
-        kinds.add("counted" if keys.max() - keys.min() < rborch.capacity._COUNT_SPAN * len(keys) else "sorted")
+        # int64 sums are counted over a span within _COUNT_SPAN times the sample count, else sorted
+        assert keys.dtype == np.int64
+        kinds.add("counted" if keys.max() - keys.min() < rborch.utilization._COUNT_SPAN * len(keys) else "sorted")
         return distinct(keys)
 
     monkeypatch.setattr(rborch.capacity, "_pass", recording)
-    monkeypatch.setattr(rborch.capacity, "_distinct", recording_distinct)
+    monkeypatch.setattr(rborch.capacity, "unique_counts", recording_distinct)
     rng = np.random.default_rng(5)
     packet = (rng.integers(300, 1500, 80).tolist(), rng.integers(1, 60, 80).tolist())
     unit = (rng.integers(1, 60, 3000).tolist(), [1] * 3000)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rborch.utilization import (
+    _COUNT_SPAN,
     SIGMA_FLOOR,
     GmmMixture,
     UsageTable,
@@ -17,6 +18,7 @@ from rborch.utilization import (
     empirical_pmf,
     fit_gmm_em,
     region_probabilities,
+    unique_counts,
 )
 
 # standard-normal CDF values from mpmath.ncdf at 50 digits
@@ -132,6 +134,39 @@ class TestAgreementLimit:
         pmf_gmm = region_probabilities(gmm, 7)
         assert pmf_emp.pi[k] >= 1 - 1e-6
         assert pmf_gmm.pi[k] >= 1 - 1e-6
+
+
+def _kernel_cases():
+    """(id, values, whether an int64 window's span is within the counted bound): int64
+    windows on both sides of the bound, negatives included, float64 windows with
+    repeats, single values and all-equal vectors."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (2, 7, 50, 1000):
+        for span in (_COUNT_SPAN * n - 1, _COUNT_SPAN * n):
+            # the least and largest values pin the span; the others repeat between them
+            lo = int(rng.integers(-3 * span, 5))
+            values = np.concatenate(([lo, lo + span], rng.integers(lo, lo + span + 1, n - 2)))
+            cases.append((f"int64-span{span}-n{n}", values.astype(np.int64), span < _COUNT_SPAN * n))
+    cases += [
+        ("float64-repeats", rng.integers(-40, 40, 500) * 0.25, None),
+        ("float64-wide", rng.choice(rng.normal(0.0, 1e6, 30), 300), None),
+        ("int64-single", np.array([-7], dtype=np.int64), True),
+        ("float64-single", np.array([3.5]), None),
+        ("int64-all-equal", np.full(40, 1 << 40, dtype=np.int64), True),
+        ("float64-all-equal", np.full(40, -2.5), None),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("values, counted", [c[1:] for c in _kernel_cases()], ids=[c[0] for c in _kernel_cases()])
+def test_unique_counts_matches_np_unique_bit_for_bit(values, counted):
+    if counted is not None:
+        assert (values.max() - values.min() < _COUNT_SPAN * len(values)) == counted
+    vals, counts = unique_counts(values)
+    want_vals, want_counts = np.unique(values, return_counts=True)
+    assert vals.dtype == values.dtype and vals.tobytes() == want_vals.tobytes()
+    assert counts.dtype == np.float64 and counts.tobytes() == want_counts.astype(np.float64).tobytes()
 
 
 def test_pmf_validation():
